@@ -57,7 +57,6 @@ from .mt import (
 from .operators import (
     AffineOperator,
     BoxNormalCone,
-    BoxSet,
     RelativeMonotonicityReport,
     SingletonSet,
     check_relative_strong_monotonicity,
@@ -70,7 +69,6 @@ __all__ = [
     "AffineOperator",
     "BoundReport",
     "BoxNormalCone",
-    "BoxSet",
     "ContractionCertificate",
     "DRFamily",
     "FixDecomposition",

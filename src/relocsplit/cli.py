@@ -336,13 +336,14 @@ def _kappa_for(family, schedule) -> float:
 class _ExperimentState:
     """Shared artifacts the individual checks draw on."""
 
-    def __init__(self, config, family, schedule, x0, trace, err_to_limit):
+    def __init__(self, config, family, schedule, x0, trace, extended):
         self.config = config
         self.family = family
         self.schedule = schedule
         self.x0 = x0
         self.trace = trace
-        self.err_to_limit = err_to_limit
+        #: the 4 * n_steps run from x0 that locates the limit
+        self.extended = extended
         self._cache: FixedPointCache | None = None
 
     @property
@@ -379,7 +380,8 @@ def _check_one_step(state: _ExperimentState) -> CheckRecord:
 def _check_rate_theorem(state: _ExperimentState) -> CheckRecord:
     # small burn-in: a long one can launder sublinear tails into linear verdicts
     result = diagnostics.verify_rate_theorem(
-        state.family, state.schedule, state.x0, state.config.n_steps, burn_in=5
+        state.family, state.schedule, state.x0, state.config.n_steps, burn_in=5,
+        extended=state.extended, cache=state.cache,
     )
     return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
 
@@ -510,8 +512,14 @@ def _run_driver(config: ExperimentConfig, family, schedule, x0) -> IterateTrace:
     return relocated_iterate(family, schedule, x0, config.n_steps)
 
 
-def _limit_errors(config: ExperimentConfig, family, schedule, x0, trace) -> np.ndarray:
-    extended = relocated_iterate(family, schedule, x0, 4 * config.n_steps)
+def _extended_run(config: ExperimentConfig, family, schedule, x0) -> IterateTrace:
+    return relocated_iterate(family, schedule, x0, 4 * config.n_steps)
+
+
+def _limit_errors(config: ExperimentConfig, family, schedule, x0, trace, extended=None) -> np.ndarray:
+    """||x_n - x_inf|| along ``trace``, x_inf the mean of the extended run's last 5 iterates."""
+    if extended is None:
+        extended = _extended_run(config, family, schedule, x0)
     x_inf = extended.xs[-5:].mean(axis=0)
     return np.linalg.norm(trace.xs - x_inf, axis=1)
 
@@ -569,9 +577,10 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     x0 = _initial_point(config, family)
 
     trace = _run_driver(config, family, schedule, x0)
-    err_to_limit = _limit_errors(config, family, schedule, x0, trace)
+    extended = _extended_run(config, family, schedule, x0)
+    err_to_limit = _limit_errors(config, family, schedule, x0, trace, extended)
 
-    state = _ExperimentState(config, family, schedule, x0, trace, err_to_limit)
+    state = _ExperimentState(config, family, schedule, x0, trace, extended)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
     if needs_dist and family.contraction_beta is not None:
         diagnostics.compute_distances(family, trace, state.cache)

@@ -144,7 +144,12 @@ class FixedPointCache:
     """One oracle fixed point per distinct stepsize (keyed to 12 significant digits).
 
     Oracle runs dominate the cost of rate verification; schedules revisit the
-    limiting stepsize many times once increments fall below rounding.
+    limiting stepsize many times once increments fall below rounding. A miss
+    starts the oracle from the previous miss's point carried over by the
+    relocator, ``Q_{gamma<-gamma_prev} x_prev``, which maps Fix T_gamma_prev
+    onto Fix T_gamma; the oracle then only removes the small error that
+    ``x_prev`` carried. Every point served still passes the oracle's residual test
+    ``||x - T_gamma x|| <= tol``. An explicit ``x0`` overrides the start.
     """
 
     def __init__(self, family: OperatorFamily, tol: float = 1e-13, max_iters: int = 10**6):
@@ -152,7 +157,7 @@ class FixedPointCache:
         self.tol = tol
         self.max_iters = max_iters
         self._points: dict[str, np.ndarray] = {}
-        self._warm: np.ndarray | None = None
+        self._last: tuple[float, np.ndarray] | None = None
 
     def point(self, gamma: float, x0=None) -> np.ndarray:
         key = f"{float(gamma):.12g}"
@@ -160,10 +165,13 @@ class FixedPointCache:
         if hit is not None:
             return hit
         if x0 is None:
-            x0 = self._warm if self._warm is not None else np.zeros(self.family.dim)
+            if self._last is None:
+                x0 = np.zeros(self.family.dim)
+            else:
+                x0 = self.family.relocate(gamma, *self._last)
         p = fixed_point_oracle(self.family, gamma, x0, tol=self.tol, max_iters=self.max_iters)
         self._points[key] = p
-        self._warm = p
+        self._last = (gamma, p)
         return p
 
 
@@ -298,6 +306,8 @@ def verify_rate_theorem(
     x0,
     n_steps: int,
     burn_in: int | None = None,
+    extended: IterateTrace | None = None,
+    cache: FixedPointCache | None = None,
 ) -> RateTheoremResult:
     """Fit R-linear rates for dist(x_n, Fix T_{gamma_n}) and ||x_n - x_inf||.
 
@@ -309,6 +319,12 @@ def verify_rate_theorem(
     Distances are trusted only down to the oracle's point accuracy
     (residual tolerance amplified by 1/(1 - beta)); below that they are
     indistinguishable from zero and excluded from the fit.
+
+    A caller that already holds the ``4 * n_steps`` run from ``x0`` and a
+    fixed-point cache for the family passes them as ``extended`` and
+    ``cache``. A cache filled by ``compute_distances`` along the run's first
+    ``n_steps + 1`` rows gives the same result, bit for bit, as a fresh one;
+    otherwise its points may differ within the oracle's accuracy.
     """
     beta = family.contraction_beta
     if beta is None:
@@ -316,12 +332,18 @@ def verify_rate_theorem(
     if burn_in is None:
         burn_in = default_burn_in(n_steps)
 
-    extended = relocated_iterate(family, schedule, x0, 4 * n_steps)
+    if extended is None:
+        extended = relocated_iterate(family, schedule, x0, 4 * n_steps)
+    elif len(extended) != 4 * n_steps + 1:
+        raise DomainError(f"extended run has {len(extended)} rows, need {4 * n_steps + 1}")
     x_inf = extended.xs[-5:].mean(axis=0)
     errs = np.linalg.norm(extended.xs[: n_steps + 1] - x_inf, axis=1)
     iterate_rate = _fit_allow_zero(errs, burn_in)
 
-    cache = FixedPointCache(family)
+    if cache is None:
+        cache = FixedPointCache(family)
+    elif cache.family is not family:
+        raise DomainError("fixed-point cache belongs to another family")
     dist = np.array(
         [
             float(np.linalg.norm(extended.xs[n] - cache.point(extended.gammas[n])))

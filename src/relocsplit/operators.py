@@ -74,8 +74,15 @@ class AffineOperator:
         d = M.shape[0]
         self.b = np.zeros(d) if b is None else as_vector(b, d)
 
-        sym = 0.5 * (M + M.T)
-        eigs = np.linalg.eigvalsh(sym)
+        # exactly symmetric M: one eigendecomposition serves every stepsize
+        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        if np.array_equal(M, M.T):
+            eigs, vecs = np.linalg.eigh(M)
+            self._eig = (eigs, vecs)
+            lip = max(-eigs[0], eigs[-1])
+        else:
+            eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+            lip = np.linalg.norm(M, 2)
         if eigs[0] < -MONOTONE_EIG_TOL:
             raise NonMonotoneOperator(
                 f"symmetric part has eigenvalue {eigs[0]:.3e} < -{MONOTONE_EIG_TOL}"
@@ -83,7 +90,7 @@ class AffineOperator:
         self.sym_eig_min = float(eigs[0])
         self.sym_eig_max = float(eigs[-1])
         self.mu = float(eigs[0]) if eigs[0] > MONOTONE_EIG_TOL else 0.0
-        self.lip = float(np.linalg.norm(M, 2))
+        self.lip = float(lip)
 
         self._lock = threading.Lock()
         self._lu_cache: OrderedDict[float, tuple] = OrderedDict()
@@ -117,9 +124,18 @@ class AffineOperator:
         return lu
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
-        """Evaluate ``(I + gamma*A)^{-1} x`` by a dense linear solve."""
+        """Evaluate ``(I + gamma*A)^{-1} x``.
+
+        A symmetric ``M = Q diag(lam) Q^T`` gives
+        ``Q ((Q^T (x - gamma*b)) / (1 + gamma*lam))``: two matrix-vector
+        products for any stepsize. Other operators solve with an LU
+        factorization of ``I + gamma*M``, cached per stepsize.
+        """
         gamma = _check_gamma(gamma)
         x = as_vector(x, self.dim)
+        if self._eig is not None:
+            eigs, vecs = self._eig
+            return vecs @ (((x - gamma * self.b) @ vecs) / (1.0 + gamma * eigs))
         return lu_solve(self._factors(gamma), x - gamma * self.b)
 
     def reflected_resolvent(self, gamma: float, x) -> np.ndarray:
@@ -241,23 +257,6 @@ class SingletonSet:
         if t <= 0:
             raise DomainError("scaling factor must be positive")
         return SingletonSet(t * self.point)
-
-
-class BoxSet:
-    """A box as a plain projectable set (no operator semantics)."""
-
-    def __init__(self, lower, upper):
-        cone = BoxNormalCone(lower, upper)  # reuse validation
-        self.lower = cone.lower
-        self.upper = cone.upper
-
-    def project(self, y) -> np.ndarray:
-        return np.clip(as_vector(y, self.lower.shape[0]), self.lower, self.upper)
-
-    def scaled(self, t: float) -> "BoxSet":
-        if t <= 0:
-            raise DomainError("scaling factor must be positive")
-        return BoxSet(t * self.lower, t * self.upper)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import relocsplit.cli as cli
+import relocsplit.diagnostics as diagnostics
 from relocsplit import generate_problem
 from relocsplit.errors import ConfigError
 
@@ -20,6 +21,23 @@ schedule.r = 0.5
 schedule.gamma_low = 1.0
 schedule.gamma_high = 2.0
 n_steps = 300
+checks = all
+"""
+
+MT_CONFIG = """
+algorithm = mt
+problem.kind = affine_strongly_monotone
+problem.dim = 3
+problem.n_operators = 3
+problem.seed = 5
+schedule.kind = geometric
+schedule.gamma_star = 1.0
+schedule.C = 1.0
+schedule.r = 0.5
+schedule.gamma_low = 0.5
+schedule.gamma_high = 2.0
+theta = 0.5
+n_steps = 400
 checks = all
 """
 
@@ -163,24 +181,25 @@ class TestRunExperiment:
         assert "overall=PASS checks=8 failed=0" in out
 
     def test_mt_all_checks_pass(self, tmp_path):
-        mt_config = """
-algorithm = mt
-problem.kind = affine_strongly_monotone
-problem.dim = 3
-problem.n_operators = 3
-problem.seed = 5
-schedule.kind = geometric
-schedule.gamma_star = 1.0
-schedule.C = 1.0
-schedule.r = 0.5
-schedule.gamma_low = 0.5
-schedule.gamma_high = 2.0
-theta = 0.5
-n_steps = 400
-checks = all
-"""
-        path = write_config(tmp_path, mt_config, name="mt.cfg")
+        path = write_config(tmp_path, MT_CONFIG, name="mt.cfg")
         assert cli.main(["run", path]) == 0
+
+    @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
+    def test_one_extended_run_serves_all_checks(self, tmp_path, monkeypatch, text):
+        # the limit errors and rate_theorem share one 4*n_steps run
+        calls = []
+        real = cli.relocated_iterate
+
+        def counting(family, schedule, x0, n_steps):
+            calls.append(n_steps)
+            return real(family, schedule, x0, n_steps)
+
+        monkeypatch.setattr(cli, "relocated_iterate", counting)
+        monkeypatch.setattr(diagnostics, "relocated_iterate", counting)
+        config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)))
+        status, records = cli.run_experiment(config, write_trace=False)
+        assert status == 0 and "rate_theorem" in [rec.name for rec in records]
+        assert calls == [4 * config.n_steps]
 
     def test_polynomial_negative_control(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG)

@@ -217,6 +217,35 @@ class TestVerifyRateTheorem:
         with pytest.raises(NonSingletonFix):
             verify_rate_theorem(fam, sch, np.zeros(2), 100)
 
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_shared_run_and_cache_give_the_standalone_result(
+        self, family_name, geometric_schedule, request
+    ):
+        family = request.getfixturevalue(family_name)
+        x0 = np.random.default_rng(4).standard_normal(family.dim)
+        n = 250
+        alone = verify_rate_theorem(family, geometric_schedule, x0, n, burn_in=5)
+        cache = FixedPointCache(family)
+        compute_distances(family, relocated_iterate(family, geometric_schedule, x0, n), cache)
+        extended = relocated_iterate(family, geometric_schedule, x0, 4 * n)
+        shared = verify_rate_theorem(
+            family, geometric_schedule, x0, n, burn_in=5, extended=extended, cache=cache
+        )
+        assert shared.dist_rate == alone.dist_rate
+        assert shared.iterate_rate == alone.iterate_rate
+        assert shared.passed == alone.passed
+        assert np.array_equal(shared.limit, alone.limit)
+
+    def test_shared_inputs_are_checked(self, pd_pair_family, mt3_family, geometric_schedule):
+        x0 = np.zeros(5)
+        short = relocated_iterate(pd_pair_family, geometric_schedule, x0, 100)
+        with pytest.raises(DomainError):
+            verify_rate_theorem(pd_pair_family, geometric_schedule, x0, 100, extended=short)
+        with pytest.raises(DomainError):
+            verify_rate_theorem(
+                pd_pair_family, geometric_schedule, x0, 100, cache=FixedPointCache(mt3_family)
+            )
+
 
 class TestFixedPointCache:
     def test_caches_by_rounded_gamma(self, pd_pair_family):
@@ -228,3 +257,65 @@ class TestFixedPointCache:
     def test_distinct_gammas_distinct_points(self, pd_pair_family):
         cache = FixedPointCache(pd_pair_family)
         assert np.linalg.norm(cache.point(0.6) - cache.point(1.9)) > 1e-3
+
+    def test_explicit_start_overrides_relocation(self, pd_pair_family):
+        cache = FixedPointCache(pd_pair_family)
+        cache.point(1.0)
+        start = np.full(5, 1e3)
+        p = cache.point(1.5, x0=start)
+        assert pd_pair_family.residual(1.5, p) <= cache.tol
+
+
+@pytest.fixture(scope="module")
+def box_mt_family():
+    """Three operators, the last the normal cone of [-0.5, 0.5]^4: piecewise affine."""
+    ops = rs.generate_problem(
+        "affine_plus_box", 4, 7, 0.5, 2.0, n_operators=3, box_half_width=0.5
+    )
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
+SCHEDULES = {
+    "geometric": StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL),
+    "polynomial": StepsizeSchedule.polynomial(1.0, 1.0, 1.0, INTERVAL),
+}
+
+
+@pytest.mark.parametrize("schedule_kind", list(SCHEDULES))
+@pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family", "box_mt_family"])
+def test_relocated_starts_keep_points_and_save_iterations(
+    family_name, schedule_kind, request, monkeypatch
+):
+    family = request.getfixturevalue(family_name)
+    assert family.contraction_beta is not None
+    gammas = SCHEDULES[schedule_kind].gammas(80)
+    applies = [0]
+    real_apply = type(family).apply
+
+    def counting(self, gamma, x):
+        applies[0] += 1
+        return real_apply(self, gamma, x)
+
+    monkeypatch.setattr(type(family), "apply", counting)
+    # each miss relocates the previous miss's point to the new stepsize
+    cache = FixedPointCache(family)
+    points = [cache.point(g) for g in gammas]
+    relocated_iterations = applies[0]
+    # reference: start each miss from the previous stepsize's point itself
+    applies[0] = 0
+    warm = FixedPointCache(family)
+    previous = np.zeros(family.dim)
+    for g in gammas:
+        previous = warm.point(g, x0=previous)
+    warm_iterations = applies[0]
+    monkeypatch.undo()
+
+    assert 4 * relocated_iterations <= warm_iterations
+    # a point is certified at the stepsize that missed; the 12-digit key then
+    # serves it for stepsizes within ~1e-11
+    certified_at = {}
+    for g, p in zip(gammas, points):
+        certified_at.setdefault(id(p), g)
+        assert family.residual(certified_at[id(p)], p) <= cache.tol
+        cold = fixed_point_oracle(family, g, np.zeros(family.dim))
+        assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import relocsplit.operators as operators
 from relocsplit import (
     AffineOperator,
     BoxNormalCone,
     SingletonSet,
     check_relative_strong_monotonicity,
+    generate_problem,
+    skew_operator,
     symmetric_operator,
 )
 from relocsplit.errors import (
@@ -92,6 +95,54 @@ class TestResolvent:
             if den > 1e-12:
                 worst = max(worst, num / den)
         assert np.isfinite(worst) and worst < 100.0
+
+
+class TestSpectralResolvent:
+    """Exactly symmetric operators resolve through one eigendecomposition."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("dim", [1, 5, 50])
+    def test_matches_direct_solve(self, dim, gamma):
+        rng = np.random.default_rng(dim)
+        for op in generate_problem("affine_strongly_monotone", dim, dim, 0.5, 2.0, n_operators=3):
+            x = 3 * rng.standard_normal(dim)
+            expected = np.linalg.solve(np.eye(dim) + gamma * op.M, x - gamma * op.b)
+            err = np.linalg.norm(op.resolvent(gamma, x) - expected)
+            assert err <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("dim", [1, 5, 50])
+    def test_constants_match_dense_routines(self, dim):
+        # the last operator has spectrum [0, 2]: merely monotone, mu = 0
+        for op in generate_problem("affine_strongly_monotone", dim, dim, 0.5, 2.0, n_operators=3):
+            scale = max(1.0, float(np.abs(op.M).max()))
+            eigs = np.linalg.eigvalsh(0.5 * (op.M + op.M.T))
+            assert abs(op.sym_eig_min - eigs[0]) <= 1e-12 * scale
+            assert abs(op.sym_eig_max - eigs[-1]) <= 1e-12 * scale
+            assert abs(op.mu - (eigs[0] if eigs[0] > 1e-10 else 0.0)) <= 1e-12 * scale
+            assert abs(op.lip - np.linalg.norm(op.M, 2)) <= 1e-12 * scale
+
+    def test_only_nonsymmetric_operators_factor(self, monkeypatch):
+        calls = []
+        real = operators.lu_factor
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(operators, "lu_factor", counting)
+        rng = np.random.default_rng(3)
+        symmetric = [symmetric_operator(6, 0.5, 2.0, rng), symmetric_operator(6, 0.0, 2.0, rng),
+                     AffineOperator(np.eye(6)), AffineOperator(np.zeros((6, 6)))]
+        x = rng.standard_normal(6)
+        for op in symmetric:
+            for gamma in np.linspace(0.1, 3.0, 20):
+                op.resolvent(gamma, x)
+        assert calls == []
+        skew = skew_operator(6, 2.0, rng)
+        skew.resolvent(1.0, x)
+        skew.resolvent(1.0, x)  # served from the per-stepsize cache
+        skew.resolvent(2.0, x)
+        assert calls == [(6, 6), (6, 6)]
 
 
 class TestReflectedResolvent:
