@@ -22,9 +22,11 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import FixedPointCache, RateEstimate, default_burn_in
+# algorithm1_run, algorithm2_run and relocated_iterate stay importable from
+# here: perfbench/layers.py wraps them in this namespace.
 from .dr import (
     DRFamily,
-    algorithm1_run,
+    algorithm1_run,  # noqa: F401
     dr_regularity_constant,
     dr_summability_bound,
     fix_decomposition_check,
@@ -38,7 +40,7 @@ from .family import (
     relocated_iterate,
     summability_report,
 )
-from .mt import MTFamily, algorithm2_run, mt_summability_bound
+from .mt import MTFamily, algorithm2_run, mt_summability_bound  # noqa: F401
 from .problems import PROBLEM_KINDS, generate_problem
 
 CHECK_NAMES = (
@@ -504,22 +506,8 @@ _CHECK_RUNNERS = {
 }
 
 
-def _run_driver(config: ExperimentConfig, family, schedule, x0) -> IterateTrace:
-    if config.algorithm == "dr":
-        return algorithm1_run(family, schedule, x0, config.n_steps)
-    if config.algorithm == "mt":
-        return algorithm2_run(family, schedule, x0, config.n_steps)
-    return relocated_iterate(family, schedule, x0, config.n_steps)
-
-
-def _extended_run(config: ExperimentConfig, family, schedule, x0) -> IterateTrace:
-    return relocated_iterate(family, schedule, x0, 4 * config.n_steps)
-
-
-def _limit_errors(config: ExperimentConfig, family, schedule, x0, trace, extended=None) -> np.ndarray:
+def _limit_errors(trace: IterateTrace, extended: IterateTrace) -> np.ndarray:
     """||x_n - x_inf|| along ``trace``, x_inf the mean of the extended run's last 5 iterates."""
-    if extended is None:
-        extended = _extended_run(config, family, schedule, x0)
     x_inf = extended.xs[-5:].mean(axis=0)
     return np.linalg.norm(trace.xs - x_inf, axis=1)
 
@@ -527,30 +515,27 @@ def _limit_errors(config: ExperimentConfig, family, schedule, x0, trace, extende
 def write_trace_csv(path: str, trace: IterateTrace, err_to_limit: np.ndarray) -> None:
     rows = len(trace)
     dist = trace.dist_to_fix if trace.dist_to_fix is not None else np.full(rows, math.nan)
-    columns: list[tuple[str, np.ndarray]] = [
-        ("n", np.arange(rows, dtype=float)),
-        ("gamma", trace.gammas),
-        ("residual", trace.residuals),
-        ("dist_to_fix", dist),
-        ("err_to_limit", err_to_limit),
-    ]
+    names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit"]
+    pieces = [np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, dist, err_to_limit])]
 
-    def flatten(prefix: str, arr: np.ndarray):
-        for j in range(arr.shape[1]):
-            columns.append((f"{prefix}_{j}", arr[:, j]))
+    def add(prefix: str, arr: np.ndarray):
+        names.extend(f"{prefix}_{j}" for j in range(arr.shape[1]))
+        pieces.append(arr)
 
-    flatten("x", trace.xs)
+    add("x", trace.xs)
     if trace.blocks:
         for name in ("z", "y", "w"):
             if name in trace.blocks:
-                flatten(name, trace.blocks[name])
+                add(name, trace.blocks[name])
     else:
-        flatten("t", trace.t_of_x)
+        add("t", trace.t_of_x)
 
+    # one formatted write per row; a copy of the whole table would add to peak memory
+    row_fmt = ",".join([FLOAT_FMT] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
+        fh.write(",".join(names) + "\n")
         for i in range(rows):
-            fh.write(",".join(FLOAT_FMT % col[i] for _, col in columns) + "\n")
+            fh.write(row_fmt % tuple(np.concatenate([piece[i] for piece in pieces]).tolist()))
 
 
 def read_trace_csv(path: str) -> dict[str, np.ndarray]:
@@ -576,9 +561,10 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     schedule = config.schedule
     x0 = _initial_point(config, family)
 
-    trace = _run_driver(config, family, schedule, x0)
-    extended = _extended_run(config, family, schedule, x0)
-    err_to_limit = _limit_errors(config, family, schedule, x0, trace, extended)
+    # one 4 * n_steps run locates the limit; its first rows are the trace
+    extended = relocated_iterate(family, schedule, x0, 4 * config.n_steps)
+    trace = extended.head(config.n_steps + 1)
+    err_to_limit = _limit_errors(trace, extended)
 
     state = _ExperimentState(config, family, schedule, x0, trace, extended)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))

@@ -141,7 +141,7 @@ def fixed_point_oracle(
 
 
 class FixedPointCache:
-    """One oracle fixed point per distinct stepsize (keyed to 12 significant digits).
+    """One oracle fixed point per distinct stepsize (keyed by its exact value).
 
     Oracle runs dominate the cost of rate verification; schedules revisit the
     limiting stepsize many times once increments fall below rounding. A miss
@@ -156,11 +156,11 @@ class FixedPointCache:
         self.family = family
         self.tol = tol
         self.max_iters = max_iters
-        self._points: dict[str, np.ndarray] = {}
+        self._points: dict[float, np.ndarray] = {}
         self._last: tuple[float, np.ndarray] | None = None
 
     def point(self, gamma: float, x0=None) -> np.ndarray:
-        key = f"{float(gamma):.12g}"
+        key = float(gamma)
         hit = self._points.get(key)
         if hit is not None:
             return hit
@@ -350,9 +350,8 @@ def verify_rate_theorem(
             for n in range(n_steps + 1)
         ]
     )
-    # oracle points are only accurate to ~tol/(1-beta), plus the 12-digit
-    # cache key merges stepsizes within ~1e-11 relative; stay a decade above
-    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.tol / (1.0 - beta) + 1e-10))
+    # oracle points are only accurate to ~tol/(1-beta); stay a decade above
+    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.tol / (1.0 - beta)))
     dist_rate = _fit_allow_zero(dist, burn_in, floor=dist_floor)
 
     passed = dist_rate.linear and iterate_rate.linear

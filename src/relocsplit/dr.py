@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
-from .family import DIVERGENCE_LIMIT, IterateTrace, OperatorFamily, StepsizeSchedule
-from .errors import DivergenceDetected
+from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
 from .operators import as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
@@ -118,18 +117,31 @@ class DRFamily(OperatorFamily):
                 self._beta_bar = None
         return self._beta_bar
 
-    def apply(self, gamma, x):
+    def apply_from(self, gamma, x, shadow=None):
+        """T_gamma x = x - z + y with blocks z = J_{gamma A1} x and y = J_{gamma A2}(2z - x).
+
+        A relocated x passes its shadow as z: J_{gamma A1}(Q_{gamma<-g} w) = J_{g A1} w.
+        """
         gamma = self.check_gamma(gamma)
         x = as_vector(x, self.dim)
-        j1 = self.a1.resolvent(gamma, x)
-        return x - j1 + self.a2.resolvent(gamma, 2.0 * j1 - x)
+        z = self.a1.resolvent(gamma, x) if shadow is None else shadow
+        y = self.a2.resolvent(gamma, 2.0 * z - x)
+        return x - z + y, {"z": z, "y": y}
 
-    def relocate(self, delta, gamma, x):
+    def relocate_from(self, delta, gamma, x):
+        """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow."""
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         x = as_vector(x, self.dim)
         s = delta / gamma
-        return s * x + (1.0 - s) * self.a1.resolvent(gamma, x)
+        z = self.a1.resolvent(gamma, x)
+        return s * x + (1.0 - s) * z, z
+
+    def apply(self, gamma, x):
+        return self.apply_from(gamma, x)[0]
+
+    def relocate(self, delta, gamma, x):
+        return self.relocate_from(delta, gamma, x)[0]
 
     def relocator_lipschitz(self, delta, gamma):
         delta = self.check_gamma(delta)
@@ -137,52 +149,12 @@ class DRFamily(OperatorFamily):
         return max(1.0, delta / gamma)
 
 
-def algorithm1_run(fam: DRFamily, schedule: StepsizeSchedule, x0, n_steps: int) -> IterateTrace:
-    """Run the variable-stepsize splitting in its resolvent-per-step form.
-
-    Per step:
-        y_n     = J_{gamma_n A2}(2 z_n - x_n)
-        w_n     = x_n - z_n + y_n
-        z_{n+1} = J_{gamma_n A1} w_n
-        x_{n+1} = (gamma_{n+1}/gamma_n) w_n + (1 - gamma_{n+1}/gamma_n) z_{n+1}
-
-    with z_0 = J_{gamma_0 A1} x_0. Each trace row carries x, z, y and w; the
-    x-sequence coincides with ``relocated_iterate`` on the same family, and
-    w_n equals T_{gamma_n} x_n (so the residual column is ||x_n - w_n||).
-    """
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
-    x = as_vector(x0, fam.dim)
-    gams = [fam.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)]
-    z = fam.a1.resolvent(gams[0], x)
-
-    xs, zs, ys, ws, res = [], [], [], [], []
-    for n in range(n_steps + 1):
-        size = float(np.linalg.norm(x))
-        if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
-            raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
-        y = fam.a2.resolvent(gams[n], 2.0 * z - x)
-        w = x - z + y
-        xs.append(x)
-        zs.append(z)
-        ys.append(y)
-        ws.append(w)
-        res.append(float(np.linalg.norm(x - w)))
-        if n == n_steps:
-            break
-        z_next = fam.a1.resolvent(gams[n], w)
-        ratio = gams[n + 1] / gams[n]
-        x = ratio * w + (1.0 - ratio) * z_next
-        z = z_next
-
-    ws_arr = np.vstack(ws)
-    return IterateTrace(
-        np.array(gams),
-        np.vstack(xs),
-        ws_arr,
-        np.array(res),
-        blocks={"z": np.vstack(zs), "y": np.vstack(ys), "w": ws_arr},
-    )
+#: Algorithm 1, the resolvent-per-step form of the splitting:
+#:     y_n = J_{gamma_n A2}(2 z_n - x_n),  w_n = x_n - z_n + y_n,
+#:     z_{n+1} = J_{gamma_n A1} w_n,
+#:     x_{n+1} = (gamma_{n+1}/gamma_n) w_n + (1 - gamma_{n+1}/gamma_n) z_{n+1},
+#: is ``relocated_iterate`` on a ``DRFamily``; its rows carry blocks z, y, w.
+algorithm1_run = relocated_iterate
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,19 @@ class OperatorFamily(abc.ABC):
     def relocator_lipschitz(self, delta: float, gamma: float) -> float:
         """A Lipschitz constant (>= 1) of Q_{delta <- gamma}, equal to 1 at delta == gamma."""
 
+    def apply_from(self, gamma: float, x, shadow=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Evaluate T_gamma at x and return it with the row's trace blocks.
+
+        ``shadow`` is the value ``relocate_from`` returned with x; a family
+        whose relocator evaluates part of T_gamma x reuses it instead of
+        solving again. The default records no blocks and ignores the shadow.
+        """
+        return self.apply(gamma, x), {}
+
+    def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
+        """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply_from``."""
+        return self.relocate(delta, gamma, x), None
+
     def residual(self, gamma: float, x) -> float:
         x = as_vector(x, self.dim)
         return float(np.linalg.norm(x - self.apply(gamma, x)))
@@ -169,6 +182,14 @@ class IterateTrace:
 
     def __len__(self) -> int:
         return int(self.gammas.shape[0])
+
+    def head(self, rows: int) -> IterateTrace:
+        """The first ``rows`` rows, as views into this trace's arrays."""
+        dist = None if self.dist_to_fix is None else self.dist_to_fix[:rows]
+        blocks = {name: arr[:rows] for name, arr in self.blocks.items()}
+        return IterateTrace(
+            self.gammas[:rows], self.xs[:rows], self.t_of_x[:rows], self.residuals[:rows], dist, blocks
+        )
 
     def block(self, name: str) -> np.ndarray:
         try:
@@ -222,25 +243,39 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     """Run x_{n+1} = Q_{gamma_{n+1} <- gamma_n} T_{gamma_n} x_n for n_steps steps.
 
     Returns a trace with rows n = 0..n_steps; every row carries T_gamma_n(x_n)
-    and the residual ||x_n - T_gamma_n x_n||.
+    and the residual ||x_n - T_gamma_n x_n||. Each step hands the shadow of
+    ``relocate_from`` to the next ``apply_from``, so a family's per-step
+    algorithm (two resolvents per step for ``DRFamily``, N for ``MTFamily``)
+    is this loop. When the family records blocks, the trace also holds
+    ``w`` = T_gamma_n(x_n), sharing storage with ``t_of_x``.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     x = as_vector(x0, family.dim)
-    gams = [family.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)]
-
-    xs, ts, res = [], [], []
-    for n in range(n_steps + 1):
+    gams = np.array([family.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)])
+    rows = n_steps + 1
+    xs = np.empty((rows, family.dim))
+    ts = np.empty((rows, family.dim))
+    res = np.empty(rows)
+    blocks: dict[str, np.ndarray] = {}
+    shadow = None
+    for n in range(rows):
         size = float(np.linalg.norm(x))
         if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
-        t = family.apply(gams[n], x)
-        xs.append(x)
-        ts.append(t)
-        res.append(float(np.linalg.norm(x - t)))
+        t, row_blocks = family.apply_from(gams[n], x, shadow)
+        xs[n] = x
+        ts[n] = t
+        res[n] = float(np.linalg.norm(x - t))
+        for name, value in row_blocks.items():
+            if name not in blocks:
+                blocks[name] = np.empty((rows, value.size))
+            blocks[name][n] = value
         if n < n_steps:
-            x = family.relocate(gams[n + 1], gams[n], t)
-    return IterateTrace(np.array(gams), np.vstack(xs), np.vstack(ts), np.array(res))
+            x, shadow = family.relocate_from(gams[n + 1], gams[n], t)
+    if blocks:
+        blocks["w"] = ts
+    return IterateTrace(gams, xs, ts, res, blocks=blocks)
 
 
 def relocator_only_sequence(

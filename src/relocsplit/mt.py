@@ -27,12 +27,11 @@ from .errors import (
     BadBlockCount,
     CertificationFailed,
     ChainMismatch,
-    DivergenceDetected,
     DomainError,
     UnsupportedOperator,
 )
-from .family import DIVERGENCE_LIMIT, IterateTrace, OperatorFamily, StepsizeSchedule
-from .operators import BoxNormalCone, as_vector
+from .family import OperatorFamily, StepsizeSchedule, relocated_iterate
+from .operators import BoxNormalCone
 
 _UNSET = object()
 #: margin keeping the relaxation parameter strictly inside (0, 1)
@@ -115,34 +114,37 @@ class MTFamily(OperatorFamily):
             raise DomainError("block vector has non-finite coordinates")
         return x.reshape(self.n_blocks, self.space_dim)
 
-    def z_chain(self, gamma: float, x_blocks: np.ndarray) -> np.ndarray:
-        """The N resolvent values z^1..z^N driven by the block vector."""
+    def apply_from(self, gamma, x, shadow=None):
+        """T_gamma x with block z, the N chain values z^1..z^N (flat).
+
+        A relocated x passes its shadow as z^1: J_{gamma A1}(Q_{gamma<-g} w)^1 = J_{g A1} w^1.
+        """
+        gamma = self.check_gamma(gamma)
+        xb = self.split_blocks(x)
         ops = self.operators
         K = self.n_blocks
         z = np.empty((self.n_operators, self.space_dim))
-        z[0] = ops[0].resolvent(gamma, x_blocks[0])
+        z[0] = ops[0].resolvent(gamma, xb[0]) if shadow is None else shadow
         for i in range(1, K):
-            z[i] = ops[i].resolvent(gamma, z[i - 1] + x_blocks[i] - x_blocks[i - 1])
-        z[K] = ops[K].resolvent(gamma, z[0] + z[K - 1] - x_blocks[K - 1])
-        return z
-
-    def apply_with_blocks(self, gamma: float, x) -> tuple[np.ndarray, np.ndarray]:
-        gamma = self.check_gamma(gamma)
-        xb = self.split_blocks(x)
-        z = self.z_chain(gamma, xb)
+            z[i] = ops[i].resolvent(gamma, z[i - 1] + xb[i] - xb[i - 1])
+        z[K] = ops[K].resolvent(gamma, z[0] + z[K - 1] - xb[K - 1])
         t = xb + self.theta * (z[1:] - z[:-1])
-        return t.ravel(), z
+        return t.ravel(), {"z": z.ravel()}
 
-    def apply(self, gamma, x):
-        return self.apply_with_blocks(gamma, x)[0]
-
-    def relocate(self, delta, gamma, x):
+    def relocate_from(self, delta, gamma, x):
+        """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow."""
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
         s = delta / gamma
         anchor = self.operators[0].resolvent(gamma, xb[0])
-        return (s * xb + (1.0 - s) * anchor[None, :]).ravel()
+        return (s * xb + (1.0 - s) * anchor[None, :]).ravel(), anchor
+
+    def apply(self, gamma, x):
+        return self.apply_from(gamma, x)[0]
+
+    def relocate(self, delta, gamma, x):
+        return self.relocate_from(delta, gamma, x)[0]
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant
@@ -160,60 +162,11 @@ class MTFamily(OperatorFamily):
         return self._beta
 
 
-def algorithm2_run(fam: MTFamily, schedule: StepsizeSchedule, x0, n_steps: int) -> IterateTrace:
-    """Run the variable-stepsize resolvent splitting in its per-step form.
-
-    Step 1 builds the z-chain from the carried z^1 and forms
-    w_n = x_n + theta*(z^2 - z^1, ...); Step 2 computes
-    z_{n+1}^1 = J_{gamma_n A1} w_n^1, relocates the first block through it and
-    shifts the remaining blocks by (gamma_{n+1}/gamma_n)(w^i - w^1).
-
-    The x-sequence agrees with ``relocated_iterate`` on the same family. Trace
-    blocks: "z" holds the N chain values per row, "w" the intermediate iterate
-    (equal to T_{gamma_n} x_n).
-    """
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
-    xb = fam.split_blocks(as_vector(x0, fam.dim))
-    gams = [fam.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)]
-    ops = fam.operators
-    K = fam.n_blocks
-    z1 = ops[0].resolvent(gams[0], xb[0])
-
-    xs, zs, ws, res = [], [], [], []
-    for n in range(n_steps + 1):
-        size = float(np.linalg.norm(xb))
-        if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
-            raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
-        z = np.empty((fam.n_operators, fam.space_dim))
-        z[0] = z1
-        for i in range(1, K):
-            z[i] = ops[i].resolvent(gams[n], z[i - 1] + xb[i] - xb[i - 1])
-        z[K] = ops[K].resolvent(gams[n], z[0] + z[K - 1] - xb[K - 1])
-        wb = xb + fam.theta * (z[1:] - z[:-1])
-        xs.append(xb.ravel().copy())
-        zs.append(z.ravel())
-        ws.append(wb.ravel().copy())
-        res.append(float(np.linalg.norm(xb - wb)))
-        if n == n_steps:
-            break
-        ratio = gams[n + 1] / gams[n]
-        z1 = ops[0].resolvent(gams[n], wb[0])
-        x1 = ratio * wb[0] + (1.0 - ratio) * z1
-        new_xb = np.empty_like(xb)
-        new_xb[0] = x1
-        for i in range(1, K):
-            new_xb[i] = ratio * (wb[i] - wb[0]) + x1
-        xb = new_xb
-
-    ws_arr = np.vstack(ws)
-    return IterateTrace(
-        np.array(gams),
-        np.vstack(xs),
-        ws_arr,
-        np.array(res),
-        blocks={"z": np.vstack(zs), "w": ws_arr},
-    )
+#: Algorithm 2, the per-step form of the splitting (the z-chain from the
+#: carried z^1, then z_{n+1}^1 = J_{gamma_n A1} w_n^1 anchoring the
+#: relocation), is ``relocated_iterate`` on an ``MTFamily``; its rows carry
+#: block "z" (the N chain values) and "w" (T_{gamma_n} x_n).
+algorithm2_run = relocated_iterate
 
 
 @dataclass(frozen=True)

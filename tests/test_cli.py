@@ -3,7 +3,7 @@ import pytest
 
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
-from relocsplit import generate_problem
+from relocsplit import ScalarShiftFamily, StepsizeSchedule, generate_problem, relocated_iterate
 from relocsplit.errors import ConfigError
 
 DR_CONFIG = """
@@ -275,15 +275,32 @@ class TestTraceCsv:
         )
         family, _ = cli.build_family(config)
         x0 = cli._initial_point(config, family)
-        trace = cli._run_driver(config, family, config.schedule, x0)
-        err = cli._limit_errors(config, family, config.schedule, x0, trace)
+        extended = cli.relocated_iterate(family, config.schedule, x0, 4 * config.n_steps)
+        trace = extended.head(config.n_steps + 1)
+        err = cli._limit_errors(trace, extended)
         cli.write_trace_csv(config.trace_path, trace, err)
         cols = cli.read_trace_csv(config.trace_path)
+        assert len(cols["n"]) == config.n_steps + 1
         assert np.array_equal(cols["gamma"], trace.gammas)
         assert np.array_equal(cols["residual"], trace.residuals)
+        assert np.array_equal(cols["err_to_limit"], err)
         for j in range(10):
             assert np.array_equal(cols[f"x_{j}"], trace.xs[:, j])
             assert np.array_equal(cols[f"z_{j}"], trace.blocks["z"][:, j])
+
+    def test_golden_bytes(self, tmp_path):
+        fam = ScalarShiftFamily(0.5, (0.5, 2.0))
+        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (0.5, 2.0))
+        trace = relocated_iterate(fam, schedule, [1.0], 3)
+        path = tmp_path / "t.csv"
+        cli.write_trace_csv(str(path), trace, np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-20]))
+        assert path.read_text() == (
+            "n,gamma,residual,dist_to_fix,err_to_limit,x_0,t_0\n"
+            "0,2,0.5,nan,0.10000000000000001,1,1.5\n"
+            "1,1.5,0,nan,0.33333333333333331,1.5,1.5\n"
+            "2,1.25,0,nan,0.66666666666666663,1.25,1.25\n"
+            "3,1.125,0,nan,9.9999999999999995e-21,1.125,1.125\n"
+        )
 
     def test_header_schema(self, tmp_path):
         path = write_config(

@@ -248,11 +248,15 @@ class TestVerifyRateTheorem:
 
 
 class TestFixedPointCache:
-    def test_caches_by_rounded_gamma(self, pd_pair_family):
-        cache = FixedPointCache(pd_pair_family)
-        a = cache.point(1.0)
-        b = cache.point(1.0 + 1e-14)  # merges with the 12-digit key
-        assert a is b
+    def test_keys_by_exact_gamma(self):
+        # a neighbour cached within 1e-12 must not serve its point for gamma
+        ops = rs.generate_problem("affine_strongly_monotone", 50, 7, 0.5, 2.0)
+        family = rs.DRFamily(ops[0], ops[1], INTERVAL)
+        cache = FixedPointCache(family)
+        cache.point(1.0 + 9.1e-13)
+        p = cache.point(1.0)
+        assert family.residual(1.0, p) <= cache.tol
+        assert cache.point(1.0) is p
 
     def test_distinct_gammas_distinct_points(self, pd_pair_family):
         cache = FixedPointCache(pd_pair_family)
@@ -311,11 +315,8 @@ def test_relocated_starts_keep_points_and_save_iterations(
     monkeypatch.undo()
 
     assert 4 * relocated_iterations <= warm_iterations
-    # a point is certified at the stepsize that missed; the 12-digit key then
-    # serves it for stepsizes within ~1e-11
-    certified_at = {}
+    # every point served passes the residual test at the stepsize asked for
     for g, p in zip(gammas, points):
-        certified_at.setdefault(id(p), g)
-        assert family.residual(certified_at[id(p)], p) <= cache.tol
+        assert family.residual(g, p) <= cache.tol
         cold = fixed_point_oracle(family, g, np.zeros(family.dim))
         assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))

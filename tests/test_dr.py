@@ -170,8 +170,10 @@ class TestPrimalDual:
         rhs = np.linalg.norm(seqs.g_seq - g_lim, axis=1)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_missing_blocks(self, pd_pair_family, geometric_schedule):
-        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.zeros(5), 10)
+    def test_missing_blocks(self, geometric_schedule):
+        # every DRFamily run records blocks; a scalar run records none
+        fam = rs.ScalarShiftFamily(0.5, INTERVAL)
+        trace = relocated_iterate(fam, geometric_schedule, [geometric_schedule.gamma(0)], 10)
         with pytest.raises(MissingBlocks):
             primal_dual_extract(trace)
 

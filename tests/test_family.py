@@ -129,10 +129,38 @@ class TestRelocatedIterate:
         with pytest.raises(DomainError):
             relocated_iterate(pd_pair_family, sch, np.zeros(pd_pair_family.dim), 10)
 
-    def test_missing_block_raises(self, pd_pair_family, geometric_schedule):
-        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.zeros(5), 5)
+    def test_missing_block_raises(self, geometric_schedule):
+        fam = ScalarShiftFamily(0.5, INTERVAL)
+        trace = relocated_iterate(fam, geometric_schedule, [geometric_schedule.gamma(0)], 5)
         with pytest.raises(MissingBlocks):
             trace.block("z")
+
+    @pytest.mark.parametrize("family_name, n_operators", [("pd_pair_family", 2), ("mt3_family", 3)])
+    def test_one_resolvent_per_operator_per_row(
+        self, family_name, n_operators, geometric_schedule, request, monkeypatch
+    ):
+        # the relocation's J_{gamma A1} value is the next row's first resolvent
+        family = request.getfixturevalue(family_name)
+        calls = [0]
+        real = rs.AffineOperator.resolvent
+
+        def counting(self, gamma, x):
+            calls[0] += 1
+            return real(self, gamma, x)
+
+        monkeypatch.setattr(rs.AffineOperator, "resolvent", counting)
+        n_steps = 10
+        relocated_iterate(family, geometric_schedule, np.ones(family.dim), n_steps)
+        assert calls[0] == n_operators * (n_steps + 1)
+
+    def test_head_is_a_view_of_the_first_rows(self, pd_pair_family, geometric_schedule):
+        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 40)
+        head = trace.head(11)
+        assert len(head) == 11 and set(head.blocks) == {"z", "y", "w"}
+        for name in ("gammas", "xs", "t_of_x", "residuals"):
+            part, whole = getattr(head, name), getattr(trace, name)
+            assert np.shares_memory(part, whole) and np.array_equal(part, whole[:11])
+        assert np.shares_memory(head.blocks["w"], trace.t_of_x)
 
 
 class TestRelocatorOnlySequence:

@@ -35,7 +35,8 @@ class TestApply:
     def test_three_zero_operators_chain_telescopes(self):
         fam = zeros_family(3)
         x = np.array([1.0, 2.0, 3.0, 5.0])  # blocks (1,2) and (3,5)
-        t, z = fam.apply_with_blocks(1.0, x)
+        t, blocks = fam.apply_from(1.0, x)
+        z = blocks["z"].reshape(3, 2)
         # z1 = x1, z2 = x2, z3 = z1 + z2 - x2 = x1
         assert np.array_equal(z[0], [1.0, 2.0])
         assert np.array_equal(z[1], [3.0, 5.0])
@@ -65,9 +66,9 @@ class TestApply:
         z2 = ops[1].resolvent(1.0, z1 + x2 - x1)
         z3 = ops[2].resolvent(1.0, z1 + z2 - x2)
         expected = np.concatenate([x1 + 0.5 * (z2 - z1), x2 + 0.5 * (z3 - z2)])
-        t, z = mt3_family.apply_with_blocks(1.0, x)
+        t, blocks = mt3_family.apply_from(1.0, x)
         assert np.linalg.norm(t - expected) <= 1e-12
-        assert np.linalg.norm(z - np.vstack([z1, z2, z3])) <= 1e-12
+        assert np.linalg.norm(blocks["z"] - np.concatenate([z1, z2, z3])) <= 1e-12
 
     def test_bad_block_count(self, mt3_family):
         with pytest.raises(BadBlockCount):
