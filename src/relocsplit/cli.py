@@ -43,16 +43,6 @@ from .family import (
 from .mt import MTFamily, algorithm2_run, mt_summability_bound  # noqa: F401
 from .problems import PROBLEM_KINDS, generate_problem
 
-CHECK_NAMES = (
-    "error_bound",
-    "one_step",
-    "rate_theorem",
-    "relocator_bijection",
-    "fix_decomposition",
-    "summability",
-    "gamma_lipschitz",
-    "consensus",
-)
 ALGORITHMS = ("dr", "mt", "scalar_counterexample")
 
 #: %.17g round-trips IEEE-754 doubles exactly
@@ -504,6 +494,7 @@ _CHECK_RUNNERS = {
     "gamma_lipschitz": _check_gamma_lipschitz,
     "consensus": _check_consensus,
 }
+CHECK_NAMES = tuple(_CHECK_RUNNERS)
 
 
 def _limit_errors(trace: IterateTrace, extended: IterateTrace) -> np.ndarray:

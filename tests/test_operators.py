@@ -65,7 +65,7 @@ class TestResolvent:
             op.resolvent(-1.0, [1.0, 1.0])
 
     def test_cache_churn_stays_correct(self):
-        # more distinct stepsizes than cache slots
+        # many distinct stepsizes, each visited twice
         op = random_monotone(4, 9)
         x = np.ones(4)
         gammas = np.linspace(0.1, 3.0, 20)
@@ -121,28 +121,63 @@ class TestSpectralResolvent:
             assert abs(op.mu - (eigs[0] if eigs[0] > 1e-10 else 0.0)) <= 1e-12 * scale
             assert abs(op.lip - np.linalg.norm(op.M, 2)) <= 1e-12 * scale
 
-    def test_only_nonsymmetric_operators_factor(self, monkeypatch):
+
+#: nonsymmetric monotone matrices: skew, non-normal, defective
+NONSYMMETRIC = {
+    "skew": lambda: skew_operator(8, 2.0, np.random.default_rng(5)),
+    "random_monotone": lambda: random_monotone(8, 6),
+    "jordan": lambda: AffineOperator(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, -1.0]),
+}
+
+
+class TestOneFactorization:
+    """Every affine operator factors M once, at construction, for all stepsizes."""
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda rng: symmetric_operator(6, 0.5, 2.0, rng), "eigh"),
+        (lambda rng: AffineOperator(np.eye(6)), "eigh"),
+        (lambda rng: skew_operator(6, 2.0, rng), "schur"),
+        (lambda rng: random_monotone(6, 3), "schur"),
+    ], ids=["symmetric", "identity", "skew", "random_monotone"])
+    def test_factors_once_at_construction(self, monkeypatch, make, kind):
         calls = []
-        real = operators.lu_factor
 
-        def counting(a):
-            calls.append(a.shape)
-            return real(a)
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(operators, "lu_factor", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(operators, "schur", counting("schur", operators.schur))
+        monkeypatch.setattr(operators, "lu_factor", counting("lu_factor", operators.lu_factor))
         rng = np.random.default_rng(3)
-        symmetric = [symmetric_operator(6, 0.5, 2.0, rng), symmetric_operator(6, 0.0, 2.0, rng),
-                     AffineOperator(np.eye(6)), AffineOperator(np.zeros((6, 6)))]
+        op = make(rng)
+        at_construction = calls[:]
+        calls.clear()
         x = rng.standard_normal(6)
-        for op in symmetric:
-            for gamma in np.linspace(0.1, 3.0, 20):
-                op.resolvent(gamma, x)
+        for gamma in np.linspace(0.1, 3.0, 20):
+            op.resolvent(gamma, x)
+            op.inverse_apply(gamma * x)
         assert calls == []
-        skew = skew_operator(6, 2.0, rng)
-        skew.resolvent(1.0, x)
-        skew.resolvent(1.0, x)  # served from the per-stepsize cache
-        skew.resolvent(2.0, x)
-        assert calls == [(6, 6), (6, 6)]
+        assert at_construction == [kind]
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("name", sorted(NONSYMMETRIC))
+    def test_matches_direct_solve(self, name, gamma):
+        op = NONSYMMETRIC[name]()
+        x = 3 * np.random.default_rng(7).standard_normal(op.dim)
+        expected = np.linalg.solve(np.eye(op.dim) + gamma * op.M, x - gamma * op.b)
+        err = np.linalg.norm(op.resolvent(gamma, x) - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("name", sorted(NONSYMMETRIC))
+    def test_inverse_apply_matches_direct_solve(self, name):
+        op = NONSYMMETRIC[name]()
+        y = 3 * np.random.default_rng(8).standard_normal(op.dim)
+        expected = np.linalg.solve(op.M, y - op.b)
+        err = np.linalg.norm(op.inverse_apply(y) - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestReflectedResolvent:
