@@ -354,6 +354,7 @@ def _check_error_bound(state: _ExperimentState) -> CheckRecord:
         (-3.0, 3.0),
         samples=1000,
         seed=state.config.seed + 101,
+        cache=state.cache,
     )
     return CheckRecord("error_bound", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
@@ -529,13 +530,31 @@ def write_trace_csv(path: str, trace: IterateTrace, err_to_limit: np.ndarray) ->
             fh.write(row_fmt % tuple(np.concatenate([piece[i] for piece in pieces]).tolist()))
 
 
-def read_trace_csv(path: str) -> dict[str, np.ndarray]:
+def read_trace_csv(path: str, column: str) -> np.ndarray:
+    """The named column of a trace CSV; only that column is parsed.
+
+    A missing column, a row whose field count differs from the header's, or
+    a non-numeric value in the column raises ConfigError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: column count mismatch")
-    return {name: data[:, i] for i, name in enumerate(header)}
+        header = fh.readline().rstrip("\n").split(",")
+        if column not in header:
+            raise ConfigError(f"no column {column!r} in {path}")
+
+        def rows():
+            for lineno, line in enumerate(fh, 2):
+                if line.count(",") != len(header) - 1:
+                    raise ConfigError(
+                        f"{path}:{lineno}: {line.count(',') + 1} fields, header has {len(header)}"
+                    )
+                yield line
+
+        try:
+            return np.loadtxt(rows(), delimiter=",", usecols=header.index(column), ndmin=1)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
 
 
 def format_report(records: list[CheckRecord]) -> str:
@@ -649,17 +668,13 @@ def main(argv=None) -> int:
 
     # rate
     try:
-        columns = read_trace_csv(args.trace)
+        values = read_trace_csv(args.trace, args.column)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.column not in columns:
-        print(f"config error: no column {args.column!r} in {args.trace}", file=sys.stderr)
-        return 2
-    values = columns[args.column]
     burn = args.burn_in if args.burn_in is not None else default_burn_in(len(values))
     try:
         est = diagnostics.fit_linear_rate(values, burn)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
 from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
-from .operators import as_vector
+from .operators import as_points
 
 #: grid resolution for maximizing the contraction factor over the interval
 _BETA_GRID = 1000
@@ -123,7 +123,7 @@ class DRFamily(OperatorFamily):
         A relocated x passes its shadow as z: J_{gamma A1}(Q_{gamma<-g} w) = J_{g A1} w.
         """
         gamma = self.check_gamma(gamma)
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         z = self.a1.resolvent(gamma, x) if shadow is None else shadow
         y = self.a2.resolvent(gamma, 2.0 * z - x)
         return x - z + y, {"z": z, "y": y}
@@ -132,7 +132,7 @@ class DRFamily(OperatorFamily):
         """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow."""
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         s = delta / gamma
         z = self.a1.resolvent(gamma, x)
         return s * x + (1.0 - s) * z, z

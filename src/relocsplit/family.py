@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveStepsize,
     NotAFixedPoint,
 )
-from .operators import as_vector
+from .operators import as_points, as_vector
 
 #: scale-adjusted residual tolerance certifying fixed-point membership
 FIXED_POINT_TOL = 1e-8
@@ -31,6 +31,18 @@ FIXED_POINT_TOL = 1e-8
 DIVERGENCE_LIMIT = 1e12
 #: widest stepsize interval used when a family has no natural restriction
 GAMMA_WIDE = (1e-8, 1e8)
+#: floats per block of sample points that a sampling check evaluates in one call
+#: (128 KiB): large enough for matrix-matrix resolvents, small enough not to
+#: raise peak memory
+BLOCK_FLOATS = 16_384
+
+
+def block_sizes(count: int, floats_each: int):
+    """Split ``count`` samples of ``floats_each`` floats into blocks of at most
+    ``BLOCK_FLOATS`` floats (at least one sample per block); yields the sizes."""
+    per_block = max(1, BLOCK_FLOATS // floats_each)
+    for start in range(0, count, per_block):
+        yield min(per_block, count - start)
 
 
 @dataclass(frozen=True)
@@ -119,11 +131,11 @@ class OperatorFamily(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, gamma: float, x) -> np.ndarray:
-        """Evaluate T_gamma at x."""
+        """Evaluate T_gamma at a point x ``(dim,)`` or at each row of a block ``(k, dim)``."""
 
     @abc.abstractmethod
     def relocate(self, delta: float, gamma: float, x) -> np.ndarray:
-        """Evaluate the relocator Q_{delta <- gamma} at x."""
+        """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block."""
 
     @abc.abstractmethod
     def relocator_lipschitz(self, delta: float, gamma: float) -> float:
@@ -223,14 +235,13 @@ class ScalarShiftFamily(OperatorFamily):
 
     def apply(self, gamma, x):
         gamma = self.check_gamma(gamma)
-        x = as_vector(x, 1)
+        x = as_points(x, 1)
         return gamma + self.beta * (x - gamma)
 
     def relocate(self, delta, gamma, x):
         delta = self.check_gamma(delta)
         self.check_gamma(gamma)
-        as_vector(x, 1)
-        return np.array([delta])
+        return np.full_like(as_points(x, 1), delta)
 
     def relocator_lipschitz(self, delta, gamma):
         # the constant map is 0-Lipschitz; constants are declared in [1, inf)

@@ -5,9 +5,11 @@ symmetric part is positive semidefinite, and normal cones of boxes (whose
 resolvent is the componentwise clamp, independent of the stepsize). An affine
 operator factors ``M`` once, at construction (an eigendecomposition when ``M``
 is symmetric, a complex Schur form otherwise), and every resolvent and inverse
-solve goes through that one factorization, whatever the stepsize. Everything
-downstream touches operators only through ``resolvent``; set-valued operators
-are never materialized as graphs.
+solve goes through that one factorization, whatever the stepsize. Every map
+takes one point ``(dim,)`` or a block of points ``(k, dim)`` (``as_points``),
+so a block costs matrix-matrix products. Everything downstream touches
+operators only through ``resolvent``; set-valued operators are never
+materialized as graphs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,24 @@ MONOTONE_EIG_TOL = 1e-10
 MAX_INVERSE_COND = 1e12
 
 
+def as_points(x, dim: int) -> np.ndarray:
+    """Coerce ``x`` to finite floats: one point of shape ``(dim,)`` or a block ``(k, dim)``.
+
+    A scalar counts as a point of length 1. Every map that takes a point
+    also takes a block of points, row by row, through the same code.
+    """
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.ndim > 2:
+        raise DomainError(f"expected a point or a block of points, got shape {v.shape}")
+    if v.shape[-1] != dim:
+        raise DomainError(f"expected dimension {dim}, got {v.shape[-1]}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("point has non-finite coordinates")
+    return v
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite 1-d float array, optionally checking its length."""
     v = np.asarray(x, dtype=float)
@@ -39,11 +59,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise DomainError(f"expected a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DomainError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector has non-finite coordinates")
-    return v
+    return as_points(v, v.shape[0] if dim is None else dim)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -101,39 +117,44 @@ class AffineOperator:
         return self.M.shape[0]
 
     def __call__(self, x) -> np.ndarray:
-        return self.M @ as_vector(x, self.dim) + self.b
+        return as_points(x, self.dim) @ self.M.T + self.b
 
     def __repr__(self):
         return f"AffineOperator(dim={self.dim}, mu={self.mu:.4g}, lip={self.lip:.4g})"
 
     def _solve(self, shift: float, scale: float, r: np.ndarray) -> np.ndarray:
-        """Solve ``(shift*I + scale*M) x = r`` with the construction-time factorization."""
+        """Solve ``(shift*I + scale*M) x = r`` with the construction-time factorization.
+
+        ``r`` is one right-hand side ``(d,)`` or a block of them ``(k, d)``,
+        solved row by row; a block costs matrix-matrix products instead of k
+        matrix-vector ones.
+        """
         if self._eig is not None:
             eigs, vecs = self._eig
-            return vecs @ ((r @ vecs) / (shift + scale * eigs))
+            return ((r @ vecs) / (shift + scale * eigs)) @ vecs.T
         T, Z, Zh = self._schur
         A = scale * T
         A[np.diag_indices_from(A)] += shift
-        # M, and with it T, is finite by construction; r comes through as_vector
-        return (Z @ solve_triangular(A, Zh @ r, check_finite=False)).real
+        # M, and with it T, is finite by construction; r comes through as_points
+        return (Z @ solve_triangular(A, Zh @ r.T, check_finite=False)).real.T
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
-        """Evaluate ``(I + gamma*A)^{-1} x``.
+        """Evaluate ``(I + gamma*A)^{-1} x`` at a point or at each row of a block.
 
         With ``M = Z T Z^H`` factored once, ``Z (I + gamma*T)^{-1} Z^H (x - gamma*b)``
-        costs O(d^2) for any stepsize: two matrix-vector products through the
+        costs O(d^2) per point for any stepsize: two matrix products through the
         eigenvectors of a symmetric M, plus one triangular solve with the Schur
         form otherwise. No stepsize makes the system singular: every eigenvalue
         lam of M has ``Re(lam) >= sym_eig_min >= -MONOTONE_EIG_TOL``, so the
         diagonal ``1 + gamma*lam`` stays off zero.
         """
         gamma = _check_gamma(gamma)
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         return self._solve(1.0, gamma, x - gamma * self.b)
 
     def reflected_resolvent(self, gamma: float, x) -> np.ndarray:
         """Evaluate ``2 (I + gamma*A)^{-1} x - x``."""
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         return 2.0 * self.resolvent(gamma, x) - x
 
     def _require_invertible(self) -> None:
@@ -145,8 +166,8 @@ class AffineOperator:
             )
 
     def inverse_apply(self, y) -> np.ndarray:
-        """Solve ``M x + b = y`` for x. Requires M invertible (cond <= 1e12)."""
-        y = as_vector(y, self.dim)
+        """Solve ``M x + b = y`` for x, row by row for a block y. Requires M invertible (cond <= 1e12)."""
+        y = as_points(y, self.dim)
         self._require_invertible()
         return self._solve(0.0, 1.0, y - self.b)
 
@@ -202,14 +223,14 @@ class BoxNormalCone:
         return f"BoxNormalCone(dim={self.dim})"
 
     def project(self, x) -> np.ndarray:
-        return np.clip(as_vector(x, self.dim), self.lower, self.upper)
+        return np.clip(as_points(x, self.dim), self.lower, self.upper)
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         _check_gamma(gamma)
         return self.project(x)
 
     def reflected_resolvent(self, gamma: float, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         return 2.0 * self.resolvent(gamma, x) - x
 
     def contains(self, x, tol: float = 1e-9) -> bool:

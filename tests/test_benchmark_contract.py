@@ -19,13 +19,34 @@ SCALAR = {
 }
 
 
-def test_benchmark_spans_wrap_and_restore():
+MT_BOX = {
+    "algorithm": "mt",
+    "problem.kind": "affine_plus_box",
+    "problem.dim": "3",
+    "problem.n_operators": "3",
+    "problem.box_half_width": "0.5",
+    "schedule.kind": "geometric",
+    "schedule.gamma_star": "1.0",
+    "schedule.r": "0.5",
+    "schedule.gamma_low": "1.0",
+    "schedule.gamma_high": "2.0",
+    "n_steps": "30",
+    "checks": "error_bound",
+}
+
+
+def _perfbench():
     sys.path.insert(0, PERFBENCH)
     try:
         import layers
         from tracing import Tracer
     finally:
         sys.path.remove(PERFBENCH)
+    return layers, Tracer
+
+
+def test_benchmark_spans_wrap_and_restore():
+    layers, Tracer = _perfbench()
     wrapped = ("relocated_iterate", "algorithm1_run", "algorithm2_run", "write_trace_csv")
     originals = {name: getattr(cli, name) for name in wrapped}
     tracer = Tracer()
@@ -37,3 +58,22 @@ def test_benchmark_spans_wrap_and_restore():
     assert status == 0
     assert "family.relocated_iterate" in tracer.by_name()
     assert {name: getattr(cli, name) for name in wrapped} == originals
+
+
+def test_certificate_and_error_bound_spans_fire_and_restore():
+    # the spans the sampling checks' timings rest on: mt.certificate_s, diagnostics.error_bound_s
+    import relocsplit.diagnostics as diagnostics
+    import relocsplit.mt as mt
+
+    layers, Tracer = _perfbench()
+    originals = (mt.mt_contraction_certificate, diagnostics.verify_error_bound)
+    tracer = Tracer()
+    restore = layers.instrument(tracer)
+    try:
+        status, _ = cli.run_experiment(cli.build_config(MT_BOX), write_trace=False)
+    finally:
+        restore()
+    assert status == 0
+    spans = tracer.by_name()
+    assert "mt.certificate" in spans and "diagnostics.error_bound" in spans
+    assert (mt.mt_contraction_certificate, diagnostics.verify_error_bound) == originals

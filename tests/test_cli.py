@@ -245,6 +245,13 @@ class TestRunExperiment:
         assert cli.main(["verify", path]) == 0
         assert not trace_path.exists()
 
+    def test_scalar_verify_all_checks_pass(self, tmp_path, capsys):
+        # error_bound evaluates ScalarShiftFamily on blocks of (k, 1) points
+        path = write_config(tmp_path, SCALAR_CONFIG)
+        assert cli.main(["verify", path, "--set", "checks=all", "--set", "n_steps=200"]) == 0
+        out = capsys.readouterr().out
+        assert "name=error_bound status=PASS" in out and "failed=0" in out
+
     def test_jobs_flag(self, tmp_path):
         p1 = write_config(tmp_path, SCALAR_CONFIG, name="a.cfg")
         p2 = write_config(tmp_path, SCALAR_CONFIG, name="b.cfg")
@@ -279,14 +286,14 @@ class TestTraceCsv:
         trace = extended.head(config.n_steps + 1)
         err = cli._limit_errors(trace, extended)
         cli.write_trace_csv(config.trace_path, trace, err)
-        cols = cli.read_trace_csv(config.trace_path)
-        assert len(cols["n"]) == config.n_steps + 1
-        assert np.array_equal(cols["gamma"], trace.gammas)
-        assert np.array_equal(cols["residual"], trace.residuals)
-        assert np.array_equal(cols["err_to_limit"], err)
+        col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
+        assert len(col("n")) == config.n_steps + 1
+        assert np.array_equal(col("gamma"), trace.gammas)
+        assert np.array_equal(col("residual"), trace.residuals)
+        assert np.array_equal(col("err_to_limit"), err)
         for j in range(10):
-            assert np.array_equal(cols[f"x_{j}"], trace.xs[:, j])
-            assert np.array_equal(cols[f"z_{j}"], trace.blocks["z"][:, j])
+            assert np.array_equal(col(f"x_{j}"), trace.xs[:, j])
+            assert np.array_equal(col(f"z_{j}"), trace.blocks["z"][:, j])
 
     def test_golden_bytes(self, tmp_path):
         fam = ScalarShiftFamily(0.5, (0.5, 2.0))
@@ -336,3 +343,16 @@ class TestRateCommand:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["rate", str(tmp_path / "none.csv")]) == 3
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["1,0.5\n", "1,0.5,0.25,0.125\n", "1,0.5,x\n", "1,0.5,\n"],
+        ids=["short", "long", "non_numeric", "empty_field"],
+    )
+    def test_malformed_trace_is_a_config_error(self, tmp_path, bad_row, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("n,gamma,err\n0,1,0.5\n" + bad_row)
+        with pytest.raises(ConfigError):
+            cli.read_trace_csv(str(path), "err")
+        assert cli.main(["rate", str(path), "--column", "err"]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relocsplit as rs
+import relocsplit.diagnostics as diagnostics
 from relocsplit import (
     ScalarShiftFamily,
     StepsizeSchedule,
@@ -23,7 +24,7 @@ from relocsplit.errors import (
     NonSingletonFix,
     TooFewSamples,
 )
-from relocsplit.family import relocated_iterate
+from relocsplit.family import BLOCK_FLOATS, relocated_iterate
 
 INTERVAL = (0.5, 2.0)
 
@@ -153,6 +154,75 @@ class TestVerifyErrorBound:
         )
         with pytest.raises(NonSingletonFix):
             verify_error_bound(fam, 1.0, 10.0, (-1, 1), 10, 0)
+
+
+def per_sample_error_bound(family, gamma, kappa, sample_box, samples, seed):
+    """(violations, worst_ratio) as verify_error_bound computed them before it
+    evaluated blocks: one apply per point, from a cold-start fixed point."""
+    lo, hi = sample_box
+    x_star = fixed_point_oracle(family, gamma, np.full(family.dim, 0.5 * (lo + hi)))
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.uniform(lo, hi, size=family.dim)
+        lhs = float(np.linalg.norm(x - x_star))
+        resid = float(np.linalg.norm(x - family.apply(gamma, x)))
+        rhs = kappa * resid + 1e-9 * (1.0 + float(np.linalg.norm(x)))
+        ratio = lhs / rhs
+        worst = max(worst, ratio)
+        if ratio > 1.0:
+            violations += 1
+    return violations, worst
+
+
+class TestBlockedErrorBound:
+    @pytest.mark.parametrize("samples", [1000, 4000])
+    @pytest.mark.parametrize("negative", [False, True], ids=["certified", "negative_control"])
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_matches_the_per_sample_loop(self, family_name, negative, samples, request, monkeypatch):
+        family = request.getfixturevalue(family_name)
+        kappa = 0.01 if negative else 1.0 / (1.0 - family.contraction_beta)
+        violations, worst = per_sample_error_bound(family, 1.0, kappa, (-3, 3), samples, 5)
+        floats = []
+        real_apply = type(family).apply
+
+        def recording(self, gamma, x):
+            floats.append(np.size(x))
+            return real_apply(self, gamma, x)
+
+        monkeypatch.setattr(type(family), "apply", recording)
+        rep = verify_error_bound(family, 1.0, kappa, (-3, 3), samples, 5)
+        assert rep.violations == violations
+        assert (violations > 0) == negative
+        assert abs(rep.worst_ratio - worst) <= 1e-12 * worst
+        assert max(floats) <= BLOCK_FLOATS
+        if samples * family.dim > BLOCK_FLOATS:
+            assert sum(1 for n in floats if n > family.dim) > 1
+
+    def test_cached_fixed_point_runs_no_oracle(self, pd_pair_family, monkeypatch):
+        kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
+        cold = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
+        cache = FixedPointCache(pd_pair_family)
+        cache.point(1.0)
+        calls = []
+        real_oracle = diagnostics.fixed_point_oracle
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
+        cached = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5, cache=cache)
+        assert calls == []
+        assert cached.violations == cold.violations
+        assert abs(cached.worst_ratio - cold.worst_ratio) <= 1e-9 * cold.worst_ratio
+
+    def test_cache_of_another_family_rejected(self, pd_pair_family, mt3_family):
+        with pytest.raises(DomainError):
+            verify_error_bound(
+                pd_pair_family, 1.0, 10.0, (-3, 3), 10, 5, cache=FixedPointCache(mt3_family)
+            )
 
 
 class TestVerifyOneStep:

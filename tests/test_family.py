@@ -17,7 +17,7 @@ from relocsplit.errors import (
     MissingBlocks,
     NotAFixedPoint,
 )
-from relocsplit.family import OperatorFamily
+from relocsplit.family import BLOCK_FLOATS, OperatorFamily, block_sizes
 
 INTERVAL = (0.5, 2.0)
 
@@ -321,3 +321,41 @@ class TestContractionRegularity:
     def test_geometric_schedule_gives_linear_iterates(self, pd_pair_family, geometric_schedule):
         res = rs.verify_rate_theorem(pd_pair_family, geometric_schedule, np.zeros(5), 200, burn_in=5)
         assert res.iterate_rate.linear and res.iterate_rate.r < 1.0
+
+
+class TestBlocksOfPoints:
+    """T_gamma and Q_{delta<-gamma} map a block of k points, shape (k, dim), row by row."""
+
+    FAMILIES = {
+        "pd_pair": lambda request: request.getfixturevalue("pd_pair_family"),
+        "skew_strong": lambda request: request.getfixturevalue("skew_strong_family"),
+        "scalar_shift": lambda request: ScalarShiftFamily(0.5, INTERVAL),
+    }
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_apply_and_relocate_of_a_block_are_rowwise(self, name, k, request):
+        family = self.FAMILIES[name](request)
+        X = 3 * np.random.default_rng(k).standard_normal((k, family.dim))
+        for gamma, delta in ((0.7, 1.9), (1.5, 0.5)):
+            for f in (lambda x: family.apply(gamma, x), lambda x: family.relocate(delta, gamma, x)):
+                rows = np.vstack([f(x) for x in X])
+                block = f(X)
+                assert block.shape == (k, family.dim)
+                assert np.linalg.norm(block - rows) <= 1e-12 * np.linalg.norm(rows)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_bad_blocks_rejected(self, name, request):
+        family = self.FAMILIES[name](request)
+        nan_row = np.zeros((3, family.dim))
+        nan_row[1, 0] = np.nan
+        for bad in (np.zeros((2, 3, family.dim)), np.zeros((3, family.dim + 1)), nan_row):
+            with pytest.raises(DomainError):
+                family.apply(1.0, bad)
+
+    @pytest.mark.parametrize("count, floats_each", [(0, 5), (1000, 5), (4000, 5), (400, 400), (3, 20_000)])
+    def test_block_sizes_cover_the_count_within_the_budget(self, count, floats_each):
+        sizes = list(block_sizes(count, floats_each))
+        assert sum(sizes) == count
+        assert all(1 <= k and (k == 1 or k * floats_each <= BLOCK_FLOATS) for k in sizes)
+        assert len(sizes) == -(-count // max(1, BLOCK_FLOATS // floats_each))

@@ -16,7 +16,7 @@ from relocsplit import (
 )
 from relocsplit.diagnostics import FixedPointCache, fixed_point_oracle
 from relocsplit.errors import BadBlockCount, DomainError, NotAFixedPoint
-from relocsplit.family import relocated_iterate
+from relocsplit.family import BLOCK_FLOATS, relocated_iterate
 
 INTERVAL = (0.5, 2.0)
 
@@ -352,3 +352,87 @@ class TestRelocatorKeepsFixedSetsAligned:
         xb = cache.point(1.7)
         moved = mt3_family.relocate(1.7, 0.6, xa)
         assert np.linalg.norm(moved - xb) <= 1e-8 * (1 + np.linalg.norm(xb))
+
+
+BLOCK_FAMILIES = {
+    "n3_box_tail": lambda: MTFamily(
+        rs.generate_problem("affine_plus_box", 4, 7, 0.5, 2.0, n_operators=3, box_half_width=0.5),
+        theta=0.5, gamma_interval=INTERVAL,
+    ),
+    "n4": lambda: MTFamily(
+        rs.generate_problem("affine_strongly_monotone", 3, 7, 0.5, 2.0, n_operators=4),
+        theta=0.5, gamma_interval=INTERVAL,
+    ),
+}
+
+
+class TestBlocksOfPoints:
+    """T_gamma and the relocator map a block of k block vectors, shape (k, dim), row by row."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_apply_and_relocate_of_a_block_are_rowwise(self, name, k):
+        fam = BLOCK_FAMILIES[name]()
+        X = 3 * np.random.default_rng(k).standard_normal((k, fam.dim))
+        for gamma, delta in ((0.7, 1.9), (1.5, 0.5)):
+            t, blocks = fam.apply_from(gamma, X)
+            rows = [fam.apply_from(gamma, x) for x in X]
+            expected_t = np.vstack([r[0] for r in rows])
+            expected_z = np.vstack([r[1]["z"] for r in rows])
+            assert t.shape == (k, fam.dim) and blocks["z"].shape == (k, fam.n_operators * fam.space_dim)
+            assert np.linalg.norm(t - expected_t) <= 1e-12 * np.linalg.norm(expected_t)
+            assert np.linalg.norm(blocks["z"] - expected_z) <= 1e-12 * np.linalg.norm(expected_z)
+            moved = np.vstack([fam.relocate(delta, gamma, x) for x in X])
+            assert np.linalg.norm(fam.relocate(delta, gamma, X) - moved) <= 1e-12 * np.linalg.norm(moved)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_bad_blocks_rejected(self, name):
+        fam = BLOCK_FAMILIES[name]()
+        for bad in (np.zeros((2, 3, fam.dim)), np.zeros((3, fam.dim + 1))):
+            with pytest.raises(BadBlockCount):
+                fam.apply(1.0, bad)
+        nan_row = np.zeros((3, fam.dim))
+        nan_row[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            fam.apply(1.0, nan_row)
+
+
+def per_pair_beta(fam, n_pairs, n_gammas, seed, sample_scale=3.0):
+    """The sampled contraction factor as mt_contraction_certificate computed it
+    before it evaluated blocks: one apply per point."""
+    rng = np.random.default_rng(seed)
+    lo, hi = fam.gamma_interval
+    beta = 0.0
+    for gamma in np.linspace(lo, hi, n_gammas):
+        for _ in range(n_pairs):
+            u = sample_scale * rng.standard_normal(fam.dim)
+            v = sample_scale * rng.standard_normal(fam.dim)
+            denom = float(np.linalg.norm(u - v))
+            if denom < 1e-12:
+                continue
+            ratio = float(np.linalg.norm(fam.apply(gamma, u) - fam.apply(gamma, v))) / denom
+            beta = max(beta, ratio)
+    return beta
+
+
+class TestBlockedCertificate:
+    @pytest.mark.parametrize("n_pairs", [400, 1500])
+    @pytest.mark.parametrize("name", ["mt3", "n3_box_tail"])
+    def test_beta_matches_the_per_pair_loop(self, name, n_pairs, request, monkeypatch):
+        fam = request.getfixturevalue("mt3_family") if name == "mt3" else BLOCK_FAMILIES[name]()
+        expected = per_pair_beta(fam, n_pairs, 5, 2024)
+        floats = []
+        real_apply = MTFamily.apply
+
+        def recording(self, gamma, x):
+            floats.append(np.size(x))
+            return real_apply(self, gamma, x)
+
+        monkeypatch.setattr(MTFamily, "apply", recording)
+        cert = mt_contraction_certificate(fam, "first_strong", n_pairs=n_pairs, n_gammas=5)
+        assert cert.valid
+        assert abs(cert.beta - expected) <= 1e-12 * expected
+        assert sum(floats) == 5 * n_pairs * 2 * fam.dim
+        assert max(floats) <= BLOCK_FLOATS
+        if 2 * n_pairs * fam.dim > BLOCK_FLOATS:
+            assert len(floats) > 5

@@ -347,3 +347,47 @@ class TestRelativeStrongMonotonicity:
         box = BoxNormalCone([-1.0], [1.0])
         with pytest.raises(UnsupportedOperator):
             check_relative_strong_monotonicity(box, SingletonSet(np.zeros(1)), 1.0, 10, 0)
+
+
+BLOCK_OPERATORS = {
+    "symmetric": lambda: symmetric_operator(6, 0.5, 2.0, np.random.default_rng(3)),
+    "skew": lambda: skew_operator(6, 2.0, np.random.default_rng(4)),
+    "random_monotone": lambda: random_monotone(6, 3),
+    "box": lambda: BoxNormalCone(-np.ones(6), np.ones(6)),
+}
+
+
+class TestBlocksOfPoints:
+    """A block of k points, shape (k, dim), maps row by row through the same code as one point."""
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("name", sorted(BLOCK_OPERATORS))
+    def test_resolvent_of_a_block_is_rowwise(self, name, k):
+        op = BLOCK_OPERATORS[name]()
+        X = 3 * np.random.default_rng(k).standard_normal((k, op.dim))
+        for gamma in (0.3, 1.0, 1.7):
+            rows = np.vstack([op.resolvent(gamma, x) for x in X])
+            block = op.resolvent(gamma, X)
+            assert block.shape == (k, op.dim)
+            assert np.linalg.norm(block - rows) <= 1e-12 * np.linalg.norm(rows)
+            reflected = np.vstack([op.reflected_resolvent(gamma, x) for x in X])
+            assert np.linalg.norm(op.reflected_resolvent(gamma, X) - reflected) <= 1e-12 * np.linalg.norm(
+                reflected
+            )
+
+    @pytest.mark.parametrize("name", ["symmetric", "random_monotone"])
+    def test_affine_map_and_inverse_of_a_block_are_rowwise(self, name):
+        op = BLOCK_OPERATORS[name]()
+        X = 3 * np.random.default_rng(2).standard_normal((7, op.dim))
+        for f in (op, op.inverse_apply):
+            rows = np.vstack([f(x) for x in X])
+            assert np.linalg.norm(f(X) - rows) <= 1e-12 * np.linalg.norm(rows)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_OPERATORS))
+    def test_bad_blocks_rejected(self, name):
+        op = BLOCK_OPERATORS[name]()
+        nan_row = np.zeros((3, op.dim))
+        nan_row[1, 2] = np.nan
+        for bad in (np.zeros((2, 3, op.dim)), np.zeros((3, op.dim + 1)), nan_row):
+            with pytest.raises(DomainError):
+                op.resolvent(1.0, bad)
