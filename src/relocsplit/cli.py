@@ -533,8 +533,9 @@ def write_trace_csv(path: str, trace: IterateTrace, err_to_limit: np.ndarray) ->
 def read_trace_csv(path: str, column: str) -> np.ndarray:
     """The named column of a trace CSV; only that column is parsed.
 
-    A missing column, a row whose field count differs from the header's, or
-    a non-numeric value in the column raises ConfigError.
+    Empty lines and ``#`` comments are skipped, as np.loadtxt skips them. A
+    missing column, a row whose field count differs from the header's, or a
+    non-numeric value in the column raises ConfigError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -543,9 +544,10 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
 
         def rows():
             for lineno, line in enumerate(fh, 2):
-                if line.count(",") != len(header) - 1:
+                data = line.split("#", 1)[0].rstrip("\r\n")
+                if data and data.count(",") != len(header) - 1:
                     raise ConfigError(
-                        f"{path}:{lineno}: {line.count(',') + 1} fields, header has {len(header)}"
+                        f"{path}:{lineno}: {data.count(',') + 1} fields, header has {len(header)}"
                     )
                 yield line
 

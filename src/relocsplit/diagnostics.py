@@ -226,8 +226,8 @@ def verify_error_bound(
 
     Points are drawn uniformly from the box and evaluated a block at a time
     (``family.BLOCK_FLOATS``); the distance is exact via the unique fixed
-    point (contraction marker required), served by ``cache`` when the caller
-    holds one for the family and otherwise located from the box midpoint.
+    point (contraction marker required), served by ``cache`` (a fresh
+    FixedPointCache when the caller holds none).
     Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio
     reported is the left side over the slackened right side, so PASS means
     worst_ratio <= 1.
@@ -242,11 +242,10 @@ def verify_error_bound(
         raise DomainError("sample box must have lo < hi")
 
     if cache is None:
-        x_star = fixed_point_oracle(family, gamma, np.full(family.dim, 0.5 * (lo + hi)))
+        cache = FixedPointCache(family)
     elif cache.family is not family:
         raise DomainError("fixed-point cache belongs to another family")
-    else:
-        x_star = cache.point(gamma)
+    x_star = cache.point(gamma)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0

@@ -346,8 +346,8 @@ class TestRateCommand:
 
     @pytest.mark.parametrize(
         "bad_row",
-        ["1,0.5\n", "1,0.5,0.25,0.125\n", "1,0.5,x\n", "1,0.5,\n"],
-        ids=["short", "long", "non_numeric", "empty_field"],
+        ["1,0.5\n", "1,0.5,0.25,0.125\n", "1,0.5,x\n", "1,0.5,\n", "   \n"],
+        ids=["short", "long", "non_numeric", "empty_field", "whitespace_row"],
     )
     def test_malformed_trace_is_a_config_error(self, tmp_path, bad_row, capsys):
         path = tmp_path / "t.csv"
@@ -356,3 +356,18 @@ class TestRateCommand:
             cli.read_trace_csv(str(path), "err")
         assert cli.main(["rate", str(path), "--column", "err"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["\n", "\n\n", "# a comment, with commas\n"],
+        ids=["trailing_blank_line", "two_blank_lines", "comment_line"],
+    )
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, extra):
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, SCALAR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path]) == 0
+        clean = cli.read_trace_csv(str(trace), "err_to_limit")
+        with open(trace, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        np.testing.assert_array_equal(cli.read_trace_csv(str(trace), "err_to_limit"), clean)
+        assert cli.main(["rate", str(trace), "--burn-in", "5"]) == 0
