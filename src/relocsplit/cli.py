@@ -121,7 +121,7 @@ _KNOWN_KEYS = {
     "output.report_path",
 }
 
-#: checks that need exact distances / oracle fixed points (contraction marker)
+#: checks that need exact distances / served fixed points (contraction marker)
 _CONTRACTION_CHECKS = {
     "error_bound",
     "one_step",
@@ -263,6 +263,8 @@ def build_family(config: ExperimentConfig):
         box_half_width=config.box_half_width,
         matrices_path=config.matrices_path,
     )
+    if config.algorithm == "dr" and len(ops) != 2:
+        raise ConfigError(f"dr needs exactly 2 operators, the problem defines {len(ops)}")
     try:
         if config.algorithm == "dr":
             return DRFamily(ops[0], ops[1], interval), ops
@@ -336,13 +338,7 @@ class _ExperimentState:
         self.trace = trace
         #: the 4 * n_steps run from x0 that locates the limit
         self.extended = extended
-        self._cache: FixedPointCache | None = None
-
-    @property
-    def cache(self) -> FixedPointCache:
-        if self._cache is None:
-            self._cache = FixedPointCache(self.family)
-        return self._cache
+        self.cache = FixedPointCache(family)
 
 
 def _check_error_bound(state: _ExperimentState) -> CheckRecord:
@@ -364,8 +360,6 @@ def _check_one_step(state: _ExperimentState) -> CheckRecord:
     if beta is None:
         raise ConfigError("one_step needs a contraction certificate (exact distances)")
     kappa = 1.0 / (1.0 - beta)
-    if state.trace.dist_to_fix is None:
-        diagnostics.compute_distances(state.family, state.trace, state.cache)
     rep = diagnostics.verify_one_step_contraction(state.family, state.schedule, state.trace, kappa)
     return CheckRecord("one_step", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
@@ -412,10 +406,8 @@ def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
         gamma_b = 0.5 * (lo + hi)
     ok = True
     worst = 0.0
-    points = {}
     for gamma in (gamma_a, gamma_b):
         x = state.cache.point(gamma)
-        points[gamma] = x
         fd = fix_decomposition_check(family, gamma, x)
         scale = 1.0 + float(np.linalg.norm(x))
         worst = max(worst, fd.primal_residual / 1e-8, fd.reconstruction_error / (1e-12 * scale))
@@ -424,9 +416,9 @@ def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
             worst = max(worst, fd.dual_residual / 1e-6)
             ok &= fd.dual_residual <= 1e-6
     if gamma_a != gamma_b:
-        moved = family.relocate(gamma_b, gamma_a, points[gamma_a])
-        gap = float(np.linalg.norm(moved - points[gamma_b]))
-        scale = 1.0 + float(np.linalg.norm(points[gamma_b]))
+        x_a, x_b = state.cache.point(gamma_a), state.cache.point(gamma_b)
+        gap = float(np.linalg.norm(family.relocate(gamma_b, gamma_a, x_a) - x_b))
+        scale = 1.0 + float(np.linalg.norm(x_b))
         worst = max(worst, gap / (1e-8 * scale))
         ok &= gap <= 1e-8 * scale
     return CheckRecord("fix_decomposition", ok, worst_ratio=worst)
@@ -496,12 +488,6 @@ _CHECK_RUNNERS = {
     "consensus": _check_consensus,
 }
 CHECK_NAMES = tuple(_CHECK_RUNNERS)
-
-
-def _limit_errors(trace: IterateTrace, extended: IterateTrace) -> np.ndarray:
-    """||x_n - x_inf|| along ``trace``, x_inf the mean of the extended run's last 5 iterates."""
-    x_inf = extended.xs[-5:].mean(axis=0)
-    return np.linalg.norm(trace.xs - x_inf, axis=1)
 
 
 def write_trace_csv(path: str, trace: IterateTrace, err_to_limit: np.ndarray) -> None:
@@ -576,7 +562,7 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     # one 4 * n_steps run locates the limit; its first rows are the trace
     extended = relocated_iterate(family, schedule, x0, 4 * config.n_steps)
     trace = extended.head(config.n_steps + 1)
-    err_to_limit = _limit_errors(trace, extended)
+    _, err_to_limit = diagnostics.limit_errors(extended, len(trace))
 
     state = _ExperimentState(config, family, schedule, x0, trace, extended)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))

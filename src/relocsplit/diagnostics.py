@@ -1,6 +1,6 @@
-"""Rate fitting, fixed-point oracles, and executable forms of the convergence
-guarantees: error bounds, the one-step distance contraction, and R-linear rate
-verification for relocated runs."""
+"""Rate fitting, fixed points (a line per family, a plain-iteration oracle),
+and executable forms of the convergence guarantees: error bounds, the one-step
+distance contraction, and R-linear rate verification for relocated runs."""
 
 from __future__ import annotations
 
@@ -13,17 +13,20 @@ from .errors import (
     MissingDistances,
     NoConvergence,
     NonSingletonFix,
+    NotAFixedPoint,
     TooFewSamples,
+    UnsupportedOperator,
 )
 from .family import (
     DIVERGENCE_LIMIT,
+    FIXED_POINT_TOL,
     IterateTrace,
     OperatorFamily,
     StepsizeSchedule,
     block_sizes,
     relocated_iterate,
 )
-from .operators import as_vector
+from .operators import AffineOperator, as_vector
 
 #: below this, floating-point rounding destroys log-linearity
 FLOAT_FLOOR = 1e-14
@@ -141,39 +144,64 @@ def fixed_point_oracle(
     )
 
 
-class FixedPointCache:
-    """One oracle fixed point per distinct stepsize (keyed by its exact value).
+def fixed_point_line(family: OperatorFamily, operators) -> tuple[np.ndarray, np.ndarray]:
+    """``(offset, slope)`` with Fix T_gamma = {offset + gamma * slope}; needs a contraction marker.
 
-    Oracle runs dominate the cost of rate verification; schedules revisit the
-    limiting stepsize many times once increments fall below rounding. A miss
-    starts the oracle from the previous miss's point carried over by the
-    relocator, ``Q_{gamma<-gamma_prev} x_prev``, which maps Fix T_gamma_prev
-    onto Fix T_gamma; the oracle then only removes the small error that
-    ``x_prev`` carried. Every point served still passes the oracle's residual test
-    ``||x - T_gamma x|| <= tol``. An explicit ``x0`` overrides the start.
+    A fixed point encodes a zero z* of A1 + ... + AN: block i is z* + gamma (A1 z* + ... + Ai z*)
+    (N = 2 for the two-operator splitting). Affine operators give z* by one linear solve; with a
+    box last, one oracle run gives it as J_{gamma A1} x^1. The slope comes from the operators,
+    never from the relocator, so checks of the relocator compare it with independent points.
+    """
+    if family.contraction_beta is None:
+        raise NonSingletonFix("the fixed-point line needs a contraction certificate")
+    *head, _ = operators
+    if not all(callable(op) for op in head):
+        raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
+    if all(isinstance(op, AffineOperator) for op in operators):
+        # a contraction certificate makes the symmetric part of the summed M positive definite
+        z = np.linalg.solve(sum(op.M for op in operators), -sum(op.b for op in operators))
+    else:
+        gamma = family.gamma_interval[0]
+        x = fixed_point_oracle(family, gamma, np.zeros(family.dim))
+        z = head[0].resolvent(gamma, x[: head[0].dim])
+    slope = np.cumsum([op(z) for op in head], axis=0)
+    return np.tile(z, len(head)), slope.ravel()
+
+
+class FixedPointCache:
+    """Serves ``family.fixed_point(gamma)``, checking each distinct stepsize (keyed by its
+    exact value) once with the residual test ``||x - T_gamma x|| <= 1e-8 * (1 + ||x||)``.
+
+    ``max_residual`` is the largest residual measured; a served point lies within
+    ``max_residual / (1 - beta)`` of the exact one for a beta-contraction.
     """
 
-    def __init__(self, family: OperatorFamily, tol: float = 1e-13, max_iters: int = 10**6):
+    def __init__(self, family: OperatorFamily):
         self.family = family
-        self.tol = tol
-        self.max_iters = max_iters
+        self.max_residual = 0.0
         self._points: dict[float, np.ndarray] = {}
-        self._last: tuple[float, np.ndarray] | None = None
 
-    def point(self, gamma: float, x0=None) -> np.ndarray:
+    def point(self, gamma: float) -> np.ndarray:
         key = float(gamma)
         hit = self._points.get(key)
         if hit is not None:
             return hit
-        if x0 is None:
-            if self._last is None:
-                x0 = np.zeros(self.family.dim)
-            else:
-                x0 = self.family.relocate(gamma, *self._last)
-        p = fixed_point_oracle(self.family, gamma, x0, tol=self.tol, max_iters=self.max_iters)
+        p = self.family.fixed_point(key)
+        resid = self.family.residual(key, p)
+        if resid > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(p))):
+            raise NotAFixedPoint(f"residual {resid:.3e} of the served point at gamma={key}")
+        self.max_residual = max(self.max_residual, resid)
         self._points[key] = p
-        self._last = (gamma, p)
         return p
+
+
+def _own_cache(family: OperatorFamily, cache: FixedPointCache | None) -> FixedPointCache:
+    """``cache``, checked to serve ``family``, or a fresh FixedPointCache when None."""
+    if cache is None:
+        return FixedPointCache(family)
+    if cache.family is not family:
+        raise DomainError("fixed-point cache belongs to another family")
+    return cache
 
 
 def compute_distances(
@@ -181,19 +209,17 @@ def compute_distances(
     trace: IterateTrace,
     cache: FixedPointCache | None = None,
 ) -> IterateTrace:
-    """Fill ``trace.dist_to_fix`` with exact distances ||x_n - x*_{gamma_n}||.
+    """Fill ``trace.dist_to_fix`` with exact distances ||x_n - x*_{gamma_n}|| to the
+    points ``cache`` serves (a fresh one when None).
 
     Exact distances need singleton fixed-point sets, certified by the family's
-    contraction marker.
+    contraction marker (NonSingletonFix otherwise).
     """
-    if family.contraction_beta is None:
-        raise NonSingletonFix("exact distances need a contraction certificate")
-    if cache is None:
-        cache = FixedPointCache(family)
-    dist = np.array(
-        [float(np.linalg.norm(trace.xs[n] - cache.point(trace.gammas[n]))) for n in range(len(trace))]
+    cache = _own_cache(family, cache)
+    # row by row: a (rows, dim) block of points would add to peak memory
+    trace.dist_to_fix = np.array(
+        [float(np.linalg.norm(x - cache.point(g))) for x, g in zip(trace.xs, trace.gammas)]
     )
-    trace.dist_to_fix = dist
     return trace
 
 
@@ -233,19 +259,13 @@ def verify_error_bound(
     worst_ratio <= 1.
     """
     gamma = family.check_gamma(gamma)
-    if family.contraction_beta is None:
-        raise NonSingletonFix("error bound check needs a contraction certificate")
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     lo, hi = float(sample_box[0]), float(sample_box[1])
     if not lo < hi:
         raise DomainError("sample box must have lo < hi")
 
-    if cache is None:
-        cache = FixedPointCache(family)
-    elif cache.family is not family:
-        raise DomainError("fixed-point cache belongs to another family")
-    x_star = cache.point(gamma)
+    x_star = _own_cache(family, cache).point(gamma)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -307,6 +327,14 @@ class RateTheoremResult:
     limit: np.ndarray
 
 
+def limit_errors(extended: IterateTrace, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The limit x_inf, estimated as the mean of the last 5 iterates of ``extended`` (the
+    limit lies in Fix T_{gamma*}, which is only resolvent-accessible), and ||x_n - x_inf||
+    over the first ``rows`` rows."""
+    x_inf = extended.xs[-5:].mean(axis=0)
+    return x_inf, np.linalg.norm(extended.xs[:rows] - x_inf, axis=1)
+
+
 def verify_rate_theorem(
     family: OperatorFamily,
     schedule: StepsizeSchedule,
@@ -318,20 +346,16 @@ def verify_rate_theorem(
 ) -> RateTheoremResult:
     """Fit R-linear rates for dist(x_n, Fix T_{gamma_n}) and ||x_n - x_inf||.
 
-    The limit is estimated as the average of the last 5 iterates of a run 4x
-    as long (the limit lies in Fix T_{gamma*}, which is only resolvent-
-    accessible). Passes when both fits come back R-linear; schedules that do
-    not converge R-linearly are expected to fail the iterate fit.
+    ``limit_errors`` estimates the limit from the ``4 * n_steps`` run from x0,
+    which a caller that already holds it passes as ``extended``. Passes when
+    both fits come back R-linear; schedules that do not converge R-linearly
+    are expected to fail the iterate fit.
 
-    Distances are trusted only down to the oracle's point accuracy
-    (residual tolerance amplified by 1/(1 - beta)); below that they are
-    indistinguishable from zero and excluded from the fit.
-
-    A caller that already holds the ``4 * n_steps`` run from ``x0`` and a
-    fixed-point cache for the family passes them as ``extended`` and
-    ``cache``. A cache filled by ``compute_distances`` along the run's first
-    ``n_steps + 1`` rows gives the same result, bit for bit, as a fresh one;
-    otherwise its points may differ within the oracle's accuracy.
+    Distances go to the points of ``cache`` (a fresh one when None). A served
+    point lies within the cache's largest residual amplified by 1/(1 - beta)
+    of the exact one, so distances below a decade above that count as zero
+    and are excluded from the fit; a cache that has also served stepsizes
+    off the run may raise this floor.
     """
     beta = family.contraction_beta
     if beta is None:
@@ -343,22 +367,12 @@ def verify_rate_theorem(
         extended = relocated_iterate(family, schedule, x0, 4 * n_steps)
     elif len(extended) != 4 * n_steps + 1:
         raise DomainError(f"extended run has {len(extended)} rows, need {4 * n_steps + 1}")
-    x_inf = extended.xs[-5:].mean(axis=0)
-    errs = np.linalg.norm(extended.xs[: n_steps + 1] - x_inf, axis=1)
+    x_inf, errs = limit_errors(extended, n_steps + 1)
     iterate_rate = _fit_allow_zero(errs, burn_in)
 
-    if cache is None:
-        cache = FixedPointCache(family)
-    elif cache.family is not family:
-        raise DomainError("fixed-point cache belongs to another family")
-    dist = np.array(
-        [
-            float(np.linalg.norm(extended.xs[n] - cache.point(extended.gammas[n])))
-            for n in range(n_steps + 1)
-        ]
-    )
-    # oracle points are only accurate to ~tol/(1-beta); stay a decade above
-    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.tol / (1.0 - beta)))
+    cache = _own_cache(family, cache)
+    dist = compute_distances(family, extended.head(n_steps + 1), cache).dist_to_fix
+    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
     dist_rate = _fit_allow_zero(dist, burn_in, floor=dist_floor)
 
     passed = dist_rate.linear and iterate_rate.linear

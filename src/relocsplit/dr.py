@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import fixed_point_line
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
 from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
 from .operators import as_points
@@ -142,6 +143,9 @@ class DRFamily(OperatorFamily):
 
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
+
+    def _fixed_point_line(self):
+        return fixed_point_line(self, [self.a1, self.a2])
 
     def relocator_lipschitz(self, delta, gamma):
         delta = self.check_gamma(delta)

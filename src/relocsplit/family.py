@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     MissingBlocks,
     NonPositiveStepsize,
+    NonSingletonFix,
     NotAFixedPoint,
 )
 from .operators import as_points, as_vector
@@ -124,6 +125,7 @@ class OperatorFamily(abc.ABC):
     dim: int
     gamma_interval: tuple[float, float]
     alpha: float | None = None
+    _line: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def contraction_beta(self) -> float | None:
@@ -153,6 +155,17 @@ class OperatorFamily(abc.ABC):
     def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
         """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply_from``."""
         return self.relocate(delta, gamma, x), None
+
+    def fixed_point(self, gamma: float) -> np.ndarray:
+        """The fixed point of T_gamma on the line ``_fixed_point_line`` builds on first use."""
+        gamma = self.check_gamma(gamma)
+        if self._line is None:
+            self._line = self._fixed_point_line()
+        offset, slope = self._line
+        return offset + gamma * slope
+
+    def _fixed_point_line(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NonSingletonFix(f"{type(self).__name__} exposes no fixed-point line")
 
     def residual(self, gamma: float, x) -> float:
         x = as_vector(x, self.dim)
@@ -242,6 +255,9 @@ class ScalarShiftFamily(OperatorFamily):
         delta = self.check_gamma(delta)
         self.check_gamma(gamma)
         return np.full_like(as_points(x, 1), delta)
+
+    def _fixed_point_line(self):
+        return np.zeros(1), np.ones(1)
 
     def relocator_lipschitz(self, delta, gamma):
         # the constant map is 0-Lipschitz; constants are declared in [1, inf)

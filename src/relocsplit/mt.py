@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import fixed_point_line
 from .errors import (
     BadBlockCount,
     CertificationFailed,
@@ -152,6 +153,9 @@ class MTFamily(OperatorFamily):
 
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
+
+    def _fixed_point_line(self):
+        return fixed_point_line(self, self.operators)
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant

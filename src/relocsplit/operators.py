@@ -159,7 +159,12 @@ class AffineOperator:
 
     def _require_invertible(self) -> None:
         if self._cond is None:
-            self._cond = float(np.linalg.cond(self.M))
+            if self._eig is not None:
+                # the singular values of a symmetric M are the |eigenvalues| from construction
+                mags = np.abs(self._eig[0])
+                self._cond = float(mags.max() / mags.min()) if mags.min() > 0.0 else np.inf
+            else:
+                self._cond = float(np.linalg.cond(self.M))
         if not np.isfinite(self._cond) or self._cond > MAX_INVERSE_COND:
             raise SingularSystem(
                 f"M is not invertible within tolerance (cond={self._cond:.3e})"

@@ -1,8 +1,12 @@
 """The benchmark under ``perfbench/`` wraps the package's public entry points
 by name; renaming or removing one of them breaks ``run.py --trace 1``."""
 
+import contextlib
+import io
 import os
 import sys
+
+import pytest
 
 import relocsplit.cli as cli
 
@@ -45,6 +49,15 @@ def _perfbench():
     return layers, Tracer
 
 
+def _workloads():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    return workloads.WORKLOADS
+
+
 def test_benchmark_spans_wrap_and_restore():
     layers, Tracer = _perfbench()
     wrapped = ("relocated_iterate", "algorithm1_run", "algorithm2_run", "write_trace_csv")
@@ -77,3 +90,24 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
     spans = tracer.by_name()
     assert "mt.certificate" in spans and "diagnostics.error_bound" in spans
     assert (mt.mt_contraction_certificate, diagnostics.verify_error_bound) == originals
+
+
+#: the benchmark's workloads at a dimension small enough for the test suite
+SMALL_DIM = 20
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name", ["dr-geo-d400", "mt-box-d100-n3", "mt-n4-d10", "dr-skew-poly-d100"]
+)
+def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch):
+    # a verdict flip would otherwise show only when the benchmark runs
+    workload = _workloads()[name]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+    mapping = cli.parse_config_file(workload.config_path)
+    dim = min(int(mapping["problem.dim"]), SMALL_DIM)
+    config = cli.build_config(mapping, {"problem.dim": str(dim)})
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, records = cli.run_experiment(config, write_trace=False)
+    assert status == workload.expected_exit
+    assert {rec.name: rec.passed for rec in records} == workload.expected_checks

@@ -201,6 +201,68 @@ class TestRunExperiment:
         assert status == 0 and "rate_theorem" in [rec.name for rec in records]
         assert calls == [4 * config.n_steps]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"M3": 5 * np.eye(2)}, {"box_lower": -np.ones(2), "box_upper": np.ones(2)}],
+        ids=["three_matrices", "two_matrices_and_box"],
+    )
+    def test_dr_rejects_other_than_two_operators(self, tmp_path, extra, capsys):
+        path = tmp_path / "mats.npz"
+        cfg = write_config(tmp_path, DR_CONFIG)
+        argv = ["run", cfg, "--set", "problem.kind=custom_matrices",
+                "--set", f"problem.matrices_path={path}", "--set", "checks=fix_decomposition"]
+        np.savez(path, M1=2 * np.eye(2), M2=3 * np.eye(2), **extra)
+        assert cli.main(argv) == 2
+        assert "dr needs exactly 2 operators" in capsys.readouterr().err
+        np.savez(path, M1=2 * np.eye(2), M2=3 * np.eye(2))
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "text, overrides, oracle_runs",
+        [(DR_CONFIG, {}, 0), (MT_CONFIG, {}, 0),
+         (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "0.5"}, 1)],
+        ids=["dr_affine", "mt_affine", "mt_box"],
+    )
+    def test_fixed_point_oracle_runs(self, tmp_path, monkeypatch, text, overrides, oracle_runs):
+        # affine families solve for the zero; a box family runs one oracle for it
+        calls = []
+        real = diagnostics.fixed_point_oracle
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
+        config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
+        status, _ = cli.run_experiment(config, write_trace=False)
+        assert status == 0
+        assert len(calls) == oracle_runs
+
+    @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
+    def test_broken_relocator_fails_its_checks(self, tmp_path, monkeypatch, text):
+        # served fixed points come from the operators, so a relocator whose
+        # delta/gamma ratio is off by 1e-3 cannot agree with them
+        checks = ["relocator_bijection"] + (["fix_decomposition"] if text is DR_CONFIG else [])
+        config = cli.build_config(
+            cli.parse_config_file(write_config(tmp_path, text)), {"checks": ",".join(checks)}
+        )
+        family_type = type(cli.build_family(config)[0])
+        _, records = cli.run_experiment(config, write_trace=False)
+        assert all(rec.passed for rec in records)
+
+        real = family_type.relocate_from
+
+        def broken(self, delta, gamma, x):
+            x = np.asarray(x, dtype=float)
+            anchor = real(self, gamma, gamma, x)[1]  # J_{gamma A1} of the first block
+            s = delta / gamma * (1.0 + 1e-3)
+            return s * x + (1.0 - s) * np.tile(anchor, x.size // anchor.size)
+
+        monkeypatch.setattr(family_type, "relocate", broken)
+        status, records = cli.run_experiment(config, write_trace=False)
+        assert status == 1
+        assert [rec.name for rec in records if not rec.passed] == checks
+
     def test_polynomial_negative_control(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG)
         status = cli.main(
@@ -284,7 +346,7 @@ class TestTraceCsv:
         x0 = cli._initial_point(config, family)
         extended = cli.relocated_iterate(family, config.schedule, x0, 4 * config.n_steps)
         trace = extended.head(config.n_steps + 1)
-        err = cli._limit_errors(trace, extended)
+        _, err = diagnostics.limit_errors(extended, len(trace))
         cli.write_trace_csv(config.trace_path, trace, err)
         col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
         assert len(col("n")) == config.n_steps + 1

@@ -22,9 +22,11 @@ from relocsplit.errors import (
     MissingDistances,
     NoConvergence,
     NonSingletonFix,
+    NotAFixedPoint,
     TooFewSamples,
+    UnsupportedOperator,
 )
-from relocsplit.family import BLOCK_FLOATS, relocated_iterate
+from relocsplit.family import BLOCK_FLOATS, FIXED_POINT_TOL, relocated_iterate
 
 INTERVAL = (0.5, 2.0)
 
@@ -323,21 +325,46 @@ class TestFixedPointCache:
         ops = rs.generate_problem("affine_strongly_monotone", 50, 7, 0.5, 2.0)
         family = rs.DRFamily(ops[0], ops[1], INTERVAL)
         cache = FixedPointCache(family)
-        cache.point(1.0 + 9.1e-13)
+        neighbour = cache.point(1.0 + 9.1e-13)
         p = cache.point(1.0)
-        assert family.residual(1.0, p) <= cache.tol
+        assert not np.array_equal(p, neighbour)
+        assert np.array_equal(p, family.fixed_point(1.0))
+        assert family.residual(1.0, p) <= 1e-13
         assert cache.point(1.0) is p
 
     def test_distinct_gammas_distinct_points(self, pd_pair_family):
         cache = FixedPointCache(pd_pair_family)
         assert np.linalg.norm(cache.point(0.6) - cache.point(1.9)) > 1e-3
 
-    def test_explicit_start_overrides_relocation(self, pd_pair_family):
+    def test_records_the_largest_residual(self, pd_pair_family):
         cache = FixedPointCache(pd_pair_family)
-        cache.point(1.0)
-        start = np.full(5, 1e3)
-        p = cache.point(1.5, x0=start)
-        assert pd_pair_family.residual(1.5, p) <= cache.tol
+        assert cache.max_residual == 0.0
+        gammas = (0.6, 1.0, 1.9)
+        for g in gammas:
+            cache.point(g)
+        assert cache.max_residual == max(
+            pd_pair_family.residual(g, pd_pair_family.fixed_point(g)) for g in gammas
+        )
+
+    def test_line_needs_single_valued_leading_operators(self, pd_pair_family):
+        box = rs.BoxNormalCone(-np.ones(5), np.ones(5))
+        with pytest.raises(UnsupportedOperator):
+            diagnostics.fixed_point_line(pd_pair_family, [box, pd_pair_family.a2])
+
+    def test_line_needs_a_contraction_certificate(self):
+        fam = rs.DRFamily(
+            rs.AffineOperator(np.zeros((2, 2))), rs.AffineOperator(np.zeros((2, 2))), INTERVAL
+        )
+        with pytest.raises(NonSingletonFix):
+            fam.fixed_point(1.0)
+
+    def test_point_failing_the_residual_test_is_refused(self, pd_pair_family, monkeypatch):
+        real = type(pd_pair_family).fixed_point
+        monkeypatch.setattr(
+            type(pd_pair_family), "fixed_point", lambda self, g: real(self, g) + 1e-3
+        )
+        with pytest.raises(NotAFixedPoint):
+            FixedPointCache(pd_pair_family).point(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -355,38 +382,23 @@ SCHEDULES = {
 }
 
 
+@pytest.fixture(scope="module")
+def scalar_family():
+    return ScalarShiftFamily(0.5, INTERVAL)
+
+
 @pytest.mark.parametrize("schedule_kind", list(SCHEDULES))
-@pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family", "box_mt_family"])
-def test_relocated_starts_keep_points_and_save_iterations(
-    family_name, schedule_kind, request, monkeypatch
-):
+@pytest.mark.parametrize(
+    "family_name", ["pd_pair_family", "mt3_family", "box_mt_family", "scalar_family"]
+)
+def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, request):
     family = request.getfixturevalue(family_name)
-    assert family.contraction_beta is not None
-    gammas = SCHEDULES[schedule_kind].gammas(80)
-    applies = [0]
-    real_apply = type(family).apply
-
-    def counting(self, gamma, x):
-        applies[0] += 1
-        return real_apply(self, gamma, x)
-
-    monkeypatch.setattr(type(family), "apply", counting)
-    # each miss relocates the previous miss's point to the new stepsize
+    lo, hi = family.gamma_interval
+    gammas = [lo, 1.3, hi, *SCHEDULES[schedule_kind].gammas(80)]
     cache = FixedPointCache(family)
-    points = [cache.point(g) for g in gammas]
-    relocated_iterations = applies[0]
-    # reference: start each miss from the previous stepsize's point itself
-    applies[0] = 0
-    warm = FixedPointCache(family)
-    previous = np.zeros(family.dim)
     for g in gammas:
-        previous = warm.point(g, x0=previous)
-    warm_iterations = applies[0]
-    monkeypatch.undo()
-
-    assert 4 * relocated_iterations <= warm_iterations
-    # every point served passes the residual test at the stepsize asked for
-    for g, p in zip(gammas, points):
-        assert family.residual(g, p) <= cache.tol
+        p = cache.point(g)
+        assert np.array_equal(p, family.fixed_point(g))
+        assert family.residual(g, p) <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(p))
         cold = fixed_point_oracle(family, g, np.zeros(family.dim))
         assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))

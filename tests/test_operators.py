@@ -231,6 +231,30 @@ class TestInverseApply:
         with pytest.raises(SingularSystem):
             op.inverse_apply([1.0, 1.0])
 
+    def test_symmetric_condition_number_from_eigenvalues(self, monkeypatch):
+        M = symmetric_operator(30, 0.01, 5.0, np.random.default_rng(19)).M
+        op = AffineOperator(M)
+        reference = np.linalg.cond(M)
+        svds = []
+        real_cond = np.linalg.cond
+
+        def counting(*args):
+            svds.append(args)
+            return real_cond(*args)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        x = op.inverse_apply(np.ones(30))
+        assert svds == []
+        assert abs(op._cond - reference) <= 1e-9 * reference
+        assert np.linalg.norm(op(x) - 1.0) <= 1e-10
+
+    def test_rank_deficient_symmetric_raises(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((3, 3)))
+        M = (Q * np.array([0.0, 1.0, 2.0])) @ Q.T
+        op = AffineOperator(0.5 * (M + M.T))
+        with pytest.raises(SingularSystem):
+            op.inverse_apply(np.ones(3))
+
     def test_inverse_operator_agrees(self):
         op = random_monotone(3, 18)
         inv = op.inverse_operator()
