@@ -360,7 +360,7 @@ def _check_one_step(state: _ExperimentState) -> CheckRecord:
     if beta is None:
         raise ConfigError("one_step needs a contraction certificate (exact distances)")
     kappa = 1.0 / (1.0 - beta)
-    rep = diagnostics.verify_one_step_contraction(state.family, state.schedule, state.trace, kappa)
+    rep = diagnostics.verify_one_step_contraction(state.family, state.trace, kappa)
     return CheckRecord("one_step", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
 

@@ -245,13 +245,12 @@ def verify_error_bound(
     sample_box: tuple[float, float],
     samples: int,
     seed: int,
-    bound_name: str = "error_bound",
     cache: FixedPointCache | None = None,
 ) -> BoundReport:
     """Sample-check dist(x, Fix T_gamma) <= kappa * ||x - T_gamma x||.
 
     Points are drawn uniformly from the box and evaluated a block at a time
-    (``family.BLOCK_FLOATS``); the distance is exact via the unique fixed
+    (``relocsplit.family.BLOCK_FLOATS`` floats); the distance is exact via the unique fixed
     point (contraction marker required), served by ``cache`` (a fresh
     FixedPointCache when the caller holds none).
     Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio
@@ -276,15 +275,10 @@ def verify_error_bound(
         ratio = lhs / (kappa * resid + 1e-9 * (1.0 + np.linalg.norm(x, axis=1)))
         worst = max(worst, float(ratio.max()))
         violations += int(np.count_nonzero(ratio > 1.0))
-    return BoundReport(bound_name, samples, violations, worst, kappa)
+    return BoundReport("error_bound", samples, violations, worst, kappa)
 
 
-def verify_one_step_contraction(
-    family: OperatorFamily,
-    schedule: StepsizeSchedule,
-    trace: IterateTrace,
-    kappa: float,
-) -> BoundReport:
+def verify_one_step_contraction(family: OperatorFamily, trace: IterateTrace, kappa: float) -> BoundReport:
     """Check the per-step distance inequality
 
         dist_{n+1} <= l_n * sqrt(max{0, 1 - (1-alpha)/(alpha kappa^2)}) * dist_n + 1e-9
@@ -306,17 +300,10 @@ def verify_one_step_contraction(
     factor = float(np.sqrt(max(0.0, 1.0 - (1.0 - alpha) / (alpha * kappa**2))))
 
     dist = trace.dist_to_fix
-    violations = 0
-    worst = 0.0
-    steps = len(trace) - 1
-    for n in range(steps):
-        ell = family.relocator_lipschitz(trace.gammas[n + 1], trace.gammas[n])
-        rhs = ell * factor * dist[n] + 1e-9
-        ratio = dist[n + 1] / rhs
-        worst = max(worst, ratio)
-        if ratio > 1.0:
-            violations += 1
-    return BoundReport("one_step", steps, violations, worst, kappa)
+    ell = family.relocator_lipschitz(trace.gammas[1:], trace.gammas[:-1])
+    ratio = dist[1:] / (ell * factor * dist[:-1] + 1e-9)
+    violations = int(np.count_nonzero(ratio > 1.0))
+    return BoundReport("one_step", len(ratio), violations, float(ratio.max(initial=0.0)), kappa)
 
 
 @dataclass(frozen=True)

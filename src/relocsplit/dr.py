@@ -78,7 +78,7 @@ class DRFamily(OperatorFamily):
     maximally monotone operators are firmly nonexpansive). A contraction
     factor is certified when A1 is single-valued Lipschitz and A2 is strongly
     monotone, by maximizing the closed-form factor over the stepsize interval
-    on a dense grid (1000 points plus endpoints, 1e-6 safety margin).
+    on a dense grid (1000 points including the endpoints, 1e-6 safety margin).
     """
 
     alpha = 0.5
@@ -86,13 +86,10 @@ class DRFamily(OperatorFamily):
     def __init__(self, a1, a2, gamma_interval: tuple[float, float]):
         if a1.dim != a2.dim:
             raise DomainError(f"operator dimensions differ: {a1.dim} vs {a2.dim}")
-        lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
-        if not (0.0 < lo <= hi):
-            raise DomainError("need 0 < gamma_low <= gamma_high")
+        self._set_interval(gamma_interval)
         self.a1 = a1
         self.a2 = a2
         self.dim = a1.dim
-        self.gamma_interval = (lo, hi)
         self.mu1 = float(getattr(a1, "mu", 0.0))
         self.lip1 = float(getattr(a1, "lip", np.inf))
         self.mu2 = float(getattr(a2, "mu", 0.0))
@@ -148,9 +145,7 @@ class DRFamily(OperatorFamily):
         return fixed_point_line(self, [self.a1, self.a2])
 
     def relocator_lipschitz(self, delta, gamma):
-        delta = self.check_gamma(delta)
-        gamma = self.check_gamma(gamma)
-        return max(1.0, delta / gamma)
+        return np.maximum(1.0, self.check_gamma(delta) / self.check_gamma(gamma))
 
 
 #: Algorithm 1, the resolvent-per-step form of the splitting:

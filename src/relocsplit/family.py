@@ -12,6 +12,7 @@ through residuals ``||x - T_gamma x|| <= tol * (1 + ||x||)``.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ from .operators import as_points, as_vector
 FIXED_POINT_TOL = 1e-8
 #: iterate-norm guard; crossing it means the run is not contractive
 DIVERGENCE_LIMIT = 1e12
+#: scale-adjusted residual tolerance for each row of ``relocator_only_sequence``
+ROW_TOL = 1e-7
 #: widest stepsize interval used when a family has no natural restriction
 GAMMA_WIDE = (1e-8, 1e8)
 #: floats per block of sample points that a sampling check evaluates in one call
@@ -68,6 +71,9 @@ class StepsizeSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "polynomial"):
             raise DomainError(f"unknown schedule kind {self.kind!r}")
+        params = (self.gamma_star, self.gamma_low, self.gamma_high, self.C, self.r, self.p)
+        if not all(math.isfinite(v) for v in params if v is not None):
+            raise DomainError("schedule parameters must be finite")
         if not (0.0 < self.gamma_low <= self.gamma_high):
             raise DomainError("need 0 < gamma_low <= gamma_high")
         if not (self.gamma_low <= self.gamma_star <= self.gamma_high):
@@ -97,16 +103,22 @@ class StepsizeSchedule:
     def gamma(self, n: int) -> float:
         if n < 0:
             raise DomainError("schedule index must be >= 0")
-        if self.kind == "constant":
-            raw = self.gamma_star
-        elif self.kind == "geometric":
-            raw = self.gamma_star + self.C * self.r**n
-        else:
-            raw = self.gamma_star + self.C / (n + 1) ** self.p
-        return min(max(raw, self.gamma_low), self.gamma_high)
+        return float(self._at([n])[0])
 
     def gammas(self, count: int) -> np.ndarray:
-        return np.array([self.gamma(n) for n in range(count)])
+        """gamma_0, ..., gamma_{count-1}."""
+        return self._at(range(count))
+
+    def _at(self, indices) -> np.ndarray:
+        # Python's ** per term (numpy's power rounds some terms differently),
+        # then shift, scale and clamp as array operations
+        if self.kind == "geometric":
+            shift = self.C * np.fromiter((self.r**n for n in indices), float, len(indices))
+        elif self.kind == "polynomial":
+            shift = self.C / np.fromiter(((n + 1) ** self.p for n in indices), float, len(indices))
+        else:
+            shift = np.zeros(len(indices))
+        return np.clip(self.gamma_star + shift, self.gamma_low, self.gamma_high)
 
     @property
     def converges_r_linearly(self) -> bool:
@@ -140,8 +152,11 @@ class OperatorFamily(abc.ABC):
         """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block."""
 
     @abc.abstractmethod
-    def relocator_lipschitz(self, delta: float, gamma: float) -> float:
-        """A Lipschitz constant (>= 1) of Q_{delta <- gamma}, equal to 1 at delta == gamma."""
+    def relocator_lipschitz(self, delta, gamma):
+        """A Lipschitz constant (>= 1) of Q_{delta <- gamma}, equal to 1 at delta == gamma.
+
+        Stepsize arrays give the constants elementwise.
+        """
 
     def apply_from(self, gamma: float, x, shadow=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Evaluate T_gamma at x and return it with the row's trace blocks.
@@ -180,14 +195,27 @@ class OperatorFamily(abc.ABC):
             )
         return x
 
-    def check_gamma(self, gamma: float) -> float:
-        gamma = float(gamma)
-        if gamma <= 0:
-            raise NonPositiveStepsize(f"stepsize must be positive, got {gamma}")
+    def check_gamma(self, gamma):
+        """Check a stepsize, or an array of them at once, against the family interval.
+
+        Returns a float for a scalar, the float array otherwise.
+        """
+        g = np.asarray(gamma, dtype=float)
         lo, hi = self.gamma_interval
-        if not (lo - 1e-12 <= gamma <= hi + 1e-12):
-            raise DomainError(f"gamma={gamma} outside family interval [{lo}, {hi}]")
-        return gamma
+        # the interval ends as initial values let an empty array pass
+        low, high = (g.min(initial=lo), g.max(initial=hi)) if g.ndim else (float(g),) * 2
+        if low <= 0:
+            raise NonPositiveStepsize(f"stepsize must be positive, got {low}")
+        for value in (low, high):
+            if not lo - 1e-12 <= value <= hi + 1e-12:
+                raise DomainError(f"gamma={value} outside family interval [{lo}, {hi}]")
+        return g if g.ndim else float(g)
+
+    def _set_interval(self, gamma_interval) -> None:
+        lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
+        if not (0.0 < lo <= hi):
+            raise DomainError("need 0 < gamma_low <= gamma_high")
+        self.gamma_interval = (lo, hi)
 
 
 @dataclass
@@ -234,12 +262,9 @@ class ScalarShiftFamily(OperatorFamily):
     def __init__(self, beta: float, gamma_interval: tuple[float, float] = GAMMA_WIDE):
         if not (0.0 <= beta < 1.0):
             raise DomainError("beta must lie in [0, 1)")
-        lo, hi = gamma_interval
-        if not (0.0 < lo <= hi):
-            raise DomainError("need 0 < gamma_low <= gamma_high")
+        self._set_interval(gamma_interval)
         self.beta = float(beta)
         self.dim = 1
-        self.gamma_interval = (float(lo), float(hi))
         self.alpha = (1.0 + self.beta) / 2.0
 
     @property
@@ -261,9 +286,8 @@ class ScalarShiftFamily(OperatorFamily):
 
     def relocator_lipschitz(self, delta, gamma):
         # the constant map is 0-Lipschitz; constants are declared in [1, inf)
-        self.check_gamma(delta)
-        self.check_gamma(gamma)
-        return 1.0
+        shape = np.broadcast(self.check_gamma(delta), self.check_gamma(gamma)).shape
+        return np.ones(shape)[()]
 
 
 def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_steps: int) -> IterateTrace:
@@ -279,7 +303,7 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     x = as_vector(x0, family.dim)
-    gams = np.array([family.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)])
+    gams = family.check_gamma(schedule.gammas(n_steps + 1))
     rows = n_steps + 1
     xs = np.empty((rows, family.dim))
     ts = np.empty((rows, family.dim))
@@ -306,28 +330,24 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
 
 
 def relocator_only_sequence(
-    family: OperatorFamily,
-    schedule: StepsizeSchedule,
-    c0,
-    n_steps: int,
-    row_tol: float = 1e-7,
+    family: OperatorFamily, schedule: StepsizeSchedule, c0, n_steps: int
 ) -> IterateTrace:
     """Run c_{n+1} = Q_{gamma_{n+1} <- gamma_n} c_n from a fixed point c0 of T_{gamma_0}.
 
     Each c_n must remain a fixed point of T_{gamma_n}; a row violating the
-    residual certificate ``row_tol * (1 + ||c_n||)`` raises NotAFixedPoint
+    residual certificate ``ROW_TOL * (1 + ||c_n||)`` raises NotAFixedPoint
     (it would signal a broken relocator).
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     c = family.assert_fixed_point(schedule.gamma(0), c0)
-    gams = [family.check_gamma(schedule.gamma(n)) for n in range(n_steps + 1)]
+    gams = family.check_gamma(schedule.gammas(n_steps + 1))
 
     cs, ts, res = [], [], []
     for n in range(n_steps + 1):
         t = family.apply(gams[n], c)
         r = float(np.linalg.norm(c - t))
-        if r > row_tol * (1.0 + float(np.linalg.norm(c))):
+        if r > ROW_TOL * (1.0 + float(np.linalg.norm(c))):
             raise NotAFixedPoint(
                 f"relocated point left the fixed-point set at step {n} (residual {r:.3e})"
             )
@@ -336,7 +356,7 @@ def relocator_only_sequence(
         res.append(r)
         if n < n_steps:
             c = family.relocate(gams[n + 1], gams[n], c)
-    return IterateTrace(np.array(gams), np.vstack(cs), np.vstack(ts), np.array(res))
+    return IterateTrace(gams, np.vstack(cs), np.vstack(ts), np.array(res))
 
 
 @dataclass(frozen=True)
@@ -355,10 +375,7 @@ def summability_report(family: OperatorFamily, schedule: StepsizeSchedule, n_ter
     if n_terms < 10:
         raise DomainError("n_terms must be >= 10")
     gams = schedule.gammas(n_terms + 1)
-    terms = np.array(
-        [family.relocator_lipschitz(gams[n + 1], gams[n]) - 1.0 for n in range(n_terms)]
-    )
-    sums = np.cumsum(terms)
+    sums = np.cumsum(family.relocator_lipschitz(gams[1:], gams[:-1]) - 1.0)
     k = max(1, n_terms // 10)
     tail = float(sums[-1] - sums[-k - 1]) if k < n_terms else float(sums[-1])
     return SummabilityReport(sums, tail < 1e-10, tail)
@@ -382,13 +399,13 @@ def gamma_lipschitz_probe(
     gamma pairs are skipped. The supremum witnesses the Lipschitz-in-stepsize
     behaviour of the relocator along the fixed-point sets.
     """
+    deltas = family.check_gamma(np.asarray(deltas, dtype=float))
     best = -np.inf
     best_point = None
     count = 0
     for x, gamma in fixed_points:
         x = family.assert_fixed_point(gamma, x)
         for delta in deltas:
-            family.check_gamma(delta)
             if delta == gamma:
                 continue
             moved = family.relocate(delta, gamma, x)

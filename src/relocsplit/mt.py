@@ -37,6 +37,8 @@ from .operators import BoxNormalCone
 _UNSET = object()
 #: margin keeping the relaxation parameter strictly inside (0, 1)
 _THETA_MARGIN = 1e-6
+#: largest resolvent-chain residual ``mt_fixed_point_to_zero`` accepts at a fixed point
+CHAIN_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,23 @@ class MTLipschitzConstants:
     below by min{1, sqrt(d/g)}.
     """
 
-    L_check: float
-    L_hat: float
+    L_check: float | np.ndarray
+    L_hat: float | np.ndarray
 
 
-def mt_relocator_lipschitz(delta: float, gamma: float, n_operators: int) -> MTLipschitzConstants:
-    if delta <= 0 or gamma <= 0:
+def mt_relocator_lipschitz(delta, gamma, n_operators: int) -> MTLipschitzConstants:
+    """Both constants for stepsizes ``delta``, ``gamma``; arrays give them elementwise."""
+    delta, gamma = np.asarray(delta, dtype=float), np.asarray(gamma, dtype=float)
+    if not (np.all(delta > 0) and np.all(gamma > 0)):
         raise DomainError("stepsizes must be positive")
     if n_operators < 2:
         raise DomainError("need at least two operators")
     N = n_operators
     s = delta / gamma
-    q = abs(gamma - delta) / gamma
-    l_check = math.sqrt(s) + math.sqrt(q) * max(math.sqrt(N - 1), math.sqrt(2 * N) * math.sqrt(s))
-    l_hat = max(math.sqrt(s + (N - 1) * q), math.sqrt(s + 2 * N * s * q))
-    return MTLipschitzConstants(l_check, l_hat)
+    q = np.abs(gamma - delta) / gamma
+    l_check = np.sqrt(s) + np.sqrt(q) * np.maximum(math.sqrt(N - 1), math.sqrt(2 * N) * np.sqrt(s))
+    l_hat = np.maximum(np.sqrt(s + (N - 1) * q), np.sqrt(s + 2 * N * s * q))
+    return MTLipschitzConstants(l_check[()], l_hat[()])
 
 
 class MTFamily(OperatorFamily):
@@ -92,16 +96,13 @@ class MTFamily(OperatorFamily):
             raise DomainError(f"operator dimensions differ: {sorted(dims)}")
         if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
             raise DomainError("theta must lie strictly inside (0, 1)")
-        lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
-        if not (0.0 < lo <= hi):
-            raise DomainError("need 0 < gamma_low <= gamma_high")
+        self._set_interval(gamma_interval)
         self.operators = operators
         self.theta = float(theta)
         self.space_dim = operators[0].dim
         self.n_operators = len(operators)
         self.n_blocks = self.n_operators - 1
         self.dim = self.n_blocks * self.space_dim
-        self.gamma_interval = (lo, hi)
         self._beta = _UNSET
 
     def split_blocks(self, x) -> np.ndarray:
@@ -159,6 +160,7 @@ class MTFamily(OperatorFamily):
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant
+        delta, gamma = self.check_gamma(delta), self.check_gamma(gamma)
         return mt_relocator_lipschitz(delta, gamma, self.n_operators).L_check
 
     @property
@@ -187,16 +189,11 @@ class MTZeroCertificate:
     chain_residuals: np.ndarray
 
 
-def mt_fixed_point_to_zero(
-    fam: MTFamily,
-    gamma: float,
-    x,
-    chain_tol: float = 1e-7,
-) -> MTZeroCertificate:
+def mt_fixed_point_to_zero(fam: MTFamily, gamma: float, x) -> MTZeroCertificate:
     """Recover the zero of A1 + ... + AN encoded by a fixed point of T_gamma.
 
     Certifies the whole chain z = J_{gamma A1} x^1 = J_{gamma Ai}(x^i - x^{i-1} + z)
-    = J_{gamma AN}(2z - x^{N-1}); a residual above ``chain_tol`` raises
+    = J_{gamma AN}(2z - x^{N-1}); a residual above ``CHAIN_TOL`` raises
     ChainMismatch since the correspondence is an equivalence. The inclusion
     residual is ||sum_i A_i(z)|| for single-valued operators; one trailing
     normal cone is handled through its face inequalities.
@@ -213,9 +210,9 @@ def mt_fixed_point_to_zero(
         chain.append(float(np.linalg.norm(z - ops[i].resolvent(gamma, xb[i] - xb[i - 1] + z))))
     chain.append(float(np.linalg.norm(z - ops[K].resolvent(gamma, 2.0 * z - xb[K - 1]))))
     chain = np.array(chain)
-    if np.any(chain > chain_tol):
+    if np.any(chain > CHAIN_TOL):
         raise ChainMismatch(
-            f"resolvent chain residuals {chain} exceed {chain_tol:.1e} at a certified fixed point"
+            f"resolvent chain residuals {chain} exceed {CHAIN_TOL:.1e} at a certified fixed point"
         )
 
     cones = [op for op in ops if isinstance(op, BoxNormalCone)]
@@ -263,7 +260,7 @@ def mt_contraction_certificate(
 
     When the hypotheses hold, beta is the largest sampled ratio
     ||T_gamma u - T_gamma v|| / ||u - v|| over a stepsize grid, the pairs
-    evaluated a block at a time (``family.BLOCK_FLOATS``); a ratio at or
+    evaluated a block at a time (``relocsplit.family.BLOCK_FLOATS`` floats); a ratio at or
     above 1 - 1e-6 raises CertificationFailed (theory forbids it). When they
     fail, the certificate comes back with valid=False and no factor.
     """

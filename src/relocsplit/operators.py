@@ -32,6 +32,8 @@ from .errors import (
 MONOTONE_EIG_TOL = 1e-10
 #: condition-number ceiling for direct inversion
 MAX_INVERSE_COND = 1e12
+#: distance from a box bound within which ``project_normal_cone`` counts a face active
+FACE_TOL = 1e-7
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -242,17 +244,17 @@ class BoxNormalCone:
         x = as_vector(x, self.dim)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def project_normal_cone(self, z, v, face_tol: float = 1e-7) -> np.ndarray:
+    def project_normal_cone(self, z, v) -> np.ndarray:
         """Project ``v`` onto the normal cone at ``z`` (componentwise on faces).
 
-        ``z`` is assumed to lie in the box up to ``face_tol``; coordinates
-        within ``face_tol`` of a bound count as active.
+        ``z`` is assumed to lie in the box up to ``FACE_TOL``; coordinates
+        within ``FACE_TOL`` of a bound count as active.
         """
         z = as_vector(z, self.dim)
         v = as_vector(v, self.dim)
         out = np.zeros_like(v)
-        at_lower = z <= self.lower + face_tol
-        at_upper = z >= self.upper - face_tol
+        at_lower = z <= self.lower + FACE_TOL
+        at_upper = z >= self.upper - FACE_TOL
         only_lower = at_lower & ~at_upper
         only_upper = at_upper & ~at_lower
         both = at_lower & at_upper  # pinned coordinates admit any normal direction

@@ -160,7 +160,7 @@ def test_criterion_06_main_rate_theorem(dr10):
     assert trace.residuals[-1] <= 1e-10
 
     compute_distances(fam, trace)
-    rep = verify_one_step_contraction(fam, sch, trace, 1.0 / (1.0 - beta_bar))
+    rep = verify_one_step_contraction(fam, trace, 1.0 / (1.0 - beta_bar))
     assert rep.violations == 0
 
 

@@ -276,6 +276,17 @@ class TestRunExperiment:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("override", ["schedule.C=inf", "schedule.C=nan", "schedule.p=nan"])
+    def test_non_finite_schedule_parameter_is_a_config_error(self, tmp_path, override, capsys):
+        # C=inf would clamp every stepsize to gamma_high: a constant schedule, every check PASS
+        path = write_config(tmp_path, DR_CONFIG)
+        status = cli.main(
+            ["verify", path, "--set", "schedule.kind=polynomial", "--set", "schedule.p=1",
+             "--set", override]
+        )
+        assert status == 2
+        assert "schedule parameters must be finite" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG, extra="junk = 1\n")
         assert cli.main(["run", path]) == 2

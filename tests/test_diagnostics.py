@@ -227,36 +227,64 @@ class TestBlockedErrorBound:
             )
 
 
+def per_row_one_step(family, trace, kappa):
+    """(steps, violations, worst_ratio) as verify_one_step_contraction computed them
+    before it took the relocator constants as one array: one call per row."""
+    alpha = family.alpha if family.alpha is not None else (family.contraction_beta + 1.0) / 2.0
+    factor = float(np.sqrt(max(0.0, 1.0 - (1.0 - alpha) / (alpha * kappa**2))))
+    dist = trace.dist_to_fix
+    violations = 0
+    worst = 0.0
+    for n in range(len(trace) - 1):
+        ell = family.relocator_lipschitz(trace.gammas[n + 1], trace.gammas[n])
+        ratio = dist[n + 1] / (ell * factor * dist[n] + 1e-9)
+        worst = max(worst, ratio)
+        violations += int(ratio > 1.0)
+    return len(trace) - 1, violations, worst
+
+
 class TestVerifyOneStep:
+    @pytest.mark.parametrize("negative", [False, True], ids=["certified", "negative_control"])
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_matches_the_per_row_loop(self, family_name, negative, geometric_schedule, request):
+        family = request.getfixturevalue(family_name)
+        trace = relocated_iterate(family, geometric_schedule, np.ones(family.dim), 120)
+        compute_distances(family, trace)
+        # kappa = 0.1 makes the factor 0, so every row with a distance above 1e-9 violates
+        kappa = 0.1 if negative else 1.0 / (1.0 - family.contraction_beta)
+        steps, violations, worst = per_row_one_step(family, trace, kappa)
+        rep = verify_one_step_contraction(family, trace, kappa)
+        assert (rep.samples, rep.violations) == (steps, violations)
+        assert (violations > 0) == negative
+        assert rep.worst_ratio == worst
+
     def test_constant_schedule_contraction(self, pd_pair_family):
         sch = StepsizeSchedule.constant(1.0, INTERVAL)
         trace = relocated_iterate(pd_pair_family, sch, np.ones(5), 80)
         compute_distances(pd_pair_family, trace)
         kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
-        rep = verify_one_step_contraction(pd_pair_family, sch, trace, kappa)
+        rep = verify_one_step_contraction(pd_pair_family, trace, kappa)
         assert rep.passed
 
     def test_scalar_shift_trivial(self, geometric_schedule):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         trace = relocated_iterate(fam, geometric_schedule, [geometric_schedule.gamma(0)], 60)
         compute_distances(fam, trace)
-        rep = verify_one_step_contraction(
-            fam, geometric_schedule, trace, 1.0 / (1.0 - fam.beta)
-        )
+        rep = verify_one_step_contraction(fam, trace, 1.0 / (1.0 - fam.beta))
         assert rep.passed
 
     def test_geometric_dr_run(self, pd_pair_family, geometric_schedule):
         trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 120)
         compute_distances(pd_pair_family, trace)
         kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
-        rep = verify_one_step_contraction(pd_pair_family, geometric_schedule, trace, kappa)
+        rep = verify_one_step_contraction(pd_pair_family, trace, kappa)
         assert rep.passed
         assert rep.worst_ratio < 1.0
 
     def test_missing_distances(self, pd_pair_family, geometric_schedule):
         trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 30)
         with pytest.raises(MissingDistances):
-            verify_one_step_contraction(pd_pair_family, geometric_schedule, trace, 10.0)
+            verify_one_step_contraction(pd_pair_family, trace, 10.0)
 
 
 class TestVerifyRateTheorem:

@@ -15,11 +15,17 @@ from relocsplit.errors import (
     DivergenceDetected,
     DomainError,
     MissingBlocks,
+    NonPositiveStepsize,
     NotAFixedPoint,
 )
 from relocsplit.family import BLOCK_FLOATS, OperatorFamily, block_sizes
 
 INTERVAL = (0.5, 2.0)
+
+
+@pytest.fixture
+def scalar_family():
+    return ScalarShiftFamily(0.5, INTERVAL)
 
 
 class TestStepsizeSchedule:
@@ -57,6 +63,45 @@ class TestStepsizeSchedule:
             StepsizeSchedule("geometric", 1.0, 0.5, 2.0, C=-1.0, r=0.5)  # C < 0
         with pytest.raises(DomainError):
             StepsizeSchedule.constant(1.0, (0.0, 2.0))  # gamma_low <= 0
+
+    @pytest.mark.parametrize("field", ["gamma_star", "gamma_low", "gamma_high", "C", "r", "p"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_parameter_rejected(self, field, value):
+        params = {"gamma_star": 1.0, "gamma_low": 0.5, "gamma_high": 2.0, "C": 1.0}
+        params["p" if field == "p" else "r"] = 0.5
+        params[field] = value
+        kind = "polynomial" if "p" in params else "geometric"
+        with pytest.raises(DomainError, match="finite"):
+            StepsizeSchedule(kind, **params)
+
+    @pytest.mark.parametrize(
+        "sch",
+        [
+            StepsizeSchedule.constant(1.3, (0.7, 1.9)),
+            StepsizeSchedule.geometric(1.1, 0.93, 0.37, (0.7, 1.9)),
+            StepsizeSchedule.polynomial(1.1, 2.71, 1.7, (0.7, 1.9)),
+        ],
+        ids=["constant", "geometric", "polynomial"],
+    )
+    def test_gammas_match_gamma_bitwise(self, sch):
+        def scalar_formula(n):
+            # the per-term formula in Python floats
+            if sch.kind == "constant":
+                raw = sch.gamma_star
+            elif sch.kind == "geometric":
+                raw = sch.gamma_star + sch.C * sch.r**n
+            else:
+                raw = sch.gamma_star + sch.C / (n + 1) ** sch.p
+            return min(max(raw, sch.gamma_low), sch.gamma_high)
+
+        count = 5000
+        gs = sch.gammas(count)
+        one_by_one = np.array([sch.gamma(n) for n in range(count)])
+        formula = np.array([scalar_formula(n) for n in range(count)])
+        assert gs.shape == (count,)
+        assert np.array_equal(gs.view(np.uint64), one_by_one.view(np.uint64))
+        assert np.array_equal(gs.view(np.uint64), formula.view(np.uint64))
+        assert sch.gammas(0).shape == (0,)
 
 
 class TestScalarShift:
@@ -192,6 +237,47 @@ class TestRelocatorOnlySequence:
     def test_not_a_fixed_point(self, pd_pair_family, geometric_schedule):
         with pytest.raises(NotAFixedPoint):
             relocator_only_sequence(pd_pair_family, geometric_schedule, np.ones(5) * 50, 10)
+
+
+class TestStepsizeArrays:
+    def test_check_gamma_takes_a_scalar_or_an_array(self, pd_pair_family):
+        assert type(pd_pair_family.check_gamma(np.float64(1.5))) is float
+        gs = np.linspace(0.5, 2.0, 7)
+        assert pd_pair_family.check_gamma(gs) is gs
+        assert pd_pair_family.check_gamma(np.empty(0)).shape == (0,)
+        for bad in (2.5, np.nan, np.inf):
+            with pytest.raises(DomainError, match="outside family interval"):
+                pd_pair_family.check_gamma(np.array([1.0, bad, 1.5]))
+        with pytest.raises(NonPositiveStepsize):
+            pd_pair_family.check_gamma(np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family", "scalar_family"])
+    def test_array_constants_match_scalar_calls_bitwise(self, family_name, request):
+        family = request.getfixturevalue(family_name)
+        lo, hi = family.gamma_interval
+        rng = np.random.default_rng(61)
+        gamma = rng.uniform(lo, hi, 400)
+        delta = np.concatenate([rng.uniform(lo, hi, 300), gamma[300:]])
+        arr = family.relocator_lipschitz(delta, gamma)
+        one_by_one = np.array([family.relocator_lipschitz(d, g) for d, g in zip(delta, gamma)])
+        assert arr.shape == (400,)
+        assert np.array_equal(arr.view(np.uint64), one_by_one.view(np.uint64))
+        assert np.all(arr[300:] == 1.0)
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family", "scalar_family"])
+    def test_summability_makes_one_lipschitz_call(self, family_name, request, monkeypatch):
+        family = request.getfixturevalue(family_name)
+        calls = []
+        original = type(family).relocator_lipschitz
+
+        def counted(self, delta, gamma):
+            calls.append(np.shape(delta))
+            return original(self, delta, gamma)
+
+        monkeypatch.setattr(type(family), "relocator_lipschitz", counted)
+        sch = StepsizeSchedule.polynomial(1.0, 1.0, 0.4, INTERVAL)
+        summability_report(family, sch, 10_000)
+        assert calls == [(10_000,)]
 
 
 class TestSummability:

@@ -182,6 +182,15 @@ class TestLipschitzConstants:
         with pytest.raises(DomainError):
             mt_relocator_lipschitz(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("delta", [50.0, np.nan])
+    def test_family_constant_checks_the_interval(self, delta):
+        ops = rs.generate_problem("affine_strongly_monotone", 3, 5, 0.5, 2.0, n_operators=3)
+        fam = MTFamily(ops, gamma_interval=(1.0, 2.0))
+        with pytest.raises(DomainError, match="outside family interval"):
+            fam.relocator_lipschitz(delta, 1.0)
+        with pytest.raises(DomainError, match="outside family interval"):
+            fam.relocator_lipschitz(np.array([1.5, delta]), np.array([1.0, 1.0]))
+
 
 def test_hilbert_space_identity():
     # ||a u + (1-a) v||^2 == a||u||^2 + (1-a)||v||^2 - a(1-a)||u-v||^2
