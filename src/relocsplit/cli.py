@@ -330,14 +330,14 @@ def _kappa_for(family, schedule) -> float:
 class _ExperimentState:
     """Shared artifacts the individual checks draw on."""
 
-    def __init__(self, config, family, schedule, x0, trace, extended):
+    def __init__(self, config, family, schedule, x0, trace, limit):
         self.config = config
         self.family = family
         self.schedule = schedule
         self.x0 = x0
         self.trace = trace
-        #: the 4 * n_steps run from x0 that locates the limit
-        self.extended = extended
+        #: the limit of the trace's iterates, from ``diagnostics.limit_errors``
+        self.limit = limit
         self.cache = FixedPointCache(family)
 
 
@@ -368,7 +368,7 @@ def _check_rate_theorem(state: _ExperimentState) -> CheckRecord:
     # small burn-in: a long one can launder sublinear tails into linear verdicts
     result = diagnostics.verify_rate_theorem(
         state.family, state.schedule, state.x0, state.config.n_steps, burn_in=5,
-        extended=state.extended, cache=state.cache,
+        run=state.trace, limit=state.limit, cache=state.cache,
     )
     return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
 
@@ -527,22 +527,22 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
         header = fh.readline().rstrip("\n").split(",")
         if column not in header:
             raise ConfigError(f"no column {column!r} in {path}")
-
-        def rows():
-            for lineno, line in enumerate(fh, 2):
-                data = line.split("#", 1)[0].rstrip("\r\n")
-                if data and data.count(",") != len(header) - 1:
-                    raise ConfigError(
-                        f"{path}:{lineno}: {data.count(',') + 1} fields, header has {len(header)}"
-                    )
-                yield line
-
-        try:
-            return np.loadtxt(rows(), delimiter=",", usecols=header.index(column), ndmin=1)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
+        idx = header.index(column)
+        fields = []
+        for lineno, line in enumerate(fh, 2):
+            data = line.split("#", 1)[0].rstrip("\r\n")
+            if not data:
+                continue
+            if data.count(",") != len(header) - 1:
+                raise ConfigError(
+                    f"{path}:{lineno}: {data.count(',') + 1} fields, header has {len(header)}"
+                )
+            # split no further than the column: a d=400 row has 1,605 fields
+            fields.append(data.split(",", idx + 1)[idx])
+    try:
+        return np.array([float(field) for field in fields])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
 
 
 def format_report(records: list[CheckRecord]) -> str:
@@ -559,12 +559,10 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     schedule = config.schedule
     x0 = _initial_point(config, family)
 
-    # one 4 * n_steps run locates the limit; its first rows are the trace
-    extended = relocated_iterate(family, schedule, x0, 4 * config.n_steps)
-    trace = extended.head(config.n_steps + 1)
-    _, err_to_limit = diagnostics.limit_errors(extended, len(trace))
+    trace = relocated_iterate(family, schedule, x0, config.n_steps)
+    limit, err_to_limit = diagnostics.limit_errors(family, schedule.gamma_star, trace)
 
-    state = _ExperimentState(config, family, schedule, x0, trace, extended)
+    state = _ExperimentState(config, family, schedule, x0, trace, limit)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
     if needs_dist and family.contraction_beta is not None:
         diagnostics.compute_distances(family, trace, state.cache)
@@ -637,7 +635,9 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         if args.jobs > 1 and len(args.configs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # the pool starts all its workers up front, however few configs there are
+            workers = min(args.jobs, len(args.configs))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 statuses = list(
                     pool.map(_run_one, args.configs, [overrides] * len(args.configs),
                              [True] * len(args.configs))

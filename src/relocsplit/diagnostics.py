@@ -4,6 +4,7 @@ distance contraction, and R-linear rate verification for relocated runs."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ FLOAT_FLOOR = 1e-14
 MIN_FIT_SAMPLES = 20
 #: fits with R^2 below this are reported as not R-linear
 FIT_QUALITY_GATE = 0.9
+#: points past the rounding floor averaged into a run's limit
+LIMIT_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -314,12 +317,34 @@ class RateTheoremResult:
     limit: np.ndarray
 
 
-def limit_errors(extended: IterateTrace, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The limit x_inf, estimated as the mean of the last 5 iterates of ``extended`` (the
-    limit lies in Fix T_{gamma*}, which is only resolvent-accessible), and ||x_n - x_inf||
-    over the first ``rows`` rows."""
-    x_inf = extended.xs[-5:].mean(axis=0)
-    return x_inf, np.linalg.norm(extended.xs[:rows] - x_inf, axis=1)
+def limit_errors(family: OperatorFamily, gamma: float, run: IterateTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The limit x_inf of a run and ||x_n - x_inf|| over its rows.
+
+    The iterates converge to a point of Fix T_gamma, gamma the limiting stepsize, and
+    float iterates converge to the float map's own fixed point, which can lie above the
+    1e-14 fit floor from the exact one. So x_inf comes from T_gamma itself: from the
+    run's last iterate, apply it while ||x - T_gamma x|| keeps falling (for a contraction
+    it falls at every step in exact arithmetic, so the first step where it does not marks
+    the rounding floor), then average that point and its next 4 images. At most
+    3 * (len(run) - 1) applications in all; at that cap, the last 5 points are averaged.
+    """
+    x = run.xs[-1]
+    window = deque([x], maxlen=LIMIT_WINDOW)
+    last = np.inf
+    floor_at = None  # applications made when the residual stopped falling
+    for applied in range(1, 3 * (len(run) - 1) + 1):
+        t = family.apply(gamma, x)
+        if floor_at is None:
+            resid = float(np.linalg.norm(x - t))
+            if resid >= last:
+                floor_at = applied
+            last = resid
+        window.append(t)
+        x = t
+        if floor_at is not None and applied - floor_at == LIMIT_WINDOW - 2:
+            break
+    x_inf = np.mean(window, axis=0)
+    return x_inf, np.linalg.norm(run.xs - x_inf, axis=1)
 
 
 def verify_rate_theorem(
@@ -328,15 +353,16 @@ def verify_rate_theorem(
     x0,
     n_steps: int,
     burn_in: int | None = None,
-    extended: IterateTrace | None = None,
+    run: IterateTrace | None = None,
+    limit: np.ndarray | None = None,
     cache: FixedPointCache | None = None,
 ) -> RateTheoremResult:
     """Fit R-linear rates for dist(x_n, Fix T_{gamma_n}) and ||x_n - x_inf||.
 
-    ``limit_errors`` estimates the limit from the ``4 * n_steps`` run from x0,
-    which a caller that already holds it passes as ``extended``. Passes when
-    both fits come back R-linear; schedules that do not converge R-linearly
-    are expected to fail the iterate fit.
+    Fits the ``n_steps`` run from x0, which a caller that already holds it passes as
+    ``run``, together with its ``limit_errors`` limit as ``limit`` when it holds that
+    too. Passes when both fits come back R-linear; schedules that do not converge
+    R-linearly are expected to fail the iterate fit.
 
     Distances go to the points of ``cache`` (a fresh one when None). A served
     point lies within the cache's largest residual amplified by 1/(1 - beta)
@@ -350,17 +376,21 @@ def verify_rate_theorem(
     if burn_in is None:
         burn_in = default_burn_in(n_steps)
 
-    if extended is None:
-        extended = relocated_iterate(family, schedule, x0, 4 * n_steps)
-    elif len(extended) != 4 * n_steps + 1:
-        raise DomainError(f"extended run has {len(extended)} rows, need {4 * n_steps + 1}")
-    x_inf, errs = limit_errors(extended, n_steps + 1)
+    if run is None:
+        run = relocated_iterate(family, schedule, x0, n_steps)
+    elif len(run) != n_steps + 1:
+        raise DomainError(f"run has {len(run)} rows, need {n_steps + 1}")
+    if limit is None:
+        limit, errs = limit_errors(family, schedule.gamma_star, run)
+    else:
+        errs = np.linalg.norm(run.xs - limit, axis=1)
     iterate_rate = _fit_allow_zero(errs, burn_in)
 
     cache = _own_cache(family, cache)
-    dist = compute_distances(family, extended.head(n_steps + 1), cache).dist_to_fix
+    # distances on a view, so the caller's run keeps its own
+    dist = compute_distances(family, run.head(len(run)), cache).dist_to_fix
     dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
     dist_rate = _fit_allow_zero(dist, burn_in, floor=dist_floor)
 
     passed = dist_rate.linear and iterate_rate.linear
-    return RateTheoremResult(dist_rate, iterate_rate, passed, x_inf)
+    return RateTheoremResult(dist_rate, iterate_rate, passed, limit)

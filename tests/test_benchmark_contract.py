@@ -55,7 +55,7 @@ def _workloads():
         import workloads
     finally:
         sys.path.remove(PERFBENCH)
-    return workloads.WORKLOADS
+    return workloads
 
 
 def test_benchmark_spans_wrap_and_restore():
@@ -100,14 +100,44 @@ SMALL_DIM = 20
 @pytest.mark.parametrize(
     "name", ["dr-geo-d400", "mt-box-d100-n3", "mt-n4-d10", "dr-skew-poly-d100"]
 )
-def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch):
+def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path):
     # a verdict flip would otherwise show only when the benchmark runs
-    workload = _workloads()[name]
+    workloads = _workloads()
+    workload = workloads.WORKLOADS[name]
     monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
     mapping = cli.parse_config_file(workload.config_path)
     dim = min(int(mapping["problem.dim"]), SMALL_DIM)
-    config = cli.build_config(mapping, {"problem.dim": str(dim)})
-    with contextlib.redirect_stdout(io.StringIO()):
-        status, records = cli.run_experiment(config, write_trace=False)
+    trace = str(tmp_path / "trace.csv")
+    config = cli.build_config(mapping, {"problem.dim": str(dim), "output.trace_path": trace})
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        status, records = cli.run_experiment(config, write_trace=workload.writes_trace)
     assert status == workload.expected_exit
     assert {rec.name: rec.passed for rec in records} == workload.expected_checks
+    statuses, outputs = [status], [report.getvalue()]
+    if workload.writes_trace:
+        # the readback the benchmark runs: err_to_limit must fit as R-linear
+        readback = io.StringIO()
+        with contextlib.redirect_stdout(readback):
+            statuses.append(cli.main(["rate", trace, "--column", "err_to_limit"]))
+        outputs.append(readback.getvalue())
+        assert "verdict=linear" in outputs[1]
+    assert workloads.mismatches(workload, statuses, outputs) == []
+
+
+def test_err_to_limit_reads_back_linear_at_full_dimension(monkeypatch, tmp_path):
+    # at d=400 the float iterates settle about 6e-14 from the exact fixed point, above the
+    # fit floor: a limit taken from the exact point reads back as not R-linear here
+    workload = _workloads().WORKLOADS["dr-geo-d400"]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    trace = str(tmp_path / "trace.csv")
+    config = cli.build_config(
+        cli.parse_config_file(workload.config_path),
+        {"output.trace_path": trace, "checks": "rate_theorem"},
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status, _ = cli.run_experiment(config)
+        assert cli.main(["rate", trace, "--column", "err_to_limit"]) == 0
+    assert status == 0
+    assert "verdict=linear" in out.getvalue()

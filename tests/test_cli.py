@@ -185,8 +185,8 @@ class TestRunExperiment:
         assert cli.main(["run", path]) == 0
 
     @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
-    def test_one_extended_run_serves_all_checks(self, tmp_path, monkeypatch, text):
-        # the limit errors and rate_theorem share one 4*n_steps run
+    def test_one_n_steps_run_serves_all_checks(self, tmp_path, monkeypatch, text):
+        # the trace, its limit errors and rate_theorem share one n_steps run
         calls = []
         real = cli.relocated_iterate
 
@@ -194,12 +194,21 @@ class TestRunExperiment:
             calls.append(n_steps)
             return real(family, schedule, x0, n_steps)
 
+        limits = []
+        real_limit = diagnostics.limit_errors
+
+        def counting_limit(family, gamma, run):
+            limits.append(len(run))
+            return real_limit(family, gamma, run)
+
         monkeypatch.setattr(cli, "relocated_iterate", counting)
         monkeypatch.setattr(diagnostics, "relocated_iterate", counting)
+        monkeypatch.setattr(diagnostics, "limit_errors", counting_limit)
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)))
         status, records = cli.run_experiment(config, write_trace=False)
         assert status == 0 and "rate_theorem" in [rec.name for rec in records]
-        assert calls == [4 * config.n_steps]
+        assert calls == [config.n_steps]
+        assert limits == [config.n_steps + 1]
 
     @pytest.mark.parametrize(
         "extra",
@@ -330,6 +339,30 @@ class TestRunExperiment:
         p2 = write_config(tmp_path, SCALAR_CONFIG, name="b.cfg")
         assert cli.main(["run", p1, p2, "--jobs", "2"]) == 0
 
+    def test_jobs_start_no_more_workers_than_configs(self, tmp_path, monkeypatch):
+        # a recording stand-in that maps serially: no real pool is started
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        p1 = write_config(tmp_path, SCALAR_CONFIG, name="a.cfg")
+        p2 = write_config(tmp_path, SCALAR_CONFIG, name="b.cfg")
+        assert cli.main(["run", p1, p2, "--jobs", "64"]) == 0
+        assert cli.main(["run", p1, p2, p1, "--jobs", "2"]) == 0
+        assert requested == [2, 2]
+
 
 class TestTraceCsv:
     def test_determinism_byte_identical(self, tmp_path):
@@ -355,9 +388,8 @@ class TestTraceCsv:
         )
         family, _ = cli.build_family(config)
         x0 = cli._initial_point(config, family)
-        extended = cli.relocated_iterate(family, config.schedule, x0, 4 * config.n_steps)
-        trace = extended.head(config.n_steps + 1)
-        _, err = diagnostics.limit_errors(extended, len(trace))
+        trace = cli.relocated_iterate(family, config.schedule, x0, config.n_steps)
+        _, err = diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
         cli.write_trace_csv(config.trace_path, trace, err)
         col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
         assert len(col("n")) == config.n_steps + 1

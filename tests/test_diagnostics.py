@@ -326,25 +326,76 @@ class TestVerifyRateTheorem:
         n = 250
         alone = verify_rate_theorem(family, geometric_schedule, x0, n, burn_in=5)
         cache = FixedPointCache(family)
-        compute_distances(family, relocated_iterate(family, geometric_schedule, x0, n), cache)
-        extended = relocated_iterate(family, geometric_schedule, x0, 4 * n)
+        run = compute_distances(family, relocated_iterate(family, geometric_schedule, x0, n), cache)
+        dist = run.dist_to_fix.copy()
+        limit, _ = diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
         shared = verify_rate_theorem(
-            family, geometric_schedule, x0, n, burn_in=5, extended=extended, cache=cache
+            family, geometric_schedule, x0, n, burn_in=5, run=run, limit=limit, cache=cache
         )
         assert shared.dist_rate == alone.dist_rate
         assert shared.iterate_rate == alone.iterate_rate
         assert shared.passed == alone.passed
         assert np.array_equal(shared.limit, alone.limit)
+        assert np.array_equal(run.dist_to_fix, dist)
 
     def test_shared_inputs_are_checked(self, pd_pair_family, mt3_family, geometric_schedule):
         x0 = np.zeros(5)
-        short = relocated_iterate(pd_pair_family, geometric_schedule, x0, 100)
-        with pytest.raises(DomainError):
-            verify_rate_theorem(pd_pair_family, geometric_schedule, x0, 100, extended=short)
+        for steps in (99, 101, 400):
+            run = relocated_iterate(pd_pair_family, geometric_schedule, x0, steps)
+            with pytest.raises(DomainError):
+                verify_rate_theorem(pd_pair_family, geometric_schedule, x0, 100, run=run)
         with pytest.raises(DomainError):
             verify_rate_theorem(
                 pd_pair_family, geometric_schedule, x0, 100, cache=FixedPointCache(mt3_family)
             )
+
+
+def _record_applies(monkeypatch, family) -> list:
+    """The stepsize of every later ``apply`` call on ``family``'s class."""
+    applied = []
+    real = type(family).apply
+
+    def recording(self, gamma, x):
+        applied.append(gamma)
+        return real(self, gamma, x)
+
+    monkeypatch.setattr(type(family), "apply", recording)
+    return applied
+
+
+class TestLimitErrors:
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_limit_is_the_fixed_point_at_gamma_star(self, family_name, geometric_schedule, request):
+        family = request.getfixturevalue(family_name)
+        x0 = np.random.default_rng(4).standard_normal(family.dim)
+        run = relocated_iterate(family, geometric_schedule, x0, 300)
+        limit, errs = diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
+        x_star = family.fixed_point(geometric_schedule.gamma_star)
+        assert np.linalg.norm(limit - x_star) <= 1e-12 * (1.0 + np.linalg.norm(x_star))
+        assert np.array_equal(errs, np.linalg.norm(run.xs - limit, axis=1))
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_at_most_three_applications_per_step(
+        self, family_name, n_steps, geometric_schedule, request, monkeypatch
+    ):
+        family = request.getfixturevalue(family_name)
+        x0 = np.random.default_rng(4).standard_normal(family.dim)
+        run = relocated_iterate(family, geometric_schedule, x0, n_steps)
+        applied = _record_applies(monkeypatch, family)
+        diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
+        assert 1 <= len(applied) <= 3 * n_steps
+        assert set(applied) == {geometric_schedule.gamma_star}
+
+    def test_stops_past_the_rounding_floor(self, pd_pair_family, geometric_schedule, monkeypatch):
+        # from a run that has settled, the residual stops falling within a few applications
+        x0 = np.random.default_rng(4).standard_normal(pd_pair_family.dim)
+        run = relocated_iterate(pd_pair_family, geometric_schedule, x0, 300)
+        limit, _ = diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, run)
+        settled = relocated_iterate(pd_pair_family, StepsizeSchedule.constant(1.0, INTERVAL), limit, 300)
+        applied = _record_applies(monkeypatch, pd_pair_family)
+        diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, settled)
+        assert len(applied) <= 10
 
 
 class TestFixedPointCache:
