@@ -72,7 +72,9 @@ class ExperimentConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    """The file's ``key = value`` pairs; a malformed line or a repeated key raises ConfigError."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -80,12 +82,43 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
+            first_line[key] = lineno
+            mapping[key] = value
     return mapping
 
 
-def _get(mapping, key, conv, default=None, required=False):
+#: every config key and the type of its value; build_config reads keys only through ``_get``
+_KNOWN_KEYS = {
+    "algorithm": str,
+    "problem.kind": str,
+    "problem.dim": int,
+    "problem.n_operators": int,
+    "problem.seed": int,
+    "problem.mu_target": float,
+    "problem.L_target": float,
+    "problem.beta": float,
+    "problem.box_half_width": float,
+    "problem.matrices_path": str,
+    "schedule.kind": str,
+    "schedule.gamma_star": float,
+    "schedule.C": float,
+    "schedule.r": float,
+    "schedule.p": float,
+    "schedule.gamma_low": float,
+    "schedule.gamma_high": float,
+    "theta": float,
+    "n_steps": int,
+    "checks": str,
+    "output.trace_path": str,
+    "output.report_path": str,
+}
+
+
+def _get(mapping, key, default=None, required=False):
+    conv = _KNOWN_KEYS[key]
     if key not in mapping:
         if required:
             raise ConfigError(f"missing required key {key!r}")
@@ -94,32 +127,6 @@ def _get(mapping, key, conv, default=None, required=False):
         return conv(mapping[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
-
-
-_KNOWN_KEYS = {
-    "algorithm",
-    "problem.kind",
-    "problem.dim",
-    "problem.n_operators",
-    "problem.seed",
-    "problem.mu_target",
-    "problem.L_target",
-    "problem.beta",
-    "problem.box_half_width",
-    "problem.matrices_path",
-    "schedule.kind",
-    "schedule.gamma_star",
-    "schedule.C",
-    "schedule.r",
-    "schedule.p",
-    "schedule.gamma_low",
-    "schedule.gamma_high",
-    "theta",
-    "n_steps",
-    "checks",
-    "output.trace_path",
-    "output.report_path",
-}
 
 #: checks that need exact distances / served fixed points (contraction marker)
 _CONTRACTION_CHECKS = {
@@ -149,43 +156,43 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
     merged = dict(mapping)
     if overrides:
         merged.update(overrides)
-    unknown = set(merged) - _KNOWN_KEYS
+    unknown = merged.keys() - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    algorithm = _get(merged, "algorithm", str, required=True)
+    algorithm = _get(merged, "algorithm", required=True)
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
-    kind = _get(merged, "schedule.kind", str, required=True)
-    gamma_star = _get(merged, "schedule.gamma_star", float, required=True)
+    kind = _get(merged, "schedule.kind", required=True)
+    gamma_star = _get(merged, "schedule.gamma_star", required=True)
     if kind == "constant":
-        lo = _get(merged, "schedule.gamma_low", float, default=gamma_star)
-        hi = _get(merged, "schedule.gamma_high", float, default=gamma_star)
+        lo = _get(merged, "schedule.gamma_low", default=gamma_star)
+        hi = _get(merged, "schedule.gamma_high", default=gamma_star)
     else:
-        lo = _get(merged, "schedule.gamma_low", float, required=True)
-        hi = _get(merged, "schedule.gamma_high", float, required=True)
+        lo = _get(merged, "schedule.gamma_low", required=True)
+        hi = _get(merged, "schedule.gamma_high", required=True)
     try:
         if kind == "constant":
             schedule = StepsizeSchedule("constant", gamma_star, lo, hi)
         elif kind == "geometric":
             schedule = StepsizeSchedule(
                 "geometric", gamma_star, lo, hi,
-                C=_get(merged, "schedule.C", float, default=1.0),
-                r=_get(merged, "schedule.r", float, required=True),
+                C=_get(merged, "schedule.C", default=1.0),
+                r=_get(merged, "schedule.r", required=True),
             )
         elif kind == "polynomial":
             schedule = StepsizeSchedule(
                 "polynomial", gamma_star, lo, hi,
-                C=_get(merged, "schedule.C", float, default=1.0),
-                p=_get(merged, "schedule.p", float, required=True),
+                C=_get(merged, "schedule.C", default=1.0),
+                p=_get(merged, "schedule.p", required=True),
             )
         else:
             raise ConfigError(f"unknown schedule kind {kind!r}")
     except DomainError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
-    seed = _get(merged, "problem.seed", int, default=0)
+    seed = _get(merged, "problem.seed", default=0)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -193,20 +200,20 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR}={env_seed!r}") from exc
 
-    problem_kind = _get(merged, "problem.kind", str)
+    problem_kind = _get(merged, "problem.kind")
     if algorithm != "scalar_counterexample":
         if problem_kind is None:
             raise ConfigError("problem.kind is required for dr and mt")
         if problem_kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
 
-    n_operators = _get(merged, "problem.n_operators", int, default=3 if algorithm == "mt" else 2)
+    n_operators = _get(merged, "problem.n_operators", default=3 if algorithm == "mt" else 2)
     if algorithm == "dr":
         n_operators = 2
     if algorithm == "mt" and n_operators < 2:
         raise ConfigError("mt needs problem.n_operators >= 2")
 
-    checks_raw = _get(merged, "checks", str, default="")
+    checks_raw = _get(merged, "checks", default="")
     applicable = _applicable_checks(algorithm, problem_kind)
     if checks_raw.strip() == "all":
         checks = list(applicable)
@@ -221,7 +228,7 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
                     f"problem.kind={problem_kind}"
                 )
 
-    n_steps = _get(merged, "n_steps", int, default=300)
+    n_steps = _get(merged, "n_steps", default=300)
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
 
@@ -231,17 +238,17 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         n_steps=n_steps,
         checks=checks,
         problem_kind=problem_kind,
-        dim=_get(merged, "problem.dim", int, default=1 if algorithm == "scalar_counterexample" else 10),
+        dim=_get(merged, "problem.dim", default=1 if algorithm == "scalar_counterexample" else 10),
         n_operators=n_operators,
         seed=seed,
-        mu_target=_get(merged, "problem.mu_target", float, default=0.5),
-        L_target=_get(merged, "problem.L_target", float, default=2.0),
-        beta=_get(merged, "problem.beta", float, default=0.5),
-        theta=_get(merged, "theta", float, default=0.5),
-        box_half_width=_get(merged, "problem.box_half_width", float, default=1.0),
-        matrices_path=_get(merged, "problem.matrices_path", str),
-        trace_path=_get(merged, "output.trace_path", str),
-        report_path=_get(merged, "output.report_path", str),
+        mu_target=_get(merged, "problem.mu_target", default=0.5),
+        L_target=_get(merged, "problem.L_target", default=2.0),
+        beta=_get(merged, "problem.beta", default=0.5),
+        theta=_get(merged, "theta", default=0.5),
+        box_half_width=_get(merged, "problem.box_half_width", default=1.0),
+        matrices_path=_get(merged, "problem.matrices_path"),
+        trace_path=_get(merged, "output.trace_path"),
+        report_path=_get(merged, "output.report_path"),
     )
 
 
@@ -330,22 +337,20 @@ def _kappa_for(family, schedule) -> float:
 class _ExperimentState:
     """Shared artifacts the individual checks draw on."""
 
-    def __init__(self, config, family, schedule, x0, trace, limit):
+    def __init__(self, config, family, trace):
         self.config = config
         self.family = family
-        self.schedule = schedule
-        self.x0 = x0
+        #: the run, with its ``err_to_limit`` column and, when a check needs it, ``dist_to_fix``
         self.trace = trace
-        #: the limit of the trace's iterates, from ``diagnostics.limit_errors``
-        self.limit = limit
+        #: serves every fixed point of the experiment, the trace's distances included
         self.cache = FixedPointCache(family)
 
 
 def _check_error_bound(state: _ExperimentState) -> CheckRecord:
-    kappa = _kappa_for(state.family, state.schedule)
+    kappa = _kappa_for(state.family, state.config.schedule)
     rep = diagnostics.verify_error_bound(
         state.family,
-        state.schedule.gamma_star,
+        state.config.schedule.gamma_star,
         kappa,
         (-3.0, 3.0),
         samples=1000,
@@ -366,10 +371,7 @@ def _check_one_step(state: _ExperimentState) -> CheckRecord:
 
 def _check_rate_theorem(state: _ExperimentState) -> CheckRecord:
     # small burn-in: a long one can launder sublinear tails into linear verdicts
-    result = diagnostics.verify_rate_theorem(
-        state.family, state.schedule, state.x0, state.config.n_steps, burn_in=5,
-        run=state.trace, limit=state.limit, cache=state.cache,
-    )
+    result = diagnostics.verify_rate_theorem(state.family, state.trace, state.cache, burn_in=5)
     return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
 
 
@@ -400,7 +402,7 @@ def _check_relocator_bijection(state: _ExperimentState) -> CheckRecord:
 def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
     family = state.family
     lo, hi = family.gamma_interval
-    gamma_a = state.schedule.gamma_star
+    gamma_a = state.config.schedule.gamma_star
     gamma_b = hi if abs(hi - gamma_a) > abs(lo - gamma_a) else lo
     if gamma_a == gamma_b:
         gamma_b = 0.5 * (lo + hi)
@@ -425,7 +427,7 @@ def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
 
 
 def _check_summability(state: _ExperimentState) -> CheckRecord:
-    schedule = state.schedule
+    schedule = state.config.schedule
     n_terms = 100_000 if schedule.kind == "polynomial" else 10_000
     rep = summability_report(state.family, schedule, n_terms)
     try:
@@ -449,7 +451,7 @@ def _check_summability(state: _ExperimentState) -> CheckRecord:
 def _check_gamma_lipschitz(state: _ExperimentState) -> CheckRecord:
     family = state.family
     lo, hi = family.gamma_interval
-    gammas = sorted({lo, 0.5 * (lo + hi), state.schedule.gamma_star, hi})
+    gammas = sorted({lo, 0.5 * (lo + hi), state.config.schedule.gamma_star, hi})
     fixed_points = [(state.cache.point(g), g) for g in gammas]
     deltas = list(np.linspace(lo, hi, 7))
     probe = gamma_lipschitz_probe(family, fixed_points, deltas)
@@ -490,11 +492,13 @@ _CHECK_RUNNERS = {
 CHECK_NAMES = tuple(_CHECK_RUNNERS)
 
 
-def write_trace_csv(path: str, trace: IterateTrace, err_to_limit: np.ndarray) -> None:
+def write_trace_csv(path: str, trace: IterateTrace) -> None:
+    """The trace as CSV; an error column the trace lacks is written as NaN."""
     rows = len(trace)
-    dist = trace.dist_to_fix if trace.dist_to_fix is not None else np.full(rows, math.nan)
     names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit"]
-    pieces = [np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, dist, err_to_limit])]
+    errors = [np.full(rows, math.nan) if col is None else col
+              for col in (trace.dist_to_fix, trace.err_to_limit)]
+    pieces = [np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, *errors])]
 
     def add(prefix: str, arr: np.ndarray):
         names.extend(f"{prefix}_{j}" for j in range(arr.shape[1]))
@@ -556,19 +560,16 @@ def format_report(records: list[CheckRecord]) -> str:
 def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[int, list[CheckRecord]]:
     """Run one experiment: trace, checks, report. Returns (exit_status, records)."""
     family, _ops = build_family(config)
-    schedule = config.schedule
-    x0 = _initial_point(config, family)
+    trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
+    diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
 
-    trace = relocated_iterate(family, schedule, x0, config.n_steps)
-    limit, err_to_limit = diagnostics.limit_errors(family, schedule.gamma_star, trace)
-
-    state = _ExperimentState(config, family, schedule, x0, trace, limit)
+    state = _ExperimentState(config, family, trace)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
     if needs_dist and family.contraction_beta is not None:
         diagnostics.compute_distances(family, trace, state.cache)
 
     if write_trace and config.trace_path:
-        write_trace_csv(config.trace_path, trace, err_to_limit)
+        write_trace_csv(config.trace_path, trace)
 
     records = [_CHECK_RUNNERS[name](state) for name in config.checks]
     report = format_report(records)
@@ -628,12 +629,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
+    if args.command in ("run", "verify"):
         try:
             overrides = _parse_overrides(args.overrides)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        if args.command == "verify":
+            return _run_one(args.config, overrides, False)
         if args.jobs > 1 and len(args.configs) > 1:
             # the pool starts all its workers up front, however few configs there are
             workers = min(args.jobs, len(args.configs))
@@ -645,14 +648,6 @@ def main(argv=None) -> int:
         else:
             statuses = [_run_one(path, overrides, True) for path in args.configs]
         return max(statuses)
-
-    if args.command == "verify":
-        try:
-            overrides = _parse_overrides(args.overrides)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        return _run_one(args.config, overrides, False)
 
     # rate
     try:

@@ -23,9 +23,8 @@ from .family import (
     FIXED_POINT_TOL,
     IterateTrace,
     OperatorFamily,
-    StepsizeSchedule,
     block_sizes,
-    relocated_iterate,
+    relocated_iterate,  # noqa: F401 - unused; the benchmark wraps this name in a span
 )
 from .operators import AffineOperator, as_vector
 
@@ -263,6 +262,8 @@ def verify_error_bound(
     gamma = family.check_gamma(gamma)
     if kappa <= 0:
         raise DomainError("kappa must be positive")
+    if samples < 1:
+        raise DomainError("samples must be >= 1: zero samples would pass vacuously")
     lo, hi = float(sample_box[0]), float(sample_box[1])
     if not lo < hi:
         raise DomainError("sample box must have lo < hi")
@@ -314,25 +315,24 @@ class RateTheoremResult:
     dist_rate: RateEstimate
     iterate_rate: RateEstimate
     passed: bool
-    limit: np.ndarray
 
 
-def limit_errors(family: OperatorFamily, gamma: float, run: IterateTrace) -> tuple[np.ndarray, np.ndarray]:
-    """The limit x_inf of a run and ||x_n - x_inf|| over its rows.
+def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> np.ndarray:
+    """Fill ``trace.err_to_limit`` with ||x_n - x_inf|| and return the limit x_inf.
 
     The iterates converge to a point of Fix T_gamma, gamma the limiting stepsize, and
     float iterates converge to the float map's own fixed point, which can lie above the
     1e-14 fit floor from the exact one. So x_inf comes from T_gamma itself: from the
-    run's last iterate, apply it while ||x - T_gamma x|| keeps falling (for a contraction
+    trace's last iterate, apply it while ||x - T_gamma x|| keeps falling (for a contraction
     it falls at every step in exact arithmetic, so the first step where it does not marks
     the rounding floor), then average that point and its next 4 images. At most
-    3 * (len(run) - 1) applications in all; at that cap, the last 5 points are averaged.
+    3 * (len(trace) - 1) applications in all; at that cap, the last 5 points are averaged.
     """
-    x = run.xs[-1]
+    x = trace.xs[-1]
     window = deque([x], maxlen=LIMIT_WINDOW)
     last = np.inf
     floor_at = None  # applications made when the residual stopped falling
-    for applied in range(1, 3 * (len(run) - 1) + 1):
+    for applied in range(1, 3 * (len(trace) - 1) + 1):
         t = family.apply(gamma, x)
         if floor_at is None:
             resid = float(np.linalg.norm(x - t))
@@ -344,53 +344,37 @@ def limit_errors(family: OperatorFamily, gamma: float, run: IterateTrace) -> tup
         if floor_at is not None and applied - floor_at == LIMIT_WINDOW - 2:
             break
     x_inf = np.mean(window, axis=0)
-    return x_inf, np.linalg.norm(run.xs - x_inf, axis=1)
+    trace.err_to_limit = np.linalg.norm(trace.xs - x_inf, axis=1)
+    return x_inf
 
 
 def verify_rate_theorem(
     family: OperatorFamily,
-    schedule: StepsizeSchedule,
-    x0,
-    n_steps: int,
+    trace: IterateTrace,
+    cache: FixedPointCache,
     burn_in: int | None = None,
-    run: IterateTrace | None = None,
-    limit: np.ndarray | None = None,
-    cache: FixedPointCache | None = None,
 ) -> RateTheoremResult:
-    """Fit R-linear rates for dist(x_n, Fix T_{gamma_n}) and ||x_n - x_inf||.
+    """Fit R-linear rates to the trace's ``dist_to_fix`` and ``err_to_limit`` columns.
 
-    Fits the ``n_steps`` run from x0, which a caller that already holds it passes as
-    ``run``, together with its ``limit_errors`` limit as ``limit`` when it holds that
-    too. Passes when both fits come back R-linear; schedules that do not converge
-    R-linearly are expected to fail the iterate fit.
+    The columns come from ``compute_distances`` (with ``cache``) and ``limit_errors``;
+    MissingDistances when either is absent. Passes when both fits come back R-linear;
+    schedules that do not converge R-linearly are expected to fail the iterate fit.
 
-    Distances go to the points of ``cache`` (a fresh one when None). A served
-    point lies within the cache's largest residual amplified by 1/(1 - beta)
-    of the exact one, so distances below a decade above that count as zero
-    and are excluded from the fit; a cache that has also served stepsizes
-    off the run may raise this floor.
+    A point served by ``cache`` lies within the cache's largest residual amplified by
+    1/(1 - beta) of the exact one, so distances below a decade above that count as zero
+    and are excluded from the fit. The floor is read when this is called, so stepsizes
+    off the run that the cache has served since may raise it.
     """
     beta = family.contraction_beta
     if beta is None:
         raise NonSingletonFix("rate verification needs a contraction certificate")
-    if burn_in is None:
-        burn_in = default_burn_in(n_steps)
-
-    if run is None:
-        run = relocated_iterate(family, schedule, x0, n_steps)
-    elif len(run) != n_steps + 1:
-        raise DomainError(f"run has {len(run)} rows, need {n_steps + 1}")
-    if limit is None:
-        limit, errs = limit_errors(family, schedule.gamma_star, run)
-    else:
-        errs = np.linalg.norm(run.xs - limit, axis=1)
-    iterate_rate = _fit_allow_zero(errs, burn_in)
-
+    if trace.dist_to_fix is None or trace.err_to_limit is None:
+        raise MissingDistances("trace lacks a column; run compute_distances and limit_errors first")
     cache = _own_cache(family, cache)
-    # distances on a view, so the caller's run keeps its own
-    dist = compute_distances(family, run.head(len(run)), cache).dist_to_fix
-    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
-    dist_rate = _fit_allow_zero(dist, burn_in, floor=dist_floor)
+    if burn_in is None:
+        burn_in = default_burn_in(len(trace) - 1)
 
-    passed = dist_rate.linear and iterate_rate.linear
-    return RateTheoremResult(dist_rate, iterate_rate, passed, limit)
+    iterate_rate = _fit_allow_zero(trace.err_to_limit, burn_in)
+    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
+    dist_rate = _fit_allow_zero(trace.dist_to_fix, burn_in, floor=dist_floor)
+    return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

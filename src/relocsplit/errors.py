@@ -50,7 +50,7 @@ class MissingBlocks(RelocSplitError, KeyError):
 
 
 class MissingDistances(RelocSplitError):
-    """The trace has no dist_to_fix column; compute distances first."""
+    """The trace lacks its dist_to_fix or err_to_limit column; compute it first."""
 
 
 class NonSingletonFix(RelocSplitError):

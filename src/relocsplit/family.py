@@ -224,6 +224,9 @@ class IterateTrace:
 
     ``blocks`` holds algorithm-specific sequences (z, y, w for the two-operator
     splitting; z and w blocks for the multioperator one) as (rows, k) arrays.
+    The per-row error columns start empty: ``diagnostics.compute_distances``
+    fills ``dist_to_fix`` (||x_n - x*_{gamma_n}||) and ``diagnostics.limit_errors``
+    fills ``err_to_limit`` (||x_n - x_inf||); the checks read them from here.
     """
 
     gammas: np.ndarray
@@ -231,18 +234,11 @@ class IterateTrace:
     t_of_x: np.ndarray
     residuals: np.ndarray
     dist_to_fix: np.ndarray | None = None
+    err_to_limit: np.ndarray | None = None
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.gammas.shape[0])
-
-    def head(self, rows: int) -> IterateTrace:
-        """The first ``rows`` rows, as views into this trace's arrays."""
-        dist = None if self.dist_to_fix is None else self.dist_to_fix[:rows]
-        blocks = {name: arr[:rows] for name, arr in self.blocks.items()}
-        return IterateTrace(
-            self.gammas[:rows], self.xs[:rows], self.t_of_x[:rows], self.residuals[:rows], dist, blocks
-        )
 
     def block(self, name: str) -> np.ndarray:
         try:

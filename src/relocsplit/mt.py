@@ -264,6 +264,8 @@ def mt_contraction_certificate(
     above 1 - 1e-6 raises CertificationFailed (theory forbids it). When they
     fail, the certificate comes back with valid=False and no factor.
     """
+    if n_pairs < 1 or n_gammas < 1:
+        raise DomainError("n_pairs and n_gammas must be >= 1: no samples would certify beta = 0")
     ops = fam.operators
     head, last = ops[:-1], ops[-1]
     if which_case == "last_strong":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relocsplit as rs
+import relocsplit.diagnostics as diagnostics
 
 INTERVAL = (0.5, 2.0)
 
@@ -42,3 +43,17 @@ def mt3_family():
 @pytest.fixture(scope="session")
 def geometric_schedule():
     return rs.StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL)
+
+
+@pytest.fixture(scope="session")
+def run_with_columns():
+    """A relocated run as an experiment holds it for ``verify_rate_theorem``: its
+    ``dist_to_fix`` and ``err_to_limit`` filled in, with the cache that served the distances."""
+
+    def run(family, schedule, x0, n_steps):
+        cache = rs.FixedPointCache(family)
+        trace = rs.compute_distances(family, rs.relocated_iterate(family, schedule, x0, n_steps), cache)
+        diagnostics.limit_errors(family, schedule.gamma_star, trace)
+        return trace, cache
+
+    return run

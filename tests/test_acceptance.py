@@ -147,10 +147,10 @@ def test_criterion_05_error_bounds(dr5):
     assert rep_neg.violations >= 1
 
 
-def test_criterion_06_main_rate_theorem(dr10):
+def test_criterion_06_main_rate_theorem(dr10, run_with_columns):
     fam, sch = dr10
     x0 = np.zeros(fam.dim)
-    result = verify_rate_theorem(fam, sch, x0, 300, burn_in=5)
+    result = verify_rate_theorem(fam, *run_with_columns(fam, sch, x0, 300), burn_in=5)
     beta_bar = fam.contraction_beta
     assert result.passed
     assert result.iterate_rate.fit_quality >= 0.95

@@ -1,9 +1,18 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
-from relocsplit import ScalarShiftFamily, StepsizeSchedule, generate_problem, relocated_iterate
+from relocsplit import (
+    FixedPointCache,
+    ScalarShiftFamily,
+    StepsizeSchedule,
+    generate_problem,
+    relocated_iterate,
+)
 from relocsplit.errors import ConfigError
 
 DR_CONFIG = """
@@ -155,6 +164,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config_file(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # DR_CONFIG sets n_steps on its line 15; a second setting must not win silently
+        path = write_config(tmp_path, DR_CONFIG, extra="n_steps = 50\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:17: key 'n_steps' already set on line 15")):
+            cli.parse_config_file(path)
+        assert cli.main(["verify", path, "--set", "checks=summability"]) == 2
+        assert "already set on line 15" in capsys.readouterr().err
+        # --set still overrides a key the file sets once
+        once = write_config(tmp_path, DR_CONFIG, name="once.cfg")
+        assert cli.build_config(cli.parse_config_file(once), {"n_steps": "50"}).n_steps == 50
+
+    def test_every_readme_key_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+        keys = {key for row in table.splitlines()[2:] for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert keys == set(cli._KNOWN_KEYS)
+        values = {
+            "problem.n_operators": "2", "problem.beta": "0.5", "problem.box_half_width": "1",
+            "problem.matrices_path": str(tmp_path / "m.npz"), "schedule.p": "2", "theta": "0.5",
+            "output.trace_path": str(tmp_path / "t.csv"), "output.report_path": str(tmp_path / "r.txt"),
+        }
+        mapping = cli.parse_config_file(write_config(tmp_path, DR_CONFIG)) | values
+        assert mapping.keys() == keys
+        assert cli.build_config(mapping).n_steps == 300
+
 
 class TestRunExperiment:
     def test_scalar_counterexample_rate(self, tmp_path, capsys):
@@ -209,6 +243,30 @@ class TestRunExperiment:
         assert status == 0 and "rate_theorem" in [rec.name for rec in records]
         assert calls == [config.n_steps]
         assert limits == [config.n_steps + 1]
+
+    @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
+    def test_rate_theorem_reads_the_one_copy_of_each_column(self, tmp_path, monkeypatch, text):
+        # one run, one limit and one distance pass serve the trace and rate_theorem alike
+        calls = dict.fromkeys(("relocated_iterate", "limit_errors", "compute_distances", "point"), 0)
+
+        def counted(name, real):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counting
+
+        for owner, name in ((cli, "relocated_iterate"), (diagnostics, "relocated_iterate"),
+                            (diagnostics, "limit_errors"), (diagnostics, "compute_distances")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        monkeypatch.setattr(FixedPointCache, "point", counted("point", FixedPointCache.point))
+        config = cli.build_config(
+            cli.parse_config_file(write_config(tmp_path, text)), {"checks": "rate_theorem"}
+        )
+        status, records = cli.run_experiment(config, write_trace=False)
+        assert status == 0 and [rec.name for rec in records] == ["rate_theorem"]
+        # rate_theorem makes no lookup of its own: each row's point is looked up once
+        assert calls == {"relocated_iterate": 1, "limit_errors": 1, "compute_distances": 1,
+                         "point": config.n_steps + 1}
 
     @pytest.mark.parametrize(
         "extra",
@@ -389,13 +447,13 @@ class TestTraceCsv:
         family, _ = cli.build_family(config)
         x0 = cli._initial_point(config, family)
         trace = cli.relocated_iterate(family, config.schedule, x0, config.n_steps)
-        _, err = diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
-        cli.write_trace_csv(config.trace_path, trace, err)
+        diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
+        cli.write_trace_csv(config.trace_path, trace)
         col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
         assert len(col("n")) == config.n_steps + 1
         assert np.array_equal(col("gamma"), trace.gammas)
         assert np.array_equal(col("residual"), trace.residuals)
-        assert np.array_equal(col("err_to_limit"), err)
+        assert np.array_equal(col("err_to_limit"), trace.err_to_limit)
         for j in range(10):
             assert np.array_equal(col(f"x_{j}"), trace.xs[:, j])
             assert np.array_equal(col(f"z_{j}"), trace.blocks["z"][:, j])
@@ -404,8 +462,9 @@ class TestTraceCsv:
         fam = ScalarShiftFamily(0.5, (0.5, 2.0))
         schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (0.5, 2.0))
         trace = relocated_iterate(fam, schedule, [1.0], 3)
+        trace.err_to_limit = np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-20])
         path = tmp_path / "t.csv"
-        cli.write_trace_csv(str(path), trace, np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-20]))
+        cli.write_trace_csv(str(path), trace)
         assert path.read_text() == (
             "n,gamma,residual,dist_to_fix,err_to_limit,x_0,t_0\n"
             "0,2,0.5,nan,0.10000000000000001,1,1.5\n"

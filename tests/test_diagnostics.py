@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,13 @@ class TestVerifyErrorBound:
         with pytest.raises(NonSingletonFix):
             verify_error_bound(fam, 1.0, 10.0, (-1, 1), 10, 0)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_an_error(self, pd_pair_family, samples):
+        # a check of no samples finds no violation; it must not pass for that
+        with pytest.raises(DomainError):
+            verify_error_bound(pd_pair_family, 1.0, 1e-3, (-3, 3), samples, 5)
+        assert not verify_error_bound(pd_pair_family, 1.0, 1e-3, (-3, 3), 10, 5).passed
+
 
 def per_sample_error_bound(family, gamma, kappa, sample_box, samples, seed):
     """(violations, worst_ratio) as verify_error_bound computed them before it
@@ -288,23 +297,25 @@ class TestVerifyOneStep:
 
 
 class TestVerifyRateTheorem:
-    def test_scalar_geometric(self, geometric_schedule):
+    def test_scalar_geometric(self, geometric_schedule, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
-        res = verify_rate_theorem(fam, geometric_schedule, [geometric_schedule.gamma(0)], 300, burn_in=5)
+        run = run_with_columns(fam, geometric_schedule, [geometric_schedule.gamma(0)], 300)
+        res = verify_rate_theorem(fam, *run, burn_in=5)
         assert res.passed
         # distances are identically zero, iterate errors are exactly 0.5^n
         assert res.dist_rate.C == 0.0
         assert res.iterate_rate.r == pytest.approx(0.5, abs=1e-10)
 
-    def test_scalar_polynomial_negative_control(self):
+    def test_scalar_polynomial_negative_control(self, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         sch = StepsizeSchedule.polynomial(1.0, 1.0, 2.0, INTERVAL)
-        res = verify_rate_theorem(fam, sch, [sch.gamma(0)], 2000, burn_in=5)
+        res = verify_rate_theorem(fam, *run_with_columns(fam, sch, [sch.gamma(0)], 2000), burn_in=5)
         assert not res.passed
         assert not res.iterate_rate.linear
 
-    def test_dr_geometric(self, pd_pair_family, geometric_schedule):
-        res = verify_rate_theorem(pd_pair_family, geometric_schedule, np.zeros(5), 250, burn_in=5)
+    def test_dr_geometric(self, pd_pair_family, geometric_schedule, run_with_columns):
+        run = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
+        res = verify_rate_theorem(pd_pair_family, *run, burn_in=5)
         assert res.passed
         assert res.iterate_rate.fit_quality >= 0.9
         assert res.dist_rate.fit_quality >= 0.9
@@ -314,40 +325,59 @@ class TestVerifyRateTheorem:
             rs.AffineOperator(np.zeros((2, 2))), rs.AffineOperator(np.zeros((2, 2))), INTERVAL
         )
         sch = StepsizeSchedule.constant(1.0, INTERVAL)
+        trace = relocated_iterate(fam, sch, np.zeros(2), 100)
         with pytest.raises(NonSingletonFix):
-            verify_rate_theorem(fam, sch, np.zeros(2), 100)
+            verify_rate_theorem(fam, trace, FixedPointCache(fam))
 
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
-    def test_shared_run_and_cache_give_the_standalone_result(
-        self, family_name, geometric_schedule, request
+    def test_fits_the_columns_without_recomputing_them(
+        self, family_name, geometric_schedule, run_with_columns, request, monkeypatch
     ):
         family = request.getfixturevalue(family_name)
         x0 = np.random.default_rng(4).standard_normal(family.dim)
-        n = 250
-        alone = verify_rate_theorem(family, geometric_schedule, x0, n, burn_in=5)
-        cache = FixedPointCache(family)
-        run = compute_distances(family, relocated_iterate(family, geometric_schedule, x0, n), cache)
-        dist = run.dist_to_fix.copy()
-        limit, _ = diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
-        shared = verify_rate_theorem(
-            family, geometric_schedule, x0, n, burn_in=5, run=run, limit=limit, cache=cache
-        )
-        assert shared.dist_rate == alone.dist_rate
-        assert shared.iterate_rate == alone.iterate_rate
-        assert shared.passed == alone.passed
-        assert np.array_equal(shared.limit, alone.limit)
-        assert np.array_equal(run.dist_to_fix, dist)
+        trace, cache = run_with_columns(family, geometric_schedule, x0, 250)
+        dist, errs = trace.dist_to_fix.copy(), trace.err_to_limit.copy()
 
-    def test_shared_inputs_are_checked(self, pd_pair_family, mt3_family, geometric_schedule):
-        x0 = np.zeros(5)
-        for steps in (99, 101, 400):
-            run = relocated_iterate(pd_pair_family, geometric_schedule, x0, steps)
-            with pytest.raises(DomainError):
-                verify_rate_theorem(pd_pair_family, geometric_schedule, x0, 100, run=run)
+        def recomputed(*args, **kwargs):
+            raise AssertionError("verify_rate_theorem recomputed a column")
+
+        for name in ("relocated_iterate", "limit_errors", "compute_distances"):
+            monkeypatch.setattr(diagnostics, name, recomputed)
+        monkeypatch.setattr(FixedPointCache, "point", recomputed)
+        monkeypatch.setattr(type(family), "apply", recomputed)
+        res = verify_rate_theorem(family, trace, cache, burn_in=5)
+        assert res.passed
+        floor = 10.0 * cache.max_residual / (1.0 - family.contraction_beta)
+        assert res.iterate_rate == diagnostics._fit_allow_zero(errs, 5)
+        assert res.dist_rate == diagnostics._fit_allow_zero(
+            dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
+        )
+        assert np.array_equal(trace.dist_to_fix, dist) and np.array_equal(trace.err_to_limit, errs)
+
+    def test_distance_floor_is_read_from_the_cache(
+        self, pd_pair_family, geometric_schedule, run_with_columns
+    ):
+        # a cache that has served a worse point since the distances were taken raises the floor
+        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.ones(5), 250)
+        before = verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
+        cache.max_residual = 1e-9 * (1.0 - pd_pair_family.contraction_beta)
+        after = verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
+        assert after.iterate_rate == before.iterate_rate
+        assert np.all(trace.dist_to_fix[5: 5 + after.dist_rate.n_used] >= 1e-8)
+        assert after.dist_rate.n_used < before.dist_rate.n_used
+
+    def test_shared_inputs_are_checked(
+        self, pd_pair_family, mt3_family, geometric_schedule, run_with_columns
+    ):
+        # the trace must carry both columns, and the cache must serve the trace's family
+        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 100)
+        for column in ("dist_to_fix", "err_to_limit"):
+            lacking = dataclasses.replace(trace, **{column: None})
+            with pytest.raises(MissingDistances):
+                verify_rate_theorem(pd_pair_family, lacking, cache)
         with pytest.raises(DomainError):
-            verify_rate_theorem(
-                pd_pair_family, geometric_schedule, x0, 100, cache=FixedPointCache(mt3_family)
-            )
+            verify_rate_theorem(pd_pair_family, trace, FixedPointCache(mt3_family))
+        assert verify_rate_theorem(pd_pair_family, trace, cache).passed
 
 
 def _record_applies(monkeypatch, family) -> list:
@@ -369,10 +399,10 @@ class TestLimitErrors:
         family = request.getfixturevalue(family_name)
         x0 = np.random.default_rng(4).standard_normal(family.dim)
         run = relocated_iterate(family, geometric_schedule, x0, 300)
-        limit, errs = diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
+        limit = diagnostics.limit_errors(family, geometric_schedule.gamma_star, run)
         x_star = family.fixed_point(geometric_schedule.gamma_star)
         assert np.linalg.norm(limit - x_star) <= 1e-12 * (1.0 + np.linalg.norm(x_star))
-        assert np.array_equal(errs, np.linalg.norm(run.xs - limit, axis=1))
+        assert np.array_equal(run.err_to_limit, np.linalg.norm(run.xs - limit, axis=1))
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
@@ -391,7 +421,7 @@ class TestLimitErrors:
         # from a run that has settled, the residual stops falling within a few applications
         x0 = np.random.default_rng(4).standard_normal(pd_pair_family.dim)
         run = relocated_iterate(pd_pair_family, geometric_schedule, x0, 300)
-        limit, _ = diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, run)
+        limit = diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, run)
         settled = relocated_iterate(pd_pair_family, StepsizeSchedule.constant(1.0, INTERVAL), limit, 300)
         applied = _record_applies(monkeypatch, pd_pair_family)
         diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, settled)

@@ -198,15 +198,6 @@ class TestRelocatedIterate:
         relocated_iterate(family, geometric_schedule, np.ones(family.dim), n_steps)
         assert calls[0] == n_operators * (n_steps + 1)
 
-    def test_head_is_a_view_of_the_first_rows(self, pd_pair_family, geometric_schedule):
-        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 40)
-        head = trace.head(11)
-        assert len(head) == 11 and set(head.blocks) == {"z", "y", "w"}
-        for name in ("gammas", "xs", "t_of_x", "residuals"):
-            part, whole = getattr(head, name), getattr(trace, name)
-            assert np.shares_memory(part, whole) and np.array_equal(part, whole[:11])
-        assert np.shares_memory(head.blocks["w"], trace.t_of_x)
-
 
 class TestRelocatorOnlySequence:
     def test_constant_schedule_keeps_point(self, pd_pair_family):
@@ -404,8 +395,11 @@ class TestContractionRegularity:
                 rhs = pd_pair_family.residual(gamma, x) / (1 - beta)
                 assert lhs <= rhs + 1e-9
 
-    def test_geometric_schedule_gives_linear_iterates(self, pd_pair_family, geometric_schedule):
-        res = rs.verify_rate_theorem(pd_pair_family, geometric_schedule, np.zeros(5), 200, burn_in=5)
+    def test_geometric_schedule_gives_linear_iterates(
+        self, pd_pair_family, geometric_schedule, run_with_columns
+    ):
+        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 200)
+        res = rs.verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
         assert res.iterate_rate.linear and res.iterate_rate.r < 1.0
 
 

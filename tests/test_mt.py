@@ -338,6 +338,12 @@ class TestContractionCertificate:
         with pytest.raises(DomainError):
             mt_contraction_certificate(mt3_family, "middle_strong")
 
+    @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_gammas": 0}, {"n_pairs": -1}])
+    def test_no_samples_is_an_error(self, mt3_family, counts):
+        # no sampled pair bounds no factor; beta = 0 must not come back as certified
+        with pytest.raises(DomainError):
+            mt_contraction_certificate(mt3_family, "first_strong", **counts)
+
     @pytest.mark.xfail(strict=True, reason="a sampled Lipschitz ratio is not an upper bound on "
                        "the contraction factor; the certificate is not yet exact")
     def test_beta_bounds_the_exact_factor_on_its_grid(self):
