@@ -53,41 +53,55 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings; ``build_config`` makes every one and sets every field."""
+
     algorithm: str
     schedule: StepsizeSchedule
     n_steps: int
     checks: list[str]
-    problem_kind: str | None = None
-    dim: int = 1
-    n_operators: int = 2
-    seed: int = 0
-    mu_target: float = 0.5
-    L_target: float = 2.0
-    beta: float = 0.5
-    theta: float = 0.5
-    box_half_width: float = 1.0
-    matrices_path: str | None = None
-    trace_path: str | None = None
-    report_path: str | None = None
+    problem_kind: str | None
+    dim: int
+    n_operators: int
+    seed: int
+    mu_target: float
+    L_target: float
+    beta: float
+    theta: float
+    box_half_width: float
+    matrices_path: str | None
+    trace_path: str | None
+    report_path: str | None
+
+
+def _read_pairs(origin: str, entries) -> dict[str, str]:
+    """``key = value`` entries as a dict, the one reader of config files and ``--set``.
+
+    ``entries`` yields ``(number, text)``; ``origin`` and the number name an entry in
+    messages (``--set`` arguments count as the lines of a file named ``--set``). Text
+    without ``=``, or a key set twice, raises ConfigError; the repeat names both lines.
+    """
+    mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, text in entries:
+        if "=" not in text:
+            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{origin}:{lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        mapping[key] = value
+    return mapping
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """The file's ``key = value`` pairs; a malformed line or a repeated key raises ConfigError."""
-    mapping: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+    """The file's ``key = value`` pairs; ``#`` starts a comment and blank lines are skipped.
+
+    A malformed line or a repeated key raises ConfigError, as a malformed or repeated
+    ``--set`` does: both go through one reader.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in first_line:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
-            first_line[key] = lineno
-            mapping[key] = value
-    return mapping
+        lines = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
+    return _read_pairs(path, [(lineno, line) for lineno, line in lines if line])
 
 
 #: every config key and the type of its value; build_config reads keys only through ``_get``
@@ -166,29 +180,17 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
 
     kind = _get(merged, "schedule.kind", required=True)
     gamma_star = _get(merged, "schedule.gamma_star", required=True)
-    if kind == "constant":
-        lo = _get(merged, "schedule.gamma_low", default=gamma_star)
-        hi = _get(merged, "schedule.gamma_high", default=gamma_star)
-    else:
-        lo = _get(merged, "schedule.gamma_low", required=True)
-        hi = _get(merged, "schedule.gamma_high", required=True)
+    # only a constant schedule may leave out its clamp interval: it never leaves gamma_star
+    moving = kind != "constant"
     try:
-        if kind == "constant":
-            schedule = StepsizeSchedule("constant", gamma_star, lo, hi)
-        elif kind == "geometric":
-            schedule = StepsizeSchedule(
-                "geometric", gamma_star, lo, hi,
-                C=_get(merged, "schedule.C", default=1.0),
-                r=_get(merged, "schedule.r", required=True),
-            )
-        elif kind == "polynomial":
-            schedule = StepsizeSchedule(
-                "polynomial", gamma_star, lo, hi,
-                C=_get(merged, "schedule.C", default=1.0),
-                p=_get(merged, "schedule.p", required=True),
-            )
-        else:
-            raise ConfigError(f"unknown schedule kind {kind!r}")
+        schedule = StepsizeSchedule(
+            kind, gamma_star,
+            _get(merged, "schedule.gamma_low", default=gamma_star, required=moving),
+            _get(merged, "schedule.gamma_high", default=gamma_star, required=moving),
+            C=_get(merged, "schedule.C", default=1.0),
+            r=_get(merged, "schedule.r"),
+            p=_get(merged, "schedule.p"),
+        )
     except DomainError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
@@ -475,7 +477,7 @@ def _consensus_gaps(state: _ExperimentState) -> np.ndarray:
 
 def _check_consensus(state: _ExperimentState) -> CheckRecord:
     gaps = _consensus_gaps(state)
-    est = diagnostics._fit_allow_zero(gaps, burn_in=5)
+    est = diagnostics.fit_linear_rate(gaps, burn_in=5)
     return _record_from_rate("consensus", est, est.linear)
 
 
@@ -525,14 +527,15 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
 
     Empty lines and ``#`` comments are skipped, as np.loadtxt skips them. A
     missing column, a row whose field count differs from the header's, or a
-    non-numeric value in the column raises ConfigError.
+    non-numeric or non-finite value in the column raises ConfigError; the
+    message names the file, the line of the first bad row and the column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if column not in header:
             raise ConfigError(f"no column {column!r} in {path}")
         idx = header.index(column)
-        fields = []
+        values = []
         for lineno, line in enumerate(fh, 2):
             data = line.split("#", 1)[0].rstrip("\r\n")
             if not data:
@@ -542,11 +545,16 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
                     f"{path}:{lineno}: {data.count(',') + 1} fields, header has {len(header)}"
                 )
             # split no further than the column: a d=400 row has 1,605 fields
-            fields.append(data.split(",", idx + 1)[idx])
-    try:
-        return np.array([float(field) for field in fields])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
+            field = data.split(",", idx + 1)[idx]
+            try:
+                value = float(field)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: column {column!r}: {exc}") from exc
+            if not math.isfinite(value):
+                # a column no requested check filled is written as NaN
+                raise ConfigError(f"{path}:{lineno}: column {column!r} holds {field!r}, not a finite number")
+            values.append(value)
+    return np.array(values)
 
 
 def format_report(records: list[CheckRecord]) -> str:
@@ -557,8 +565,12 @@ def format_report(records: list[CheckRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[int, list[CheckRecord]]:
-    """Run one experiment: trace, checks, report. Returns (exit_status, records)."""
+def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
+    """Run one experiment: trace, checks, report. Returns (exit_status, records).
+
+    The trace CSV is written only when ``config.trace_path`` is set and not empty;
+    ``verify`` clears it and is otherwise this same run.
+    """
     family, _ops = build_family(config)
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
@@ -568,7 +580,7 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     if needs_dist and family.contraction_beta is not None:
         diagnostics.compute_distances(family, trace, state.cache)
 
-    if write_trace and config.trace_path:
+    if config.trace_path:
         write_trace_csv(config.trace_path, trace)
 
     records = [_CHECK_RUNNERS[name](state) for name in config.checks]
@@ -582,31 +594,26 @@ def run_experiment(config: ExperimentConfig, write_trace: bool = True) -> tuple[
     return status, records
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
+def _failure_status(exc: Exception, where: str | None = None) -> int:
+    """Print why a command failed and return its exit status: 3 for I/O, 2 for a package error.
 
-
-def _run_one(path: str, overrides: dict[str, str], write_trace: bool) -> int:
-    try:
-        config = build_config(parse_config_file(path), overrides)
-        status, _ = run_experiment(config, write_trace=write_trace)
-        return status
-    except ConfigError as exc:
-        print(f"config error ({path}): {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error ({path}): {exc}", file=sys.stderr)
+    A package error other than ConfigError means the configuration produced a run the
+    checks cannot even evaluate, so its type is named.
+    """
+    origin = f" ({where})" if where else ""
+    if isinstance(exc, OSError):
+        print(f"i/o error{origin}: {exc}", file=sys.stderr)
         return 3
-    except RelocSplitError as exc:
-        # the configuration produced a run the checks cannot even evaluate
-        print(f"config error ({path}): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    detail = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+    print(f"config error{origin}: {detail}", file=sys.stderr)
+    return 2
+
+
+def _run_one(path: str, overrides: dict[str, str]) -> int:
+    try:
+        return run_experiment(build_config(parse_config_file(path), overrides))[0]
+    except (RelocSplitError, OSError) as exc:
+        return _failure_status(exc, path)
 
 
 def main(argv=None) -> int:
@@ -629,48 +636,36 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command in ("run", "verify"):
+    if args.command == "rate":
         try:
-            overrides = _parse_overrides(args.overrides)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if args.command == "verify":
-            return _run_one(args.config, overrides, False)
-        if args.jobs > 1 and len(args.configs) > 1:
-            # the pool starts all its workers up front, however few configs there are
-            workers = min(args.jobs, len(args.configs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                statuses = list(
-                    pool.map(_run_one, args.configs, [overrides] * len(args.configs),
-                             [True] * len(args.configs))
-                )
-        else:
-            statuses = [_run_one(path, overrides, True) for path in args.configs]
-        return max(statuses)
+            values = read_trace_csv(args.trace, args.column)
+            burn = args.burn_in if args.burn_in is not None else default_burn_in(len(values))
+            est = diagnostics.fit_linear_rate(values, burn)
+        except (RelocSplitError, OSError) as exc:
+            return _failure_status(exc, args.trace)
+        verdict = "linear" if est.linear else "not-R-linear"
+        print(
+            f"column={args.column} verdict={verdict} C={FLOAT_FMT % est.C} "
+            f"r={FLOAT_FMT % est.r} fit_quality={FLOAT_FMT % est.fit_quality} "
+            f"burn_in={est.burn_in} n_used={est.n_used}"
+        )
+        return 0
 
-    # rate
     try:
-        values = read_trace_csv(args.trace, args.column)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        overrides = _read_pairs("--set", enumerate(args.overrides, 1))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    burn = args.burn_in if args.burn_in is not None else default_burn_in(len(values))
-    try:
-        est = diagnostics.fit_linear_rate(values, burn)
-    except RelocSplitError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    verdict = "linear" if est.linear else "not-R-linear"
-    print(
-        f"column={args.column} verdict={verdict} C={FLOAT_FMT % est.C} "
-        f"r={FLOAT_FMT % est.r} fit_quality={FLOAT_FMT % est.fit_quality} "
-        f"burn_in={est.burn_in} n_used={est.n_used}"
-    )
-    return 0
+        return _failure_status(exc)
+    if args.command == "verify":
+        # an empty trace path writes no trace
+        return _run_one(args.config, {**overrides, "output.trace_path": ""})
+    if args.jobs > 1 and len(args.configs) > 1:
+        # the pool starts all its workers up front, however few configs there are
+        workers = min(args.jobs, len(args.configs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            statuses = list(pool.map(_run_one, args.configs, [overrides] * len(args.configs)))
+    else:
+        statuses = [_run_one(path, overrides) for path in args.configs]
+    return max(statuses)
 
 
 if __name__ == "__main__":

@@ -72,6 +72,9 @@ def _fit_core(errors, burn_in: int, floor: float) -> RateEstimate:
         raise DomainError("burn_in must be >= 0")
 
     tail = e[burn_in:]
+    if tail.size and tail.max() < floor:
+        # exact convergence: C = 0 satisfies the envelope for any rate
+        return RateEstimate(0.0, floor, 1.0, burn_in, int(tail.size), True)
     below = np.nonzero(tail < floor)[0]
     used = tail[: below[0]] if below.size else tail
     if used.size < MIN_FIT_SAMPLES:
@@ -95,21 +98,13 @@ def _fit_core(errors, burn_in: int, floor: float) -> RateEstimate:
 def fit_linear_rate(errors, burn_in: int) -> RateEstimate:
     """Least-squares fit of log e_n against n on the post-burn-in window.
 
-    Entries are used up to the first one below the 1e-14 floor. Needs at least
-    20 usable entries (TooFewSamples otherwise). The verdict is "not R-linear"
-    when the coefficient of determination drops below 0.9 or the fitted rate
-    reaches 1.
+    Entries are used up to the first one below the 1e-14 floor. A window lying
+    wholly below the floor is exact convergence: linear, with C = 0 and r
+    reported as the floor. Otherwise the fit needs at least 20 usable entries
+    (TooFewSamples otherwise), and the verdict is "not R-linear" when the
+    coefficient of determination drops below 0.9 or the fitted rate reaches 1.
     """
     return _fit_core(errors, burn_in, FLOAT_FLOOR)
-
-
-def _fit_allow_zero(errors: np.ndarray, burn_in: int, floor: float = FLOAT_FLOOR) -> RateEstimate:
-    """Rate fit that treats an identically-floored tail as exact convergence."""
-    tail = np.asarray(errors, float)[burn_in:]
-    if tail.size and np.max(tail) < floor:
-        # zero sequence: C = 0 satisfies the envelope for any rate
-        return RateEstimate(0.0, floor, 1.0, burn_in, int(tail.size), True)
-    return _fit_core(errors, burn_in, floor)
 
 
 def fixed_point_oracle(
@@ -374,7 +369,7 @@ def verify_rate_theorem(
     if burn_in is None:
         burn_in = default_burn_in(len(trace) - 1)
 
-    iterate_rate = _fit_allow_zero(trace.err_to_limit, burn_in)
+    iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in)
     dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
-    dist_rate = _fit_allow_zero(trace.dist_to_fix, burn_in, floor=dist_floor)
+    dist_rate = _fit_core(trace.dist_to_fix, burn_in, dist_floor)
     return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

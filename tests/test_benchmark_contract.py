@@ -65,7 +65,7 @@ def test_benchmark_spans_wrap_and_restore():
     tracer = Tracer()
     restore = layers.instrument(tracer)
     try:
-        status, _ = cli.run_experiment(cli.build_config(SCALAR), write_trace=False)
+        status, _ = cli.run_experiment(cli.build_config(SCALAR))
     finally:
         restore()
     assert status == 0
@@ -83,7 +83,7 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
     tracer = Tracer()
     restore = layers.instrument(tracer)
     try:
-        status, _ = cli.run_experiment(cli.build_config(MT_BOX), write_trace=False)
+        status, _ = cli.run_experiment(cli.build_config(MT_BOX))
     finally:
         restore()
     assert status == 0
@@ -108,10 +108,12 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
     mapping = cli.parse_config_file(workload.config_path)
     dim = min(int(mapping["problem.dim"]), SMALL_DIM)
     trace = str(tmp_path / "trace.csv")
-    config = cli.build_config(mapping, {"problem.dim": str(dim), "output.trace_path": trace})
+    # the trace path is set only for the workload that writes one, as in the benchmark
+    overrides = {"problem.dim": str(dim)} | ({"output.trace_path": trace} if workload.writes_trace else {})
+    config = cli.build_config(mapping, overrides)
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
-        status, records = cli.run_experiment(config, write_trace=workload.writes_trace)
+        status, records = cli.run_experiment(config)
     assert status == workload.expected_exit
     assert {rec.name: rec.passed for rec in records} == workload.expected_checks
     statuses, outputs = [status], [report.getvalue()]

@@ -239,7 +239,7 @@ class TestRunExperiment:
         monkeypatch.setattr(diagnostics, "relocated_iterate", counting)
         monkeypatch.setattr(diagnostics, "limit_errors", counting_limit)
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)))
-        status, records = cli.run_experiment(config, write_trace=False)
+        status, records = cli.run_experiment(config)
         assert status == 0 and "rate_theorem" in [rec.name for rec in records]
         assert calls == [config.n_steps]
         assert limits == [config.n_steps + 1]
@@ -262,7 +262,7 @@ class TestRunExperiment:
         config = cli.build_config(
             cli.parse_config_file(write_config(tmp_path, text)), {"checks": "rate_theorem"}
         )
-        status, records = cli.run_experiment(config, write_trace=False)
+        status, records = cli.run_experiment(config)
         assert status == 0 and [rec.name for rec in records] == ["rate_theorem"]
         # rate_theorem makes no lookup of its own: each row's point is looked up once
         assert calls == {"relocated_iterate": 1, "limit_errors": 1, "compute_distances": 1,
@@ -301,7 +301,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
-        status, _ = cli.run_experiment(config, write_trace=False)
+        status, _ = cli.run_experiment(config)
         assert status == 0
         assert len(calls) == oracle_runs
 
@@ -314,7 +314,7 @@ class TestRunExperiment:
             cli.parse_config_file(write_config(tmp_path, text)), {"checks": ",".join(checks)}
         )
         family_type = type(cli.build_family(config)[0])
-        _, records = cli.run_experiment(config, write_trace=False)
+        _, records = cli.run_experiment(config)
         assert all(rec.passed for rec in records)
 
         real = family_type.relocate_from
@@ -326,7 +326,7 @@ class TestRunExperiment:
             return s * x + (1.0 - s) * np.tile(anchor, x.size // anchor.size)
 
         monkeypatch.setattr(family_type, "relocate", broken)
-        status, records = cli.run_experiment(config, write_trace=False)
+        status, records = cli.run_experiment(config)
         assert status == 1
         assert [rec.name for rec in records if not rec.passed] == checks
 
@@ -347,12 +347,22 @@ class TestRunExperiment:
     def test_non_finite_schedule_parameter_is_a_config_error(self, tmp_path, override, capsys):
         # C=inf would clamp every stepsize to gamma_high: a constant schedule, every check PASS
         path = write_config(tmp_path, DR_CONFIG)
-        status = cli.main(
-            ["verify", path, "--set", "schedule.kind=polynomial", "--set", "schedule.p=1",
-             "--set", override]
-        )
+        p = [] if override.startswith("schedule.p=") else ["--set", "schedule.p=1"]
+        status = cli.main(["verify", path, "--set", "schedule.kind=polynomial", *p, "--set", override])
         assert status == 2
         assert "schedule parameters must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("geometric", "geometric schedule needs r in (0, 1)"),
+         ("polynomial", "polynomial schedule needs p > 0"),
+         ("harmonic", "unknown schedule kind 'harmonic'")],
+    )
+    def test_schedule_rules_have_one_validator(self, tmp_path, kind, message, capsys):
+        # a missing r or p and an unknown kind all reach StepsizeSchedule's own check
+        path = write_config(tmp_path, DR_CONFIG.replace("schedule.r = 0.5\n", ""))
+        assert cli.main(["verify", path, "--set", f"schedule.kind={kind}"]) == 2
+        assert f"bad schedule: {message}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG, extra="junk = 1\n")
@@ -365,6 +375,13 @@ class TestRunExperiment:
         path = write_config(tmp_path, SCALAR_CONFIG)
         assert cli.main(["run", path, "--set", "oops"]) == 2
 
+    def test_repeated_set_key_rejected(self, tmp_path, capsys):
+        # a key given twice on the command line must not take its last value silently
+        path = write_config(tmp_path, SCALAR_CONFIG, extra=f"output.trace_path = {tmp_path}/t.csv\n")
+        assert cli.main(["run", path, "--set", "n_steps=10", "--set", "n_steps=40"]) == 2
+        assert "--set:2: key 'n_steps' already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_scalar_summability_still_passes_polynomial(self, tmp_path):
         # the relocator constants are identically 1, so summability holds
         # even for schedules without a rate
@@ -375,15 +392,19 @@ class TestRunExperiment:
         )
         assert status == 0
 
-    def test_verify_writes_no_trace(self, tmp_path):
-        trace_path = tmp_path / "never.csv"
-        path = write_config(
-            tmp_path,
-            SCALAR_CONFIG,
-            extra=f"output.trace_path = {trace_path}\n",
-        )
-        assert cli.main(["verify", path]) == 0
-        assert not trace_path.exists()
+    def test_verify_writes_no_trace(self, tmp_path, capsys):
+        # verify is run without a trace: same checks, same report bytes, no trace file
+        outputs = {}
+        for command in ("run", "verify"):
+            trace, report = tmp_path / f"{command}.csv", tmp_path / f"{command}.txt"
+            path = write_config(
+                tmp_path, SCALAR_CONFIG, name=f"{command}.cfg",
+                extra=f"output.trace_path = {trace}\noutput.report_path = {report}\n",
+            )
+            assert cli.main([command, path, "--set", "checks=all"]) == 0
+            outputs[command] = (capsys.readouterr().out, report.read_bytes(), trace.exists())
+        assert outputs["verify"][:2] == outputs["run"][:2]
+        assert outputs["run"][2] and not outputs["verify"][2]
 
     def test_scalar_verify_all_checks_pass(self, tmp_path, capsys):
         # error_bound evaluates ScalarShiftFamily on blocks of (k, 1) points
@@ -507,6 +528,26 @@ class TestRateCommand:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["rate", str(tmp_path / "none.csv")]) == 3
+
+    def test_non_finite_column_is_named(self, tmp_path, capsys):
+        # a column no requested check filled is written as NaN
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path, "--set", "checks=summability", "--set", "n_steps=30"]) == 0
+        capsys.readouterr()
+        assert cli.main(["rate", str(trace), "--column", "dist_to_fix"]) == 2
+        assert f"{trace}:2: column 'dist_to_fix' holds 'nan'" in capsys.readouterr().err
+
+    def test_exact_convergence_reads_back_as_the_checks_fit_it(self, tmp_path, capsys):
+        # a constant schedule converges exactly: err_to_limit is all zeros, and
+        # rate_theorem and the readback both call that linear with C = 0
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, SCALAR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path, "--set", "schedule.kind=constant", "--set", "n_steps=60"]) == 0
+        assert "name=rate_theorem status=PASS" in capsys.readouterr().out
+        assert not cli.read_trace_csv(str(trace), "err_to_limit").any()
+        assert cli.main(["rate", str(trace), "--column", "err_to_limit"]) == 0
+        assert "verdict=linear C=0 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -77,9 +77,15 @@ class TestFitLinearRate:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             fit_linear_rate(0.5 ** np.arange(10), burn_in=0)
-        # floor truncation also counts: everything below 1e-14 is unusable
+        # floor truncation also counts: one entry at the floor leaves too few above it
         with pytest.raises(TooFewSamples):
-            fit_linear_rate(1e-16 * np.ones(100), burn_in=0)
+            fit_linear_rate(np.r_[0.5 ** np.arange(10), 1e-16 * np.ones(90)], burn_in=0)
+
+    def test_tail_below_the_floor_is_exact_convergence(self):
+        # an exactly converged sequence is linear with C = 0, as the checks fit it
+        est = fit_linear_rate(np.r_[np.ones(5), 1e-16 * np.ones(95)], burn_in=5)
+        assert est.linear and est.C == 0.0 and est.n_used == 95
+        assert fit_linear_rate(np.zeros(100), burn_in=0).linear
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -348,9 +354,9 @@ class TestVerifyRateTheorem:
         res = verify_rate_theorem(family, trace, cache, burn_in=5)
         assert res.passed
         floor = 10.0 * cache.max_residual / (1.0 - family.contraction_beta)
-        assert res.iterate_rate == diagnostics._fit_allow_zero(errs, 5)
-        assert res.dist_rate == diagnostics._fit_allow_zero(
-            dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
+        assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5)
+        assert res.dist_rate == diagnostics._fit_core(
+            dist, 5, max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
         )
         assert np.array_equal(trace.dist_to_fix, dist) and np.array_equal(trace.err_to_limit, errs)
 
