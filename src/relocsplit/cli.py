@@ -53,7 +53,7 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 
 @dataclass
 class ExperimentConfig:
-    """One experiment's settings; ``build_config`` makes every one and sets every field."""
+    """One experiment's settings; ``build_config`` is the only constructor and sets every field."""
 
     algorithm: str
     schedule: StepsizeSchedule

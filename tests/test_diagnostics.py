@@ -77,7 +77,7 @@ class TestFitLinearRate:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             fit_linear_rate(0.5 ** np.arange(10), burn_in=0)
-        # floor truncation also counts: one entry at the floor leaves too few above it
+        # floor truncation also counts: the fit stops at the first entry below 1e-14
         with pytest.raises(TooFewSamples):
             fit_linear_rate(np.r_[0.5 ** np.arange(10), 1e-16 * np.ones(90)], burn_in=0)
 
