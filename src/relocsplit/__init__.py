@@ -10,7 +10,6 @@ rate/error-bound diagnostics, synthetic problem generators, and the
 
 from .diagnostics import (
     BoundReport,
-    FixedPointCache,
     RateEstimate,
     RateTheoremResult,
     compute_distances,
@@ -72,7 +71,6 @@ __all__ = [
     "ContractionCertificate",
     "DRFamily",
     "FixDecomposition",
-    "FixedPointCache",
     "GammaLipschitzProbe",
     "IterateTrace",
     "MTFamily",

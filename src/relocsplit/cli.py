@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import FixedPointCache, RateEstimate, default_burn_in
+from .diagnostics import RateEstimate, default_burn_in
 # algorithm1_run, algorithm2_run and relocated_iterate stay importable from
 # here: perfbench/layers.py wraps them in this namespace.
 from .dr import (
@@ -104,35 +104,37 @@ def parse_config_file(path: str) -> dict[str, str]:
     return _read_pairs(path, [(lineno, line) for lineno, line in lines if line])
 
 
-#: every config key and the type of its value; build_config reads keys only through ``_get``
+_DR_MT = ("dr", "mt")
+#: every config key, the type of its value, and the algorithms that read it (any other
+#: algorithm rejects the key); build_config reads keys only through ``_get``
 _KNOWN_KEYS = {
-    "algorithm": str,
-    "problem.kind": str,
-    "problem.dim": int,
-    "problem.n_operators": int,
-    "problem.seed": int,
-    "problem.mu_target": float,
-    "problem.L_target": float,
-    "problem.beta": float,
-    "problem.box_half_width": float,
-    "problem.matrices_path": str,
-    "schedule.kind": str,
-    "schedule.gamma_star": float,
-    "schedule.C": float,
-    "schedule.r": float,
-    "schedule.p": float,
-    "schedule.gamma_low": float,
-    "schedule.gamma_high": float,
-    "theta": float,
-    "n_steps": int,
-    "checks": str,
-    "output.trace_path": str,
-    "output.report_path": str,
+    "algorithm": (str, ALGORITHMS),
+    "problem.kind": (str, _DR_MT),
+    "problem.dim": (int, _DR_MT),
+    "problem.n_operators": (int, ("mt",)),
+    "problem.seed": (int, ALGORITHMS),
+    "problem.mu_target": (float, _DR_MT),
+    "problem.L_target": (float, _DR_MT),
+    "problem.beta": (float, ("scalar_counterexample",)),
+    "problem.box_half_width": (float, _DR_MT),
+    "problem.matrices_path": (str, _DR_MT),
+    "schedule.kind": (str, ALGORITHMS),
+    "schedule.gamma_star": (float, ALGORITHMS),
+    "schedule.C": (float, ALGORITHMS),
+    "schedule.r": (float, ALGORITHMS),
+    "schedule.p": (float, ALGORITHMS),
+    "schedule.gamma_low": (float, ALGORITHMS),
+    "schedule.gamma_high": (float, ALGORITHMS),
+    "theta": (float, ("mt",)),
+    "n_steps": (int, ALGORITHMS),
+    "checks": (str, ALGORITHMS),
+    "output.trace_path": (str, ALGORITHMS),
+    "output.report_path": (str, ALGORITHMS),
 }
 
 
 def _get(mapping, key, default=None, required=False):
-    conv = _KNOWN_KEYS[key]
+    conv = _KNOWN_KEYS[key][0]
     if key not in mapping:
         if required:
             raise ConfigError(f"missing required key {key!r}")
@@ -177,6 +179,9 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
     algorithm = _get(merged, "algorithm", required=True)
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    inapplicable = sorted(key for key in merged if algorithm not in _KNOWN_KEYS[key][1])
+    if inapplicable:
+        raise ConfigError(f"keys {inapplicable} do not apply to algorithm={algorithm}")
 
     kind = _get(merged, "schedule.kind", required=True)
     gamma_star = _get(merged, "schedule.gamma_star", required=True)
@@ -210,9 +215,7 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
 
     n_operators = _get(merged, "problem.n_operators", default=3 if algorithm == "mt" else 2)
-    if algorithm == "dr":
-        n_operators = 2
-    if algorithm == "mt" and n_operators < 2:
+    if n_operators < 2:
         raise ConfigError("mt needs problem.n_operators >= 2")
 
     checks_raw = _get(merged, "checks", default="")
@@ -336,56 +339,42 @@ def _kappa_for(family, schedule) -> float:
     return 1.0 / (1.0 - beta)
 
 
-class _ExperimentState:
-    """Shared artifacts the individual checks draw on."""
-
-    def __init__(self, config, family, trace):
-        self.config = config
-        self.family = family
-        #: the run, with its ``err_to_limit`` column and, when a check needs it, ``dist_to_fix``
-        self.trace = trace
-        #: serves every fixed point of the experiment, the trace's distances included
-        self.cache = FixedPointCache(family)
-
-
-def _check_error_bound(state: _ExperimentState) -> CheckRecord:
-    kappa = _kappa_for(state.family, state.config.schedule)
+def _check_error_bound(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
+    kappa = _kappa_for(family, config.schedule)
     rep = diagnostics.verify_error_bound(
-        state.family,
-        state.config.schedule.gamma_star,
+        family,
+        config.schedule.gamma_star,
         kappa,
         (-3.0, 3.0),
         samples=1000,
-        seed=state.config.seed + 101,
-        cache=state.cache,
+        seed=config.seed + 101,
     )
     return CheckRecord("error_bound", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
 
-def _check_one_step(state: _ExperimentState) -> CheckRecord:
-    beta = state.family.contraction_beta
+def _check_one_step(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
+    beta = family.contraction_beta
     if beta is None:
         raise ConfigError("one_step needs a contraction certificate (exact distances)")
     kappa = 1.0 / (1.0 - beta)
-    rep = diagnostics.verify_one_step_contraction(state.family, state.trace, kappa)
+    rep = diagnostics.verify_one_step_contraction(family, trace, kappa)
     return CheckRecord("one_step", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
 
-def _check_rate_theorem(state: _ExperimentState) -> CheckRecord:
+def _check_rate_theorem(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     # small burn-in: a long one can launder sublinear tails into linear verdicts
-    result = diagnostics.verify_rate_theorem(state.family, state.trace, state.cache, burn_in=5)
+    result = diagnostics.verify_rate_theorem(family, trace, burn_in=5)
     return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
 
 
-def _check_relocator_bijection(state: _ExperimentState) -> CheckRecord:
-    family = state.family
+def _check_relocator_bijection(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     lo, hi = family.gamma_interval
-    rng = np.random.default_rng([state.config.seed, 11])
+    rng = np.random.default_rng([config.seed, 11])
     worst = 0.0
     ok = True
     for _ in range(10):
         gamma, delta, eps = rng.uniform(lo, hi, size=3)
-        x = state.cache.point(gamma)
+        x = family.fixed_point(gamma)
         y = family.relocate(delta, gamma, x)
         scale_y = 1.0 + float(np.linalg.norm(y))
         resid = family.residual(delta, y)
@@ -401,17 +390,16 @@ def _check_relocator_bijection(state: _ExperimentState) -> CheckRecord:
     return CheckRecord("relocator_bijection", ok, worst_ratio=worst)
 
 
-def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
-    family = state.family
+def _check_fix_decomposition(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     lo, hi = family.gamma_interval
-    gamma_a = state.config.schedule.gamma_star
+    gamma_a = config.schedule.gamma_star
     gamma_b = hi if abs(hi - gamma_a) > abs(lo - gamma_a) else lo
     if gamma_a == gamma_b:
         gamma_b = 0.5 * (lo + hi)
     ok = True
     worst = 0.0
     for gamma in (gamma_a, gamma_b):
-        x = state.cache.point(gamma)
+        x = family.fixed_point(gamma)
         fd = fix_decomposition_check(family, gamma, x)
         scale = 1.0 + float(np.linalg.norm(x))
         worst = max(worst, fd.primal_residual / 1e-8, fd.reconstruction_error / (1e-12 * scale))
@@ -420,7 +408,7 @@ def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
             worst = max(worst, fd.dual_residual / 1e-6)
             ok &= fd.dual_residual <= 1e-6
     if gamma_a != gamma_b:
-        x_a, x_b = state.cache.point(gamma_a), state.cache.point(gamma_b)
+        x_a, x_b = family.fixed_point(gamma_a), family.fixed_point(gamma_b)
         gap = float(np.linalg.norm(family.relocate(gamma_b, gamma_a, x_a) - x_b))
         scale = 1.0 + float(np.linalg.norm(x_b))
         worst = max(worst, gap / (1e-8 * scale))
@@ -428,14 +416,14 @@ def _check_fix_decomposition(state: _ExperimentState) -> CheckRecord:
     return CheckRecord("fix_decomposition", ok, worst_ratio=worst)
 
 
-def _check_summability(state: _ExperimentState) -> CheckRecord:
-    schedule = state.config.schedule
+def _check_summability(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
+    schedule = config.schedule
     n_terms = 100_000 if schedule.kind == "polynomial" else 10_000
-    rep = summability_report(state.family, schedule, n_terms)
+    rep = summability_report(family, schedule, n_terms)
     try:
-        if isinstance(state.family, MTFamily):
-            bound = mt_summability_bound(schedule, state.family.n_operators)
-        elif isinstance(state.family, DRFamily):
+        if isinstance(family, MTFamily):
+            bound = mt_summability_bound(schedule, family.n_operators)
+        elif isinstance(family, DRFamily):
             bound = dr_summability_bound(schedule)
         else:
             bound = 0.0 if schedule.kind != "polynomial" else math.nan
@@ -450,23 +438,21 @@ def _check_summability(state: _ExperimentState) -> CheckRecord:
     return CheckRecord("summability", passed, certified_constant=bound, worst_ratio=worst)
 
 
-def _check_gamma_lipschitz(state: _ExperimentState) -> CheckRecord:
-    family = state.family
+def _check_gamma_lipschitz(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     lo, hi = family.gamma_interval
-    gammas = sorted({lo, 0.5 * (lo + hi), state.config.schedule.gamma_star, hi})
-    fixed_points = [(state.cache.point(g), g) for g in gammas]
-    deltas = list(np.linspace(lo, hi, 7))
-    probe = gamma_lipschitz_probe(family, fixed_points, deltas)
-    return CheckRecord(
-        "gamma_lipschitz", math.isfinite(probe.L_estimate), certified_constant=probe.L_estimate
-    )
+    gammas = sorted({lo, 0.5 * (lo + hi), config.schedule.gamma_star, hi})
+    fixed_points = [(family.fixed_point(g), g) for g in gammas]
+    probe = gamma_lipschitz_probe(family, fixed_points, list(np.linspace(lo, hi, 7)))
+    # Q_{delta<-gamma} carries x*(gamma) = offset + gamma slope to x*(delta): every fixed point
+    # moves by exactly |delta - gamma| ||slope||, up to the relocator laws' 1e-9 (1 + ||x||)
+    slope = float(np.linalg.norm(family.fixed_point_line().slope))
+    worst = probe.excess(slope) / 1e-9
+    return CheckRecord("gamma_lipschitz", worst <= 1.0, certified_constant=slope, worst_ratio=worst)
 
 
-def _consensus_gaps(state: _ExperimentState) -> np.ndarray:
-    trace = state.trace
-    if state.config.algorithm == "dr":
+def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np.ndarray:
+    if config.algorithm == "dr":
         return np.linalg.norm(trace.block("z") - trace.block("y"), axis=1)
-    family = state.family
     z = trace.block("z").reshape(len(trace), family.n_operators, family.space_dim)
     gaps = np.zeros(len(trace))
     for i in range(family.n_operators):
@@ -475,12 +461,14 @@ def _consensus_gaps(state: _ExperimentState) -> np.ndarray:
     return gaps
 
 
-def _check_consensus(state: _ExperimentState) -> CheckRecord:
-    gaps = _consensus_gaps(state)
+def _check_consensus(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
+    gaps = _consensus_gaps(config, family, trace)
     est = diagnostics.fit_linear_rate(gaps, burn_in=5)
     return _record_from_rate("consensus", est, est.linear)
 
 
+#: each check reads the config, the family and the run, which carries its ``err_to_limit``
+#: column and, when a check needs it, ``dist_to_fix``
 _CHECK_RUNNERS = {
     "error_bound": _check_error_bound,
     "one_step": _check_one_step,
@@ -575,15 +563,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
 
-    state = _ExperimentState(config, family, trace)
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
     if needs_dist and family.contraction_beta is not None:
-        diagnostics.compute_distances(family, trace, state.cache)
+        diagnostics.compute_distances(family, trace)
 
     if config.trace_path:
         write_trace_csv(config.trace_path, trace)
 
-    records = [_CHECK_RUNNERS[name](state) for name in config.checks]
+    records = [_CHECK_RUNNERS[name](config, family, trace) for name in config.checks]
     report = format_report(records)
     sys.stdout.write(report)
     if config.report_path:

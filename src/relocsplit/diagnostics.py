@@ -14,19 +14,18 @@ from .errors import (
     MissingDistances,
     NoConvergence,
     NonSingletonFix,
-    NotAFixedPoint,
     TooFewSamples,
     UnsupportedOperator,
 )
 from .family import (
     DIVERGENCE_LIMIT,
-    FIXED_POINT_TOL,
+    FixedPointLine,
     IterateTrace,
     OperatorFamily,
     block_sizes,
     relocated_iterate,  # noqa: F401 - unused; the benchmark wraps this name in a span
 )
-from .operators import AffineOperator, as_vector
+from .operators import AffineOperator, as_vector, inclusion_gaps
 
 #: below this, floating-point rounding destroys log-linearity
 FLOAT_FLOOR = 1e-14
@@ -141,13 +140,25 @@ def fixed_point_oracle(
     )
 
 
-def fixed_point_line(family: OperatorFamily, operators) -> tuple[np.ndarray, np.ndarray]:
-    """``(offset, slope)`` with Fix T_gamma = {offset + gamma * slope}; needs a contraction marker.
+def fixed_point_line(family: OperatorFamily, operators) -> FixedPointLine:
+    """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs a contraction marker.
 
-    A fixed point encodes a zero z* of A1 + ... + AN: block i is z* + gamma (A1 z* + ... + Ai z*)
-    (N = 2 for the two-operator splitting). Affine operators give z* by one linear solve; with a
-    box last, one oracle run gives it as J_{gamma A1} x^1. The slope comes from the operators,
-    never from the relocator, so checks of the relocator compare it with independent points.
+    A fixed point encodes a zero z* of A1 + ... + AN: block i < N is z* + gamma s_i, s_i =
+    A1 z* + ... + Ai z* (N = 2 for the two-operator splitting). Affine operators give z* by one
+    linear solve; with a box last, one oracle run gives it as J_{gamma A1} x^1. The slope comes
+    from the operators, never from the relocator the checks test.
+
+    The bound: on the line each resolvent of the chain but the last returns z*, and the last
+    is y = J_{gamma AN}(z* - gamma s_{N-1}), with ||x - T_gamma x|| = theta ||y - z*|| (theta = 1
+    for the two-operator splitting). For a box AN = N_C take p in C and w in N_C(p) from
+    ``operators.inclusion_gaps``, so that P_C(p + gamma w) = p; for a single-valued AN take
+    p = z* and w = AN z*, so that J_{gamma AN}(p + gamma w) = p. With r = s_{N-1} + w, the
+    inclusion residual, nonexpansiveness gives ||y - z*|| <= ||z* - p|| + ||(z* - p) - gamma r||.
+    Forming x in floats moves it by at most eps (||offset|| + gamma ||slope||), and I - T_gamma
+    is 2-Lipschitz. So, with T_gamma and the A_i z* evaluated exactly, for gamma <= gamma_hi
+
+        ||x - T_gamma x|| <= theta (2 ||z* - p|| + gamma_hi ||r||)
+                             + 2 eps (||offset|| + gamma_hi ||slope||).
     """
     if family.contraction_beta is None:
         raise NonSingletonFix("the fixed-point line needs a contraction certificate")
@@ -161,62 +172,33 @@ def fixed_point_line(family: OperatorFamily, operators) -> tuple[np.ndarray, np.
         gamma = family.gamma_interval[0]
         x = fixed_point_oracle(family, gamma, np.zeros(family.dim))
         z = head[0].resolvent(gamma, x[: head[0].dim])
-    slope = np.cumsum([op(z) for op in head], axis=0)
-    return np.tile(z, len(head)), slope.ravel()
+    feasibility, r = inclusion_gaps(operators, z)
+    offset, slope = np.tile(z, len(head)), np.cumsum([op(z) for op in head], axis=0).ravel()
+    gamma_hi, theta = family.gamma_interval[1], getattr(family, "theta", 1.0)
+    rounding = 2.0 * np.finfo(float).eps * (np.linalg.norm(offset) + gamma_hi * np.linalg.norm(slope))
+    return FixedPointLine(offset, slope, theta * (2.0 * feasibility + gamma_hi * r) + float(rounding))
 
 
-class FixedPointCache:
-    """Serves ``family.fixed_point(gamma)``, checking each distinct stepsize (keyed by its
-    exact value) once with the residual test ``||x - T_gamma x|| <= 1e-8 * (1 + ||x||)``.
-
-    ``max_residual`` is the largest residual measured; a served point lies within
-    ``max_residual / (1 - beta)`` of the exact one for a beta-contraction.
-    """
-
-    def __init__(self, family: OperatorFamily):
-        self.family = family
-        self.max_residual = 0.0
-        self._points: dict[float, np.ndarray] = {}
-
-    def point(self, gamma: float) -> np.ndarray:
-        key = float(gamma)
-        hit = self._points.get(key)
-        if hit is not None:
-            return hit
-        p = self.family.fixed_point(key)
-        resid = self.family.residual(key, p)
-        if resid > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(p))):
-            raise NotAFixedPoint(f"residual {resid:.3e} of the served point at gamma={key}")
-        self.max_residual = max(self.max_residual, resid)
-        self._points[key] = p
-        return p
+# A benchmark-only name: the benchmark counts fixed-point lookups by wrapping
+# ``FixedPointCache.point``, which is the line's point server.
+FixedPointCache = FixedPointLine
 
 
-def _own_cache(family: OperatorFamily, cache: FixedPointCache | None) -> FixedPointCache:
-    """``cache``, checked to serve ``family``, or a fresh FixedPointCache when None."""
-    if cache is None:
-        return FixedPointCache(family)
-    if cache.family is not family:
-        raise DomainError("fixed-point cache belongs to another family")
-    return cache
-
-
-def compute_distances(
-    family: OperatorFamily,
-    trace: IterateTrace,
-    cache: FixedPointCache | None = None,
-) -> IterateTrace:
-    """Fill ``trace.dist_to_fix`` with exact distances ||x_n - x*_{gamma_n}|| to the
-    points ``cache`` serves (a fresh one when None).
+def compute_distances(family: OperatorFamily, trace: IterateTrace) -> IterateTrace:
+    """Fill ``trace.dist_to_fix`` with exact distances ||x_n - x*(gamma_n)|| to the points of the
+    family's fixed-point line, a block of rows at a time.
 
     Exact distances need singleton fixed-point sets, certified by the family's
     contraction marker (NonSingletonFix otherwise).
     """
-    cache = _own_cache(family, cache)
-    # row by row: a (rows, dim) block of points would add to peak memory
-    trace.dist_to_fix = np.array(
-        [float(np.linalg.norm(x - cache.point(g))) for x, g in zip(trace.xs, trace.gammas)]
-    )
+    line = family.fixed_point_line()
+    gammas = family.check_gamma(trace.gammas)[:, None]
+    # a block's points, differences and squares are live at once: three dim-float temporaries
+    # per row, at most BLOCK_FLOATS floats in all, the budget the sampling checks keep to
+    ends = np.cumsum([0, *block_sizes(len(trace), 3 * family.dim)])
+    trace.dist_to_fix = np.concatenate([
+        np.linalg.norm(trace.xs[a:b] - line.point(gammas[a:b]), axis=1) for a, b in zip(ends, ends[1:])
+    ])
     return trace
 
 
@@ -242,14 +224,12 @@ def verify_error_bound(
     sample_box: tuple[float, float],
     samples: int,
     seed: int,
-    cache: FixedPointCache | None = None,
 ) -> BoundReport:
     """Sample-check dist(x, Fix T_gamma) <= kappa * ||x - T_gamma x||.
 
     Points are drawn uniformly from the box and evaluated a block at a time
     (``relocsplit.family.BLOCK_FLOATS`` floats); the distance is exact via the unique fixed
-    point (contraction marker required), served by ``cache`` (a fresh
-    FixedPointCache when the caller holds none).
+    point ``family.fixed_point(gamma)`` (contraction marker required).
     Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio
     reported is the left side over the slackened right side, so PASS means
     worst_ratio <= 1.
@@ -263,7 +243,7 @@ def verify_error_bound(
     if not lo < hi:
         raise DomainError("sample box must have lo < hi")
 
-    x_star = _own_cache(family, cache).point(gamma)
+    x_star = family.fixed_point(gamma)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -346,30 +326,28 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
 def verify_rate_theorem(
     family: OperatorFamily,
     trace: IterateTrace,
-    cache: FixedPointCache,
     burn_in: int | None = None,
 ) -> RateTheoremResult:
     """Fit R-linear rates to the trace's ``dist_to_fix`` and ``err_to_limit`` columns.
 
-    The columns come from ``compute_distances`` (with ``cache``) and ``limit_errors``;
-    MissingDistances when either is absent. Passes when both fits come back R-linear;
-    schedules that do not converge R-linearly are expected to fail the iterate fit.
+    The columns come from ``compute_distances`` and ``limit_errors``; MissingDistances
+    when either is absent. Passes when both fits come back R-linear; schedules that do
+    not converge R-linearly are expected to fail the iterate fit.
 
-    A point served by ``cache`` lies within the cache's largest residual amplified by
-    1/(1 - beta) of the exact one, so distances below a decade above that count as zero
-    and are excluded from the fit. The floor is read when this is called, so stepsizes
-    off the run that the cache has served since may raise it.
+    A point of the family's fixed-point line has a residual of at most the line's bound
+    rho, so it lies within rho / (1 - beta) of the exact fixed point of a beta-contraction;
+    distances below 10 rho / (1 - beta) count as zero and are excluded from the fit.
     """
     beta = family.contraction_beta
     if beta is None:
         raise NonSingletonFix("rate verification needs a contraction certificate")
     if trace.dist_to_fix is None or trace.err_to_limit is None:
         raise MissingDistances("trace lacks a column; run compute_distances and limit_errors first")
-    cache = _own_cache(family, cache)
     if burn_in is None:
         burn_in = default_burn_in(len(trace) - 1)
 
     iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in)
-    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * cache.max_residual / (1.0 - beta)))
+    rho = family.fixed_point_line().residual_bound
+    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * rho / (1.0 - beta)))
     dist_rate = _fit_core(trace.dist_to_fix, burn_in, dist_floor)
     return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

@@ -5,8 +5,9 @@ A family bundles the map ``T_gamma``, its fixed-point relocator
 
     x_{n+1} = Q_{gamma_{n+1} <- gamma_n} T_{gamma_n} x_n
 
-and records residuals per step. Fixed-point membership is only ever certified
-through residuals ``||x - T_gamma x|| <= tol * (1 + ||x||)``.
+and records residuals per step. A point is a fixed point when its measured
+residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
+fixed-point sets serves them from one line, certified once by a proven bound.
 """
 
 from __future__ import annotations
@@ -125,6 +126,20 @@ class StepsizeSchedule:
         return self.kind != "polynomial"
 
 
+@dataclass(frozen=True)
+class FixedPointLine:
+    """Fix T_gamma = {offset + gamma * slope} for every gamma in a family's interval, with
+    ``residual_bound`` a proven bound on ||x - T_gamma x|| at every point served."""
+
+    offset: np.ndarray
+    slope: np.ndarray
+    residual_bound: float
+
+    def point(self, gamma) -> np.ndarray:
+        """The fixed point at ``gamma``; a column of stepsizes ``(k, 1)`` gives a block of them."""
+        return self.offset + gamma * self.slope
+
+
 class OperatorFamily(abc.ABC):
     """A family (T_gamma) with relocators, over a closed stepsize interval.
 
@@ -137,7 +152,7 @@ class OperatorFamily(abc.ABC):
     dim: int
     gamma_interval: tuple[float, float]
     alpha: float | None = None
-    _line: tuple[np.ndarray, np.ndarray] | None = None
+    _line: FixedPointLine | None = None
 
     @property
     def contraction_beta(self) -> float | None:
@@ -172,14 +187,25 @@ class OperatorFamily(abc.ABC):
         return self.relocate(delta, gamma, x), None
 
     def fixed_point(self, gamma: float) -> np.ndarray:
-        """The fixed point of T_gamma on the line ``_fixed_point_line`` builds on first use."""
-        gamma = self.check_gamma(gamma)
-        if self._line is None:
-            self._line = self._fixed_point_line()
-        offset, slope = self._line
-        return offset + gamma * slope
+        """The fixed point of T_gamma, served from ``fixed_point_line``."""
+        return self.fixed_point_line().point(self.check_gamma(gamma))
 
-    def _fixed_point_line(self) -> tuple[np.ndarray, np.ndarray]:
+    def fixed_point_line(self) -> FixedPointLine:
+        """The line ``_fixed_point_line`` builds, certified on first use: its residual bound lies
+        within FIXED_POINT_TOL, and its points at the interval ends pass ``assert_fixed_point``,
+        which refuses a line not encoding T_gamma's fixed points (NotAFixedPoint otherwise)."""
+        if self._line is None:
+            line = self._fixed_point_line()
+            if not line.residual_bound <= FIXED_POINT_TOL:
+                raise NotAFixedPoint(
+                    f"line residual bound {line.residual_bound:.3e} above {FIXED_POINT_TOL:.1e}"
+                )
+            for gamma in dict.fromkeys(self.gamma_interval):
+                self.assert_fixed_point(gamma, line.point(gamma))
+            self._line = line
+        return self._line
+
+    def _fixed_point_line(self) -> FixedPointLine:
         raise NonSingletonFix(f"{type(self).__name__} exposes no fixed-point line")
 
     def residual(self, gamma: float, x) -> float:
@@ -278,7 +304,8 @@ class ScalarShiftFamily(OperatorFamily):
         return np.full_like(as_points(x, 1), delta)
 
     def _fixed_point_line(self):
-        return np.zeros(1), np.ones(1)
+        # x = gamma is formed exactly, and T_gamma gamma = gamma + beta * 0 = gamma in floats
+        return FixedPointLine(np.zeros(1), np.ones(1), 0.0)
 
     def relocator_lipschitz(self, delta, gamma):
         # the constant map is 0-Lipschitz; constants are declared in [1, inf)
@@ -379,9 +406,22 @@ def summability_report(family: OperatorFamily, schedule: StepsizeSchedule, n_ter
 
 @dataclass(frozen=True)
 class GammaLipschitzProbe:
-    L_estimate: float
-    max_ratio_point: tuple[np.ndarray, float, float]
-    samples: int
+    """For each probed pair: the move ||Q_{delta<-gamma} x - x||, the stepsize gap
+    |delta - gamma| and the scale 1 + ||x||."""
+
+    moves: np.ndarray
+    gaps: np.ndarray
+    scales: np.ndarray
+
+    @property
+    def L_estimate(self) -> float:
+        """The largest ratio ||Q_{delta<-gamma} x - x|| / |delta - gamma|."""
+        return float(np.max(self.moves / self.gaps))
+
+    def excess(self, L: float) -> float:
+        """Largest | ||Q x - x|| - L |delta - gamma| | / (1 + ||x||): how far the moves are
+        from a relocator moving every probed fixed point by exactly L |delta - gamma|."""
+        return float(np.max(np.abs(self.moves - L * self.gaps) / self.scales))
 
 
 def gamma_lipschitz_probe(
@@ -389,27 +429,19 @@ def gamma_lipschitz_probe(
     fixed_points: list[tuple[np.ndarray, float]],
     deltas: list[float],
 ) -> GammaLipschitzProbe:
-    """Estimate sup ||Q_{delta<-gamma} x - x|| / |delta - gamma| over fixed points.
+    """Probe ||Q_{delta<-gamma} x - x|| against |delta - gamma| over fixed points.
 
     Every (x, gamma) must pass the fixed-point residual certificate; delta ==
-    gamma pairs are skipped. The supremum witnesses the Lipschitz-in-stepsize
+    gamma pairs are skipped. The largest ratio witnesses the Lipschitz-in-stepsize
     behaviour of the relocator along the fixed-point sets.
     """
     deltas = family.check_gamma(np.asarray(deltas, dtype=float))
-    best = -np.inf
-    best_point = None
-    count = 0
+    rows = []
     for x, gamma in fixed_points:
         x = family.assert_fixed_point(gamma, x)
-        for delta in deltas:
-            if delta == gamma:
-                continue
-            moved = family.relocate(delta, gamma, x)
-            ratio = float(np.linalg.norm(moved - x)) / abs(delta - gamma)
-            count += 1
-            if ratio > best:
-                best = ratio
-                best_point = (x, float(gamma), float(delta))
-    if best_point is None:
+        scale = 1.0 + float(np.linalg.norm(x))
+        rows += [(float(np.linalg.norm(family.relocate(delta, gamma, x) - x)), abs(delta - gamma), scale)
+                 for delta in deltas[deltas != gamma]]
+    if not rows:
         raise DomainError("no (fixed point, delta) pair with delta != gamma")
-    return GammaLipschitzProbe(best, best_point, count)
+    return GammaLipschitzProbe(*(np.array(column) for column in zip(*rows)))

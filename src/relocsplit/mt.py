@@ -29,10 +29,9 @@ from .errors import (
     CertificationFailed,
     ChainMismatch,
     DomainError,
-    UnsupportedOperator,
 )
 from .family import OperatorFamily, StepsizeSchedule, block_sizes, relocated_iterate
-from .operators import BoxNormalCone
+from .operators import inclusion_gaps
 
 _UNSET = object()
 #: margin keeping the relaxation parameter strictly inside (0, 1)
@@ -195,8 +194,9 @@ def mt_fixed_point_to_zero(fam: MTFamily, gamma: float, x) -> MTZeroCertificate:
     Certifies the whole chain z = J_{gamma A1} x^1 = J_{gamma Ai}(x^i - x^{i-1} + z)
     = J_{gamma AN}(2z - x^{N-1}); a residual above ``CHAIN_TOL`` raises
     ChainMismatch since the correspondence is an equivalence. The inclusion
-    residual is ||sum_i A_i(z)|| for single-valued operators; one trailing
-    normal cone is handled through its face inequalities.
+    residual is the sum of the two gaps ``operators.inclusion_gaps`` measures:
+    ||sum_i A_i(z)|| for single-valued operators, and for one box normal cone
+    its feasibility gap plus its cone gap.
     """
     gamma = fam.check_gamma(gamma)
     x = fam.assert_fixed_point(gamma, x)
@@ -215,25 +215,7 @@ def mt_fixed_point_to_zero(fam: MTFamily, gamma: float, x) -> MTZeroCertificate:
             f"resolvent chain residuals {chain} exceed {CHAIN_TOL:.1e} at a certified fixed point"
         )
 
-    cones = [op for op in ops if isinstance(op, BoxNormalCone)]
-    pointwise = [op for op in ops if not isinstance(op, BoxNormalCone)]
-    if len(cones) > 1:
-        raise UnsupportedOperator("inclusion residual supports at most one normal cone")
-    if any(not callable(op) for op in pointwise):
-        raise UnsupportedOperator("inclusion residual needs single-valued operators")
-
-    total = np.zeros(fam.space_dim)
-    for op in pointwise:
-        total = total + op(z)
-    if not cones:
-        residual = float(np.linalg.norm(total))
-    else:
-        cone = cones[0]
-        feasibility = float(np.linalg.norm(z - cone.project(z)))
-        target = -total  # need -sum_i A_i(z) in N_C(z)
-        cone_gap = float(np.linalg.norm(cone.project_normal_cone(z, target) - target))
-        residual = feasibility + cone_gap
-    return MTZeroCertificate(z, residual, chain)
+    return MTZeroCertificate(z, sum(inclusion_gaps(ops, z)), chain)
 
 
 @dataclass(frozen=True)

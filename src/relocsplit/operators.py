@@ -32,7 +32,7 @@ from .errors import (
 MONOTONE_EIG_TOL = 1e-10
 #: condition-number ceiling for direct inversion
 MAX_INVERSE_COND = 1e12
-#: distance from a box bound within which ``project_normal_cone`` counts a face active
+#: distance from a box bound within which ``face_point`` moves a coordinate onto the bound
 FACE_TOL = 1e-7
 
 
@@ -244,24 +244,41 @@ class BoxNormalCone:
         x = as_vector(x, self.dim)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def project_normal_cone(self, z, v) -> np.ndarray:
-        """Project ``v`` onto the normal cone at ``z`` (componentwise on faces).
+    def face_point(self, z) -> np.ndarray:
+        """z clipped into the box, with every coordinate within ``FACE_TOL`` of a bound moved onto it."""
+        p = self.project(z)
+        p = np.where(p <= self.lower + FACE_TOL, self.lower, p)
+        return np.where(p >= self.upper - FACE_TOL, self.upper, p)
 
-        ``z`` is assumed to lie in the box up to ``FACE_TOL``; coordinates
-        within ``FACE_TOL`` of a bound count as active.
-        """
-        z = as_vector(z, self.dim)
-        v = as_vector(v, self.dim)
-        out = np.zeros_like(v)
-        at_lower = z <= self.lower + FACE_TOL
-        at_upper = z >= self.upper - FACE_TOL
-        only_lower = at_lower & ~at_upper
-        only_upper = at_upper & ~at_lower
-        both = at_lower & at_upper  # pinned coordinates admit any normal direction
-        out[only_lower] = np.minimum(v[only_lower], 0.0)
-        out[only_upper] = np.maximum(v[only_upper], 0.0)
-        out[both] = v[both]
-        return out
+    def project_normal_cone(self, z, v) -> np.ndarray:
+        """Project ``v`` onto the normal cone N_C(p) at p = ``face_point(z)``. Componentwise the
+        cone allows v_k >= 0 where p_k is the upper bound, v_k <= 0 where it is the lower, any
+        v_k where it is both, and 0 inside."""
+        p, v = self.face_point(as_vector(z, self.dim)), as_vector(v, self.dim)
+        up = np.where(p == self.upper, np.maximum(v, 0.0), 0.0)
+        return up + np.where(p == self.lower, np.minimum(v, 0.0), 0.0)
+
+
+def inclusion_gaps(operators, z) -> tuple[float, float]:
+    """How far z is from solving 0 in A1 z + ... + AN z: ``(||z - p||, ||s + w||)``.
+
+    s is the sum of the single-valued A_i z. With one box C among the operators, p is its
+    ``face_point(z)`` and w the projection of -s onto the normal cone N_C(p), so p lies in C
+    and w in N_C(p) exactly; with no box, p = z and w = 0. More than one box, or another
+    set-valued operator, raises UnsupportedOperator.
+    """
+    cones = [op for op in operators if isinstance(op, BoxNormalCone)]
+    pointwise = [op for op in operators if not isinstance(op, BoxNormalCone)]
+    if len(cones) > 1:
+        raise UnsupportedOperator("inclusion residual supports at most one normal cone")
+    if not all(callable(op) for op in pointwise):
+        raise UnsupportedOperator("inclusion residual needs single-valued operators")
+    s = sum((op(z) for op in pointwise), np.zeros_like(z))
+    if not cones:
+        return 0.0, float(np.linalg.norm(s))
+    cone = cones[0]
+    p, w = cone.face_point(z), cone.project_normal_cone(z, -s)
+    return float(np.linalg.norm(z - p)), float(np.linalg.norm(s + w))
 
 
 class SingletonSet:

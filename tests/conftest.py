@@ -48,12 +48,11 @@ def geometric_schedule():
 @pytest.fixture(scope="session")
 def run_with_columns():
     """A relocated run as an experiment holds it for ``verify_rate_theorem``: its
-    ``dist_to_fix`` and ``err_to_limit`` filled in, with the cache that served the distances."""
+    ``dist_to_fix`` and ``err_to_limit`` filled in."""
 
     def run(family, schedule, x0, n_steps):
-        cache = rs.FixedPointCache(family)
-        trace = rs.compute_distances(family, rs.relocated_iterate(family, schedule, x0, n_steps), cache)
+        trace = rs.compute_distances(family, rs.relocated_iterate(family, schedule, x0, n_steps))
         diagnostics.limit_errors(family, schedule.gamma_star, trace)
-        return trace, cache
+        return trace
 
     return run

@@ -29,7 +29,7 @@ from relocsplit import (
     verify_one_step_contraction,
     verify_rate_theorem,
 )
-from relocsplit.diagnostics import FixedPointCache, compute_distances
+from relocsplit.diagnostics import compute_distances
 
 WIDE = (0.5, 3.0)
 
@@ -84,10 +84,9 @@ def test_criterion_02_relocator_laws(dr5, mt3):
     rng = np.random.default_rng(202)
     for family, count in ((dr5, 50), (mt3, 50)):
         lo, hi = family.gamma_interval
-        cache = FixedPointCache(family)
         for _ in range(count):
             gamma, delta, eps = rng.uniform(lo, hi, size=3)
-            x = cache.point(gamma)
+            x = family.fixed_point(gamma)
             # identity at gamma
             assert np.linalg.norm(family.relocate(gamma, gamma, x) - x) <= 1e-8
             # relocated point is fixed for the target operator
@@ -150,7 +149,7 @@ def test_criterion_05_error_bounds(dr5):
 def test_criterion_06_main_rate_theorem(dr10, run_with_columns):
     fam, sch = dr10
     x0 = np.zeros(fam.dim)
-    result = verify_rate_theorem(fam, *run_with_columns(fam, sch, x0, 300), burn_in=5)
+    result = verify_rate_theorem(fam, run_with_columns(fam, sch, x0, 300), burn_in=5)
     beta_bar = fam.contraction_beta
     assert result.passed
     assert result.iterate_rate.fit_quality >= 0.95
@@ -184,10 +183,9 @@ def test_criterion_07_primal_dual_recovery(dr10):
 
 def test_criterion_08_fix_set_decomposition(dr5):
     gammas = (0.6, 1.8)
-    cache = FixedPointCache(dr5)
     points = {}
     for gamma in gammas:
-        x = cache.point(gamma)
+        x = dr5.fixed_point(gamma)
         points[gamma] = x
         fd = fix_decomposition_check(dr5, gamma, x)
         assert fd.primal_residual <= 1e-8
@@ -222,8 +220,7 @@ def test_criterion_09_mt_correctness(mt3):
     est = fit_linear_rate(gaps, burn_in=5)
     assert est.linear and est.fit_quality >= 0.9
 
-    cache = FixedPointCache(mt3)
-    cert = mt_fixed_point_to_zero(mt3, 1.0, cache.point(1.0))
+    cert = mt_fixed_point_to_zero(mt3, 1.0, mt3.fixed_point(1.0))
     assert np.all(cert.chain_residuals <= 1e-7)
     assert cert.inclusion_residual <= 1e-7
 
@@ -270,7 +267,7 @@ def test_criterion_11_summability(dr5, mt3):
 
 def test_criterion_12_relocator_only_sequence(dr5):
     sch = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (0.5, 2.0))
-    c0 = FixedPointCache(dr5).point(sch.gamma(0))
+    c0 = dr5.fixed_point(sch.gamma(0))
     trace = relocator_only_sequence(dr5, sch, c0, 100)
     # every row re-certified against tolerance 1e-7 (the driver enforces the
     # scale-adjusted version; re-check the plain bound here)

@@ -7,13 +7,13 @@ import pytest
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
 from relocsplit import (
-    FixedPointCache,
     ScalarShiftFamily,
     StepsizeSchedule,
     generate_problem,
     relocated_iterate,
 )
 from relocsplit.errors import ConfigError
+from relocsplit.family import FixedPointLine, block_sizes
 
 DR_CONFIG = """
 # strongly monotone pair, geometric stepsizes
@@ -187,7 +187,32 @@ class TestConfigParsing:
         }
         mapping = cli.parse_config_file(write_config(tmp_path, DR_CONFIG)) | values
         assert mapping.keys() == keys
-        assert cli.build_config(mapping).n_steps == 300
+        # each key is accepted by the algorithms it applies to
+        accepted = set()
+        for algorithm in cli.ALGORITHMS:
+            applicable = {key: value for key, value in mapping.items()
+                          if algorithm in cli._KNOWN_KEYS[key][1]}
+            assert cli.build_config(applicable | {"algorithm": algorithm}).n_steps == 300
+            accepted |= applicable.keys()
+        assert accepted == keys
+
+
+    @pytest.mark.parametrize(
+        "text, key, value",
+        [(DR_CONFIG, "problem.n_operators", "5"), (DR_CONFIG, "theta", "7"),
+         (MT_CONFIG, "problem.beta", "0.5"), (SCALAR_CONFIG, "problem.kind", "bogus"),
+         (SCALAR_CONFIG, "problem.dim", "40"), (SCALAR_CONFIG, "theta", "0.5")],
+        ids=["dr-n_operators", "dr-theta", "mt-beta", "scalar-kind", "scalar-dim", "scalar-theta"],
+    )
+    def test_inapplicable_key_rejected(self, tmp_path, capsys, text, key, value):
+        # a key the algorithm never reads cannot take effect, so it exits 2 instead of passing
+        algorithm = cli.parse_config_file(write_config(tmp_path, text))["algorithm"]
+        message = f"keys ['{key}'] do not apply to algorithm={algorithm}"
+        assert cli.main(["run", write_config(tmp_path, text), "--set", f"{key}={value}"]) == 2
+        assert message in capsys.readouterr().err
+        in_file = write_config(tmp_path, text, name="in_file.cfg", extra=f"{key} = {value}\n")
+        assert cli.main(["verify", in_file]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -258,15 +283,17 @@ class TestRunExperiment:
         for owner, name in ((cli, "relocated_iterate"), (diagnostics, "relocated_iterate"),
                             (diagnostics, "limit_errors"), (diagnostics, "compute_distances")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-        monkeypatch.setattr(FixedPointCache, "point", counted("point", FixedPointCache.point))
+        monkeypatch.setattr(FixedPointLine, "point", counted("point", FixedPointLine.point))
         config = cli.build_config(
             cli.parse_config_file(write_config(tmp_path, text)), {"checks": "rate_theorem"}
         )
         status, records = cli.run_experiment(config)
         assert status == 0 and [rec.name for rec in records] == ["rate_theorem"]
-        # rate_theorem makes no lookup of its own: each row's point is looked up once
+        # rate_theorem serves no point of its own: the line is certified at the two interval
+        # ends, then serves the rows' points a block at a time
+        blocks = len(list(block_sizes(config.n_steps + 1, 3 * cli.build_family(config)[0].dim)))
         assert calls == {"relocated_iterate": 1, "limit_errors": 1, "compute_distances": 1,
-                         "point": config.n_steps + 1}
+                         "point": 2 + blocks}
 
     @pytest.mark.parametrize(
         "extra",
@@ -309,7 +336,8 @@ class TestRunExperiment:
     def test_broken_relocator_fails_its_checks(self, tmp_path, monkeypatch, text):
         # served fixed points come from the operators, so a relocator whose
         # delta/gamma ratio is off by 1e-3 cannot agree with them
-        checks = ["relocator_bijection"] + (["fix_decomposition"] if text is DR_CONFIG else [])
+        checks = ["relocator_bijection", "gamma_lipschitz"]
+        checks += ["fix_decomposition"] if text is DR_CONFIG else []
         config = cli.build_config(
             cli.parse_config_file(write_config(tmp_path, text)), {"checks": ",".join(checks)}
         )

@@ -17,7 +17,6 @@ from relocsplit import (
     verify_one_step_contraction,
     verify_rate_theorem,
 )
-from relocsplit.diagnostics import FixedPointCache
 from relocsplit.dr import fix_decomposition_check
 from relocsplit.errors import (
     DomainError,
@@ -28,7 +27,8 @@ from relocsplit.errors import (
     TooFewSamples,
     UnsupportedOperator,
 )
-from relocsplit.family import BLOCK_FLOATS, FIXED_POINT_TOL, relocated_iterate
+import relocsplit.family as family_module
+from relocsplit.family import BLOCK_FLOATS, FIXED_POINT_TOL, FixedPointLine, block_sizes, relocated_iterate
 
 INTERVAL = (0.5, 2.0)
 
@@ -218,10 +218,9 @@ class TestBlockedErrorBound:
             assert sum(1 for n in floats if n > family.dim) > 1
 
     def test_cached_fixed_point_runs_no_oracle(self, pd_pair_family, monkeypatch):
+        # the family's line, certified once, serves the fixed point: no oracle, no residual apply
         kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
         cold = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
-        cache = FixedPointCache(pd_pair_family)
-        cache.point(1.0)
         calls = []
         real_oracle = diagnostics.fixed_point_oracle
 
@@ -230,16 +229,11 @@ class TestBlockedErrorBound:
             return real_oracle(*args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
-        cached = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5, cache=cache)
+        applied = _record_applies(monkeypatch, pd_pair_family)
+        cached = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
         assert calls == []
-        assert cached.violations == cold.violations
-        assert abs(cached.worst_ratio - cold.worst_ratio) <= 1e-9 * cold.worst_ratio
-
-    def test_cache_of_another_family_rejected(self, pd_pair_family, mt3_family):
-        with pytest.raises(DomainError):
-            verify_error_bound(
-                pd_pair_family, 1.0, 10.0, (-3, 3), 10, 5, cache=FixedPointCache(mt3_family)
-            )
+        assert len(applied) == len(list(block_sizes(1000, pd_pair_family.dim)))
+        assert cached == cold
 
 
 def per_row_one_step(family, trace, kappa):
@@ -306,7 +300,7 @@ class TestVerifyRateTheorem:
     def test_scalar_geometric(self, geometric_schedule, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         run = run_with_columns(fam, geometric_schedule, [geometric_schedule.gamma(0)], 300)
-        res = verify_rate_theorem(fam, *run, burn_in=5)
+        res = verify_rate_theorem(fam, run, burn_in=5)
         assert res.passed
         # distances are identically zero, iterate errors are exactly 0.5^n
         assert res.dist_rate.C == 0.0
@@ -315,13 +309,13 @@ class TestVerifyRateTheorem:
     def test_scalar_polynomial_negative_control(self, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         sch = StepsizeSchedule.polynomial(1.0, 1.0, 2.0, INTERVAL)
-        res = verify_rate_theorem(fam, *run_with_columns(fam, sch, [sch.gamma(0)], 2000), burn_in=5)
+        res = verify_rate_theorem(fam, run_with_columns(fam, sch, [sch.gamma(0)], 2000), burn_in=5)
         assert not res.passed
         assert not res.iterate_rate.linear
 
     def test_dr_geometric(self, pd_pair_family, geometric_schedule, run_with_columns):
         run = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
-        res = verify_rate_theorem(pd_pair_family, *run, burn_in=5)
+        res = verify_rate_theorem(pd_pair_family, run, burn_in=5)
         assert res.passed
         assert res.iterate_rate.fit_quality >= 0.9
         assert res.dist_rate.fit_quality >= 0.9
@@ -333,7 +327,7 @@ class TestVerifyRateTheorem:
         sch = StepsizeSchedule.constant(1.0, INTERVAL)
         trace = relocated_iterate(fam, sch, np.zeros(2), 100)
         with pytest.raises(NonSingletonFix):
-            verify_rate_theorem(fam, trace, FixedPointCache(fam))
+            verify_rate_theorem(fam, trace)
 
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
     def test_fits_the_columns_without_recomputing_them(
@@ -341,7 +335,7 @@ class TestVerifyRateTheorem:
     ):
         family = request.getfixturevalue(family_name)
         x0 = np.random.default_rng(4).standard_normal(family.dim)
-        trace, cache = run_with_columns(family, geometric_schedule, x0, 250)
+        trace = run_with_columns(family, geometric_schedule, x0, 250)
         dist, errs = trace.dist_to_fix.copy(), trace.err_to_limit.copy()
 
         def recomputed(*args, **kwargs):
@@ -349,41 +343,42 @@ class TestVerifyRateTheorem:
 
         for name in ("relocated_iterate", "limit_errors", "compute_distances"):
             monkeypatch.setattr(diagnostics, name, recomputed)
-        monkeypatch.setattr(FixedPointCache, "point", recomputed)
+        monkeypatch.setattr(FixedPointLine, "point", recomputed)
         monkeypatch.setattr(type(family), "apply", recomputed)
-        res = verify_rate_theorem(family, trace, cache, burn_in=5)
+        res = verify_rate_theorem(family, trace, burn_in=5)
         assert res.passed
-        floor = 10.0 * cache.max_residual / (1.0 - family.contraction_beta)
+        floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.contraction_beta)
         assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5)
         assert res.dist_rate == diagnostics._fit_core(
             dist, 5, max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
         )
         assert np.array_equal(trace.dist_to_fix, dist) and np.array_equal(trace.err_to_limit, errs)
 
-    def test_distance_floor_is_read_from_the_cache(
-        self, pd_pair_family, geometric_schedule, run_with_columns
+    def test_distance_floor_is_the_certified_bound(
+        self, pd_pair_family, geometric_schedule, run_with_columns, monkeypatch
     ):
-        # a cache that has served a worse point since the distances were taken raises the floor
-        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.ones(5), 250)
-        before = verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
-        cache.max_residual = 1e-9 * (1.0 - pd_pair_family.contraction_beta)
-        after = verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
+        # the floor follows the line's bound, and serving other points does not move it
+        trace = run_with_columns(pd_pair_family, geometric_schedule, np.ones(5), 250)
+        before = verify_rate_theorem(pd_pair_family, trace, burn_in=5)
+        for gamma in np.linspace(*INTERVAL, 7):
+            pd_pair_family.fixed_point(gamma)
+        assert verify_rate_theorem(pd_pair_family, trace, burn_in=5) == before
+        line = pd_pair_family.fixed_point_line()
+        raised = 1e-9 * (1.0 - pd_pair_family.contraction_beta)
+        monkeypatch.setattr(pd_pair_family, "_line", dataclasses.replace(line, residual_bound=raised))
+        after = verify_rate_theorem(pd_pair_family, trace, burn_in=5)
         assert after.iterate_rate == before.iterate_rate
         assert np.all(trace.dist_to_fix[5: 5 + after.dist_rate.n_used] >= 1e-8)
         assert after.dist_rate.n_used < before.dist_rate.n_used
 
-    def test_shared_inputs_are_checked(
-        self, pd_pair_family, mt3_family, geometric_schedule, run_with_columns
-    ):
-        # the trace must carry both columns, and the cache must serve the trace's family
-        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 100)
+    def test_shared_inputs_are_checked(self, pd_pair_family, geometric_schedule, run_with_columns):
+        # the trace must carry both columns
+        trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 100)
         for column in ("dist_to_fix", "err_to_limit"):
             lacking = dataclasses.replace(trace, **{column: None})
             with pytest.raises(MissingDistances):
-                verify_rate_theorem(pd_pair_family, lacking, cache)
-        with pytest.raises(DomainError):
-            verify_rate_theorem(pd_pair_family, trace, FixedPointCache(mt3_family))
-        assert verify_rate_theorem(pd_pair_family, trace, cache).passed
+                verify_rate_theorem(pd_pair_family, lacking)
+        assert verify_rate_theorem(pd_pair_family, trace).passed
 
 
 def _record_applies(monkeypatch, family) -> list:
@@ -435,31 +430,22 @@ class TestLimitErrors:
 
 
 class TestFixedPointCache:
+    """The line each family certifies once and serves its fixed points from
+    (``diagnostics.FixedPointCache`` names its class for the benchmark)."""
+
     def test_keys_by_exact_gamma(self):
-        # a neighbour cached within 1e-12 must not serve its point for gamma
+        # stepsizes 9.1e-13 apart get their own points on the line
         ops = rs.generate_problem("affine_strongly_monotone", 50, 7, 0.5, 2.0)
         family = rs.DRFamily(ops[0], ops[1], INTERVAL)
-        cache = FixedPointCache(family)
-        neighbour = cache.point(1.0 + 9.1e-13)
-        p = cache.point(1.0)
+        neighbour = family.fixed_point(1.0 + 9.1e-13)
+        p = family.fixed_point(1.0)
+        line = family.fixed_point_line()
         assert not np.array_equal(p, neighbour)
-        assert np.array_equal(p, family.fixed_point(1.0))
+        assert np.array_equal(p, line.offset + 1.0 * line.slope)
         assert family.residual(1.0, p) <= 1e-13
-        assert cache.point(1.0) is p
 
     def test_distinct_gammas_distinct_points(self, pd_pair_family):
-        cache = FixedPointCache(pd_pair_family)
-        assert np.linalg.norm(cache.point(0.6) - cache.point(1.9)) > 1e-3
-
-    def test_records_the_largest_residual(self, pd_pair_family):
-        cache = FixedPointCache(pd_pair_family)
-        assert cache.max_residual == 0.0
-        gammas = (0.6, 1.0, 1.9)
-        for g in gammas:
-            cache.point(g)
-        assert cache.max_residual == max(
-            pd_pair_family.residual(g, pd_pair_family.fixed_point(g)) for g in gammas
-        )
+        assert np.linalg.norm(pd_pair_family.fixed_point(0.6) - pd_pair_family.fixed_point(1.9)) > 1e-3
 
     def test_line_needs_single_valued_leading_operators(self, pd_pair_family):
         box = rs.BoxNormalCone(-np.ones(5), np.ones(5))
@@ -474,12 +460,43 @@ class TestFixedPointCache:
             fam.fixed_point(1.0)
 
     def test_point_failing_the_residual_test_is_refused(self, pd_pair_family, monkeypatch):
-        real = type(pd_pair_family).fixed_point
-        monkeypatch.setattr(
-            type(pd_pair_family), "fixed_point", lambda self, g: real(self, g) + 1e-3
-        )
-        with pytest.raises(NotAFixedPoint):
-            FixedPointCache(pd_pair_family).point(1.0)
+        # a line off by 1e-3, or whose bound exceeds the tolerance, is refused when first used
+        real = rs.DRFamily._fixed_point_line
+        run = relocated_iterate(pd_pair_family, StepsizeSchedule.constant(1.0), np.ones(5), 3)
+        for field in ("offset", "slope", "residual_bound"):
+            def shifted(self, field=field):
+                line = real(self)
+                return dataclasses.replace(line, **{field: getattr(line, field) + 1e-3})
+
+            monkeypatch.setattr(rs.DRFamily, "_fixed_point_line", shifted)
+            fresh = rs.DRFamily(pd_pair_family.a1, pd_pair_family.a2, INTERVAL)
+            with pytest.raises(NotAFixedPoint):
+                fresh.fixed_point(1.0)
+            with pytest.raises(NotAFixedPoint):
+                compute_distances(fresh, run)
+
+
+class TestComputeDistances:
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_blocks_match_the_per_row_distances(self, family_name, geometric_schedule, request, monkeypatch):
+        family = request.getfixturevalue(family_name)
+        trace = relocated_iterate(family, geometric_schedule, np.ones(family.dim), 100)
+        per_row = [np.linalg.norm(x - family.fixed_point(g)) for x, g in zip(trace.xs, trace.gammas)]
+        family.fixed_point_line()
+        # blocks of 8 rows: three dim-float temporaries per row
+        monkeypatch.setattr(family_module, "BLOCK_FLOATS", 3 * 8 * family.dim)
+        served = []
+        real_point = FixedPointLine.point
+
+        def recording(self, gamma):
+            served.append(np.size(gamma))
+            return real_point(self, gamma)
+
+        monkeypatch.setattr(FixedPointLine, "point", recording)
+        applied = _record_applies(monkeypatch, family)
+        compute_distances(family, trace)
+        assert served == [8] * 12 + [5] and applied == []
+        assert np.allclose(trace.dist_to_fix, per_row, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -504,16 +521,21 @@ def scalar_family():
 
 @pytest.mark.parametrize("schedule_kind", list(SCHEDULES))
 @pytest.mark.parametrize(
-    "family_name", ["pd_pair_family", "mt3_family", "box_mt_family", "scalar_family"]
+    "family_name",
+    ["pd_pair_family", "skew_strong_family", "mt3_family", "box_mt_family", "scalar_family"],
 )
 def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, request):
     family = request.getfixturevalue(family_name)
     lo, hi = family.gamma_interval
     gammas = [lo, 1.3, hi, *SCHEDULES[schedule_kind].gammas(80)]
-    cache = FixedPointCache(family)
+    line = family.fixed_point_line()
+    assert line.residual_bound <= FIXED_POINT_TOL
     for g in gammas:
-        p = cache.point(g)
-        assert np.array_equal(p, family.fixed_point(g))
-        assert family.residual(g, p) <= FIXED_POINT_TOL * (1.0 + np.linalg.norm(p))
+        p = family.fixed_point(g)
+        assert np.array_equal(p, line.offset + g * line.slope)
+        # the bound holds for T_gamma evaluated exactly; its float evaluation may add
+        # rounding of order dim * eps * (1 + ||x||) to the residual measured here
+        slack = family.dim * np.finfo(float).eps * (1.0 + np.linalg.norm(p))
+        assert family.residual(g, p) <= line.residual_bound + slack
         cold = fixed_point_oracle(family, g, np.zeros(family.dim))
         assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))

@@ -116,8 +116,8 @@ class TestAlgorithm1:
         assert np.max(np.linalg.norm(t1.blocks["w"] - t2.t_of_x, axis=1)) <= 1e-12
 
     def test_geometric_rate_bounded(self, pd_pair_family, geometric_schedule, run_with_columns):
-        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
-        res = rs.verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
+        trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
+        res = rs.verify_rate_theorem(pd_pair_family, trace, burn_in=5)
         beta_bar = pd_pair_family.contraction_beta
         assert res.passed
         assert res.iterate_rate.r <= max(beta_bar, geometric_schedule.r) + 0.05

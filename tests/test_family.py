@@ -10,7 +10,7 @@ from relocsplit import (
     relocator_only_sequence,
     summability_report,
 )
-from relocsplit.diagnostics import FixedPointCache, fixed_point_oracle
+from relocsplit.diagnostics import fixed_point_oracle
 from relocsplit.errors import (
     DivergenceDetected,
     DomainError,
@@ -313,8 +313,7 @@ class TestGammaLipschitzProbe:
 
     def test_dr_ratio_closed_form(self, pd_pair_family):
         # per sample the ratio is exactly ||x - J_{gamma A1} x|| / gamma
-        cache = FixedPointCache(pd_pair_family)
-        points = [(cache.point(g), g) for g in (0.6, 1.0, 1.8)]
+        points = [(pd_pair_family.fixed_point(g), g) for g in (0.6, 1.0, 1.8)]
         deltas = [0.5, 0.9, 1.4, 2.0]
         probe = gamma_lipschitz_probe(pd_pair_family, points, deltas)
         expected = max(
@@ -323,10 +322,22 @@ class TestGammaLipschitzProbe:
         assert probe.L_estimate == pytest.approx(expected, rel=1e-12)
 
     def test_mt_probe_finite(self, mt3_family):
-        cache = FixedPointCache(mt3_family)
-        points = [(cache.point(g), g) for g in (0.5, 1.0, 2.0)]
+        points = [(mt3_family.fixed_point(g), g) for g in (0.5, 1.0, 2.0)]
         probe = gamma_lipschitz_probe(mt3_family, points, list(np.linspace(0.5, 2.0, 5)))
         assert np.isfinite(probe.L_estimate)
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_fixed_points_move_by_the_slope(self, family_name, request):
+        # Q_{delta<-gamma} x*(gamma) = x*(delta): each move is |delta - gamma| ||slope||
+        family = request.getfixturevalue(family_name)
+        slope = np.linalg.norm(family.fixed_point_line().slope)
+        points = [(family.fixed_point(g), g) for g in (0.5, 1.0, 1.7, 2.0)]
+        probe = gamma_lipschitz_probe(family, points, list(np.linspace(0.5, 2.0, 7)))
+        assert probe.moves.shape == probe.gaps.shape == probe.scales.shape == (4 * 7 - 3,)
+        assert probe.excess(slope) <= 1e-14
+        assert probe.L_estimate == pytest.approx(slope, rel=1e-12)
+        # a constant off by 1e-3 lies far outside the check's 1e-9 tolerance
+        assert probe.excess(slope * (1 + 1e-3)) > 1e-6
 
     def test_bad_fixed_point_rejected(self, pd_pair_family):
         with pytest.raises(NotAFixedPoint):
@@ -336,10 +347,9 @@ class TestGammaLipschitzProbe:
 def _relocator_law_samples(family, n_triples, seed):
     lo, hi = family.gamma_interval
     rng = np.random.default_rng(seed)
-    cache = FixedPointCache(family)
     for _ in range(n_triples):
         gamma, delta, eps = rng.uniform(lo, hi, size=3)
-        yield cache.point(gamma), gamma, delta, eps
+        yield family.fixed_point(gamma), gamma, delta, eps
 
 
 @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
@@ -398,8 +408,8 @@ class TestContractionRegularity:
     def test_geometric_schedule_gives_linear_iterates(
         self, pd_pair_family, geometric_schedule, run_with_columns
     ):
-        trace, cache = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 200)
-        res = rs.verify_rate_theorem(pd_pair_family, trace, cache, burn_in=5)
+        trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 200)
+        res = rs.verify_rate_theorem(pd_pair_family, trace, burn_in=5)
         assert res.iterate_rate.linear and res.iterate_rate.r < 1.0
 
 

@@ -14,7 +14,7 @@ from relocsplit import (
     mt_fixed_point_to_zero,
     mt_relocator_lipschitz,
 )
-from relocsplit.diagnostics import FixedPointCache, fixed_point_oracle
+from relocsplit.diagnostics import fixed_point_oracle
 from relocsplit.errors import BadBlockCount, DomainError, NotAFixedPoint
 from relocsplit.family import BLOCK_FLOATS, relocated_iterate
 
@@ -362,9 +362,8 @@ class TestContractionCertificate:
 
 class TestRelocatorKeepsFixedSetsAligned:
     def test_oracle_points_relocate_between_stepsizes(self, mt3_family):
-        cache = FixedPointCache(mt3_family)
-        xa = cache.point(0.6)
-        xb = cache.point(1.7)
+        xa = mt3_family.fixed_point(0.6)
+        xb = mt3_family.fixed_point(1.7)
         moved = mt3_family.relocate(1.7, 0.6, xa)
         assert np.linalg.norm(moved - xb) <= 1e-8 * (1 + np.linalg.norm(xb))
 
