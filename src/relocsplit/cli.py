@@ -6,7 +6,8 @@ builds a seeded problem, runs the requested algorithm, writes the trace as CSV
 and evaluates the requested checks, one PASS/FAIL record per check.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 configuration error,
-3 I/O error.
+3 I/O error, 4 numerical error (a run that diverged or did not converge, or a
+failed certificate).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dr import (
     dr_summability_bound,
     fix_decomposition_check,
 )
-from .errors import ConfigError, DomainError, RelocSplitError
+from .errors import ConfigError, DomainError, NumericalError, RelocSplitError
 from .family import (
     IterateTrace,
     ScalarShiftFamily,
@@ -49,6 +50,14 @@ ALGORITHMS = ("dr", "mt", "scalar_counterexample")
 FLOAT_FMT = "%.17g"
 
 SEED_ENV_VAR = "RELOCSPLIT_SEED"
+
+#: burn-in of the rate_theorem fits: a long one can launder sublinear tails into linear verdicts
+RATE_THEOREM_BURN_IN = 5
+
+#: the ``#`` line after the header of a trace carrying dist_to_fix: the floor and burn-in
+#: with which rate_theorem fits that column, so that its readback fits it alike
+DIST_FIT_PREFIX = "# dist_to_fix "
+DIST_FIT_LINE = f"{DIST_FIT_PREFIX}floor={FLOAT_FMT} burn_in=%d\n"
 
 
 @dataclass
@@ -362,8 +371,7 @@ def _check_one_step(config: ExperimentConfig, family, trace: IterateTrace) -> Ch
 
 
 def _check_rate_theorem(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    # small burn-in: a long one can launder sublinear tails into linear verdicts
-    result = diagnostics.verify_rate_theorem(family, trace, burn_in=5)
+    result = diagnostics.verify_rate_theorem(family, trace, burn_in=RATE_THEOREM_BURN_IN)
     return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
 
 
@@ -482,32 +490,47 @@ _CHECK_RUNNERS = {
 CHECK_NAMES = tuple(_CHECK_RUNNERS)
 
 
-def write_trace_csv(path: str, trace: IterateTrace) -> None:
-    """The trace as CSV; an error column the trace lacks is written as NaN."""
-    rows = len(trace)
-    names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit"]
+def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
+    """The trace as CSV: ``n, gamma, residual, dist_to_fix, err_to_limit`` and the iterates ``x``.
+
+    An error column the trace lacks is written as NaN. The blocks a family records are not
+    written: ``family.apply_from(gamma_n, x_n)`` recomputes them. When the trace carries
+    ``dist_to_fix``, a ``#`` line after the header (DIST_FIT_LINE) gives the floor
+    (``diagnostics.distance_floor``) and the burn-in with which rate_theorem fits it.
+    """
+    rows, dim = trace.xs.shape
+    names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit", *(f"x_{j}" for j in range(dim))]
     errors = [np.full(rows, math.nan) if col is None else col
               for col in (trace.dist_to_fix, trace.err_to_limit)]
-    pieces = [np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, *errors])]
-
-    def add(prefix: str, arr: np.ndarray):
-        names.extend(f"{prefix}_{j}" for j in range(arr.shape[1]))
-        pieces.append(arr)
-
-    add("x", trace.xs)
-    if trace.blocks:
-        for name in ("z", "y", "w"):
-            if name in trace.blocks:
-                add(name, trace.blocks[name])
-    else:
-        add("t", trace.t_of_x)
-
-    # one formatted write per row; a copy of the whole table would add to peak memory
+    lead = np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, *errors])
     row_fmt = ",".join([FLOAT_FMT] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(rows):
-            fh.write(row_fmt % tuple(np.concatenate([piece[i] for piece in pieces]).tolist()))
+        if trace.dist_to_fix is not None:
+            fh.write(DIST_FIT_LINE % (diagnostics.distance_floor(family), RATE_THEOREM_BURN_IN))
+        # one formatted write per row; a copy of the whole table would add to peak memory
+        for head, x in zip(lead.tolist(), trace.xs):
+            fh.write(row_fmt % (*head, *x.tolist()))
+
+
+def read_dist_fit(path: str) -> tuple[float, int] | None:
+    """The floor and burn-in of a trace's DIST_FIT_LINE, or None when it has none.
+
+    A malformed line, or a floor that is not a positive finite number, raises ConfigError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        line = fh.readline()
+    if not line.startswith(DIST_FIT_PREFIX):
+        return None
+    try:
+        fields = dict(field.split("=", 1) for field in line[len(DIST_FIT_PREFIX):].split())
+        floor, burn_in = float(fields["floor"]), int(fields["burn_in"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}:2: bad fit line {line.strip()!r}") from exc
+    if not 0.0 < floor < math.inf:
+        raise ConfigError(f"{path}:2: fit floor {floor!r} is not a positive finite number")
+    return floor, burn_in
 
 
 def read_trace_csv(path: str, column: str) -> np.ndarray:
@@ -532,7 +555,7 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
                 raise ConfigError(
                     f"{path}:{lineno}: {data.count(',') + 1} fields, header has {len(header)}"
                 )
-            # split no further than the column: a d=400 row has 1,605 fields
+            # split no further than the column: a d=400 row has 405 fields
             field = data.split(",", idx + 1)[idx]
             try:
                 value = float(field)
@@ -568,7 +591,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
         diagnostics.compute_distances(family, trace)
 
     if config.trace_path:
-        write_trace_csv(config.trace_path, trace)
+        write_trace_csv(config.trace_path, trace, family)
 
     records = [_CHECK_RUNNERS[name](config, family, trace) for name in config.checks]
     report = format_report(records)
@@ -582,7 +605,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
 
 
 def _failure_status(exc: Exception, where: str | None = None) -> int:
-    """Print why a command failed and return its exit status: 3 for I/O, 2 for a package error.
+    """Print why a command failed and return its exit status: 3 for I/O, 4 for a numerical
+    error, 2 for any other package error.
 
     A package error other than ConfigError means the configuration produced a run the
     checks cannot even evaluate, so its type is named.
@@ -591,6 +615,9 @@ def _failure_status(exc: Exception, where: str | None = None) -> int:
     if isinstance(exc, OSError):
         print(f"i/o error{origin}: {exc}", file=sys.stderr)
         return 3
+    if isinstance(exc, NumericalError):
+        print(f"numerical error{origin}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     detail = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
     print(f"config error{origin}: {detail}", file=sys.stderr)
     return 2
@@ -626,8 +653,12 @@ def main(argv=None) -> int:
     if args.command == "rate":
         try:
             values = read_trace_csv(args.trace, args.column)
-            burn = args.burn_in if args.burn_in is not None else default_burn_in(len(values))
-            est = diagnostics.fit_linear_rate(values, burn)
+            # dist_to_fix is fitted with the floor and burn-in rate_theorem used, when recorded
+            fit = read_dist_fit(args.trace) if args.column == "dist_to_fix" else None
+            floor, burn = fit or (diagnostics.FLOAT_FLOOR, default_burn_in(len(values)))
+            if args.burn_in is not None:
+                burn = args.burn_in
+            est = diagnostics.fit_linear_rate(values, burn, floor)
         except (RelocSplitError, OSError) as exc:
             return _failure_status(exc, args.trace)
         verdict = "linear" if est.linear else "not-R-linear"

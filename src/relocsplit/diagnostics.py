@@ -61,7 +61,15 @@ def default_burn_in(n_rows: int) -> int:
     return max(5, n_rows // 10)
 
 
-def _fit_core(errors, burn_in: int, floor: float) -> RateEstimate:
+def fit_linear_rate(errors, burn_in: int, floor: float = FLOAT_FLOOR) -> RateEstimate:
+    """Least-squares fit of log e_n against n on the post-burn-in window.
+
+    Entries are used up to the first one below ``floor`` (the 1e-14 rounding floor unless
+    given). A window lying wholly below the floor is exact convergence: linear, with C = 0
+    and r reported as the floor. Otherwise the fit needs at least 20 usable entries
+    (TooFewSamples otherwise), and the verdict is "not R-linear" when the coefficient of
+    determination drops below 0.9 or the fitted rate reaches 1.
+    """
     e = np.asarray(errors, dtype=float)
     if e.ndim != 1:
         raise DomainError("errors must be a 1-d sequence")
@@ -92,18 +100,6 @@ def _fit_core(errors, burn_in: int, floor: float) -> RateEstimate:
     C = float(np.max(used / r_hat**n))
     linear = quality >= FIT_QUALITY_GATE and r_hat < 1.0
     return RateEstimate(C, r_hat, quality, burn_in, int(used.size), linear)
-
-
-def fit_linear_rate(errors, burn_in: int) -> RateEstimate:
-    """Least-squares fit of log e_n against n on the post-burn-in window.
-
-    Entries are used up to the first one below the 1e-14 floor. A window lying
-    wholly below the floor is exact convergence: linear, with C = 0 and r
-    reported as the floor. Otherwise the fit needs at least 20 usable entries
-    (TooFewSamples otherwise), and the verdict is "not R-linear" when the
-    coefficient of determination drops below 0.9 or the fitted rate reaches 1.
-    """
-    return _fit_core(errors, burn_in, FLOAT_FLOOR)
 
 
 def fixed_point_oracle(
@@ -285,6 +281,21 @@ def verify_one_step_contraction(family: OperatorFamily, trace: IterateTrace, kap
     return BoundReport("one_step", len(ratio), violations, float(ratio.max(initial=0.0)), kappa)
 
 
+def distance_floor(family: OperatorFamily) -> float:
+    """Distances to the family's fixed-point line below this count as zero in a rate fit.
+
+    A point of the line has a residual of at most the line's bound rho, so it lies within
+    rho / (1 - beta) of the exact fixed point of a beta-contraction; the floor is
+    10 rho / (1 - beta), kept within [1e-14, 1e-6]. NonSingletonFix without a contraction
+    certificate.
+    """
+    beta = family.contraction_beta
+    if beta is None:
+        raise NonSingletonFix("rate verification needs a contraction certificate")
+    rho = family.fixed_point_line().residual_bound
+    return max(FLOAT_FLOOR, min(1e-6, 10.0 * rho / (1.0 - beta)))
+
+
 @dataclass(frozen=True)
 class RateTheoremResult:
     dist_rate: RateEstimate
@@ -332,22 +343,15 @@ def verify_rate_theorem(
 
     The columns come from ``compute_distances`` and ``limit_errors``; MissingDistances
     when either is absent. Passes when both fits come back R-linear; schedules that do
-    not converge R-linearly are expected to fail the iterate fit.
-
-    A point of the family's fixed-point line has a residual of at most the line's bound
-    rho, so it lies within rho / (1 - beta) of the exact fixed point of a beta-contraction;
-    distances below 10 rho / (1 - beta) count as zero and are excluded from the fit.
+    not converge R-linearly are expected to fail the iterate fit. The distance fit cuts
+    at ``distance_floor(family)``.
     """
-    beta = family.contraction_beta
-    if beta is None:
-        raise NonSingletonFix("rate verification needs a contraction certificate")
+    dist_floor = distance_floor(family)
     if trace.dist_to_fix is None or trace.err_to_limit is None:
         raise MissingDistances("trace lacks a column; run compute_distances and limit_errors first")
     if burn_in is None:
         burn_in = default_burn_in(len(trace) - 1)
 
     iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in)
-    rho = family.fixed_point_line().residual_bound
-    dist_floor = max(FLOAT_FLOOR, min(1e-6, 10.0 * rho / (1.0 - beta)))
-    dist_rate = _fit_core(trace.dist_to_fix, burn_in, dist_floor)
+    dist_rate = fit_linear_rate(trace.dist_to_fix, burn_in, dist_floor)
     return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

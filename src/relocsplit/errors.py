@@ -33,7 +33,11 @@ class BadBlockCount(RelocSplitError, ValueError):
     """A block vector has the wrong number of blocks for this family."""
 
 
-class DivergenceDetected(RelocSplitError):
+class NumericalError(RelocSplitError):
+    """No check can use the run: it diverged, did not converge or failed a certificate."""
+
+
+class DivergenceDetected(NumericalError):
     """Iterate norm exceeded the divergence guard; the configuration is not contractive."""
 
 
@@ -57,7 +61,7 @@ class NonSingletonFix(RelocSplitError):
     """Exact distances need a certified singleton fixed-point set (contraction marker)."""
 
 
-class NoConvergence(RelocSplitError):
+class NoConvergence(NumericalError):
     """Fixed-point iteration did not reach the requested tolerance."""
 
     def __init__(self, message, last_residual=None):
@@ -65,7 +69,7 @@ class NoConvergence(RelocSplitError):
         self.last_residual = last_residual
 
 
-class CertificationFailed(RelocSplitError):
+class CertificationFailed(NumericalError):
     """Sampling contradicts a property the structural hypotheses guarantee."""
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import relocsplit.cli as cli
+import relocsplit.diagnostics as diagnostics
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -96,6 +97,34 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
 SMALL_DIM = 20
 
 
+def _record_dist_fits(monkeypatch) -> list:
+    """rate_theorem's distance fits, one per later run."""
+    fits = []
+    real = diagnostics.verify_rate_theorem
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        fits.append(result.dist_rate)
+        return result
+
+    monkeypatch.setattr(diagnostics, "verify_rate_theorem", recording)
+    return fits
+
+
+def _read_back_dist(trace: str, fit) -> str:
+    """The verdict of the trace's dist_to_fix readback, which must print rate_theorem's fit."""
+    readback = io.StringIO()
+    with contextlib.redirect_stdout(readback):
+        assert cli.main(["rate", trace, "--column", "dist_to_fix"]) == 0
+    verdict = "linear" if fit.linear else "not-R-linear"
+    fmt = cli.FLOAT_FMT
+    assert readback.getvalue() == (
+        f"column=dist_to_fix verdict={verdict} C={fmt % fit.C} r={fmt % fit.r} "
+        f"fit_quality={fmt % fit.fit_quality} burn_in={fit.burn_in} n_used={fit.n_used}\n"
+    )
+    return verdict
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize(
     "name", ["dr-geo-d400", "mt-box-d100-n3", "mt-n4-d10", "dr-skew-poly-d100"]
@@ -107,10 +136,11 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
     monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
     mapping = cli.parse_config_file(workload.config_path)
     dim = min(int(mapping["problem.dim"]), SMALL_DIM)
+    # the benchmark writes a trace only for the workload that reads one back; here every
+    # workload writes one, so that its dist_to_fix readback is held to rate_theorem's fit
     trace = str(tmp_path / "trace.csv")
-    # the trace path is set only for the workload that writes one, as in the benchmark
-    overrides = {"problem.dim": str(dim)} | ({"output.trace_path": trace} if workload.writes_trace else {})
-    config = cli.build_config(mapping, overrides)
+    config = cli.build_config(mapping, {"problem.dim": str(dim), "output.trace_path": trace})
+    fits = _record_dist_fits(monkeypatch)
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         status, records = cli.run_experiment(config)
@@ -125,6 +155,29 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
         outputs.append(readback.getvalue())
         assert "verdict=linear" in outputs[1]
     assert workloads.mismatches(workload, statuses, outputs) == []
+    # the distances fit as R-linear on every workload, dr-skew-poly-d100 too: its
+    # rate_theorem FAILs on the iterate fit of a schedule without a rate
+    assert _read_back_dist(trace, *fits) == "linear"
+
+
+def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkeypatch, tmp_path):
+    # the distances level off at the gap between the float and the exact fixed point, about
+    # 6e-14 here; fitted with the 1e-14 rounding floor and a burn-in of 30 they read back as
+    # not R-linear, with rate_theorem's floor and burn-in as linear
+    workload = _workloads().WORKLOADS["dr-geo-d400"]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    trace = str(tmp_path / "trace.csv")
+    config = cli.build_config(
+        cli.parse_config_file(workload.config_path),
+        {"output.trace_path": trace, "checks": "rate_theorem"},
+    )
+    fits = _record_dist_fits(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, _ = cli.run_experiment(config)
+    assert status == 0
+    assert _read_back_dist(trace, *fits) == "linear"
+    values = cli.read_trace_csv(trace, "dist_to_fix")
+    assert not diagnostics.fit_linear_rate(values, diagnostics.default_burn_in(len(values))).linear
 
 
 def test_err_to_limit_reads_back_linear_at_full_dimension(monkeypatch, tmp_path):

@@ -6,13 +6,14 @@ import pytest
 
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
+import relocsplit.mt as mt
 from relocsplit import (
     ScalarShiftFamily,
     StepsizeSchedule,
     generate_problem,
     relocated_iterate,
 )
-from relocsplit.errors import ConfigError
+from relocsplit.errors import CertificationFailed, ConfigError, DivergenceDetected, NoConvergence
 from relocsplit.family import FixedPointLine, block_sizes
 
 DR_CONFIG = """
@@ -399,6 +400,24 @@ class TestRunExperiment:
     def test_io_error_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 3
 
+    @pytest.mark.parametrize(
+        "owner, name, error, overrides",
+        [(cli, "relocated_iterate", DivergenceDetected("||x_3|| exceeded 1e+150"), []),
+         (diagnostics, "fixed_point_oracle", NoConvergence("residual 1e-3 above 1e-13"),
+          ["--set", "problem.kind=affine_plus_box"]),
+         (mt, "mt_contraction_certificate", CertificationFailed("sampled ratio 1.2 above 1"), [])],
+        ids=["divergence", "no_convergence", "certification_failed"],
+    )
+    def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys, owner, name, error, overrides):
+        # a run whose numbers no check can use exits 4, naming the error's type
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(owner, name, failing)
+        path = write_config(tmp_path, MT_CONFIG)
+        assert cli.main(["verify", path, *overrides]) == 4
+        assert f"numerical error ({path}): {type(error).__name__}: {error}\n" == capsys.readouterr().err
+
     def test_malformed_set_flag(self, tmp_path):
         path = write_config(tmp_path, SCALAR_CONFIG)
         assert cli.main(["run", path, "--set", "oops"]) == 2
@@ -497,7 +516,7 @@ class TestTraceCsv:
         x0 = cli._initial_point(config, family)
         trace = cli.relocated_iterate(family, config.schedule, x0, config.n_steps)
         diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
-        cli.write_trace_csv(config.trace_path, trace)
+        cli.write_trace_csv(config.trace_path, trace, family)
         col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
         assert len(col("n")) == config.n_steps + 1
         assert np.array_equal(col("gamma"), trace.gammas)
@@ -505,7 +524,25 @@ class TestTraceCsv:
         assert np.array_equal(col("err_to_limit"), trace.err_to_limit)
         for j in range(10):
             assert np.array_equal(col(f"x_{j}"), trace.xs[:, j])
-            assert np.array_equal(col(f"z_{j}"), trace.blocks["z"][:, j])
+
+    @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
+    def test_dropped_blocks_are_recomputed_from_the_file(self, tmp_path, text):
+        # the file keeps x_n and gamma_n, and T_{gamma_n} at x_n gives back every block
+        path = write_config(tmp_path, text, extra=f"output.trace_path = {tmp_path}/t.csv\n")
+        config = cli.build_config(cli.parse_config_file(path), {"checks": "", "n_steps": "60"})
+        family, _ = cli.build_family(config)
+        trace = cli.relocated_iterate(family, config.schedule, cli._initial_point(config, family), 60)
+        diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
+        cli.write_trace_csv(config.trace_path, trace, family)
+        gammas = cli.read_trace_csv(config.trace_path, "gamma")
+        xs = np.column_stack([cli.read_trace_csv(config.trace_path, f"x_{j}") for j in range(family.dim)])
+        rows = [family.apply_from(gamma, x) for gamma, x in zip(gammas, xs)]
+        recomputed = {name: np.array([blocks[name] for _, blocks in rows]) for name in rows[0][1]}
+        recomputed["w"] = np.array([t for t, _ in rows])
+        assert recomputed.keys() == trace.blocks.keys()
+        for name, block in trace.blocks.items():
+            scale = np.linalg.norm(block, axis=1)
+            assert np.all(np.linalg.norm(recomputed[name] - block, axis=1) <= 1e-12 * scale), name
 
     def test_golden_bytes(self, tmp_path):
         fam = ScalarShiftFamily(0.5, (0.5, 2.0))
@@ -513,14 +550,21 @@ class TestTraceCsv:
         trace = relocated_iterate(fam, schedule, [1.0], 3)
         trace.err_to_limit = np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-20])
         path = tmp_path / "t.csv"
-        cli.write_trace_csv(str(path), trace)
+        cli.write_trace_csv(str(path), trace, fam)
         assert path.read_text() == (
-            "n,gamma,residual,dist_to_fix,err_to_limit,x_0,t_0\n"
-            "0,2,0.5,nan,0.10000000000000001,1,1.5\n"
-            "1,1.5,0,nan,0.33333333333333331,1.5,1.5\n"
-            "2,1.25,0,nan,0.66666666666666663,1.25,1.25\n"
-            "3,1.125,0,nan,9.9999999999999995e-21,1.125,1.125\n"
+            "n,gamma,residual,dist_to_fix,err_to_limit,x_0\n"
+            "0,2,0.5,nan,0.10000000000000001,1\n"
+            "1,1.5,0,nan,0.33333333333333331,1.5\n"
+            "2,1.25,0,nan,0.66666666666666663,1.25\n"
+            "3,1.125,0,nan,9.9999999999999995e-21,1.125\n"
         )
+        # with distances, the line after the header carries rate_theorem's floor and burn-in
+        diagnostics.compute_distances(fam, trace)
+        cli.write_trace_csv(str(path), trace, fam)
+        lines = path.read_text().splitlines()
+        floor = diagnostics.distance_floor(fam)
+        assert lines[1] == f"# dist_to_fix floor={cli.FLOAT_FMT % floor} burn_in=5" and len(lines) == 6
+        assert cli.read_dist_fit(str(path)) == (floor, 5)
 
     def test_header_schema(self, tmp_path):
         path = write_config(
@@ -529,8 +573,10 @@ class TestTraceCsv:
         )
         assert cli.main(["run", path, "--set", "checks=summability", "--set", "n_steps=20"]) == 0
         header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
-        assert header[:5] == ["n", "gamma", "residual", "dist_to_fix", "err_to_limit"]
-        assert "x_0" in header and "z_0" in header and "y_0" in header and "w_0" in header
+        # one schema for every algorithm: the blocks z, y, w (t on scalar runs) are not written
+        assert header == ["n", "gamma", "residual", "dist_to_fix", "err_to_limit",
+                          *(f"x_{j}" for j in range(10))]
+        assert not any(name.startswith(("z_", "y_", "w_", "t_")) for name in header)
 
 
 class TestRateCommand:
@@ -576,6 +622,23 @@ class TestRateCommand:
         assert not cli.read_trace_csv(str(trace), "err_to_limit").any()
         assert cli.main(["rate", str(trace), "--column", "err_to_limit"]) == 0
         assert "verdict=linear C=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "fit_line",
+        ["# dist_to_fix floor=x burn_in=5", "# dist_to_fix floor=nan burn_in=5",
+         "# dist_to_fix floor=0 burn_in=5", "# dist_to_fix burn_in=5", "# dist_to_fix floor"],
+        ids=["non_numeric", "nan", "zero", "missing_floor", "no_value"],
+    )
+    def test_dist_fit_line_is_checked(self, tmp_path, fit_line, capsys):
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path, "--set", "checks=rate_theorem"]) == 0
+        assert cli.main(["rate", str(trace), "--column", "dist_to_fix", "--burn-in", "7"]) == 0
+        assert "burn_in=7 " in capsys.readouterr().out  # --burn-in overrides the line's
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join([lines[0], fit_line + "\n", *lines[2:]]))
+        assert cli.main(["rate", str(trace), "--column", "dist_to_fix"]) == 2
+        assert f"config error ({trace}): {trace}:2: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -349,8 +349,8 @@ class TestVerifyRateTheorem:
         assert res.passed
         floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.contraction_beta)
         assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5)
-        assert res.dist_rate == diagnostics._fit_core(
-            dist, 5, max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
+        assert res.dist_rate == diagnostics.fit_linear_rate(
+            dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
         )
         assert np.array_equal(trace.dist_to_fix, dist) and np.array_equal(trace.err_to_limit, errs)
 
