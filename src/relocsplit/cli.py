@@ -54,10 +54,13 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 #: burn-in of the rate_theorem fits: a long one can launder sublinear tails into linear verdicts
 RATE_THEOREM_BURN_IN = 5
 
-#: the ``#`` line after the header of a trace carrying dist_to_fix: the floor and burn-in
-#: with which rate_theorem fits that column, so that its readback fits it alike
-DIST_FIT_PREFIX = "# dist_to_fix "
-DIST_FIT_LINE = f"{DIST_FIT_PREFIX}floor={FLOAT_FMT} burn_in=%d\n"
+#: the ``#`` line after the header of every trace: the burn-in with which rate_theorem fits
+#: err_to_limit and dist_to_fix and, when the trace carries dist_to_fix, that column's floor,
+#: so that their readbacks fit them alike; keyed by the column that names the line
+FIT_LINES = {
+    "dist_to_fix": f"# dist_to_fix floor={FLOAT_FMT} burn_in=%d\n",
+    "err_to_limit": "# err_to_limit burn_in=%d\n",
+}
 
 
 @dataclass
@@ -494,9 +497,9 @@ def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
     """The trace as CSV: ``n, gamma, residual, dist_to_fix, err_to_limit`` and the iterates ``x``.
 
     An error column the trace lacks is written as NaN. The blocks a family records are not
-    written: ``family.apply_from(gamma_n, x_n)`` recomputes them. When the trace carries
-    ``dist_to_fix``, a ``#`` line after the header (DIST_FIT_LINE) gives the floor
-    (``diagnostics.distance_floor``) and the burn-in with which rate_theorem fits it.
+    written: ``family.apply_from(gamma_n, x_n)`` recomputes them. A ``#`` line after the
+    header (FIT_LINES) gives the burn-in with which rate_theorem fits the error columns and,
+    when the trace carries ``dist_to_fix``, that column's floor (``diagnostics.distance_floor``).
     """
     rows, dim = trace.xs.shape
     names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit", *(f"x_{j}" for j in range(dim))]
@@ -507,25 +510,31 @@ def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         if trace.dist_to_fix is not None:
-            fh.write(DIST_FIT_LINE % (diagnostics.distance_floor(family), RATE_THEOREM_BURN_IN))
+            floor = diagnostics.distance_floor(family)
+            fh.write(FIT_LINES["dist_to_fix"] % (floor, RATE_THEOREM_BURN_IN))
+        else:
+            fh.write(FIT_LINES["err_to_limit"] % RATE_THEOREM_BURN_IN)
         # one formatted write per row; a copy of the whole table would add to peak memory
         for head, x in zip(lead.tolist(), trace.xs):
             fh.write(row_fmt % (*head, *x.tolist()))
 
 
-def read_dist_fit(path: str) -> tuple[float, int] | None:
-    """The floor and burn-in of a trace's DIST_FIT_LINE, or None when it has none.
+def read_fit_line(path: str, column: str) -> tuple[float, int] | None:
+    """The floor and burn-in with which rate_theorem fits ``column``, from the trace's FIT_LINES
+    line; None for a column rate_theorem does not fit, or a trace without the line.
 
     A malformed line, or a floor that is not a positive finite number, raises ConfigError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         line = fh.readline()
-    if not line.startswith(DIST_FIT_PREFIX):
+    words = line[2:].split() if line.startswith("# ") else []
+    if column not in FIT_LINES or not words or words[0] not in FIT_LINES:
         return None
     try:
-        fields = dict(field.split("=", 1) for field in line[len(DIST_FIT_PREFIX):].split())
-        floor, burn_in = float(fields["floor"]), int(fields["burn_in"])
+        fields = dict(word.split("=", 1) for word in words[1:])
+        burn_in = int(fields["burn_in"])
+        floor = float(fields["floor"]) if column == "dist_to_fix" else diagnostics.FLOAT_FLOOR
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}:2: bad fit line {line.strip()!r}") from exc
     if not 0.0 < floor < math.inf:
@@ -653,8 +662,7 @@ def main(argv=None) -> int:
     if args.command == "rate":
         try:
             values = read_trace_csv(args.trace, args.column)
-            # dist_to_fix is fitted with the floor and burn-in rate_theorem used, when recorded
-            fit = read_dist_fit(args.trace) if args.column == "dist_to_fix" else None
+            fit = read_fit_line(args.trace, args.column)
             floor, burn = fit or (diagnostics.FLOAT_FLOOR, default_burn_in(len(values)))
             if args.burn_in is not None:
                 burn = args.burn_in

@@ -3,9 +3,11 @@
 Two concrete operator kinds are provided: affine maps ``x -> M x + b`` whose
 symmetric part is positive semidefinite, and normal cones of boxes (whose
 resolvent is the componentwise clamp, independent of the stepsize). An affine
-operator factors ``M`` once, at construction (an eigendecomposition when ``M``
-is symmetric, a complex Schur form otherwise), and every resolvent and inverse
-solve goes through that one factorization, whatever the stepsize. Every map
+operator holds one factorization of ``M``, made at construction: the spectrum
+and orthonormal eigenbasis it was built from (``AffineOperator.from_spectrum``),
+or else an eigendecomposition of a symmetric ``M`` and a complex Schur form of
+any other. Every resolvent and inverse solve goes through that one
+factorization, whatever the stepsize. Every map
 takes one point ``(dim,)`` or a block of points ``(k, dim)`` (``as_points``),
 so a block costs matrix-matrix products. Everything downstream touches
 operators only through ``resolvent``; set-valued operators are never
@@ -30,6 +32,8 @@ from .errors import (
 )
 
 MONOTONE_EIG_TOL = 1e-10
+#: largest entry of ``V^T V - I`` that ``AffineOperator.from_spectrum`` accepts in its eigenvectors
+ORTHOGONAL_TOL = 1e-10
 #: condition-number ceiling for direct inversion
 MAX_INVERSE_COND = 1e12
 #: distance from a box bound within which ``face_point`` moves a coordinate onto the bound
@@ -77,7 +81,9 @@ class AffineOperator:
     Monotonicity (positive semidefiniteness of ``(M + M^T)/2``) is verified at
     construction; the strong-monotonicity modulus ``mu`` and the Lipschitz
     constant ``lip`` are computed here once rather than trusted from callers,
-    since contraction factors and error-bound constants depend on them.
+    since contraction factors and error-bound constants depend on them. An
+    operator made by ``from_spectrum`` takes them from the spectrum that M is
+    built from, so they are M's own up to rounding.
     """
 
     single_valued = True
@@ -88,30 +94,55 @@ class AffineOperator:
             raise DomainError(f"M must be square, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise DomainError("M has non-finite entries")
-        self.M = M
-        d = M.shape[0]
-        self.b = np.zeros(d) if b is None else as_vector(b, d)
-
         # one factorization M = Z T Z^H serves every stepsize: an eigendecomposition
         # (T the eigenvalue vector) for exactly symmetric M, a complex Schur form otherwise
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
         if np.array_equal(M, M.T):
-            eigs, vecs = np.linalg.eigh(M)
-            self._eig = (eigs, vecs)
-            lip = max(-eigs[0], eigs[-1])
+            self._eig = np.linalg.eigh(M)
+            self._setup(M, b, self._eig[0])
         else:
             T, Z = schur(M, output="complex")
+            self._eig = None
             self._schur = (T, Z, Z.conj().T)
-            eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-            lip = np.linalg.norm(M, 2)
-        if eigs[0] < -MONOTONE_EIG_TOL:
+            self._setup(M, b, np.linalg.eigvalsh(0.5 * (M + M.T)), np.linalg.norm(M, 2))
+
+    @classmethod
+    def from_spectrum(cls, eigs, vecs, b=None) -> "AffineOperator":
+        """The symmetric operator ``x -> V diag(eigs) V^T x + b``, factored by ``(eigs, V)``.
+
+        ``vecs`` (V) must be orthogonal, to within ``ORTHOGONAL_TOL`` per entry of ``V^T V - I``.
+        M is formed from the factors, and symmetrized, by one expression, so the factors cannot
+        disagree with M beyond rounding, and no eigendecomposition runs.
+        """
+        eigs = as_vector(eigs)
+        d = eigs.shape[0]
+        vecs = np.asarray(vecs, dtype=float)
+        if vecs.shape != (d, d) or not np.all(np.isfinite(vecs)):
+            raise DomainError(f"need finite eigenvectors of shape {(d, d)}, got {vecs.shape}")
+        if np.abs(vecs.T @ vecs - np.eye(d)).max() > ORTHOGONAL_TOL:
+            raise DomainError("eigenvectors are not orthonormal")
+        M = (vecs * eigs) @ vecs.T
+        op = cls.__new__(cls)
+        op._eig = (eigs, vecs)
+        op._setup(0.5 * (M + M.T), b, eigs)
+        return op
+
+    def _setup(self, M, b, sym_eigs: np.ndarray, lip: float | None = None) -> None:
+        """Store M and b, check monotonicity and derive the constants from ``sym_eigs``.
+
+        ``sym_eigs`` are the eigenvalues of the symmetric part of M. ``lip`` is the norm of M;
+        left out for a symmetric M, whose norm is its largest |eigenvalue|.
+        """
+        self.M = M
+        self.b = np.zeros(M.shape[0]) if b is None else as_vector(b, M.shape[0])
+        lo, hi = float(sym_eigs.min()), float(sym_eigs.max())
+        if lo < -MONOTONE_EIG_TOL:
             raise NonMonotoneOperator(
-                f"symmetric part has eigenvalue {eigs[0]:.3e} < -{MONOTONE_EIG_TOL}"
+                f"symmetric part has eigenvalue {lo:.3e} < -{MONOTONE_EIG_TOL}"
             )
-        self.sym_eig_min = float(eigs[0])
-        self.sym_eig_max = float(eigs[-1])
-        self.mu = float(eigs[0]) if eigs[0] > MONOTONE_EIG_TOL else 0.0
-        self.lip = float(lip)
+        self.sym_eig_min = lo
+        self.sym_eig_max = hi
+        self.mu = lo if lo > MONOTONE_EIG_TOL else 0.0
+        self.lip = float(max(-lo, hi) if lip is None else lip)
         self._cond: float | None = None
 
     @property

@@ -3,7 +3,9 @@
 All generators are deterministic functions of the seed. Symmetric positive
 (semi)definite matrices are built by conjugating a fixed spectrum with a
 random orthogonal matrix, so the extreme eigenvalues hit their targets by
-construction.
+construction, and the operator is factored by that spectrum and basis rather
+than by an eigendecomposition of the matrix they build. Matrices loaded from a
+file are eigendecomposed (or Schur-factored) once each.
 """
 
 from __future__ import annotations
@@ -22,14 +24,18 @@ PROBLEM_KINDS = (
 
 
 def symmetric_operator(dim: int, lam_min: float, lam_max: float, rng) -> AffineOperator:
-    """Symmetric operator with spectrum linspace(lam_min, lam_max) and random offset."""
+    """Symmetric operator with spectrum linspace(lam_min, lam_max) and random offset.
+
+    The eigenbasis is a random orthogonal Q from a QR factorization, or the identity,
+    drawing nothing, when the targets are equal. The operator keeps that spectrum and
+    basis as its factorization (``AffineOperator.from_spectrum``): no eigendecomposition
+    of the M they build is run.
+    """
     if lam_min == lam_max:
-        M = lam_min * np.eye(dim)
+        Q = np.eye(dim)
     else:
         Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        M = (Q * np.linspace(lam_min, lam_max, dim)) @ Q.T
-        M = 0.5 * (M + M.T)
-    return AffineOperator(M, rng.standard_normal(dim))
+    return AffineOperator.from_spectrum(np.linspace(lam_min, lam_max, dim), Q, rng.standard_normal(dim))
 
 
 def skew_operator(dim: int, lip: float, rng) -> AffineOperator:

@@ -97,29 +97,29 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
 SMALL_DIM = 20
 
 
-def _record_dist_fits(monkeypatch) -> list:
-    """rate_theorem's distance fits, one per later run."""
+def _record_fits(monkeypatch) -> list:
+    """rate_theorem's results, one per later run."""
     fits = []
     real = diagnostics.verify_rate_theorem
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
-        fits.append(result.dist_rate)
+        fits.append(result)
         return result
 
     monkeypatch.setattr(diagnostics, "verify_rate_theorem", recording)
     return fits
 
 
-def _read_back_dist(trace: str, fit) -> str:
-    """The verdict of the trace's dist_to_fix readback, which must print rate_theorem's fit."""
+def _read_back(trace: str, column: str, fit) -> str:
+    """The verdict of the trace's readback of ``column``, which must print rate_theorem's fit."""
     readback = io.StringIO()
     with contextlib.redirect_stdout(readback):
-        assert cli.main(["rate", trace, "--column", "dist_to_fix"]) == 0
+        assert cli.main(["rate", trace, "--column", column]) == 0
     verdict = "linear" if fit.linear else "not-R-linear"
     fmt = cli.FLOAT_FMT
     assert readback.getvalue() == (
-        f"column=dist_to_fix verdict={verdict} C={fmt % fit.C} r={fmt % fit.r} "
+        f"column={column} verdict={verdict} C={fmt % fit.C} r={fmt % fit.r} "
         f"fit_quality={fmt % fit.fit_quality} burn_in={fit.burn_in} n_used={fit.n_used}\n"
     )
     return verdict
@@ -137,10 +137,10 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
     mapping = cli.parse_config_file(workload.config_path)
     dim = min(int(mapping["problem.dim"]), SMALL_DIM)
     # the benchmark writes a trace only for the workload that reads one back; here every
-    # workload writes one, so that its dist_to_fix readback is held to rate_theorem's fit
+    # workload writes one, so that its readbacks are held to rate_theorem's fits
     trace = str(tmp_path / "trace.csv")
     config = cli.build_config(mapping, {"problem.dim": str(dim), "output.trace_path": trace})
-    fits = _record_dist_fits(monkeypatch)
+    fits = _record_fits(monkeypatch)
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         status, records = cli.run_experiment(config)
@@ -156,8 +156,12 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
         assert "verdict=linear" in outputs[1]
     assert workloads.mismatches(workload, statuses, outputs) == []
     # the distances fit as R-linear on every workload, dr-skew-poly-d100 too: its
-    # rate_theorem FAILs on the iterate fit of a schedule without a rate
-    assert _read_back_dist(trace, *fits) == "linear"
+    # rate_theorem FAILs on the iterate fit of a schedule without a rate, and so does
+    # its err_to_limit readback
+    (result,) = fits
+    assert _read_back(trace, "dist_to_fix", result.dist_rate) == "linear"
+    expected = "linear" if workload.expected_checks["rate_theorem"] else "not-R-linear"
+    assert _read_back(trace, "err_to_limit", result.iterate_rate) == expected
 
 
 def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkeypatch, tmp_path):
@@ -171,13 +175,31 @@ def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkey
         cli.parse_config_file(workload.config_path),
         {"output.trace_path": trace, "checks": "rate_theorem"},
     )
-    fits = _record_dist_fits(monkeypatch)
+    fits = _record_fits(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         status, _ = cli.run_experiment(config)
     assert status == 0
-    assert _read_back_dist(trace, *fits) == "linear"
+    assert _read_back(trace, "dist_to_fix", fits[0].dist_rate) == "linear"
     values = cli.read_trace_csv(trace, "dist_to_fix")
     assert not diagnostics.fit_linear_rate(values, diagnostics.default_burn_in(len(values))).linear
+
+
+def test_err_to_limit_reads_back_as_rate_theorem_fits_it_on_the_negative_control(monkeypatch, tmp_path):
+    # the polynomial schedule has no rate: rate_theorem FAILs its iterate fit, and the
+    # readback, fitting with the burn-in of 5 the trace records, prints that same fit; with
+    # the default burn-in of 30 it printed verdict=linear
+    workload = _workloads().WORKLOADS["dr-skew-poly-d100"]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    trace = str(tmp_path / "trace.csv")
+    config = cli.build_config(
+        cli.parse_config_file(workload.config_path),
+        {"output.trace_path": trace, "checks": "rate_theorem"},
+    )
+    fits = _record_fits(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, _ = cli.run_experiment(config)
+    assert status == 1
+    assert _read_back(trace, "err_to_limit", fits[0].iterate_rate) == "not-R-linear"
 
 
 def test_err_to_limit_reads_back_linear_at_full_dimension(monkeypatch, tmp_path):

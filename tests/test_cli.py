@@ -333,6 +333,35 @@ class TestRunExperiment:
         assert status == 0
         assert len(calls) == oracle_runs
 
+    @pytest.mark.parametrize(
+        "text, kind, eigendecompositions",
+        [(DR_CONFIG, "affine_strongly_monotone", 0), (MT_CONFIG, "affine_plus_box", 0),
+         (DR_CONFIG, "custom_matrices", 2)],
+        ids=["dr_generated", "mt_box_generated", "dr_custom_matrices"],
+    )
+    def test_build_family_eigendecomposes_only_loaded_matrices(
+        self, tmp_path, monkeypatch, text, kind, eigendecompositions
+    ):
+        # a generated operator keeps the spectrum and basis it is built from; each
+        # symmetric matrix read from a file is eigendecomposed once
+        path = tmp_path / "mats.npz"
+        G = np.random.default_rng(2).standard_normal((10, 10))
+        np.savez(path, M1=G @ G.T + np.eye(10), M2=2 * np.eye(10))
+        config = cli.build_config(
+            cli.parse_config_file(write_config(tmp_path, text)),
+            {"problem.kind": kind, "problem.matrices_path": str(path)},
+        )
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cli.build_family(config)
+        assert len(calls) == eigendecompositions
+
     @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
     def test_broken_relocator_fails_its_checks(self, tmp_path, monkeypatch, text):
         # served fixed points come from the operators, so a relocator whose
@@ -553,18 +582,21 @@ class TestTraceCsv:
         cli.write_trace_csv(str(path), trace, fam)
         assert path.read_text() == (
             "n,gamma,residual,dist_to_fix,err_to_limit,x_0\n"
+            "# err_to_limit burn_in=5\n"
             "0,2,0.5,nan,0.10000000000000001,1\n"
             "1,1.5,0,nan,0.33333333333333331,1.5\n"
             "2,1.25,0,nan,0.66666666666666663,1.25\n"
             "3,1.125,0,nan,9.9999999999999995e-21,1.125\n"
         )
+        assert cli.read_fit_line(str(path), "err_to_limit") == (diagnostics.FLOAT_FLOOR, 5)
         # with distances, the line after the header carries rate_theorem's floor and burn-in
         diagnostics.compute_distances(fam, trace)
         cli.write_trace_csv(str(path), trace, fam)
         lines = path.read_text().splitlines()
         floor = diagnostics.distance_floor(fam)
         assert lines[1] == f"# dist_to_fix floor={cli.FLOAT_FMT % floor} burn_in=5" and len(lines) == 6
-        assert cli.read_dist_fit(str(path)) == (floor, 5)
+        assert cli.read_fit_line(str(path), "dist_to_fix") == (floor, 5)
+        assert cli.read_fit_line(str(path), "err_to_limit") == (diagnostics.FLOAT_FLOOR, 5)
 
     def test_header_schema(self, tmp_path):
         path = write_config(
@@ -610,7 +642,7 @@ class TestRateCommand:
         assert cli.main(["run", path, "--set", "checks=summability", "--set", "n_steps=30"]) == 0
         capsys.readouterr()
         assert cli.main(["rate", str(trace), "--column", "dist_to_fix"]) == 2
-        assert f"{trace}:2: column 'dist_to_fix' holds 'nan'" in capsys.readouterr().err
+        assert f"{trace}:3: column 'dist_to_fix' holds 'nan'" in capsys.readouterr().err
 
     def test_exact_convergence_reads_back_as_the_checks_fit_it(self, tmp_path, capsys):
         # a constant schedule converges exactly: err_to_limit is all zeros, and
@@ -622,6 +654,30 @@ class TestRateCommand:
         assert not cli.read_trace_csv(str(trace), "err_to_limit").any()
         assert cli.main(["rate", str(trace), "--column", "err_to_limit"]) == 0
         assert "verdict=linear C=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("checks", ["rate_theorem", "summability"])
+    def test_err_to_limit_reads_back_with_the_recorded_burn_in(self, tmp_path, checks, capsys):
+        # rate_theorem fits err_to_limit with a burn-in of 5, recorded in the fit line whether
+        # or not the trace carries dist_to_fix; --burn-in overrides it, and a trace without
+        # the line falls back to the default of 10% of the rows
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path, "--set", f"checks={checks}"]) == 0
+        values = cli.read_trace_csv(str(trace), "err_to_limit")
+        expected = diagnostics.fit_linear_rate(values, cli.RATE_THEOREM_BURN_IN)
+        capsys.readouterr()
+        assert cli.main(["rate", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert f" r={cli.FLOAT_FMT % expected.r} " in out and " burn_in=5 " in out
+        assert cli.main(["rate", str(trace), "--burn-in", "7"]) == 0
+        assert " burn_in=7 " in capsys.readouterr().out
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join([lines[0], *lines[2:]]))
+        assert cli.main(["rate", str(trace)]) == 0
+        assert f" burn_in={diagnostics.default_burn_in(len(values))} " in capsys.readouterr().out
+        trace.write_text("".join([lines[0], "# err_to_limit burn_in=x\n", *lines[2:]]))
+        assert cli.main(["rate", str(trace)]) == 2
+        assert f"{trace}:2: bad fit line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fit_line",

@@ -122,24 +122,27 @@ class TestSpectralResolvent:
             assert abs(op.lip - np.linalg.norm(op.M, 2)) <= 1e-12 * scale
 
 
-#: nonsymmetric monotone matrices: skew, non-normal, defective
-NONSYMMETRIC = {
+#: nonsymmetric monotone matrices (skew, non-normal, defective), and a generated
+#: symmetric one, factored by the spectrum and basis it is built from
+FACTORED = {
     "skew": lambda: skew_operator(8, 2.0, np.random.default_rng(5)),
     "random_monotone": lambda: random_monotone(8, 6),
     "jordan": lambda: AffineOperator(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, -1.0]),
+    "symmetric": lambda: symmetric_operator(50, 0.5, 2.0, np.random.default_rng(9)),
 }
 
 
 class TestOneFactorization:
-    """Every affine operator factors M once, at construction, for all stepsizes."""
+    """Every affine operator factors M at most once, at construction, for all stepsizes."""
 
-    @pytest.mark.parametrize("make, kind", [
-        (lambda rng: symmetric_operator(6, 0.5, 2.0, rng), "eigh"),
-        (lambda rng: AffineOperator(np.eye(6)), "eigh"),
-        (lambda rng: skew_operator(6, 2.0, rng), "schur"),
-        (lambda rng: random_monotone(6, 3), "schur"),
+    @pytest.mark.parametrize("make, factorizations", [
+        # a generated operator keeps the spectrum and basis it is built from
+        (lambda rng: symmetric_operator(6, 0.5, 2.0, rng), []),
+        (lambda rng: AffineOperator(np.eye(6)), ["eigh"]),
+        (lambda rng: skew_operator(6, 2.0, rng), ["schur"]),
+        (lambda rng: random_monotone(6, 3), ["schur"]),
     ], ids=["symmetric", "identity", "skew", "random_monotone"])
-    def test_factors_once_at_construction(self, monkeypatch, make, kind):
+    def test_factors_once_at_construction(self, monkeypatch, make, factorizations):
         calls = []
 
         def counting(name, real):
@@ -160,24 +163,59 @@ class TestOneFactorization:
             op.resolvent(gamma, x)
             op.inverse_apply(gamma * x)
         assert calls == []
-        assert at_construction == [kind]
+        assert at_construction == factorizations
 
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("name", sorted(NONSYMMETRIC))
+    @pytest.mark.parametrize("name", sorted(FACTORED))
     def test_matches_direct_solve(self, name, gamma):
-        op = NONSYMMETRIC[name]()
+        op = FACTORED[name]()
         x = 3 * np.random.default_rng(7).standard_normal(op.dim)
         expected = np.linalg.solve(np.eye(op.dim) + gamma * op.M, x - gamma * op.b)
         err = np.linalg.norm(op.resolvent(gamma, x) - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("name", sorted(NONSYMMETRIC))
+    @pytest.mark.parametrize("name", sorted(FACTORED))
     def test_inverse_apply_matches_direct_solve(self, name):
-        op = NONSYMMETRIC[name]()
+        op = FACTORED[name]()
         y = 3 * np.random.default_rng(8).standard_normal(op.dim)
         expected = np.linalg.solve(op.M, y - op.b)
         err = np.linalg.norm(op.inverse_apply(y) - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestFromSpectrum:
+    """An operator built from its spectrum and orthonormal basis is factored by them."""
+
+    @staticmethod
+    def basis(dim, seed=4):
+        return np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))[0]
+
+    @pytest.mark.parametrize("dim", [1, 5, 50])
+    def test_factors_diagonalize_M(self, dim):
+        eigs, V = np.linspace(0.5, 2.0, dim), self.basis(dim)
+        op = AffineOperator.from_spectrum(eigs, V, np.ones(dim))
+        assert np.array_equal(op.M, op.M.T) and np.array_equal(op.b, np.ones(dim))
+        residual = np.linalg.norm(op.M @ V - V * eigs, 2)
+        assert residual <= 1e-12 * np.linalg.norm(op.M, 2)
+
+    def test_constants_are_the_ends_of_the_spectrum(self):
+        eigs = np.array([0.25, 0.5, 3.0])
+        op = AffineOperator.from_spectrum(eigs, self.basis(3))
+        assert (op.mu, op.sym_eig_min, op.sym_eig_max, op.lip) == (0.25, 0.25, 3.0, 3.0)
+        merely = AffineOperator.from_spectrum([0.0, 1.0, 2.0], self.basis(3))
+        assert (merely.mu, merely.sym_eig_min, merely.lip) == (0.0, 0.0, 2.0)
+
+    def test_negative_eigenvalue_rejected(self):
+        eigs = [-2 * operators.MONOTONE_EIG_TOL, 1.0, 2.0]
+        with pytest.raises(NonMonotoneOperator):
+            AffineOperator.from_spectrum(eigs, self.basis(3))
+
+    @pytest.mark.parametrize("vecs", [
+        np.ones((3, 3)), 2 * np.eye(3), np.eye(2), np.full((3, 3), np.nan),
+    ], ids=["singular", "not_unit", "wrong_shape", "nan"])
+    def test_bad_basis_rejected(self, vecs):
+        with pytest.raises(DomainError):
+            AffineOperator.from_spectrum([1.0, 2.0, 3.0], vecs)
 
 
 class TestReflectedResolvent:
