@@ -163,7 +163,6 @@ _CONTRACTION_CHECKS = {
     "rate_theorem",
     "relocator_bijection",
     "gamma_lipschitz",
-    "consensus",
 }
 
 
@@ -452,8 +451,7 @@ def _check_summability(config: ExperimentConfig, family, trace: IterateTrace) ->
 def _check_gamma_lipschitz(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     lo, hi = family.gamma_interval
     gammas = sorted({lo, 0.5 * (lo + hi), config.schedule.gamma_star, hi})
-    fixed_points = [(family.fixed_point(g), g) for g in gammas]
-    probe = gamma_lipschitz_probe(family, fixed_points, list(np.linspace(lo, hi, 7)))
+    probe = gamma_lipschitz_probe(family, gammas, list(np.linspace(lo, hi, 7)))
     # Q_{delta<-gamma} carries x*(gamma) = offset + gamma slope to x*(delta): every fixed point
     # moves by exactly |delta - gamma| ||slope||, up to the relocator laws' 1e-9 (1 + ||x||)
     slope = float(np.linalg.norm(family.fixed_point_line().slope))
@@ -462,13 +460,21 @@ def _check_gamma_lipschitz(config: ExperimentConfig, family, trace: IterateTrace
 
 
 def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np.ndarray:
+    """Per row, the largest gap between two of the step's resolvent values, read from the
+    residual vector x_n - T x_n: it is z - y for dr, and for mt block k of (T x_n - x_n)/theta
+    is z^{k+1} - z^k, so z^j - z^i is a running sum of blocks i..j-1."""
     if config.algorithm == "dr":
-        return np.linalg.norm(trace.block("z") - trace.block("y"), axis=1)
-    z = trace.block("z").reshape(len(trace), family.n_operators, family.space_dim)
+        return trace.residuals
+    steps = trace.t_of_x - trace.xs
+    steps /= family.theta
+    steps = steps.reshape(len(trace), family.n_blocks, family.space_dim)
     gaps = np.zeros(len(trace))
-    for i in range(family.n_operators):
-        for j in range(i + 1, family.n_operators):
-            gaps = np.maximum(gaps, np.linalg.norm(z[:, i] - z[:, j], axis=1))
+    run = np.empty((len(trace), family.space_dim))
+    for i in range(family.n_blocks):
+        run.fill(0.0)
+        for j in range(i, family.n_blocks):
+            run += steps[:, j]
+            gaps = np.maximum(gaps, np.linalg.norm(run, axis=1))
     return gaps
 
 
@@ -496,8 +502,8 @@ CHECK_NAMES = tuple(_CHECK_RUNNERS)
 def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
     """The trace as CSV: ``n, gamma, residual, dist_to_fix, err_to_limit`` and the iterates ``x``.
 
-    An error column the trace lacks is written as NaN. The blocks a family records are not
-    written: ``family.apply_from(gamma_n, x_n)`` recomputes them. A ``#`` line after the
+    An error column the trace lacks is written as NaN. ``T_gamma x_n`` is not written:
+    ``family.apply(gamma_n, x_n)`` recomputes it. A ``#`` line after the
     header (FIT_LINES) gives the burn-in with which rate_theorem fits the error columns and,
     when the trace carries ``dist_to_fix``, that column's floor (``diagnostics.distance_floor``).
     """

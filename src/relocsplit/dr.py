@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import fixed_point_line
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
 from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
-from .operators import as_points
+from .operators import as_points, as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
 _BETA_GRID = 1000
@@ -115,8 +115,8 @@ class DRFamily(OperatorFamily):
                 self._beta_bar = None
         return self._beta_bar
 
-    def apply_from(self, gamma, x, shadow=None):
-        """T_gamma x = x - z + y with blocks z = J_{gamma A1} x and y = J_{gamma A2}(2z - x).
+    def apply(self, gamma, x, shadow=None):
+        """T_gamma x = x - z + y with z = J_{gamma A1} x and y = J_{gamma A2}(2z - x).
 
         A relocated x passes its shadow as z: J_{gamma A1}(Q_{gamma<-g} w) = J_{g A1} w.
         """
@@ -124,7 +124,7 @@ class DRFamily(OperatorFamily):
         x = as_points(x, self.dim)
         z = self.a1.resolvent(gamma, x) if shadow is None else shadow
         y = self.a2.resolvent(gamma, 2.0 * z - x)
-        return x - z + y, {"z": z, "y": y}
+        return x - z + y
 
     def relocate_from(self, delta, gamma, x):
         """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow."""
@@ -134,9 +134,6 @@ class DRFamily(OperatorFamily):
         s = delta / gamma
         z = self.a1.resolvent(gamma, x)
         return s * x + (1.0 - s) * z, z
-
-    def apply(self, gamma, x):
-        return self.apply_from(gamma, x)[0]
 
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
@@ -152,7 +149,8 @@ class DRFamily(OperatorFamily):
 #:     y_n = J_{gamma_n A2}(2 z_n - x_n),  w_n = x_n - z_n + y_n,
 #:     z_{n+1} = J_{gamma_n A1} w_n,
 #:     x_{n+1} = (gamma_{n+1}/gamma_n) w_n + (1 - gamma_{n+1}/gamma_n) z_{n+1},
-#: is ``relocated_iterate`` on a ``DRFamily``; its rows carry blocks z, y, w.
+#: is ``relocated_iterate`` on a ``DRFamily``; w_n is its ``t_of_x``, and
+#: ``primal_dual_extract`` recomputes z_n and y_n from its rows.
 algorithm1_run = relocated_iterate
 
 
@@ -164,18 +162,18 @@ class PrimalDualSequences:
     h_seq: np.ndarray
 
 
-def primal_dual_extract(trace: IterateTrace) -> PrimalDualSequences:
+def primal_dual_extract(fam: DRFamily, trace: IterateTrace) -> PrimalDualSequences:
     """Primal iterates z_n, y_n and dual iterates g_n = (x_n - z_n)/gamma_n,
-    h_n = (w_n - y_n)/gamma_n from an ``algorithm1_run`` trace.
+    h_n = (w_n - y_n)/gamma_n of an ``algorithm1_run`` trace of ``fam``.
 
-    Since w_n - y_n = x_n - z_n by construction, ||h_n - g|| = ||g_n - g||
-    for any reference point g.
+    z_n = J_{gamma_n A1} x_n and y_n = J_{gamma_n A2}(2 z_n - x_n) are recomputed row by
+    row, and w_n = T_{gamma_n} x_n is read from the trace. Since w_n - y_n = x_n - z_n up to
+    rounding, ||h_n - g|| = ||g_n - g|| for any reference point g.
     """
-    z = trace.block("z")
-    y = trace.block("y")
-    w = trace.block("w")
+    z = np.array([fam.a1.resolvent(g, x) for g, x in zip(trace.gammas, trace.xs)])
+    y = np.array([fam.a2.resolvent(g, 2.0 * zn - x) for g, x, zn in zip(trace.gammas, trace.xs, z)])
     g = (trace.xs - z) / trace.gammas[:, None]
-    h = (w - y) / trace.gammas[:, None]
+    h = (trace.t_of_x - y) / trace.gammas[:, None]
     return PrimalDualSequences(z, y, g, h)
 
 
@@ -195,10 +193,11 @@ def fix_decomposition_check(fam: DRFamily, gamma: float, x_fixed) -> FixDecompos
     z = J_{gamma A1} x must solve the primal inclusion (residual ||A1 z + A2 z||
     for affine operators) and g = (x - z)/gamma the dual one (residual
     ||A1^{-1} g - A2^{-1}(-g)|| when both operators are invertible affine;
-    otherwise the dual check is skipped and flagged).
+    otherwise the dual check is skipped and flagged). x is not re-tested: z = J_{gamma A1} x
+    gives x = z + gamma A1 z, so the primal residual is 0 exactly when x is fixed.
     """
     gamma = fam.check_gamma(gamma)
-    x = fam.assert_fixed_point(gamma, x_fixed)
+    x = as_vector(x_fixed, fam.dim)
     if not (callable(fam.a1) and callable(fam.a2)):
         raise UnsupportedOperator("decomposition check needs single-valued affine operators")
 

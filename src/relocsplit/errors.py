@@ -49,10 +49,6 @@ class ChainMismatch(RelocSplitError):
     """The resolvent chain of a certified fixed point is inconsistent (implementation bug)."""
 
 
-class MissingBlocks(RelocSplitError, KeyError):
-    """The trace lacks the named per-iteration blocks."""
-
-
 class MissingDistances(RelocSplitError):
     """The trace lacks its dist_to_fix or err_to_limit column; compute it first."""
 

@@ -5,7 +5,8 @@ A family bundles the map ``T_gamma``, its fixed-point relocator
 
     x_{n+1} = Q_{gamma_{n+1} <- gamma_n} T_{gamma_n} x_n
 
-and records residuals per step. A point is a fixed point when its measured
+and records per step the stepsize, the iterate, T_gamma of it and the residual,
+nothing else. A point is a fixed point when its measured
 residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
 fixed-point sets serves them from one line, certified once by a proven bound.
 """
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DivergenceDetected,
     DomainError,
-    MissingBlocks,
     NonPositiveStepsize,
     NonSingletonFix,
     NotAFixedPoint,
@@ -159,8 +159,12 @@ class OperatorFamily(abc.ABC):
         return None
 
     @abc.abstractmethod
-    def apply(self, gamma: float, x) -> np.ndarray:
-        """Evaluate T_gamma at a point x ``(dim,)`` or at each row of a block ``(k, dim)``."""
+    def apply(self, gamma: float, x, shadow=None) -> np.ndarray:
+        """Evaluate T_gamma at a point x ``(dim,)`` or at each row of a block ``(k, dim)``.
+
+        ``shadow`` is the value ``relocate_from`` returned with x; a family whose
+        relocator evaluates part of T_gamma x reuses it instead of solving again.
+        """
 
     @abc.abstractmethod
     def relocate(self, delta: float, gamma: float, x) -> np.ndarray:
@@ -173,17 +177,8 @@ class OperatorFamily(abc.ABC):
         Stepsize arrays give the constants elementwise.
         """
 
-    def apply_from(self, gamma: float, x, shadow=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Evaluate T_gamma at x and return it with the row's trace blocks.
-
-        ``shadow`` is the value ``relocate_from`` returned with x; a family
-        whose relocator evaluates part of T_gamma x reuses it instead of
-        solving again. The default records no blocks and ignores the shadow.
-        """
-        return self.apply(gamma, x), {}
-
     def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
-        """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply_from``."""
+        """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply``."""
         return self.relocate(delta, gamma, x), None
 
     def fixed_point(self, gamma: float) -> np.ndarray:
@@ -248,8 +243,8 @@ class OperatorFamily(abc.ABC):
 class IterateTrace:
     """Per-iteration record: stepsize, iterate, T_gamma(iterate), residual.
 
-    ``blocks`` holds algorithm-specific sequences (z, y, w for the two-operator
-    splitting; z and w blocks for the multioperator one) as (rows, k) arrays.
+    A splitting's resolvent values at row n are functions of ``gammas[n]`` and
+    ``xs[n]`` (``dr.primal_dual_extract`` recomputes them), so none is kept.
     The per-row error columns start empty: ``diagnostics.compute_distances``
     fills ``dist_to_fix`` (||x_n - x*_{gamma_n}||) and ``diagnostics.limit_errors``
     fills ``err_to_limit`` (||x_n - x_inf||); the checks read them from here.
@@ -261,16 +256,9 @@ class IterateTrace:
     residuals: np.ndarray
     dist_to_fix: np.ndarray | None = None
     err_to_limit: np.ndarray | None = None
-    blocks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.gammas.shape[0])
-
-    def block(self, name: str) -> np.ndarray:
-        try:
-            return self.blocks[name]
-        except KeyError:
-            raise MissingBlocks(f"trace has no block {name!r}") from None
 
 
 class ScalarShiftFamily(OperatorFamily):
@@ -293,7 +281,7 @@ class ScalarShiftFamily(OperatorFamily):
     def contraction_beta(self) -> float:
         return self.beta
 
-    def apply(self, gamma, x):
+    def apply(self, gamma, x, shadow=None):
         gamma = self.check_gamma(gamma)
         x = as_points(x, 1)
         return gamma + self.beta * (x - gamma)
@@ -318,10 +306,8 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
 
     Returns a trace with rows n = 0..n_steps; every row carries T_gamma_n(x_n)
     and the residual ||x_n - T_gamma_n x_n||. Each step hands the shadow of
-    ``relocate_from`` to the next ``apply_from``, so a family's per-step
-    algorithm (two resolvents per step for ``DRFamily``, N for ``MTFamily``)
-    is this loop. When the family records blocks, the trace also holds
-    ``w`` = T_gamma_n(x_n), sharing storage with ``t_of_x``.
+    ``relocate_from`` to the next ``apply``, so a family's per-step algorithm
+    (two resolvents per step for ``DRFamily``, N for ``MTFamily``) is this loop.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
@@ -331,25 +317,18 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     xs = np.empty((rows, family.dim))
     ts = np.empty((rows, family.dim))
     res = np.empty(rows)
-    blocks: dict[str, np.ndarray] = {}
     shadow = None
     for n in range(rows):
         size = float(np.linalg.norm(x))
         if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
-        t, row_blocks = family.apply_from(gams[n], x, shadow)
+        t = family.apply(gams[n], x, shadow)
         xs[n] = x
         ts[n] = t
         res[n] = float(np.linalg.norm(x - t))
-        for name, value in row_blocks.items():
-            if name not in blocks:
-                blocks[name] = np.empty((rows, value.size))
-            blocks[name][n] = value
         if n < n_steps:
             x, shadow = family.relocate_from(gams[n + 1], gams[n], t)
-    if blocks:
-        blocks["w"] = ts
-    return IterateTrace(gams, xs, ts, res, blocks=blocks)
+    return IterateTrace(gams, xs, ts, res)
 
 
 def relocator_only_sequence(
@@ -413,35 +392,26 @@ class GammaLipschitzProbe:
     gaps: np.ndarray
     scales: np.ndarray
 
-    @property
-    def L_estimate(self) -> float:
-        """The largest ratio ||Q_{delta<-gamma} x - x|| / |delta - gamma|."""
-        return float(np.max(self.moves / self.gaps))
-
     def excess(self, L: float) -> float:
         """Largest | ||Q x - x|| - L |delta - gamma| | / (1 + ||x||): how far the moves are
         from a relocator moving every probed fixed point by exactly L |delta - gamma|."""
         return float(np.max(np.abs(self.moves - L * self.gaps) / self.scales))
 
 
-def gamma_lipschitz_probe(
-    family: OperatorFamily,
-    fixed_points: list[tuple[np.ndarray, float]],
-    deltas: list[float],
-) -> GammaLipschitzProbe:
-    """Probe ||Q_{delta<-gamma} x - x|| against |delta - gamma| over fixed points.
+def gamma_lipschitz_probe(family: OperatorFamily, gammas, deltas) -> GammaLipschitzProbe:
+    """Probe ||Q_{delta<-gamma} x - x|| against |delta - gamma| at the fixed points
+    x = ``family.fixed_point(gamma)``, which its certified line serves.
 
-    Every (x, gamma) must pass the fixed-point residual certificate; delta ==
-    gamma pairs are skipped. The largest ratio witnesses the Lipschitz-in-stepsize
+    delta == gamma pairs are skipped. The moves witness the Lipschitz-in-stepsize
     behaviour of the relocator along the fixed-point sets.
     """
     deltas = family.check_gamma(np.asarray(deltas, dtype=float))
     rows = []
-    for x, gamma in fixed_points:
-        x = family.assert_fixed_point(gamma, x)
+    for gamma in gammas:
+        x = family.fixed_point(gamma)
         scale = 1.0 + float(np.linalg.norm(x))
         rows += [(float(np.linalg.norm(family.relocate(delta, gamma, x) - x)), abs(delta - gamma), scale)
                  for delta in deltas[deltas != gamma]]
     if not rows:
-        raise DomainError("no (fixed point, delta) pair with delta != gamma")
+        raise DomainError("no (gamma, delta) pair with delta != gamma")
     return GammaLipschitzProbe(*(np.array(column) for column in zip(*rows)))

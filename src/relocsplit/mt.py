@@ -117,8 +117,8 @@ class MTFamily(OperatorFamily):
             raise DomainError("block vector has non-finite coordinates")
         return x.reshape(x.shape[:-1] + (self.n_blocks, self.space_dim))
 
-    def apply_from(self, gamma, x, shadow=None):
-        """T_gamma x with block z, the N chain values z^1..z^N (flat).
+    def apply(self, gamma, x, shadow=None):
+        """T_gamma x from the N chain values z^1..z^N.
 
         A relocated x passes its shadow as z^1: J_{gamma A1}(Q_{gamma<-g} w)^1 = J_{g A1} w^1.
         For a block of points every chain value is one resolvent call on k rows.
@@ -136,7 +136,7 @@ class MTFamily(OperatorFamily):
             )
         z[..., K, :] = ops[K].resolvent(gamma, z[..., 0, :] + z[..., K - 1, :] - xb[..., K - 1, :])
         t = xb + self.theta * (z[..., 1:, :] - z[..., :-1, :])
-        return t.reshape(lead + (self.dim,)), {"z": z.reshape(lead + (-1,))}
+        return t.reshape(lead + (self.dim,))
 
     def relocate_from(self, delta, gamma, x):
         """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow."""
@@ -147,9 +147,6 @@ class MTFamily(OperatorFamily):
         anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
         moved = s * xb + (1.0 - s) * anchor[..., None, :]
         return moved.reshape(xb.shape[:-2] + (self.dim,)), anchor
-
-    def apply(self, gamma, x):
-        return self.apply_from(gamma, x)[0]
 
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
@@ -176,8 +173,8 @@ class MTFamily(OperatorFamily):
 
 #: Algorithm 2, the per-step form of the splitting (the z-chain from the
 #: carried z^1, then z_{n+1}^1 = J_{gamma_n A1} w_n^1 anchoring the
-#: relocation), is ``relocated_iterate`` on an ``MTFamily``; its rows carry
-#: block "z" (the N chain values) and "w" (T_{gamma_n} x_n).
+#: relocation), is ``relocated_iterate`` on an ``MTFamily``; w_n = T_{gamma_n} x_n
+#: is its ``t_of_x``, and z^{i+1} - z^i is block i of (w_n - x_n)/theta.
 algorithm2_run = relocated_iterate
 
 

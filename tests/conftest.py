@@ -56,3 +56,20 @@ def run_with_columns():
         return trace
 
     return run
+
+
+@pytest.fixture(scope="session")
+def mt_chain():
+    """The chain values z^1..z^N, as ``(N, space_dim)``, of an ``MTFamily``'s T_gamma at one
+    point, evaluated straight from the operators' resolvents."""
+
+    def chain(family, gamma, x):
+        xb = family.split_blocks(x)
+        ops, K = family.operators, family.n_blocks
+        z = [ops[0].resolvent(gamma, xb[0])]
+        for i in range(1, K):
+            z.append(ops[i].resolvent(gamma, z[-1] + xb[i] - xb[i - 1]))
+        z.append(ops[K].resolvent(gamma, z[0] + z[-1] - xb[K - 1]))
+        return np.array(z)
+
+    return chain

@@ -166,7 +166,7 @@ def test_criterion_06_main_rate_theorem(dr10, run_with_columns):
 def test_criterion_07_primal_dual_recovery(dr10):
     fam, sch = dr10
     trace = algorithm1_run(fam, sch, np.zeros(fam.dim), 300)
-    seqs = primal_dual_extract(trace)
+    seqs = primal_dual_extract(fam, trace)
 
     z_star = np.linalg.solve(fam.a1.M + fam.a2.M, -(fam.a1.b + fam.a2.b))
     assert np.linalg.norm((fam.a1.M + fam.a2.M) @ seqs.z_seq[-1] + fam.a1.b + fam.a2.b) <= 1e-8
@@ -203,16 +203,15 @@ def test_criterion_08_fix_set_decomposition(dr5):
     assert np.linalg.norm(dr5.relocate(1.8, 0.6, points[0.6]) - points[1.8]) <= 1e-8
 
 
-def test_criterion_09_mt_correctness(mt3):
+def test_criterion_09_mt_correctness(mt3, mt_chain):
     sch = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (0.5, 2.0))
     trace = algorithm2_run(mt3, sch, np.zeros(mt3.dim), 500)
+    z = np.array([mt_chain(mt3, g, x) for g, x in zip(trace.gammas, trace.xs)])
 
     M = sum(op.M for op in mt3.operators)
     b = sum(op.b for op in mt3.operators)
-    z1 = trace.blocks["z"][-1][: mt3.space_dim]
-    assert np.linalg.norm(M @ z1 + b) <= 1e-8
+    assert np.linalg.norm(M @ z[-1, 0] + b) <= 1e-8
 
-    z = trace.blocks["z"].reshape(len(trace), mt3.n_operators, mt3.space_dim)
     gaps = np.zeros(len(trace))
     for i in range(mt3.n_operators):
         for j in range(i + 1, mt3.n_operators):

@@ -93,6 +93,39 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
     assert (mt.mt_contraction_certificate, diagnostics.verify_error_bound) == originals
 
 
+DR_SMALL = {
+    "algorithm": "dr",
+    "problem.kind": "affine_strongly_monotone",
+    "problem.dim": "5",
+    "schedule.kind": "geometric",
+    "schedule.gamma_star": "1.0",
+    "schedule.r": "0.5",
+    "schedule.gamma_low": "1.0",
+    "schedule.gamma_high": "2.0",
+    "n_steps": "200",
+}
+
+
+@pytest.mark.parametrize(
+    "mapping, span",
+    [(DR_SMALL, "dr.apply"), ({**MT_BOX, "n_steps": "200", "checks": ""}, "mt.apply")],
+    ids=["dr", "mt"],
+)
+def test_driver_steps_are_counted_as_applies(mapping, span):
+    # each of the n_steps + 1 rows evaluates T_gamma through the family's one apply, the
+    # method the benchmark wraps, so its apply count covers the relocated run
+    layers, Tracer = _perfbench()
+    tracer = Tracer()
+    restore = layers.instrument(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, _ = cli.run_experiment(cli.build_config(mapping))
+    finally:
+        restore()
+    assert status == 0
+    assert tracer.by_name()[span][0] >= int(mapping["n_steps"]) + 1
+
+
 #: the benchmark's workloads at a dimension small enough for the test suite
 SMALL_DIM = 20
 

@@ -6,6 +6,7 @@ import pytest
 
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
+import relocsplit.dr as dr
 import relocsplit.mt as mt
 from relocsplit import (
     ScalarShiftFamily,
@@ -519,6 +520,39 @@ class TestRunExperiment:
         assert requested == [2, 2]
 
 
+CONSENSUS_RUNS = {
+    "dr": (DR_CONFIG, {}),
+    "mt_box_n3": (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "0.5"}),
+    "mt_n4": (MT_CONFIG, {"problem.n_operators": "4"}),
+}
+
+
+class TestConsensus:
+    @pytest.mark.parametrize("name", sorted(CONSENSUS_RUNS))
+    def test_gaps_are_those_of_the_resolvent_values(self, tmp_path, name, mt_chain):
+        # read from the residual vectors, the gaps are max_{i<j} ||z^i_n - z^j_n|| over the
+        # resolvent values of row n, evaluated afresh; the residual carries the rounding of
+        # x_n, about 1e-16 (1 + ||x_n||), which the relative 1e-12 cannot absorb near the floor
+        text, overrides = CONSENSUS_RUNS[name]
+        config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
+        family, _ = cli.build_family(config)
+        trace = cli.relocated_iterate(
+            family, config.schedule, cli._initial_point(config, family), config.n_steps
+        )
+        if config.algorithm == "dr":
+            seqs = dr.primal_dual_extract(family, trace)
+            chains = np.stack([seqs.z_seq, seqs.y_seq], axis=1)
+        else:
+            chains = np.array([mt_chain(family, g, x) for g, x in zip(trace.gammas, trace.xs)])
+        pairs = [(i, j) for i in range(chains.shape[1]) for j in range(i + 1, chains.shape[1])]
+        expected = np.max(
+            [np.linalg.norm(chains[:, i] - chains[:, j], axis=1) for i, j in pairs], axis=0
+        )
+        gaps = cli._consensus_gaps(config, family, trace)
+        scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
+        assert np.all(np.abs(gaps - expected) <= 1e-12 * expected + 1e-15 * scale)
+
+
 class TestTraceCsv:
     def test_determinism_byte_identical(self, tmp_path):
         c1 = write_config(
@@ -556,7 +590,7 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("text", [DR_CONFIG, MT_CONFIG], ids=["dr", "mt"])
     def test_dropped_blocks_are_recomputed_from_the_file(self, tmp_path, text):
-        # the file keeps x_n and gamma_n, and T_{gamma_n} at x_n gives back every block
+        # the file keeps x_n and gamma_n, and T_{gamma_n} at x_n gives back w_n = t_of_x[n]
         path = write_config(tmp_path, text, extra=f"output.trace_path = {tmp_path}/t.csv\n")
         config = cli.build_config(cli.parse_config_file(path), {"checks": "", "n_steps": "60"})
         family, _ = cli.build_family(config)
@@ -565,13 +599,9 @@ class TestTraceCsv:
         cli.write_trace_csv(config.trace_path, trace, family)
         gammas = cli.read_trace_csv(config.trace_path, "gamma")
         xs = np.column_stack([cli.read_trace_csv(config.trace_path, f"x_{j}") for j in range(family.dim)])
-        rows = [family.apply_from(gamma, x) for gamma, x in zip(gammas, xs)]
-        recomputed = {name: np.array([blocks[name] for _, blocks in rows]) for name in rows[0][1]}
-        recomputed["w"] = np.array([t for t, _ in rows])
-        assert recomputed.keys() == trace.blocks.keys()
-        for name, block in trace.blocks.items():
-            scale = np.linalg.norm(block, axis=1)
-            assert np.all(np.linalg.norm(recomputed[name] - block, axis=1) <= 1e-12 * scale), name
+        w = np.array([family.apply(gamma, x) for gamma, x in zip(gammas, xs)])
+        scale = np.linalg.norm(trace.t_of_x, axis=1)
+        assert np.all(np.linalg.norm(w - trace.t_of_x, axis=1) <= 1e-12 * scale)
 
     def test_golden_bytes(self, tmp_path):
         fam = ScalarShiftFamily(0.5, (0.5, 2.0))

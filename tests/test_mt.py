@@ -32,11 +32,11 @@ class TestApply:
         x = np.array([0.7, -1.2])
         assert np.array_equal(fam.apply(1.0, x), x)
 
-    def test_three_zero_operators_chain_telescopes(self):
+    def test_three_zero_operators_chain_telescopes(self, mt_chain):
         fam = zeros_family(3)
         x = np.array([1.0, 2.0, 3.0, 5.0])  # blocks (1,2) and (3,5)
-        t, blocks = fam.apply_from(1.0, x)
-        z = blocks["z"].reshape(3, 2)
+        t = fam.apply(1.0, x)
+        z = mt_chain(fam, 1.0, x)
         # z1 = x1, z2 = x2, z3 = z1 + z2 - x2 = x1
         assert np.array_equal(z[0], [1.0, 2.0])
         assert np.array_equal(z[1], [3.0, 5.0])
@@ -66,9 +66,9 @@ class TestApply:
         z2 = ops[1].resolvent(1.0, z1 + x2 - x1)
         z3 = ops[2].resolvent(1.0, z1 + z2 - x2)
         expected = np.concatenate([x1 + 0.5 * (z2 - z1), x2 + 0.5 * (z3 - z2)])
-        t, blocks = mt3_family.apply_from(1.0, x)
-        assert np.linalg.norm(t - expected) <= 1e-12
-        assert np.linalg.norm(blocks["z"] - np.concatenate([z1, z2, z3])) <= 1e-12
+        assert np.linalg.norm(mt3_family.apply(1.0, x) - expected) <= 1e-12
+        # a shadow stands in for z^1
+        assert np.linalg.norm(mt3_family.apply(1.0, x, z1) - expected) <= 1e-12
 
     def test_bad_block_count(self, mt3_family):
         with pytest.raises(BadBlockCount):
@@ -246,25 +246,25 @@ class TestAlgorithm2:
         assert np.max(np.linalg.norm(t1.xs - t2.xs, axis=1)) <= 1e-12
 
     def test_shadow_identity_every_row(self, mt3_family, geometric_schedule):
-        # carried z^1 equals a fresh J_{gamma_n A1} x_n^1 on every row
+        # the carried z^1 stands in for a fresh J_{gamma_n A1} x_n^1: T_{gamma_n} x_n must not move
         rng = np.random.default_rng(24)
         trace = algorithm2_run(mt3_family, geometric_schedule, rng.standard_normal(mt3_family.dim), 80)
-        d = mt3_family.space_dim
         for n in range(len(trace)):
-            fresh = mt3_family.operators[0].resolvent(trace.gammas[n], trace.xs[n][:d])
-            assert np.linalg.norm(trace.blocks["z"][n][:d] - fresh) <= 1e-11
+            fresh = mt3_family.apply(trace.gammas[n], trace.xs[n])
+            scale = 1.0 + np.linalg.norm(trace.xs[n])
+            assert np.linalg.norm(trace.t_of_x[n] - fresh) <= 1e-11 * scale
 
     def test_reaches_zero_of_sum(self, mt3_family, geometric_schedule):
         trace = algorithm2_run(mt3_family, geometric_schedule, np.zeros(mt3_family.dim), 500)
         ops = mt3_family.operators
         M = sum(op.M for op in ops)
         b = sum(op.b for op in ops)
-        z1 = trace.blocks["z"][-1][: mt3_family.space_dim]
+        z1 = ops[0].resolvent(trace.gammas[-1], trace.xs[-1][: mt3_family.space_dim])
         assert np.linalg.norm(M @ z1 + b) <= 1e-8
 
-    def test_consensus_gap_decays_linearly(self, mt3_family, geometric_schedule):
+    def test_consensus_gap_decays_linearly(self, mt3_family, geometric_schedule, mt_chain):
         trace = algorithm2_run(mt3_family, geometric_schedule, np.zeros(mt3_family.dim), 400)
-        z = trace.blocks["z"].reshape(len(trace), 3, mt3_family.space_dim)
+        z = np.array([mt_chain(mt3_family, g, x) for g, x in zip(trace.gammas, trace.xs)])
         gaps = np.zeros(len(trace))
         for i in range(3):
             for j in range(i + 1, 3):
@@ -389,13 +389,14 @@ class TestBlocksOfPoints:
         fam = BLOCK_FAMILIES[name]()
         X = 3 * np.random.default_rng(k).standard_normal((k, fam.dim))
         for gamma, delta in ((0.7, 1.9), (1.5, 0.5)):
-            t, blocks = fam.apply_from(gamma, X)
-            rows = [fam.apply_from(gamma, x) for x in X]
-            expected_t = np.vstack([r[0] for r in rows])
-            expected_z = np.vstack([r[1]["z"] for r in rows])
-            assert t.shape == (k, fam.dim) and blocks["z"].shape == (k, fam.n_operators * fam.space_dim)
+            t = fam.apply(gamma, X)
+            expected_t = np.vstack([fam.apply(gamma, x) for x in X])
+            assert t.shape == (k, fam.dim)
             assert np.linalg.norm(t - expected_t) <= 1e-12 * np.linalg.norm(expected_t)
-            assert np.linalg.norm(blocks["z"] - expected_z) <= 1e-12 * np.linalg.norm(expected_z)
+            # a block of shadows z^1, one per row, as relocate_from returns them
+            shadow = fam.operators[0].resolvent(gamma, fam.split_blocks(X)[:, 0])
+            t = fam.apply(gamma, X, shadow)
+            assert np.linalg.norm(t - expected_t) <= 1e-12 * np.linalg.norm(expected_t)
             moved = np.vstack([fam.relocate(delta, gamma, x) for x in X])
             assert np.linalg.norm(fam.relocate(delta, gamma, X) - moved) <= 1e-12 * np.linalg.norm(moved)
 

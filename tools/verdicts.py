@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print one line per benchmark config and seed: exit status, verdicts and digests.
+
+Usage: python3 tools/verdicts.py SRC_DIR SEEDS
+
+SRC_DIR holds the ``relocsplit`` package to run (the ``src`` directory of a checkout).
+SEEDS is a comma-separated list of seeds and ranges, such as ``1-40`` or ``1,7,13-15``.
+
+Each config under ``perfbench/configs`` runs in process through ``relocsplit run``, once per
+seed given through ``RELOCSPLIT_SEED``, on one BLAS thread, with its trace and report written
+to a temporary directory. A line reads
+
+    CONFIG seed=S exit=E CHECK=PASS:LINE_DIGEST ... report=SHA256 trace=SHA256
+
+where LINE_DIGEST is the first 12 hex digits of the sha256 of that check's report line, so a
+moved number shows which check it belongs to. Two checkouts are compared with ``diff``:
+
+    python3 tools/verdicts.py ../parent/src 1-40 > parent.txt
+    python3 tools/verdicts.py src 1-40 > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def digest(path: str) -> str:
+    """The sha256 of a file, or ``none`` when the run wrote no such file."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest() if os.path.exists(path) else "none"
+
+
+def run_line(cli, config: Path, seed: int, workdir: str) -> str:
+    trace = os.path.join(workdir, "trace.csv")
+    report = os.path.join(workdir, "report.txt")
+    for path in (trace, report):
+        if os.path.exists(path):
+            os.remove(path)
+    os.environ[cli.SEED_ENV_VAR] = str(seed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["run", str(config), "--set", f"output.trace_path={trace}",
+                           "--set", f"output.report_path={report}"])
+    words = [config.stem, f"seed={seed}", f"exit={status}"]
+    if os.path.exists(report):
+        for line in Path(report).read_text(encoding="utf-8").splitlines():
+            fields = dict(word.split("=", 1) for word in line.split())
+            if "name" in fields:
+                line_digest = hashlib.sha256(line.encode()).hexdigest()[:12]
+                words.append(f"{fields['name']}={fields['status']}:{line_digest}")
+    words += [f"report={digest(report)}", f"trace={digest(trace)}"]
+    return " ".join(words)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src, seeds = argv
+    # one BLAS thread, set before numpy loads
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path.insert(0, os.path.abspath(src))
+    from relocsplit import cli
+
+    configs = sorted(CONFIGS.glob("*.cfg"))
+    with tempfile.TemporaryDirectory() as workdir:
+        for config in configs:
+            for seed in parse_seeds(seeds):
+                print(run_line(cli, config, seed, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
