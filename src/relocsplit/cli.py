@@ -53,6 +53,9 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 
 #: burn-in of the rate_theorem fits: a long one can launder sublinear tails into linear verdicts
 RATE_THEOREM_BURN_IN = 5
+#: the consensus fit leaves out gaps below CONSENSUS_FLOOR_EPS * eps * (1 + max_n ||x_n||): a
+#: gap read from iterates of norm ||x_n|| carries rounding of about eps (1 + ||x_n||)
+CONSENSUS_FLOOR_EPS = 16
 
 #: the ``#`` line after the header of every trace: the burn-in with which rate_theorem fits
 #: err_to_limit and dist_to_fix and, when the trace carries dist_to_fix, that column's floor,
@@ -480,7 +483,9 @@ def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np
 
 def _check_consensus(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     gaps = _consensus_gaps(config, family, trace)
-    est = diagnostics.fit_linear_rate(gaps, burn_in=5)
+    scale = 1.0 + float(np.linalg.norm(trace.xs, axis=1).max())
+    floor = CONSENSUS_FLOOR_EPS * np.finfo(float).eps * scale
+    est = diagnostics.fit_linear_rate(gaps, burn_in=5, floor=floor)
     return _record_from_rate("consensus", est, est.linear)
 
 

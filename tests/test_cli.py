@@ -52,6 +52,9 @@ n_steps = 400
 checks = all
 """
 
+MT_BOX_D100 = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+               / "mt-box-d100-n3.cfg").read_text(encoding="utf-8")
+
 SCALAR_CONFIG = """
 algorithm = scalar_counterexample
 problem.beta = 0.5
@@ -316,23 +319,34 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "text, overrides, oracle_runs",
         [(DR_CONFIG, {}, 0), (MT_CONFIG, {}, 0),
-         (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "0.5"}, 1)],
-        ids=["dr_affine", "mt_affine", "mt_box"],
+         (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "0.5"}, 1),
+         (MT_BOX_D100, {"problem.seed": "7"}, 1)],
+        ids=["dr_affine", "mt_affine", "mt_box", "mt_box_d100"],
     )
     def test_fixed_point_oracle_runs(self, tmp_path, monkeypatch, text, overrides, oracle_runs):
-        # affine families solve for the zero; a box family runs one oracle for it
-        calls = []
+        # affine families solve for the zero; a box family's active-set solve is finished by
+        # one warm-started oracle run, which starts on the fixed point and so makes at most
+        # two applies (a cold start from 0 made 295 on mt-box-d100-n3 at seed 7)
+        applies = []
         real = diagnostics.fixed_point_oracle
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(family, *args, **kwargs):
+            applies.append(0)
+            real_apply = type(family).apply
+
+            def apply(self, *apply_args, **apply_kwargs):
+                applies[-1] += 1
+                return real_apply(self, *apply_args, **apply_kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(type(family), "apply", apply)
+                return real(family, *args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
         status, _ = cli.run_experiment(config)
         assert status == 0
-        assert len(calls) == oracle_runs
+        assert len(applies) == oracle_runs and all(count <= 2 for count in applies)
 
     @pytest.mark.parametrize(
         "text, kind, eigendecompositions",
@@ -551,6 +565,26 @@ class TestConsensus:
         gaps = cli._consensus_gaps(config, family, trace)
         scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
         assert np.all(np.abs(gaps - expected) <= 1e-12 * expected + 1e-15 * scale)
+
+    @pytest.mark.parametrize("name", sorted(CONSENSUS_RUNS))
+    def test_fit_leaves_out_rounding_noise(self, tmp_path, monkeypatch, name):
+        # a gap carries rounding of about eps (1 + ||x_n||): noise of that size on the gaps
+        # below the run's floor must not move the fitted envelope constant
+        text, overrides = CONSENSUS_RUNS[name]
+        config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
+        family, _ = cli.build_family(config)
+        trace = cli.relocated_iterate(
+            family, config.schedule, cli._initial_point(config, family), config.n_steps
+        )
+        gaps = cli._consensus_gaps(config, family, trace)
+        eps = np.finfo(float).eps
+        scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
+        below = gaps < cli.CONSENSUS_FLOOR_EPS * eps * scale.max()
+        assert below.any()
+        clean = cli._check_consensus(config, family, trace)
+        monkeypatch.setattr(cli, "_consensus_gaps", lambda *args: gaps + below * eps * scale)
+        noisy = cli._check_consensus(config, family, trace)
+        assert abs(noisy.fitted_C - clean.fitted_C) <= 1e-6 * clean.fitted_C
 
 
 class TestTraceCsv:

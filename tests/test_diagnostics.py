@@ -29,6 +29,7 @@ from relocsplit.errors import (
 )
 import relocsplit.family as family_module
 from relocsplit.family import BLOCK_FLOATS, FIXED_POINT_TOL, FixedPointLine, block_sizes, relocated_iterate
+from relocsplit.operators import inclusion_gaps
 
 INTERVAL = (0.5, 2.0)
 
@@ -508,6 +509,29 @@ def box_mt_family():
     return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
 
 
+@pytest.fixture(scope="module")
+def one_sided_box_mt_family():
+    """``box_mt_family``'s heads with a box whose every side is bounded on one end only."""
+    ops = rs.generate_problem(
+        "affine_plus_box", 4, 7, 0.5, 2.0, n_operators=3, box_half_width=0.5
+    )
+    box = rs.BoxNormalCone([-np.inf, -0.5, -0.5, -np.inf], [0.5, np.inf, np.inf, 0.5])
+    return rs.MTFamily(ops[:-1] + [box], theta=0.5, gamma_interval=INTERVAL)
+
+
+@pytest.fixture(scope="module")
+def custom_box_mt_family(tmp_path_factory):
+    """From a ``custom_matrices`` file: a nonsymmetric strongly monotone head, 0.5 I, and the
+    box [-1, 1]^3. The summed heads make the active-set solve cycle, so the oracle that
+    finishes it starts from a wrong guess."""
+    M1 = 0.5 * np.eye(3) + np.array([[0.0, -1.0, 2.0], [1.0, 0.0, -0.2], [-2.0, 0.2, 0.0]])
+    path = tmp_path_factory.mktemp("custom") / "mats.npz"
+    np.savez(path, M1=M1, b1=[-0.1, 2.8, 0.8], M2=0.5 * np.eye(3),
+             box_lower=-np.ones(3), box_upper=np.ones(3))
+    ops = rs.generate_problem("custom_matrices", 3, 7, 0.5, 2.0, matrices_path=str(path))
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
 SCHEDULES = {
     "geometric": StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL),
     "polynomial": StepsizeSchedule.polynomial(1.0, 1.0, 1.0, INTERVAL),
@@ -522,7 +546,8 @@ def scalar_family():
 @pytest.mark.parametrize("schedule_kind", list(SCHEDULES))
 @pytest.mark.parametrize(
     "family_name",
-    ["pd_pair_family", "skew_strong_family", "mt3_family", "box_mt_family", "scalar_family"],
+    ["pd_pair_family", "skew_strong_family", "mt3_family", "box_mt_family",
+     "one_sided_box_mt_family", "custom_box_mt_family", "scalar_family"],
 )
 def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, request):
     family = request.getfixturevalue(family_name)
@@ -539,3 +564,54 @@ def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, reques
         assert family.residual(g, p) <= line.residual_bound + slack
         cold = fixed_point_oracle(family, g, np.zeros(family.dim))
         assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))
+
+
+class TestBoxZeroGuess:
+    """The active-set solve that starts a box family's oracle (``diagnostics.box_zero_guess``)."""
+
+    @staticmethod
+    def solve_inputs(family):
+        *head, box = family.operators
+        step = 1.0 / sum(op.lip for op in head)
+        return sum(op.M for op in head), sum(op.b for op in head), box, step
+
+    def test_a_cycle_stops_within_the_budget(self, custom_box_mt_family, monkeypatch):
+        # the passes cycle through active sets that leave the inclusion unsolved; the loop
+        # stops at the first repeat, or at the budget when that comes first
+        real = np.linalg.solve
+        for budget, solves in [(diagnostics.ACTIVE_SET_PASSES, 5), (3, 3)]:
+            calls = []
+
+            def counting(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(diagnostics, "ACTIVE_SET_PASSES", budget)
+            monkeypatch.setattr(np.linalg, "solve", counting)
+            z = diagnostics.box_zero_guess(*self.solve_inputs(custom_box_mt_family))
+            monkeypatch.setattr(np.linalg, "solve", real)
+            assert len(calls) == solves <= diagnostics.ACTIVE_SET_PASSES
+            assert sum(inclusion_gaps(custom_box_mt_family.operators, z)) > 0.5
+
+    @pytest.mark.parametrize("family_name", ["box_mt_family", "one_sided_box_mt_family"])
+    def test_solves_the_inclusion(self, family_name, request):
+        family = request.getfixturevalue(family_name)
+        z = diagnostics.box_zero_guess(*self.solve_inputs(family))
+        assert sum(inclusion_gaps(family.operators, z)) <= 1e-14
+
+    def test_a_corner_guess_gives_the_same_line(self, box_mt_family, monkeypatch):
+        # the oracle, not the guess, decides the line: a guess forced to a corner of the box
+        # costs oracle steps and nothing else
+        line = box_mt_family.fixed_point_line()
+        corners = []
+
+        def corner(M, b, box, step):
+            corners.append(box.upper)
+            return box.upper.copy()
+
+        monkeypatch.setattr(diagnostics, "box_zero_guess", corner)
+        fresh = rs.MTFamily(box_mt_family.operators, theta=0.5, gamma_interval=INTERVAL)
+        for gamma in box_mt_family.gamma_interval:
+            x = line.point(gamma)
+            assert np.linalg.norm(fresh.fixed_point(gamma) - x) <= 1e-10 * (1.0 + np.linalg.norm(x))
+        assert len(corners) == 1
