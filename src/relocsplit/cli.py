@@ -13,7 +13,6 @@ failed certificate).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -53,6 +52,8 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 
 #: burn-in of the rate_theorem fits: a long one can launder sublinear tails into linear verdicts
 RATE_THEOREM_BURN_IN = 5
+#: points at which error_bound evaluates T_gamma*
+ERROR_BOUND_SAMPLES = 1000
 #: the consensus fit leaves out gaps below CONSENSUS_FLOOR_EPS * eps * (1 + max_n ||x_n||): a
 #: gap read from iterates of norm ||x_n|| carries rounding of about eps (1 + ||x_n||)
 CONSENSUS_FLOOR_EPS = 16
@@ -315,12 +316,18 @@ class CheckRecord:
     fitted_C: float = math.nan
     fitted_r: float = math.nan
     fit_quality: float = math.nan
+    #: rate_theorem's dist_to_fix fit, printed as three more fields on its line only
+    dist_fit: RateEstimate | None = None
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         parts = [f"name={self.name}", f"status={status}"]
         for key in ("certified_constant", "worst_ratio", "fitted_C", "fitted_r", "fit_quality"):
             parts.append(f"{key}={FLOAT_FMT % getattr(self, key)}")
+        if self.dist_fit is not None:
+            fit = self.dist_fit
+            for key, value in (("dist_C", fit.C), ("dist_r", fit.r), ("dist_fit_quality", fit.fit_quality)):
+                parts.append(f"{key}={FLOAT_FMT % value}")
         return " ".join(parts)
 
 
@@ -360,7 +367,7 @@ def _check_error_bound(config: ExperimentConfig, family, trace: IterateTrace) ->
         config.schedule.gamma_star,
         kappa,
         (-3.0, 3.0),
-        samples=1000,
+        samples=ERROR_BOUND_SAMPLES,
         seed=config.seed + 101,
     )
     return CheckRecord("error_bound", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
@@ -377,7 +384,9 @@ def _check_one_step(config: ExperimentConfig, family, trace: IterateTrace) -> Ch
 
 def _check_rate_theorem(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     result = diagnostics.verify_rate_theorem(family, trace, burn_in=RATE_THEOREM_BURN_IN)
-    return _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
+    record = _record_from_rate("rate_theorem", result.iterate_rate, result.passed)
+    record.dist_fit = result.dist_rate
+    return record
 
 
 def _check_relocator_bijection(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
@@ -603,8 +612,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     ``verify`` clears it and is otherwise this same run.
     """
     family, _ops = build_family(config)
+    # T_gamma* serves the rows where the schedule reaches gamma* in floats (a geometric one
+    # does) and error_bound's samples; an affine family holds its map there when that pays
+    gamma_star = config.schedule.gamma_star
+    tail = int(np.count_nonzero(config.schedule.gammas(config.n_steps + 1) == gamma_star))
+    samples = ERROR_BOUND_SAMPLES if "error_bound" in config.checks else 0
+    family.hold_affine_part(gamma_star, tail + samples)
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
-    diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
+    diagnostics.limit_errors(family, gamma_star, trace)
 
     needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
     if needs_dist and family.contraction_beta is not None:
@@ -696,6 +711,9 @@ def main(argv=None) -> int:
         # an empty trace path writes no trace
         return _run_one(args.config, {**overrides, "output.trace_path": ""})
     if args.jobs > 1 and len(args.configs) > 1:
+        # imported here, off the import path of every other command
+        import concurrent.futures
+
         # the pool starts all its workers up front, however few configs there are
         workers = min(args.jobs, len(args.configs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import fixed_point_line
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
 from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
-from .operators import as_points, as_vector
+from .operators import AffineOperator, as_points, as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
 _BETA_GRID = 1000
@@ -119,18 +119,25 @@ class DRFamily(OperatorFamily):
         """T_gamma x = x - z + y with z = J_{gamma A1} x and y = J_{gamma A2}(2z - x).
 
         A relocated x passes its shadow as z: J_{gamma A1}(Q_{gamma<-g} w) = J_{g A1} w.
+        At the stepsize of the held affine part (``affine_part``), x P^T + q instead.
         """
         gamma = self.check_gamma(gamma)
         x = as_points(x, self.dim)
+        held = self._affine_at(gamma)
+        if held is not None:
+            return x @ held[0] + held[1]
         z = self.a1.resolvent(gamma, x) if shadow is None else shadow
         y = self.a2.resolvent(gamma, 2.0 * z - x)
         return x - z + y
 
     def relocate_from(self, delta, gamma, x):
-        """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow."""
+        """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow; at delta == gamma the relocator
+        is the identity, and x comes back with no shadow."""
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         x = as_points(x, self.dim)
+        if delta == gamma:
+            return x, None
         s = delta / gamma
         z = self.a1.resolvent(gamma, x)
         return s * x + (1.0 - s) * z, z
@@ -140,6 +147,15 @@ class DRFamily(OperatorFamily):
 
     def _fixed_point_line(self):
         return fixed_point_line(self, [self.a1, self.a2])
+
+    def _linear_family(self):
+        if isinstance(self.a1, AffineOperator) and isinstance(self.a2, AffineOperator):
+            return DRFamily(self.a1.linear_part(), self.a2.linear_part(), self.gamma_interval)
+        return None
+
+    def _chain_cost(self):
+        # two resolvents, each two d x d products through the eigenvectors (or Schur vectors)
+        return 4 * self.dim**2
 
     def relocator_lipschitz(self, delta, gamma):
         return np.maximum(1.0, self.check_gamma(delta) / self.check_gamma(gamma))

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
 )
 from .family import OperatorFamily, StepsizeSchedule, block_sizes, relocated_iterate
-from .operators import inclusion_gaps
+from .operators import AffineOperator, inclusion_gaps
 
 _UNSET = object()
 #: margin keeping the relaxation parameter strictly inside (0, 1)
@@ -121,10 +121,14 @@ class MTFamily(OperatorFamily):
         """T_gamma x from the N chain values z^1..z^N.
 
         A relocated x passes its shadow as z^1: J_{gamma A1}(Q_{gamma<-g} w)^1 = J_{g A1} w^1.
-        For a block of points every chain value is one resolvent call on k rows.
+        For a block of points every chain value is one resolvent call on k rows. At the
+        stepsize of the held affine part (``affine_part``), x P^T + q instead.
         """
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
+        held = self._affine_at(gamma)
+        if held is not None:
+            return xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[0] + held[1]
         ops = self.operators
         K = self.n_blocks
         lead = xb.shape[:-2]
@@ -139,10 +143,13 @@ class MTFamily(OperatorFamily):
         return t.reshape(lead + (self.dim,))
 
     def relocate_from(self, delta, gamma, x):
-        """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow."""
+        """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow; at delta == gamma
+        the relocator is the identity, and x comes back with no shadow."""
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
+        if delta == gamma:
+            return xb.reshape(xb.shape[:-2] + (self.dim,)), None
         s = delta / gamma
         anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
         moved = s * xb + (1.0 - s) * anchor[..., None, :]
@@ -153,6 +160,16 @@ class MTFamily(OperatorFamily):
 
     def _fixed_point_line(self):
         return fixed_point_line(self, self.operators)
+
+    def _linear_family(self):
+        if all(isinstance(op, AffineOperator) for op in self.operators):
+            return MTFamily([op.linear_part() for op in self.operators], self.theta, self.gamma_interval)
+        return None
+
+    def _chain_cost(self):
+        # N resolvents, each two products in the space; the map's (N-1)^2 space_dim^2 is
+        # cheaper only for N <= 3
+        return 2 * self.n_operators * self.space_dim**2
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant

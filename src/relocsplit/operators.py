@@ -16,6 +16,7 @@ materialized as graphs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,12 @@ class AffineOperator:
         self._require_invertible()
         Minv = np.linalg.inv(self.M)
         return AffineOperator(Minv, -Minv @ self.b)
+
+    def linear_part(self) -> "AffineOperator":
+        """Return ``x -> M x``: this operator with offset 0, sharing M and its factorization."""
+        op = copy.copy(self)
+        op.b = np.zeros_like(self.b)
+        return op
 
     def scaled(self, t: float) -> "AffineOperator":
         """Return ``t*A`` for t > 0."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 from pathlib import Path
 
@@ -390,11 +391,10 @@ class TestRunExperiment:
         _, records = cli.run_experiment(config)
         assert all(rec.passed for rec in records)
 
-        real = family_type.relocate_from
-
         def broken(self, delta, gamma, x):
             x = np.asarray(x, dtype=float)
-            anchor = real(self, gamma, gamma, x)[1]  # J_{gamma A1} of the first block
+            head = getattr(self, "a1", None) or self.operators[0]
+            anchor = head.resolvent(gamma, x[..., : head.dim])  # J_{gamma A1} of the first block
             s = delta / gamma * (1.0 + 1e-3)
             return s * x + (1.0 - s) * np.tile(anchor, x.size // anchor.size)
 
@@ -526,7 +526,8 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # main imports concurrent.futures only for --jobs > 1, and reads the pool from it then
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         p1 = write_config(tmp_path, SCALAR_CONFIG, name="a.cfg")
         p2 = write_config(tmp_path, SCALAR_CONFIG, name="b.cfg")
         assert cli.main(["run", p1, p2, "--jobs", "64"]) == 0

@@ -10,6 +10,7 @@ from relocsplit import (
     relocator_only_sequence,
     summability_report,
 )
+import relocsplit.diagnostics as diagnostics
 from relocsplit.diagnostics import fixed_point_oracle
 from relocsplit.errors import (
     DivergenceDetected,
@@ -436,3 +437,149 @@ class TestBlocksOfPoints:
         assert sum(sizes) == count
         assert all(1 <= k and (k == 1 or k * floats_each <= BLOCK_FLOATS) for k in sizes)
         assert len(sizes) == -(-count // max(1, BLOCK_FLOATS // floats_each))
+
+
+def _fresh(family):
+    """The same family over the same operators, holding no affine part."""
+    if isinstance(family, rs.DRFamily):
+        return rs.DRFamily(family.a1, family.a2, family.gamma_interval)
+    return rs.MTFamily(family.operators, family.theta, family.gamma_interval)
+
+
+@pytest.fixture(scope="module")
+def mt4_family():
+    ops = rs.generate_problem("affine_strongly_monotone", 3, 5, 0.5, 2.0, n_operators=4)
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
+AFFINE_FAMILIES = ["pd_pair_family", "skew_strong_family", "mt3_family", "mt4_family"]
+
+
+class TestAffinePart:
+    """T_gamma of an all-affine family as the one map x -> x P^T + q, held for one stepsize."""
+
+    @pytest.mark.parametrize("family_name", AFFINE_FAMILIES)
+    def test_map_matches_the_resolvent_chain(self, family_name, request):
+        family = request.getfixturevalue(family_name)
+        rng = np.random.default_rng(11)
+        X = 3.0 * rng.standard_normal((6, family.dim))
+        for gamma in [*INTERVAL, *rng.uniform(*INTERVAL, size=3)]:
+            fresh = _fresh(family)
+            chain = fresh.apply(gamma, X)
+            pt, q = fresh.affine_part(gamma)
+            assert pt.shape == (family.dim, family.dim) and q.shape == (family.dim,)
+            mapped = X @ pt + q
+            assert np.all(np.linalg.norm(mapped - chain, axis=1)
+                          <= 1e-12 * (1.0 + np.linalg.norm(X, axis=1)))
+            # apply at the held stepsize is that map, for a point and for a block
+            assert np.array_equal(fresh.apply(gamma, X), mapped)
+            assert np.array_equal(fresh.apply(gamma, X[0]), X[0] @ pt + q)
+
+    def test_none_unless_every_operator_is_affine(self):
+        box_ops = rs.generate_problem("affine_plus_box", 4, 3, 0.5, 2.0, n_operators=3)
+        box = rs.BoxNormalCone(-np.ones(4), np.ones(4))
+        families = [
+            rs.MTFamily(box_ops, 0.5, INTERVAL),
+            rs.DRFamily(box_ops[0], box, INTERVAL),
+            ScalarShiftFamily(0.5, INTERVAL),
+        ]
+        x = np.linspace(-1.0, 1.0, 4)
+        for family in families:
+            assert family.affine_part(1.0) is None
+            assert not family.hold_affine_part(1.0, 10**6)
+            assert family._affine is None
+        # a box family's run keeps the resolvent chain at its constant tail
+        schedule = StepsizeSchedule.constant(1.0, INTERVAL)
+        trace = relocated_iterate(families[0], schedule, np.tile(x, 2), 5)
+        assert np.array_equal(trace.t_of_x[-1], _fresh(families[0]).apply(1.0, trace.xs[-1]))
+
+    @pytest.mark.parametrize("family_name, pays_from", [
+        ("pd_pair_family", 7),  # DR: dim (4 d^2) / (3 d^2) = 4 d / 3 evaluations, d = 5
+        ("mt3_family", 18),  # MT, N = 3: dim (6 s^2) / (2 s^2) = 3 dim evaluations, dim = 6
+        ("mt4_family", None),  # MT, N = 4: a row through the map costs 9 s^2, the chain 8 s^2
+    ])
+    def test_the_map_is_held_only_where_it_saves_work(self, family_name, pays_from, request):
+        family = _fresh(request.getfixturevalue(family_name))
+        for evaluations in (0, 6, 7, 17, 18, 10**6):
+            pays = pays_from is not None and evaluations >= pays_from
+            assert family.hold_affine_part(1.0, evaluations) == pays
+            assert (family._affine_at(1.0) is not None) == pays
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
+    def test_another_stepsize_replaces_the_held_map(self, family_name, request):
+        family = _fresh(request.getfixturevalue(family_name))
+        x = np.random.default_rng(2).standard_normal(family.dim)
+        chain_07 = _fresh(family).apply(0.7, x)
+        pt, q = family.affine_part(0.7)
+        assert family.affine_part(0.7)[0] is pt  # held, not formed again
+        pt_13, q_13 = family.affine_part(1.3)
+        assert family._affine[0] == 1.3
+        assert np.array_equal(family.apply(1.3, x), x @ pt_13 + q_13)
+        # 0.7 is back on the resolvent chain
+        assert np.array_equal(family.apply(0.7, x), chain_07)
+
+    @pytest.mark.parametrize("family_name", AFFINE_FAMILIES)
+    def test_relocating_to_the_same_stepsize_returns_x(self, family_name, request):
+        family = request.getfixturevalue(family_name)
+        x = np.random.default_rng(3).standard_normal(family.dim)
+        for gamma in (0.5, 1.0, 1.7):
+            moved, shadow = family.relocate_from(gamma, gamma, x)
+            assert np.array_equal(moved, x) and shadow is None
+
+    @pytest.mark.parametrize("family_name, n_operators", [("pd_pair_family", 2), ("mt3_family", 3)])
+    def test_the_constant_tail_makes_no_resolvent_call(
+        self, family_name, n_operators, geometric_schedule, request, monkeypatch
+    ):
+        # rows before the tail cost N resolvents each, less the shadow; the affine part costs
+        # T_gamma* 0 and one block of identity rows; every tail row is one matrix product
+        family = _fresh(request.getfixturevalue(family_name))
+        n_steps = 200
+        calls = [0]
+        real = rs.AffineOperator.resolvent
+
+        def counting(self, gamma, x):
+            calls[0] += 1
+            return real(self, gamma, x)
+
+        monkeypatch.setattr(rs.AffineOperator, "resolvent", counting)
+        assert family.hold_affine_part(geometric_schedule.gamma_star, n_steps)
+        trace = relocated_iterate(family, geometric_schedule, np.ones(family.dim), n_steps)
+        tail_start = int(np.argmax(trace.gammas == geometric_schedule.gamma_star))
+        assert 2 <= tail_start < n_steps
+        blocks = len(list(block_sizes(family.dim, family.dim)))
+        assert calls[0] == n_operators * tail_start + 1 + n_operators * (1 + blocks)
+        # apply(gamma_n, x_n) gives back every row's T_gamma_n x_n: bit for bit on the tail,
+        # which the held map serves, within rounding where the run passed a shadow
+        again = np.array([family.apply(g, x) for g, x in zip(trace.gammas, trace.xs)])
+        assert np.array_equal(again[tail_start:], trace.t_of_x[tail_start:])
+        scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
+        assert np.all(np.linalg.norm(again - trace.t_of_x, axis=1) <= 1e-12 * scale)
+
+
+def _iterate_fit_quality(family, schedule, x0, n_steps):
+    family.affine_part(schedule.gamma_star)
+    trace = rs.compute_distances(family, relocated_iterate(family, schedule, x0, n_steps))
+    diagnostics.limit_errors(family, schedule.gamma_star, trace)
+    return diagnostics.verify_rate_theorem(family, trace, burn_in=5).iterate_rate.fit_quality
+
+
+class TestAffineRounding:
+    """The held map must not cost the iterate fit accuracy. P is formed from the family with
+    every offset set to 0; P formed as T(I) - T(0) instead carries q's rounding into every
+    entry, and on the DR runs below raises the mean of 1 - R^2 about eightfold."""
+
+    def test_iterate_fit_no_worse_than_the_chain(self, monkeypatch):
+        interval = (1.0, 2.0)
+        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, interval)
+
+        def misfit(seed):
+            ops = rs.generate_problem("affine_strongly_monotone", 30, seed, 0.5, 2.0)
+            family = rs.DRFamily(ops[0], ops[1], interval)
+            x0 = np.random.default_rng([seed, 7]).standard_normal(family.dim)
+            return 1.0 - _iterate_fit_quality(family, schedule, x0, 300)
+
+        seeds = range(1, 13)
+        affine = np.mean([misfit(seed) for seed in seeds])
+        monkeypatch.setattr(OperatorFamily, "affine_part", lambda self, gamma: None)
+        chain = np.mean([misfit(seed) for seed in seeds])
+        assert affine <= chain
