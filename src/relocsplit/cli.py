@@ -38,6 +38,7 @@ from .family import (
     StepsizeSchedule,
     gamma_lipschitz_probe,
     relocated_iterate,
+    same_bits,
     summability_report,
 )
 from .mt import MTFamily, algorithm2_run, mt_summability_bound  # noqa: F401
@@ -54,16 +55,14 @@ SEED_ENV_VAR = "RELOCSPLIT_SEED"
 RATE_THEOREM_BURN_IN = 5
 #: points at which error_bound evaluates T_gamma*
 ERROR_BOUND_SAMPLES = 1000
-#: the consensus fit leaves out gaps below CONSENSUS_FLOOR_EPS * eps * (1 + max_n ||x_n||): a
-#: gap read from iterates of norm ||x_n|| carries rounding of about eps (1 + ||x_n||)
-CONSENSUS_FLOOR_EPS = 16
 
 #: the ``#`` line after the header of every trace: the burn-in with which rate_theorem fits
-#: err_to_limit and dist_to_fix and, when the trace carries dist_to_fix, that column's floor,
-#: so that their readbacks fit them alike; keyed by the column that names the line
+#: err_to_limit and dist_to_fix, and the floors of the columns the trace carries, so that their
+#: readbacks fit them alike; keyed by the column that names the line, whose floor is ``floor``
+#: (another column's is ``<column>_floor``)
 FIT_LINES = {
-    "dist_to_fix": f"# dist_to_fix floor={FLOAT_FMT} burn_in=%d\n",
-    "err_to_limit": "# err_to_limit burn_in=%d\n",
+    "dist_to_fix": f"# dist_to_fix floor={FLOAT_FMT} burn_in=%d err_to_limit_floor={FLOAT_FMT}\n",
+    "err_to_limit": f"# err_to_limit floor={FLOAT_FMT} burn_in=%d\n",
 }
 
 
@@ -492,9 +491,7 @@ def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np
 
 def _check_consensus(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
     gaps = _consensus_gaps(config, family, trace)
-    scale = 1.0 + float(np.linalg.norm(trace.xs, axis=1).max())
-    floor = CONSENSUS_FLOOR_EPS * np.finfo(float).eps * scale
-    est = diagnostics.fit_linear_rate(gaps, burn_in=5, floor=floor)
+    est = diagnostics.fit_linear_rate(gaps, burn_in=5, floor=diagnostics.rounding_floor(trace.xs))
     return _record_from_rate("consensus", est, est.linear)
 
 
@@ -518,25 +515,32 @@ def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
 
     An error column the trace lacks is written as NaN. ``T_gamma x_n`` is not written:
     ``family.apply(gamma_n, x_n)`` recomputes it. A ``#`` line after the
-    header (FIT_LINES) gives the burn-in with which rate_theorem fits the error columns and,
-    when the trace carries ``dist_to_fix``, that column's floor (``diagnostics.distance_floor``).
+    header (FIT_LINES) gives the burn-in with which rate_theorem fits the error columns,
+    ``err_to_limit``'s floor (``diagnostics.rounding_floor``) and, when the trace carries
+    ``dist_to_fix``, that column's floor (``diagnostics.distance_floor``).
     """
     rows, dim = trace.xs.shape
     names = ["n", "gamma", "residual", "dist_to_fix", "err_to_limit", *(f"x_{j}" for j in range(dim))]
     errors = [np.full(rows, math.nan) if col is None else col
               for col in (trace.dist_to_fix, trace.err_to_limit)]
     lead = np.column_stack([np.arange(rows, dtype=float), trace.gammas, trace.residuals, *errors])
-    row_fmt = ",".join([FLOAT_FMT] * len(names)) + "\n"
+    lead_fmt = ",".join([FLOAT_FMT] * lead.shape[1])
+    x_fmt = ("," + FLOAT_FMT) * dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
+        limit_floor = diagnostics.rounding_floor(trace.xs)
         if trace.dist_to_fix is not None:
             floor = diagnostics.distance_floor(family)
-            fh.write(FIT_LINES["dist_to_fix"] % (floor, RATE_THEOREM_BURN_IN))
+            fh.write(FIT_LINES["dist_to_fix"] % (floor, RATE_THEOREM_BURN_IN, limit_floor))
         else:
-            fh.write(FIT_LINES["err_to_limit"] % RATE_THEOREM_BURN_IN)
-        # one formatted write per row; a copy of the whole table would add to peak memory
+            fh.write(FIT_LINES["err_to_limit"] % (limit_floor, RATE_THEOREM_BURN_IN))
+        # one formatted write per row; a copy of the whole table would add to peak memory. The
+        # rows past a float fixed point repeat one iterate, whose text is formatted once
+        last, x_text = None, ""
         for head, x in zip(lead.tolist(), trace.xs):
-            fh.write(row_fmt % (*head, *x.tolist()))
+            if last is None or not same_bits(x, last):
+                last, x_text = x, x_fmt % tuple(x.tolist())
+            fh.write(lead_fmt % tuple(head) + x_text)
 
 
 def read_fit_line(path: str, column: str) -> tuple[float, int] | None:
@@ -554,7 +558,7 @@ def read_fit_line(path: str, column: str) -> tuple[float, int] | None:
     try:
         fields = dict(word.split("=", 1) for word in words[1:])
         burn_in = int(fields["burn_in"])
-        floor = float(fields["floor"]) if column == "dist_to_fix" else diagnostics.FLOAT_FLOOR
+        floor = float(fields["floor" if column == words[0] else f"{column}_floor"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}:2: bad fit line {line.strip()!r}") from exc
     if not 0.0 < floor < math.inf:

@@ -25,11 +25,16 @@ from .family import (
     OperatorFamily,
     block_sizes,
     relocated_iterate,  # noqa: F401 - unused; the benchmark wraps this name in a span
+    same_bits,
 )
 from .operators import AffineOperator, as_vector, inclusion_gaps
 
 #: below this, floating-point rounding destroys log-linearity
 FLOAT_FLOOR = 1e-14
+#: fits of errors read from iterates x_n leave out those below ROUNDING_FLOOR_EPS * eps *
+#: (1 + max_n ||x_n||): an error read from an iterate of norm ||x_n|| carries rounding of
+#: about eps (1 + ||x_n||)
+ROUNDING_FLOOR_EPS = 16
 #: minimum usable entries for a rate fit
 MIN_FIT_SAMPLES = 20
 #: fits with R^2 below this are reported as not R-linear
@@ -62,6 +67,13 @@ class RateEstimate:
 def default_burn_in(n_rows: int) -> int:
     """10% of the trace, at least 5; early iterates reflect transient geometry."""
     return max(5, n_rows // 10)
+
+
+def rounding_floor(xs) -> float:
+    """The floor below which an error read from the iterates ``xs`` (one per row) is rounding
+    noise: ROUNDING_FLOOR_EPS * eps * (1 + max_n ||x_n||)."""
+    scale = 1.0 + float(np.linalg.norm(xs, axis=1).max())
+    return float(ROUNDING_FLOOR_EPS * np.finfo(float).eps * scale)
 
 
 def fit_linear_rate(errors, burn_in: int, floor: float = FLOAT_FLOOR) -> RateEstimate:
@@ -354,13 +366,17 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
     it falls at every step in exact arithmetic, so the first step where it does not marks
     the rounding floor), then average that point and its next 4 images. At most
     3 * (len(trace) - 1) applications in all; at that cap, the last 5 points are averaged.
+    Once T_gamma returns x bit for bit (``family.same_bits``), every later image is x, so
+    the remaining images are copies of it rather than applications.
     """
     x = trace.xs[-1]
     window = deque([x], maxlen=LIMIT_WINDOW)
     last = np.inf
     floor_at = None  # applications made when the residual stopped falling
+    settled = False
     for applied in range(1, 3 * (len(trace) - 1) + 1):
-        t = family.apply(gamma, x)
+        t = x if settled else family.apply(gamma, x)
+        settled = same_bits(x, t)
         if floor_at is None:
             resid = float(np.linalg.norm(x - t))
             if resid >= last:
@@ -385,7 +401,9 @@ def verify_rate_theorem(
     The columns come from ``compute_distances`` and ``limit_errors``; MissingDistances
     when either is absent. Passes when both fits come back R-linear; schedules that do
     not converge R-linearly are expected to fail the iterate fit. The distance fit cuts
-    at ``distance_floor(family)``.
+    at ``distance_floor(family)``, the iterate fit at ``rounding_floor`` of the iterates: the
+    limit comes from float applications of T_gamma, so the errors to it level off at the
+    rounding of the iterates, which grows with their norm.
     """
     dist_floor = distance_floor(family)
     if trace.dist_to_fix is None or trace.err_to_limit is None:
@@ -393,6 +411,6 @@ def verify_rate_theorem(
     if burn_in is None:
         burn_in = default_burn_in(len(trace) - 1)
 
-    iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in)
+    iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in, rounding_floor(trace.xs))
     dist_rate = fit_linear_rate(trace.dist_to_fix, burn_in, dist_floor)
     return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

@@ -44,6 +44,13 @@ GAMMA_WIDE = (1e-8, 1e8)
 BLOCK_FLOATS = 16_384
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two arrays hold the same bytes. Where T_gamma x is x in this sense, applying
+    T_gamma again gives x again; equal values are not enough, since -0.0 == 0.0 yet the two
+    print differently."""
+    return x.tobytes() == y.tobytes()
+
+
 def block_sizes(count: int, floats_each: int):
     """Split ``count`` samples of ``floats_each`` floats into blocks of at most
     ``BLOCK_FLOATS`` floats (at least one sample per block); yields the sizes."""
@@ -301,7 +308,9 @@ class IterateTrace:
     """Per-iteration record: stepsize, iterate, T_gamma(iterate), residual.
 
     A splitting's resolvent values at row n are functions of ``gammas[n]`` and
-    ``xs[n]`` (``dr.primal_dual_extract`` recomputes them), so none is kept.
+    ``xs[n]`` (``dr.primal_dual_extract`` recomputes them), so none is kept. Rows past a
+    float fixed point are copies of it (``relocated_iterate``); ``family.apply(gammas[n],
+    xs[n])`` still gives ``t_of_x[n]`` bit for bit on every row.
     The per-row error columns start empty: ``diagnostics.compute_distances``
     fills ``dist_to_fix`` (||x_n - x*_{gamma_n}||) and ``diagnostics.limit_errors``
     fills ``err_to_limit`` (||x_n - x_inf||); the checks read them from here.
@@ -367,6 +376,11 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     (two resolvents per step for ``DRFamily``, N for ``MTFamily``) is this loop.
     Rows at the stepsize of the family's held affine part (``hold_affine_part``)
     cost one matrix product each: a geometric schedule reaches gamma* in floats.
+
+    A row whose ``apply`` took no shadow and returned x_n bit for bit, and whose relocation
+    to the same stepsize returns T x_n bit for bit with no shadow, is a float fixed point:
+    each later row at that stepsize has the same input and is copied from it, not recomputed.
+    ``family.apply(gamma_n, x_n)`` reproduces every row, copied or not, bit for bit.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
@@ -377,7 +391,8 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     ts = np.empty((rows, family.dim))
     res = np.empty(rows)
     shadow = None
-    for n in range(rows):
+    n = 0
+    while True:
         size = float(np.linalg.norm(x))
         if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
@@ -385,8 +400,23 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
         xs[n] = x
         ts[n] = t
         res[n] = float(np.linalg.norm(x - t))
-        if n < n_steps:
-            x, shadow = family.relocate_from(gams[n + 1], gams[n], t)
+        stop = n + 1
+        if stop == rows:
+            break
+        fixed = shadow is None and same_bits(x, t)
+        x, shadow = family.relocate_from(gams[stop], gams[n], t)
+        if fixed and gams[stop] == gams[n] and shadow is None and same_bits(t, x):
+            # row n + 1 takes row n's input (gamma_n, x_n, no shadow), and so does every row
+            # up to the next change of stepsize: those rows are copies of row n
+            moved = np.flatnonzero(gams[stop:] != gams[n])
+            stop = stop + int(moved[0]) if moved.size else rows
+            xs[n + 1:stop] = x
+            ts[n + 1:stop] = t
+            res[n + 1:stop] = res[n]
+            if stop == rows:
+                break
+            x, shadow = family.relocate_from(gams[stop], gams[n], t)
+        n = stop
     return IterateTrace(gams, xs, ts, res)
 
 

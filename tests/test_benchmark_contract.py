@@ -112,18 +112,42 @@ DR_SMALL = {
     ids=["dr", "mt"],
 )
 def test_driver_steps_are_counted_as_applies(mapping, span):
-    # each of the n_steps + 1 rows evaluates T_gamma through the family's one apply, the
-    # method the benchmark wraps, so its apply count covers the relocated run
+    # the driver evaluates T_gamma through the family's one apply, the method the benchmark
+    # wraps, on every row but those past a float fixed point, which it copies: a row whose
+    # input (gamma, x, no shadow) is the row before's, and that row's T x was its x bit for
+    # bit. So the applies made within the driver number exactly its evaluated rows, and each
+    # copied row is what a fresh apply gives
     layers, Tracer = _perfbench()
     tracer = Tracer()
     restore = layers.instrument(tracer)
+    wrapped, runs = cli.relocated_iterate, []
+
+    def recording(*args):
+        runs.append((args[0], wrapped(*args)))
+        return runs[-1][1]
+
+    cli.relocated_iterate = recording
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             status, _ = cli.run_experiment(cli.build_config(mapping))
     finally:
+        cli.relocated_iterate = wrapped
         restore()
     assert status == 0
-    assert tracer.by_name()[span][0] >= int(mapping["n_steps"]) + 1
+    ((family, trace),) = runs
+    (driver,) = [i for i, name in enumerate(tracer.names) if name == "family.relocated_iterate"]
+    applies = sum(1 for name, parent in zip(tracer.names, tracer.parents)
+                  if name == span and parent == driver)
+    g, xs, ts = trace.gammas, trace.xs, trace.t_of_x
+    # row m - 1 took no shadow when its stepsize is the one before it (row 0 takes none)
+    copied = [m for m in range(1, len(trace))
+              if g[m] == g[m - 1] and (m == 1 or g[m - 1] == g[m - 2])
+              and xs[m - 1].tobytes() == ts[m - 1].tobytes()]
+    assert len(trace) == int(mapping["n_steps"]) + 1 and copied
+    assert applies == len(trace) - len(copied)
+    for m in copied:
+        assert family.apply(g[m], xs[m]).tobytes() == ts[m].tobytes()
+        assert xs[m].tobytes() == xs[m - 1].tobytes()
 
 
 #: the benchmark's workloads at a dimension small enough for the test suite
@@ -251,3 +275,23 @@ def test_err_to_limit_reads_back_linear_at_full_dimension(monkeypatch, tmp_path)
         assert cli.main(["rate", trace, "--column", "err_to_limit"]) == 0
     assert status == 0
     assert "verdict=linear" in out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_err_to_limit_fits_above_the_rounding_of_the_iterates(seed, monkeypatch, tmp_path):
+    # at d=600 the resolvent chain's errors to its limit level off at 1.1-1.3e-14, just above
+    # the fixed 1e-14 floor, and fitted down to it read R^2 0.34: rate_theorem fits them above
+    # the rounding of the iterates, 16 eps (1 + max_n ||x_n||), and the trace records that
+    # floor, so that the readback prints the same fit
+    workload = _workloads().WORKLOADS["dr-geo-d400"]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+    trace = str(tmp_path / "trace.csv")
+    config = cli.build_config(
+        cli.parse_config_file(workload.config_path),
+        {"problem.dim": "600", "output.trace_path": trace, "checks": "rate_theorem"},
+    )
+    fits = _record_fits(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, _ = cli.run_experiment(config)
+    assert status == 0
+    assert _read_back(trace, "err_to_limit", fits[0].iterate_rate) == "linear"

@@ -580,7 +580,7 @@ class TestConsensus:
         gaps = cli._consensus_gaps(config, family, trace)
         eps = np.finfo(float).eps
         scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
-        below = gaps < cli.CONSENSUS_FLOOR_EPS * eps * scale.max()
+        below = gaps < diagnostics.ROUNDING_FLOOR_EPS * eps * scale.max()
         assert below.any()
         clean = cli._check_consensus(config, family, trace)
         monkeypatch.setattr(cli, "_consensus_gaps", lambda *args: gaps + below * eps * scale)
@@ -645,23 +645,26 @@ class TestTraceCsv:
         trace.err_to_limit = np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-20])
         path = tmp_path / "t.csv"
         cli.write_trace_csv(str(path), trace, fam)
+        # err_to_limit's floor: 16 eps (1 + max_n ||x_n||), max_n ||x_n|| = 1.5
         assert path.read_text() == (
             "n,gamma,residual,dist_to_fix,err_to_limit,x_0\n"
-            "# err_to_limit burn_in=5\n"
+            "# err_to_limit floor=8.8817841970012523e-15 burn_in=5\n"
             "0,2,0.5,nan,0.10000000000000001,1\n"
             "1,1.5,0,nan,0.33333333333333331,1.5\n"
             "2,1.25,0,nan,0.66666666666666663,1.25\n"
             "3,1.125,0,nan,9.9999999999999995e-21,1.125\n"
         )
-        assert cli.read_fit_line(str(path), "err_to_limit") == (diagnostics.FLOAT_FLOOR, 5)
-        # with distances, the line after the header carries rate_theorem's floor and burn-in
+        limit_floor = diagnostics.rounding_floor(trace.xs)
+        assert cli.read_fit_line(str(path), "err_to_limit") == (limit_floor, 5)
+        # with distances, the line after the header carries rate_theorem's floors and burn-in
         diagnostics.compute_distances(fam, trace)
         cli.write_trace_csv(str(path), trace, fam)
         lines = path.read_text().splitlines()
         floor = diagnostics.distance_floor(fam)
-        assert lines[1] == f"# dist_to_fix floor={cli.FLOAT_FMT % floor} burn_in=5" and len(lines) == 6
+        assert lines[1] == (f"# dist_to_fix floor={cli.FLOAT_FMT % floor} burn_in=5 "
+                            f"err_to_limit_floor={cli.FLOAT_FMT % limit_floor}") and len(lines) == 6
         assert cli.read_fit_line(str(path), "dist_to_fix") == (floor, 5)
-        assert cli.read_fit_line(str(path), "err_to_limit") == (diagnostics.FLOAT_FLOOR, 5)
+        assert cli.read_fit_line(str(path), "err_to_limit") == (limit_floor, 5)
 
     def test_header_schema(self, tmp_path):
         path = write_config(
@@ -729,7 +732,11 @@ class TestRateCommand:
         path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
         assert cli.main(["run", path, "--set", f"checks={checks}"]) == 0
         values = cli.read_trace_csv(str(trace), "err_to_limit")
-        expected = diagnostics.fit_linear_rate(values, cli.RATE_THEOREM_BURN_IN)
+        # rate_theorem's floor for the column, from the iterates the trace holds
+        xs = np.column_stack([cli.read_trace_csv(str(trace), f"x_{j}") for j in range(10)])
+        expected = diagnostics.fit_linear_rate(
+            values, cli.RATE_THEOREM_BURN_IN, diagnostics.rounding_floor(xs)
+        )
         capsys.readouterr()
         assert cli.main(["rate", str(trace)]) == 0
         out = capsys.readouterr().out

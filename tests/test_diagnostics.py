@@ -349,7 +349,7 @@ class TestVerifyRateTheorem:
         res = verify_rate_theorem(family, trace, burn_in=5)
         assert res.passed
         floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.contraction_beta)
-        assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5)
+        assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5, diagnostics.rounding_floor(trace.xs))
         assert res.dist_rate == diagnostics.fit_linear_rate(
             dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
         )
@@ -428,6 +428,23 @@ class TestLimitErrors:
         applied = _record_applies(monkeypatch, pd_pair_family)
         diagnostics.limit_errors(pd_pair_family, geometric_schedule.gamma_star, settled)
         assert len(applied) <= 10
+
+    def test_a_float_fixed_point_is_copied_into_the_window(self, pd_pair_family, monkeypatch):
+        # with the map held, the run ends on a point T_gamma* returns bit for bit: one
+        # application finds it, and the window holds copies where 4 more applications gave
+        # the same point; the limit and the column stay those of the applications
+        family = rs.DRFamily(pd_pair_family.a1, pd_pair_family.a2, INTERVAL)
+        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL)
+        family.affine_part(1.0)
+        run = relocated_iterate(family, schedule, np.random.default_rng(4).standard_normal(5), 200)
+        assert np.array_equal(family.apply(1.0, run.xs[-1]), run.xs[-1])
+        applied = _record_applies(monkeypatch, family)
+        limit = diagnostics.limit_errors(family, 1.0, run).tobytes()
+        column = run.err_to_limit.tobytes()
+        assert len(applied) == 1
+        monkeypatch.setattr(diagnostics, "same_bits", lambda x, y: False)
+        assert diagnostics.limit_errors(family, 1.0, run).tobytes() == limit
+        assert run.err_to_limit.tobytes() == column and len(applied) == 1 + diagnostics.LIMIT_WINDOW
 
 
 class TestFixedPointCache:

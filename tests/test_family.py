@@ -10,6 +10,7 @@ from relocsplit import (
     relocator_only_sequence,
     summability_report,
 )
+import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
 from relocsplit.diagnostics import fixed_point_oracle
 from relocsplit.errors import (
@@ -583,3 +584,122 @@ class TestAffineRounding:
         monkeypatch.setattr(OperatorFamily, "affine_part", lambda self, gamma: None)
         chain = np.mean([misfit(seed) for seed in seeds])
         assert affine <= chain
+
+
+def _per_row_driver(family, schedule, x0, n_steps):
+    """The relocated run with every row one apply, as the driver ran before it copied rows."""
+    gams, x, shadow, rows = schedule.gammas(n_steps + 1), np.asarray(x0, dtype=float), None, []
+    for n in range(n_steps + 1):
+        t = family.apply(gams[n], x, shadow)
+        rows.append((x, t, float(np.linalg.norm(x - t))))
+        if n < n_steps:
+            x, shadow = family.relocate_from(gams[n + 1], gams[n], t)
+    xs, ts, res = (np.array(column) for column in zip(*rows))
+    return rs.IterateTrace(gams, xs, ts, res)
+
+
+class _ShadowedShift(ScalarShiftFamily):
+    """The scalar family with a shadow that carries its relocation's rounding, as a splitting's
+    shadow carries the old stepsize's: the relocator is the identity at delta == gamma, as a
+    splitting's is, and otherwise lands one ulp above delta and hands that point on; ``apply``
+    with it returns x, and ``apply`` without it moves x back to gamma."""
+
+    def relocate_from(self, delta, gamma, x):
+        if delta == gamma:
+            return np.asarray(x, dtype=float), None
+        y = np.nextafter(self.relocate(delta, gamma, x), np.inf)
+        return y, y
+
+    def apply(self, gamma, x, shadow=None):
+        return super().apply(gamma, x) if shadow is None else shadow + self.beta * (x - shadow)
+
+
+class TestCopiedRows:
+    """Rows past a float fixed point are copied, and the trace is the per-row driver's."""
+
+    @staticmethod
+    def _run(family, schedule, x0, n_steps, monkeypatch):
+        """The driver's trace, the per-row driver's, and the applies the driver made."""
+        reference = _per_row_driver(family, schedule, x0, n_steps)
+        calls = [0]
+        real = family.apply
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(family, "apply", counting)
+        trace = relocated_iterate(family, schedule, x0, n_steps)
+        monkeypatch.undo()
+        for name in ("gammas", "xs", "t_of_x", "residuals"):
+            assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
+        return trace, reference, calls[0]
+
+    @staticmethod
+    def _csv(tmp_path, name, trace, family):
+        path = tmp_path / name
+        cli.write_trace_csv(str(path), trace, family)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["dr_held", "mt_box"])
+    def test_trace_files_match_the_per_row_driver(self, kind, tmp_path, monkeypatch):
+        interval = (1.0, 2.0)
+        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, interval)
+        if kind == "dr_held":
+            ops = rs.generate_problem("affine_strongly_monotone", 5, 7, 0.5, 2.0)
+            family = rs.DRFamily(ops[0], ops[1], interval)
+            family.affine_part(schedule.gamma_star)
+        else:
+            ops = rs.generate_problem("affine_plus_box", 3, 0, 0.5, 2.0, n_operators=3,
+                                      box_half_width=0.5)
+            family = rs.MTFamily(ops, 0.5, interval)
+        x0 = np.random.default_rng([0, 7]).standard_normal(family.dim)
+        trace, reference, applies = self._run(family, schedule, x0, 200, monkeypatch)
+        assert applies < len(trace)  # the run settled, and its rows past that were copied
+        for run in (trace, reference):
+            diagnostics.limit_errors(family, schedule.gamma_star, run)
+            diagnostics.compute_distances(family, run)
+        assert self._csv(tmp_path, "a.csv", trace, family) == self._csv(tmp_path, "b.csv", reference, family)
+
+    def test_copying_stops_at_the_first_stepsize_change(self, monkeypatch):
+        # gamma_n = clamp(1 + 100 / (n+1)^2) sits at gamma_high = 2 for rows 0..9, then moves at
+        # every row; the scalar family's x_n = gamma_n is a float fixed point on every row
+        family = ScalarShiftFamily(0.5, INTERVAL)
+        schedule = StepsizeSchedule.polynomial(1.0, 100.0, 2.0, INTERVAL)
+        trace, _, applies = self._run(family, schedule, [2.0], 40, monkeypatch)
+        assert np.all(trace.gammas[:10] == 2.0) and trace.gammas[10] < 2.0
+        assert np.array_equal(trace.xs[:, 0], trace.gammas)
+        assert applies == 1 + (len(trace) - 10)  # rows 1..9 copied, the rest evaluated
+
+    def test_a_row_that_took_a_shadow_is_not_copied(self, geometric_schedule, monkeypatch):
+        # each stepsize change lands x one ulp off gamma, where the shadowed apply returns x;
+        # the next row, without the shadow, moves it to gamma, and the rows after that copy it
+        family = _ShadowedShift(0.25, INTERVAL)
+        trace, _, applies = self._run(family, geometric_schedule, [2.0], 80, monkeypatch)
+        tail = int(np.argmax(trace.gammas == geometric_schedule.gamma_star))
+        assert trace.xs[tail, 0] == trace.xs[tail + 1, 0] > 1.0
+        assert np.all(trace.xs[tail + 2:, 0] == 1.0)
+        assert applies == tail + 3
+
+    def test_a_relocation_that_moves_x_is_not_copied(self, monkeypatch):
+        # T_1 x = 1 + 0.75 (x - 1) returns x = 1 + ulp bit for bit, but the scalar relocator is
+        # the constant map 1, so row 1 starts at 1: a float fixed point copies only when
+        # relocating it to its own stepsize gives it back
+        family = ScalarShiftFamily(0.75, INTERVAL)
+        x0 = [np.nextafter(1.0, 2.0)]
+        trace, _, applies = self._run(family, StepsizeSchedule.constant(1.0, INTERVAL), x0, 5,
+                                      monkeypatch)
+        assert trace.t_of_x[0, 0] == x0[0] and np.all(trace.xs[1:, 0] == 1.0)
+        assert applies == 2
+
+    def test_signed_zeros_are_rows_of_their_own(self, tmp_path, monkeypatch):
+        # T_gamma (-0) = +0 for a linear family: equal values, not equal bits, so row 1 is
+        # evaluated (rows 2.. copy it) and each row prints its own sign
+        ops = rs.generate_problem("affine_strongly_monotone", 5, 7, 0.5, 2.0)
+        family = rs.DRFamily(ops[0].linear_part(), ops[1].linear_part(), INTERVAL)
+        schedule = StepsizeSchedule.constant(1.0, INTERVAL)
+        trace, reference, applies = self._run(family, schedule, np.full(5, -0.0), 6, monkeypatch)
+        assert applies == 2
+        text = self._csv(tmp_path, "a.csv", trace, family).decode().splitlines()
+        assert text[2].endswith(",-0" * 5) and text[3].endswith(",0" * 5) and "-" not in text[3]
+        assert text[4].endswith(",0" * 5)
