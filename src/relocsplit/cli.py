@@ -220,6 +220,10 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR}={env_seed!r}") from exc
+    if seed < 0:
+        # numpy's generators take no negative seed
+        source = SEED_ENV_VAR if env_seed is not None else "problem.seed"
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
 
     problem_kind = _get(merged, "problem.kind")
     if algorithm != "scalar_counterexample":
@@ -442,10 +446,11 @@ def _check_summability(config: ExperimentConfig, family, trace: IterateTrace) ->
     n_terms = 100_000 if schedule.kind == "polynomial" else 10_000
     rep = summability_report(family, schedule, n_terms)
     try:
-        if isinstance(family, MTFamily):
-            bound = mt_summability_bound(schedule, family.n_operators)
-        elif isinstance(family, DRFamily):
+        # a DRFamily is an MTFamily too, with its own relocator constant and bound
+        if isinstance(family, DRFamily):
             bound = dr_summability_bound(schedule)
+        elif isinstance(family, MTFamily):
+            bound = mt_summability_bound(schedule, family.n_operators)
         else:
             bound = 0.0 if schedule.kind != "polynomial" else math.nan
     except DomainError:
@@ -669,6 +674,14 @@ def _run_one(path: str, overrides: dict[str, str]) -> int:
         return _failure_status(exc, path)
 
 
+def _job_count(text: str) -> int:
+    """``--jobs``: an integer of at least 1 (argparse exits 2 otherwise)."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="relocsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -676,7 +689,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run experiments: trace + checks + report")
     p_run.add_argument("configs", nargs="+", help="config file(s)")
     p_run.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V")
-    p_run.add_argument("--jobs", type=int, default=1, help="run configs concurrently")
+    p_run.add_argument("--jobs", type=_job_count, default=1, help="run configs concurrently")
 
     p_verify = sub.add_parser("verify", help="run checks only, no trace file")
     p_verify.add_argument("config")

@@ -223,7 +223,7 @@ def fixed_point_line(family: OperatorFamily, operators) -> FixedPointLine:
         z = head[0].resolvent(gamma, x[: head[0].dim])
     feasibility, r = inclusion_gaps(operators, z)
     offset, slope = _line_through(head, z)
-    gamma_hi, theta = family.gamma_interval[1], getattr(family, "theta", 1.0)
+    gamma_hi, theta = family.gamma_interval[1], family.theta
     rounding = 2.0 * np.finfo(float).eps * (np.linalg.norm(offset) + gamma_hi * np.linalg.norm(slope))
     return FixedPointLine(offset, slope, theta * (2.0 * feasibility + gamma_hi * r) + float(rounding))
 

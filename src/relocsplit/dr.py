@@ -7,6 +7,12 @@ z = J_{gamma A1} x and dual solutions through g = (x - z)/gamma. The relocator
     Q_{delta<-gamma} x = (delta/gamma) x + (1 - delta/gamma) J_{gamma A1} x
 
 carries Fix T_gamma onto Fix T_delta with Lipschitz constant max{1, delta/gamma}.
+
+This is the multioperator chain of ``mt.MTFamily`` at N = 2 and theta = 1, which evaluates
+T_gamma x as x + (y - z) with y = J_{gamma A2}(2z - x). ``DRFamily`` takes the chain, the
+relocator, the held affine part and the fixed-point line from it, and owns only what the
+two-operator theory adds: averagedness 1/2, the closed-form contraction factor and the
+relocator constant max{1, delta/gamma}.
 """
 
 from __future__ import annotations
@@ -16,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import fixed_point_line
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
-from .family import IterateTrace, OperatorFamily, StepsizeSchedule, relocated_iterate
-from .operators import AffineOperator, as_points, as_vector
+from .family import IterateTrace, StepsizeSchedule, relocated_iterate
+from .mt import _UNSET, MTFamily
+from .operators import as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
 _BETA_GRID = 1000
 _BETA_MARGIN = 1e-6
-
-_UNSET = object()
 
 
 def dr_contraction_factor(gamma: float, mu: float, L: float) -> float:
@@ -71,8 +75,8 @@ def dr_regularity_constant(gamma: float, mu: float, rho: float) -> float:
     return 4.0 * (1.0 + max(1.0 / (gamma * mu), gamma / rho))
 
 
-class DRFamily(OperatorFamily):
-    """The two-operator splitting family for a pair (A1, A2).
+class DRFamily(MTFamily):
+    """The two-operator splitting family for a pair (A1, A2): ``MTFamily([A1, A2])`` at theta = 1.
 
     Operators need only expose ``resolvent``. ``alpha`` is 1/2 (resolvents of
     maximally monotone operators are firmly nonexpansive). A contraction
@@ -82,80 +86,36 @@ class DRFamily(OperatorFamily):
     """
 
     alpha = 0.5
+    # the chain's own apply, named in this class too: the benchmark wraps DRFamily.apply
+    apply = MTFamily.apply
 
     def __init__(self, a1, a2, gamma_interval: tuple[float, float]):
-        if a1.dim != a2.dim:
-            raise DomainError(f"operator dimensions differ: {a1.dim} vs {a2.dim}")
-        self._set_interval(gamma_interval)
-        self.a1 = a1
-        self.a2 = a2
-        self.dim = a1.dim
-        self.mu1 = float(getattr(a1, "mu", 0.0))
-        self.lip1 = float(getattr(a1, "lip", np.inf))
-        self.mu2 = float(getattr(a2, "mu", 0.0))
-        self._beta_bar = _UNSET
+        self._setup([a1, a2], 1.0, gamma_interval)
+
+    @property
+    def a1(self):
+        return self.operators[0]
+
+    @property
+    def a2(self):
+        return self.operators[1]
 
     @property
     def contraction_beta(self) -> float | None:
-        if self._beta_bar is _UNSET:
-            certifiable = (
-                getattr(self.a1, "single_valued", False)
-                and np.isfinite(self.lip1)
-                and self.mu2 > 0.0
-            )
-            if certifiable and self.lip1 > 0.0:
+        if self._beta is _UNSET:
+            lip1, mu2 = float(getattr(self.a1, "lip", np.inf)), float(getattr(self.a2, "mu", 0.0))
+            certifiable = getattr(self.a1, "single_valued", False) and np.isfinite(lip1) and mu2 > 0.0
+            if certifiable and lip1 > 0.0:
                 lo, hi = self.gamma_interval
                 grid = np.linspace(lo, hi, _BETA_GRID)
-                worst = max(dr_contraction_factor(g, self.mu2, self.lip1) for g in grid)
-                self._beta_bar = min(worst + _BETA_MARGIN, 1.0 - 1e-12)
+                worst = max(dr_contraction_factor(g, mu2, lip1) for g in grid)
+                self._beta = min(worst + _BETA_MARGIN, 1.0 - 1e-12)
             elif certifiable:
                 # A1 == 0: T_gamma reduces to J_{gamma A2}, a (1/(1+gamma mu))-contraction
-                self._beta_bar = 1.0 / (1.0 + self.gamma_interval[0] * self.mu2)
+                self._beta = 1.0 / (1.0 + self.gamma_interval[0] * mu2)
             else:
-                self._beta_bar = None
-        return self._beta_bar
-
-    def apply(self, gamma, x, shadow=None):
-        """T_gamma x = x - z + y with z = J_{gamma A1} x and y = J_{gamma A2}(2z - x).
-
-        A relocated x passes its shadow as z: J_{gamma A1}(Q_{gamma<-g} w) = J_{g A1} w.
-        At the stepsize of the held affine part (``affine_part``), x P^T + q instead.
-        """
-        gamma = self.check_gamma(gamma)
-        x = as_points(x, self.dim)
-        held = self._affine_at(gamma)
-        if held is not None:
-            return x @ held[0] + held[1]
-        z = self.a1.resolvent(gamma, x) if shadow is None else shadow
-        y = self.a2.resolvent(gamma, 2.0 * z - x)
-        return x - z + y
-
-    def relocate_from(self, delta, gamma, x):
-        """Q_{delta<-gamma} x, with J_{gamma A1} x as the shadow; at delta == gamma the relocator
-        is the identity, and x comes back with no shadow."""
-        delta = self.check_gamma(delta)
-        gamma = self.check_gamma(gamma)
-        x = as_points(x, self.dim)
-        if delta == gamma:
-            return x, None
-        s = delta / gamma
-        z = self.a1.resolvent(gamma, x)
-        return s * x + (1.0 - s) * z, z
-
-    def relocate(self, delta, gamma, x):
-        return self.relocate_from(delta, gamma, x)[0]
-
-    def _fixed_point_line(self):
-        return fixed_point_line(self, [self.a1, self.a2])
-
-    def _linear_family(self):
-        if isinstance(self.a1, AffineOperator) and isinstance(self.a2, AffineOperator):
-            return DRFamily(self.a1.linear_part(), self.a2.linear_part(), self.gamma_interval)
-        return None
-
-    def _chain_cost(self):
-        # two resolvents, each two d x d products through the eigenvectors (or Schur vectors)
-        return 4 * self.dim**2
+                self._beta = None
+        return self._beta
 
     def relocator_lipschitz(self, delta, gamma):
         return np.maximum(1.0, self.check_gamma(delta) / self.check_gamma(gamma))

@@ -29,8 +29,8 @@ class UnsupportedOperator(RelocSplitError, TypeError):
     """The operator lacks the structure (affine, invertible, ...) the operation needs."""
 
 
-class BadBlockCount(RelocSplitError, ValueError):
-    """A block vector has the wrong number of blocks for this family."""
+class BadBlockCount(DomainError):
+    """A point or block of points has the wrong shape for this family's block vectors."""
 
 
 class NumericalError(RelocSplitError):

@@ -373,7 +373,7 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     Returns a trace with rows n = 0..n_steps; every row carries T_gamma_n(x_n)
     and the residual ||x_n - T_gamma_n x_n||. Each step hands the shadow of
     ``relocate_from`` to the next ``apply``, so a family's per-step algorithm
-    (two resolvents per step for ``DRFamily``, N for ``MTFamily``) is this loop.
+    (N resolvents per step for ``MTFamily``, two for ``DRFamily``, its N = 2 case) is this loop.
     Rows at the stepsize of the family's held affine part (``hold_affine_part``)
     cost one matrix product each: a geometric schedule reaches gamma* in floats.
 

@@ -11,6 +11,8 @@ vectors x = (x^1, ..., x^{N-1}) via a chain of N resolvent evaluations
 with relaxation theta in (0, 1). Fixed points of T_gamma correspond exactly to
 zeros of A1 + ... + AN through the common resolvent value z. The relocator
 replaces every block i by (delta/gamma) x^i + (1 - delta/gamma) J_{gamma A1} x^1.
+At N = 2 and theta = 1 the chain is Douglas-Rachford, T_gamma x = x + (y - z) with
+y = J_{gamma A2}(2z - x): ``dr.DRFamily`` is this family there.
 
 Block vectors are stored flat with stride ``space_dim``; the block count is
 part of the family, so the generic driver stays oblivious to N.
@@ -18,6 +20,7 @@ part of the family, so the generic driver stays oblivious to N.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -81,20 +84,25 @@ class MTFamily(OperatorFamily):
     The driver-facing dimension is ``(N-1) * space_dim``. No averagedness
     constant is carried; diagnostics that need one use the contraction factor
     (certified empirically through ``mt_contraction_certificate`` when the
-    structural hypotheses hold).
+    structural hypotheses hold). ``dr.DRFamily`` is this family at N = 2 and
+    theta = 1, with its own averagedness, contraction factor and relocator constant.
     """
 
     alpha = None
 
     def __init__(self, operators, theta: float = 0.5, gamma_interval: tuple[float, float] = (0.5, 2.0)):
+        if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
+            raise DomainError("theta must lie strictly inside (0, 1)")
+        self._setup(operators, theta, gamma_interval)
+
+    def _setup(self, operators, theta: float, gamma_interval) -> None:
+        """Set the family up for any theta; ``__init__`` admits only theta in (0, 1)."""
         operators = list(operators)
         if len(operators) < 2:
             raise DomainError("need at least two operators")
         dims = {op.dim for op in operators}
         if len(dims) != 1:
             raise DomainError(f"operator dimensions differ: {sorted(dims)}")
-        if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
-            raise DomainError("theta must lie strictly inside (0, 1)")
         self._set_interval(gamma_interval)
         self.operators = operators
         self.theta = float(theta)
@@ -162,9 +170,13 @@ class MTFamily(OperatorFamily):
         return fixed_point_line(self, self.operators)
 
     def _linear_family(self):
-        if all(isinstance(op, AffineOperator) for op in self.operators):
-            return MTFamily([op.linear_part() for op in self.operators], self.theta, self.gamma_interval)
-        return None
+        # a copy keeps the class and theta; it holds no affine part or line of its own
+        if not all(isinstance(op, AffineOperator) for op in self.operators):
+            return None
+        linear = copy.copy(self)
+        linear.operators = [op.linear_part() for op in self.operators]
+        linear._affine = linear._line = None
+        return linear
 
     def _chain_cost(self):
         # N resolvents, each two products in the space; the map's (N-1)^2 space_dim^2 is

@@ -186,11 +186,6 @@ class AffineOperator:
         x = as_points(x, self.dim)
         return self._solve(1.0, gamma, x - gamma * self.b)
 
-    def reflected_resolvent(self, gamma: float, x) -> np.ndarray:
-        """Evaluate ``2 (I + gamma*A)^{-1} x - x``."""
-        x = as_points(x, self.dim)
-        return 2.0 * self.resolvent(gamma, x) - x
-
     def _require_invertible(self) -> None:
         if self._cond is None:
             if self._eig is not None:
@@ -273,10 +268,6 @@ class BoxNormalCone:
     def resolvent(self, gamma: float, x) -> np.ndarray:
         _check_gamma(gamma)
         return self.project(x)
-
-    def reflected_resolvent(self, gamma: float, x) -> np.ndarray:
-        x = as_points(x, self.dim)
-        return 2.0 * self.resolvent(gamma, x) - x
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = as_vector(x, self.dim)

@@ -10,6 +10,8 @@ file are eigendecomposed (or Schur-factored) once each.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 from .errors import ConfigError
@@ -69,7 +71,8 @@ def generate_problem(
     affine_plus_box: n-1 strongly monotone symmetric operators plus the
         normal cone of [-box_half_width, box_half_width]^dim.
     custom_matrices: arrays M1, b1, M2, b2, ... loaded from an .npz file,
-        optionally followed by box_lower/box_upper bounds.
+        optionally followed by box_lower/box_upper bounds (both or neither). A file
+        np.load cannot read, or one bound alone, raises ConfigError.
     """
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -102,16 +105,21 @@ def generate_problem(
     if matrices_path is None:
         raise ConfigError("custom_matrices needs problem.matrices_path")
     try:
-        data = np.load(matrices_path)
-    except OSError as exc:
+        # a file that is no .npz archive (one .npy array, say) names no arrays
+        with open(matrices_path, "rb") as fh:
+            loaded = np.load(fh)
+            data = {key: loaded[key] for key in getattr(loaded, "files", ())}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read matrices file {matrices_path}: {exc}") from exc
     ops = []
     i = 1
     while f"M{i}" in data:
-        b = data[f"b{i}"] if f"b{i}" in data else None
-        ops.append(AffineOperator(data[f"M{i}"], b))
+        ops.append(AffineOperator(data[f"M{i}"], data.get(f"b{i}")))
         i += 1
-    if "box_lower" in data:
+    bounds = [key for key in ("box_lower", "box_upper") if key in data]
+    if len(bounds) == 1:
+        raise ConfigError(f"matrices file {matrices_path} defines {bounds[0]} without the other bound")
+    if bounds:
         ops.append(BoxNormalCone(data["box_lower"], data["box_upper"]))
     if len(ops) < 2:
         raise ConfigError("custom_matrices file must define at least M1, M2")

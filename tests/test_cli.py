@@ -116,6 +116,24 @@ class TestGenerateProblem:
         with pytest.raises(ConfigError):
             generate_problem("bogus", 2, 0, 0.5, 2.0)
 
+    @pytest.mark.parametrize("case", ["lower_only", "upper_only", "not_numpy"])
+    def test_malformed_custom_matrices_file(self, tmp_path, case, capsys):
+        path = tmp_path / "mats.npz"
+        pair = {"M1": 2 * np.eye(2), "M2": 3 * np.eye(2)}
+        if case == "lower_only":
+            np.savez(path, **pair, box_lower=-np.ones(2))
+        elif case == "upper_only":
+            np.savez(path, **pair, box_upper=np.ones(2))
+        else:
+            path.write_text("M1 = 2 I\n")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            generate_problem("custom_matrices", 2, 0, 0.5, 2.0, n_operators=3, matrices_path=str(path))
+        cfg = write_config(tmp_path, MT_CONFIG)
+        argv = ["verify", cfg, "--set", "problem.kind=custom_matrices",
+                "--set", f"problem.matrices_path={path}", "--set", "checks=summability"]
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestConfigParsing:
     def test_parse_and_build(self, tmp_path):
@@ -163,6 +181,21 @@ class TestConfigParsing:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
         config = cli.build_config(cli.parse_config_file(path))
         assert config.seed == 123
+
+    @pytest.mark.parametrize("env, overrides, source", [
+        ("-1", {}, cli.SEED_ENV_VAR), (None, {"problem.seed": "-3"}, "problem.seed"),
+    ], ids=["env", "set"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, env, overrides, source):
+        path = write_config(tmp_path, DR_CONFIG)
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        with pytest.raises(ConfigError, match=f"{source} must be >= 0"):
+            cli.build_config(cli.parse_config_file(path), overrides)
+        argv = ["verify", path, "--set", "checks=summability"]
+        assert cli.main(argv + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -508,6 +541,14 @@ class TestRunExperiment:
         p1 = write_config(tmp_path, SCALAR_CONFIG, name="a.cfg")
         p2 = write_config(tmp_path, SCALAR_CONFIG, name="b.cfg")
         assert cli.main(["run", p1, p2, "--jobs", "2"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs, capsys):
+        path = write_config(tmp_path, SCALAR_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", path, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_jobs_start_no_more_workers_than_configs(self, tmp_path, monkeypatch):
         # a recording stand-in that maps serially: no real pool is started

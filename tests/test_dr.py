@@ -8,11 +8,13 @@ from relocsplit import (
     AffineOperator,
     BoxNormalCone,
     DRFamily,
+    MTFamily,
     StepsizeSchedule,
     algorithm1_run,
     dr_contraction_factor,
     dr_regularity_constant,
     fix_decomposition_check,
+    mt_fixed_point_to_zero,
     primal_dual_extract,
 )
 from relocsplit.diagnostics import fixed_point_oracle
@@ -40,12 +42,21 @@ class TestApply:
         assert np.array_equal(fam.apply(1.0, x), x)
 
     def test_recomposition(self, pd_pair_family):
+        # the chain's order: x + (J_{gamma A2}(2 j1 - x) - j1)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(5)
         j1 = pd_pair_family.a1.resolvent(1.0, x)
-        refl = pd_pair_family.a1.reflected_resolvent(1.0, x)
-        expected = x - j1 + pd_pair_family.a2.resolvent(1.0, refl)
+        expected = x + (pd_pair_family.a2.resolvent(1.0, 2.0 * j1 - x) - j1)
         assert np.array_equal(pd_pair_family.apply(1.0, x), expected)
+
+
+    def test_is_the_two_operator_chain_at_theta_one(self, pd_pair_family):
+        assert isinstance(pd_pair_family, MTFamily)
+        assert (pd_pair_family.n_operators, pd_pair_family.theta) == (2, 1.0)
+        assert pd_pair_family.operators == [pd_pair_family.a1, pd_pair_family.a2]
+        # the linear family behind the held affine part is the same splitting
+        linear = pd_pair_family._linear_family()
+        assert type(linear) is DRFamily and linear.theta == 1.0
 
 
 class TestRelocate:
@@ -256,6 +267,16 @@ class TestFixDecomposition:
         assert np.linalg.norm(xa - xb) >= 1e-3
         moved = pd_pair_family.relocate(1.8, 0.6, xa)
         assert np.linalg.norm(moved - xb) <= 1e-8
+
+    def test_agrees_with_the_chain_certificate(self, pd_pair_family):
+        # DR is the multioperator chain at N = 2: its zero certificate reads the same z and residual
+        for gamma in (0.7, 1.6):
+            x = pd_pair_family.fixed_point(gamma)
+            fd = fix_decomposition_check(pd_pair_family, gamma, x)
+            cert = mt_fixed_point_to_zero(pd_pair_family, gamma, x)
+            assert np.array_equal(cert.z, fd.z)
+            assert cert.inclusion_residual == fd.primal_residual
+            assert cert.chain_residuals.shape == (1,)
 
     def test_not_a_fixed_point(self, pd_pair_family):
         # z = J_{gamma A1} x solves the inclusion exactly when x is fixed

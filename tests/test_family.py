@@ -409,6 +409,8 @@ class TestBlocksOfPoints:
         "pd_pair": lambda request: request.getfixturevalue("pd_pair_family"),
         "skew_strong": lambda request: request.getfixturevalue("skew_strong_family"),
         "scalar_shift": lambda request: ScalarShiftFamily(0.5, INTERVAL),
+        "mt3": lambda request: request.getfixturevalue("mt3_family"),
+        "mt4": lambda request: request.getfixturevalue("mt4_family"),
     }
 
     @pytest.mark.parametrize("k", [1, 7])

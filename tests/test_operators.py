@@ -218,24 +218,6 @@ class TestFromSpectrum:
             AffineOperator.from_spectrum([1.0, 2.0, 3.0], vecs)
 
 
-class TestReflectedResolvent:
-    def test_zero_operator(self):
-        op = AffineOperator(np.zeros((2, 2)))
-        x = np.array([3.0, -1.0])
-        assert np.array_equal(op.reflected_resolvent(1.0, x), x)
-
-    def test_identity_operator(self):
-        op = AffineOperator(np.eye(1))
-        assert np.allclose(op.reflected_resolvent(1.0, [2.0]), [0.0])
-
-    def test_recomputed_from_resolvent(self):
-        op = random_monotone(5, 14)
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(5)
-        expected = 2 * op.resolvent(0.8, x) - x
-        assert np.array_equal(op.reflected_resolvent(0.8, x), expected)
-
-
 class TestInverseApply:
     def test_scaled_identity(self):
         op = AffineOperator(2 * np.eye(1))
@@ -432,10 +414,6 @@ class TestBlocksOfPoints:
             block = op.resolvent(gamma, X)
             assert block.shape == (k, op.dim)
             assert np.linalg.norm(block - rows) <= 1e-12 * np.linalg.norm(rows)
-            reflected = np.vstack([op.reflected_resolvent(gamma, x) for x in X])
-            assert np.linalg.norm(op.reflected_resolvent(gamma, X) - reflected) <= 1e-12 * np.linalg.norm(
-                reflected
-            )
 
     @pytest.mark.parametrize("name", ["symmetric", "random_monotone"])
     def test_affine_map_and_inverse_of_a_block_are_rowwise(self, name):
