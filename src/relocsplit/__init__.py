@@ -9,9 +9,6 @@ rate/error-bound diagnostics, synthetic problem generators, and the
 """
 
 from .diagnostics import (
-    BoundReport,
-    RateEstimate,
-    RateTheoremResult,
     compute_distances,
     fit_linear_rate,
     fixed_point_oracle,
@@ -21,8 +18,6 @@ from .diagnostics import (
 )
 from .dr import (
     DRFamily,
-    FixDecomposition,
-    PrimalDualSequences,
     algorithm1_run,
     dr_contraction_factor,
     dr_regularity_constant,
@@ -31,63 +26,39 @@ from .dr import (
     primal_dual_extract,
 )
 from .family import (
-    GammaLipschitzProbe,
     IterateTrace,
     OperatorFamily,
     ScalarShiftFamily,
     StepsizeSchedule,
-    SummabilityReport,
     gamma_lipschitz_probe,
     relocated_iterate,
     relocator_only_sequence,
     summability_report,
 )
 from .mt import (
-    ContractionCertificate,
     MTFamily,
-    MTLipschitzConstants,
-    MTZeroCertificate,
     algorithm2_run,
     mt_contraction_certificate,
     mt_fixed_point_to_zero,
     mt_relocator_lipschitz,
     mt_summability_bound,
 )
-from .operators import (
-    AffineOperator,
-    BoxNormalCone,
-    RelativeMonotonicityReport,
-    SingletonSet,
-    check_relative_strong_monotonicity,
-)
+from .operators import AffineOperator, BoxNormalCone
 from .problems import generate_problem, skew_operator, symmetric_operator
 
 from . import errors
 
 __all__ = [
     "AffineOperator",
-    "BoundReport",
     "BoxNormalCone",
-    "ContractionCertificate",
     "DRFamily",
-    "FixDecomposition",
-    "GammaLipschitzProbe",
     "IterateTrace",
     "MTFamily",
-    "MTLipschitzConstants",
-    "MTZeroCertificate",
     "OperatorFamily",
-    "PrimalDualSequences",
-    "RateEstimate",
-    "RateTheoremResult",
-    "RelativeMonotonicityReport",
     "ScalarShiftFamily",
-    "SingletonSet",
     "StepsizeSchedule",
-    "SummabilityReport",
     "algorithm1_run",
     "algorithm2_run",
-    "check_relative_strong_monotonicity",
     "compute_distances",
     "dr_contraction_factor",
     "dr_regularity_constant",

@@ -245,6 +245,8 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         for c in checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
+            if checks.count(c) > 1:
+                raise ConfigError(f"check {c!r} is named more than once in checks")
             if c not in applicable:
                 raise ConfigError(
                     f"check {c!r} is not applicable to algorithm={algorithm} "
@@ -669,7 +671,11 @@ def _failure_status(exc: Exception, where: str | None = None) -> int:
 
 def _run_one(path: str, overrides: dict[str, str]) -> int:
     try:
-        return run_experiment(build_config(parse_config_file(path), overrides))[0]
+        config = build_config(parse_config_file(path), overrides)
+        if not (config.checks or config.trace_path):
+            # verify always clears the trace path; its overall=PASS would then check nothing
+            raise ConfigError("checks is empty and no trace is written: the run would show nothing")
+        return run_experiment(config)[0]
     except (RelocSplitError, OSError) as exc:
         return _failure_status(exc, path)
 

@@ -21,10 +21,6 @@ class SingularSystem(RelocSplitError):
     """A linear solve failed or the matrix is numerically singular."""
 
 
-class UnsupportedSet(RelocSplitError, TypeError):
-    """The given set does not expose the projection needed by the check."""
-
-
 class UnsupportedOperator(RelocSplitError, TypeError):
     """The operator lacks the structure (affine, invertible, ...) the operation needs."""
 

@@ -130,10 +130,6 @@ class StepsizeSchedule:
             shift = np.zeros(len(indices))
         return np.clip(self.gamma_star + shift, self.gamma_low, self.gamma_high)
 
-    @property
-    def converges_r_linearly(self) -> bool:
-        return self.kind != "polynomial"
-
 
 @dataclass(frozen=True)
 class FixedPointLine:
@@ -271,12 +267,12 @@ class OperatorFamily(abc.ABC):
         x = as_vector(x, self.dim)
         return float(np.linalg.norm(x - self.apply(gamma, x)))
 
-    def assert_fixed_point(self, gamma: float, x, tol: float = FIXED_POINT_TOL) -> np.ndarray:
+    def assert_fixed_point(self, gamma: float, x) -> np.ndarray:
         x = as_vector(x, self.dim)
         r = self.residual(gamma, x)
-        if r > tol * (1.0 + float(np.linalg.norm(x))):
+        if r > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(x))):
             raise NotAFixedPoint(
-                f"residual {r:.3e} exceeds {tol:.1e}*(1+||x||) at gamma={gamma}"
+                f"residual {r:.3e} exceeds {FIXED_POINT_TOL:.1e}*(1+||x||) at gamma={gamma}"
             )
         return x
 

@@ -17,7 +17,6 @@ materialized as graphs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
@@ -29,7 +28,6 @@ from .errors import (
     NonPositiveStepsize,
     SingularSystem,
     UnsupportedOperator,
-    UnsupportedSet,
 )
 
 MONOTONE_EIG_TOL = 1e-10
@@ -205,23 +203,11 @@ class AffineOperator:
         self._require_invertible()
         return self._solve(0.0, 1.0, y - self.b)
 
-    def inverse_operator(self) -> "AffineOperator":
-        """Return A^{-1} as an affine operator (monotone whenever A is)."""
-        self._require_invertible()
-        Minv = np.linalg.inv(self.M)
-        return AffineOperator(Minv, -Minv @ self.b)
-
     def linear_part(self) -> "AffineOperator":
         """Return ``x -> M x``: this operator with offset 0, sharing M and its factorization."""
         op = copy.copy(self)
         op.b = np.zeros_like(self.b)
         return op
-
-    def scaled(self, t: float) -> "AffineOperator":
-        """Return ``t*A`` for t > 0."""
-        if t <= 0:
-            raise DomainError("scaling factor must be positive")
-        return AffineOperator(t * self.M, t * self.b)
 
     @property
     def is_symmetric(self) -> bool:
@@ -269,10 +255,6 @@ class BoxNormalCone:
         _check_gamma(gamma)
         return self.project(x)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
     def face_point(self, z) -> np.ndarray:
         """z clipped into the box, with every coordinate within ``FACE_TOL`` of a bound moved onto it."""
         p = self.project(z)
@@ -309,70 +291,3 @@ def inclusion_gaps(operators, z) -> tuple[float, float]:
     p, w = cone.face_point(z), cone.project_normal_cone(z, -s)
     return float(np.linalg.norm(z - p)), float(np.linalg.norm(s + w))
 
-
-class SingletonSet:
-    """The set {point}; projection is constant."""
-
-    def __init__(self, point):
-        self.point = as_vector(point)
-
-    def project(self, y) -> np.ndarray:
-        as_vector(y, self.point.shape[0])
-        return self.point.copy()
-
-    def scaled(self, t: float) -> "SingletonSet":
-        if t <= 0:
-            raise DomainError("scaling factor must be positive")
-        return SingletonSet(t * self.point)
-
-
-@dataclass(frozen=True)
-class RelativeMonotonicityReport:
-    samples: int
-    violations: int
-    worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def check_relative_strong_monotonicity(
-    op,
-    region,
-    mu_claim: float,
-    sample_count: int,
-    seed: int,
-    sample_scale: float = 3.0,
-    tol: float = 1e-9,
-) -> RelativeMonotonicityReport:
-    """Sample-test strong monotonicity of ``op`` relative to ``region``.
-
-    Draws ``sample_count`` Gaussian points y, puts p = P_X(y), and checks
-
-        <A(y) - A(p), y - p>  >=  mu_claim * ||y - p||^2 - tol.
-
-    Only single-valued operators are supported; the region must expose a
-    ``project`` method.
-    """
-    if not callable(op):
-        raise UnsupportedOperator("operator must be single-valued (callable)")
-    project = getattr(region, "project", None)
-    if project is None:
-        raise UnsupportedSet("region must provide a project(y) method")
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
-
-    dim = op.dim
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = np.inf
-    for _ in range(sample_count):
-        y = sample_scale * rng.standard_normal(dim)
-        p = project(y)
-        gap = y - p
-        margin = float((op(y) - op(p)) @ gap - mu_claim * (gap @ gap))
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return RelativeMonotonicityReport(sample_count, violations, worst)

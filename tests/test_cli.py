@@ -506,6 +506,29 @@ class TestRunExperiment:
         assert "--set:2: key 'n_steps' already set on line 1" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_no_checks_and_no_trace_rejected(self, tmp_path, capsys, command):
+        # with no trace written, an empty check list would print a vacuous overall=PASS
+        path = write_config(tmp_path, MT_CONFIG)
+        assert cli.main([command, path, "--set", "checks="]) == 2
+        captured = capsys.readouterr()
+        assert "checks is empty" in captured.err and captured.out == ""
+
+    def test_run_without_checks_writes_its_trace(self, tmp_path, capsys):
+        path = write_config(tmp_path, MT_CONFIG)
+        trace = tmp_path / "t.csv"
+        assert cli.main(["run", path, "--set", "checks=", "--set", f"output.trace_path={trace}"]) == 0
+        assert "overall=PASS checks=0 failed=0" in capsys.readouterr().out
+        assert len(cli.read_trace_csv(str(trace), "n")) == 401
+
+    def test_repeated_check_rejected(self, tmp_path, capsys):
+        # a check named twice would run twice and count twice in the overall line
+        path = write_config(tmp_path, MT_CONFIG)
+        with pytest.raises(ConfigError, match="check 'summability' is named more than once"):
+            cli.build_config(cli.parse_config_file(path), {"checks": "summability,summability"})
+        assert cli.main(["verify", path, "--set", "checks=summability,one_step,summability"]) == 2
+        assert "check 'summability' is named more than once in checks" in capsys.readouterr().err
+
     def test_scalar_summability_still_passes_polynomial(self, tmp_path):
         # the relocator constants are identically 1, so summability holds
         # even for schedules without a rate

@@ -45,7 +45,6 @@ class TestStepsizeSchedule:
         sch = StepsizeSchedule.polynomial(1.0, 1.0, 2.0, (0.5, 2.0))
         assert sch.gamma(0) == 2.0
         assert sch.gamma(1) == 1.25
-        assert not sch.converges_r_linearly
 
     def test_clamping(self):
         sch = StepsizeSchedule.geometric(1.0, 10.0, 0.5, (0.9, 1.5))

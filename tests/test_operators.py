@@ -5,8 +5,6 @@ import relocsplit.operators as operators
 from relocsplit import (
     AffineOperator,
     BoxNormalCone,
-    SingletonSet,
-    check_relative_strong_monotonicity,
     generate_problem,
     skew_operator,
     symmetric_operator,
@@ -16,8 +14,6 @@ from relocsplit.errors import (
     NonMonotoneOperator,
     NonPositiveStepsize,
     SingularSystem,
-    UnsupportedOperator,
-    UnsupportedSet,
 )
 
 
@@ -226,7 +222,7 @@ class TestInverseApply:
     def test_inverse_scaling_identity(self):
         # (gamma A)^{-1} y == A^{-1}(y / gamma)
         op = AffineOperator(2 * np.eye(1))
-        scaled = op.scaled(3.0)
+        scaled = AffineOperator(3.0 * op.M, 3.0 * op.b)
         assert np.allclose(scaled.inverse_apply([6.0]), [1.0])
         assert np.allclose(op.inverse_apply([2.0]), [1.0])
 
@@ -235,7 +231,7 @@ class TestInverseApply:
         rng = np.random.default_rng(45)
         y = rng.standard_normal(4)
         for gamma in (0.25, 1.7, 6.0):
-            lhs = op.scaled(gamma).inverse_apply(y)
+            lhs = AffineOperator(gamma * op.M, gamma * op.b).inverse_apply(y)
             rhs = op.inverse_apply(y / gamma)
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
@@ -274,12 +270,6 @@ class TestInverseApply:
         op = AffineOperator(0.5 * (M + M.T))
         with pytest.raises(SingularSystem):
             op.inverse_apply(np.ones(3))
-
-    def test_inverse_operator_agrees(self):
-        op = random_monotone(3, 18)
-        inv = op.inverse_operator()
-        y = np.array([0.3, -1.2, 2.0])
-        assert np.allclose(inv(y), op.inverse_apply(y), atol=1e-12)
 
 
 class TestConstruction:
@@ -336,61 +326,6 @@ class TestBoxNormalCone:
         # at the upper face only nonnegative directions survive
         assert np.array_equal(box.project_normal_cone([1.0, 0.0], v), [0.5, 0.0])
         assert np.array_equal(box.project_normal_cone([-1.0, -1.0], v), [0.0, -0.5])
-
-
-class TestRelativeStrongMonotonicity:
-    def test_scaled_identity_at_origin(self):
-        op = AffineOperator(2 * np.eye(3))
-        report = check_relative_strong_monotonicity(op, SingletonSet(np.zeros(3)), 2.0, 200, 1)
-        assert report.violations == 0
-        # equality case of strong monotonicity: margin is zero up to rounding
-        assert abs(report.worst_margin) <= 1e-9
-
-    def test_true_modulus_passes(self):
-        op = symmetric_operator(5, 0.5, 2.0, np.random.default_rng(3))
-        x_star = np.linalg.solve(op.M, -op.b)
-        report = check_relative_strong_monotonicity(op, SingletonSet(x_star), 0.5, 1000, 11)
-        assert report.violations == 0
-
-    def test_inflated_modulus_fails(self):
-        op = symmetric_operator(5, 0.5, 2.0, np.random.default_rng(3))
-        x_star = np.linalg.solve(op.M, -op.b)
-        report = check_relative_strong_monotonicity(op, SingletonSet(x_star), 0.6, 1000, 11)
-        assert report.violations >= 1
-        assert report.worst_margin < 0
-
-    def test_scaling_property(self):
-        # (A, X, mu) passing implies (gamma A, X, gamma mu) passing on the same samples
-        op = symmetric_operator(4, 0.5, 2.0, np.random.default_rng(8))
-        x_star = np.linalg.solve(op.M, -op.b)
-        region = SingletonSet(x_star)
-        base = check_relative_strong_monotonicity(op, region, 0.5, 500, 23)
-        assert base.violations == 0
-        for gamma in (0.3, 2.0, 5.0):
-            scaled = check_relative_strong_monotonicity(op.scaled(gamma), region, gamma * 0.5, 500, 23)
-            assert scaled.violations == 0
-
-    def test_inverse_scaling_property(self):
-        # A^{-1} passing for (Y, rho) implies (gamma A)^{-1} passing for (gamma Y, rho/gamma)
-        op = symmetric_operator(4, 0.5, 2.0, np.random.default_rng(9))
-        rho = 1.0 / op.sym_eig_max
-        origin = SingletonSet(np.zeros(4))
-        base = check_relative_strong_monotonicity(op.inverse_operator(), origin, rho, 500, 29)
-        assert base.violations == 0
-        for gamma in (0.5, 3.0):
-            inv_scaled = op.scaled(gamma).inverse_operator()
-            report = check_relative_strong_monotonicity(
-                inv_scaled, origin.scaled(gamma), rho / gamma, 500, 29
-            )
-            assert report.violations == 0
-
-    def test_unsupported_inputs(self):
-        op = AffineOperator(np.eye(2))
-        with pytest.raises(UnsupportedSet):
-            check_relative_strong_monotonicity(op, object(), 1.0, 10, 0)
-        box = BoxNormalCone([-1.0], [1.0])
-        with pytest.raises(UnsupportedOperator):
-            check_relative_strong_monotonicity(box, SingletonSet(np.zeros(1)), 1.0, 10, 0)
 
 
 BLOCK_OPERATORS = {
