@@ -24,13 +24,7 @@ from . import diagnostics
 from .diagnostics import RateEstimate, default_burn_in
 # algorithm1_run, algorithm2_run and relocated_iterate stay importable from
 # here: perfbench/layers.py wraps them in this namespace.
-from .dr import (
-    DRFamily,
-    algorithm1_run,  # noqa: F401
-    dr_regularity_constant,
-    dr_summability_bound,
-    fix_decomposition_check,
-)
+from .dr import DRFamily, algorithm1_run, fix_decomposition_check  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError, RelocSplitError
 from .family import (
     IterateTrace,
@@ -41,7 +35,7 @@ from .family import (
     same_bits,
     summability_report,
 )
-from .mt import MTFamily, algorithm2_run, mt_summability_bound  # noqa: F401
+from .mt import MTFamily, algorithm2_run  # noqa: F401
 from .problems import PROBLEM_KINDS, generate_problem
 
 ALGORITHMS = ("dr", "mt", "scalar_counterexample")
@@ -73,7 +67,8 @@ class ExperimentConfig:
     algorithm: str
     schedule: StepsizeSchedule
     n_steps: int
-    checks: list[str]
+    #: the named checks, or None for ``all``: every check the built family supports
+    checks: list[str] | None
     problem_kind: str | None
     dim: int
     n_operators: int
@@ -159,7 +154,7 @@ def _get(mapping, key, default=None, required=False):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
 
-#: checks that need exact distances / served fixed points (contraction marker)
+#: checks that read exact distances or served fixed points
 _CONTRACTION_CHECKS = {
     "error_bound",
     "one_step",
@@ -167,19 +162,6 @@ _CONTRACTION_CHECKS = {
     "relocator_bijection",
     "gamma_lipschitz",
 }
-
-
-def _applicable_checks(algorithm: str, problem_kind: str | None) -> list[str]:
-    if algorithm == "scalar_counterexample":
-        return [c for c in CHECK_NAMES if c not in ("fix_decomposition", "consensus")]
-    if algorithm == "mt":
-        return [c for c in CHECK_NAMES if c != "fix_decomposition"]
-    # dr
-    if problem_kind == "affine_plus_box":
-        return ["summability"]
-    if problem_kind == "affine_skew_plus_strong":
-        return [c for c in CHECK_NAMES if c != "fix_decomposition"]
-    return list(CHECK_NAMES)
 
 
 def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -237,21 +219,14 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         raise ConfigError("mt needs problem.n_operators >= 2")
 
     checks_raw = _get(merged, "checks", default="")
-    applicable = _applicable_checks(algorithm, problem_kind)
-    if checks_raw.strip() == "all":
-        checks = list(applicable)
-    else:
+    checks = None
+    if checks_raw.strip() != "all":
         checks = [c.strip() for c in checks_raw.split(",") if c.strip()]
         for c in checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
             if checks.count(c) > 1:
                 raise ConfigError(f"check {c!r} is named more than once in checks")
-            if c not in applicable:
-                raise ConfigError(
-                    f"check {c!r} is not applicable to algorithm={algorithm} "
-                    f"problem.kind={problem_kind}"
-                )
 
     n_steps = _get(merged, "n_steps", default=300)
     if n_steps < 1:
@@ -346,27 +321,8 @@ def _record_from_rate(name: str, est: RateEstimate, passed: bool) -> CheckRecord
     )
 
 
-def _symmetric_strong_op(family: DRFamily):
-    for op in (family.a1, family.a2):
-        if getattr(op, "single_valued", False) and getattr(op, "is_symmetric", False) and op.mu > 0:
-            return op
-    return None
-
-
-def _kappa_for(family, schedule) -> float:
-    """Certified error-bound constant at the limiting stepsize."""
-    if isinstance(family, DRFamily):
-        op = _symmetric_strong_op(family)
-        if op is not None:
-            return dr_regularity_constant(schedule.gamma_star, op.sym_eig_min, 1.0 / op.sym_eig_max)
-    beta = family.contraction_beta
-    if beta is None:
-        raise ConfigError("no error-bound constant available without a contraction certificate")
-    return 1.0 / (1.0 - beta)
-
-
 def _check_error_bound(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    kappa = _kappa_for(family, config.schedule)
+    kappa = family.error_bound_constant(config.schedule.gamma_star)
     rep = diagnostics.verify_error_bound(
         family,
         config.schedule.gamma_star,
@@ -379,10 +335,7 @@ def _check_error_bound(config: ExperimentConfig, family, trace: IterateTrace) ->
 
 
 def _check_one_step(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    beta = family.contraction_beta
-    if beta is None:
-        raise ConfigError("one_step needs a contraction certificate (exact distances)")
-    kappa = 1.0 / (1.0 - beta)
+    kappa = 1.0 / (1.0 - family.contraction_beta)
     rep = diagnostics.verify_one_step_contraction(family, trace, kappa)
     return CheckRecord("one_step", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
@@ -448,13 +401,7 @@ def _check_summability(config: ExperimentConfig, family, trace: IterateTrace) ->
     n_terms = 100_000 if schedule.kind == "polynomial" else 10_000
     rep = summability_report(family, schedule, n_terms)
     try:
-        # a DRFamily is an MTFamily too, with its own relocator constant and bound
-        if isinstance(family, DRFamily):
-            bound = dr_summability_bound(schedule)
-        elif isinstance(family, MTFamily):
-            bound = mt_summability_bound(schedule, family.n_operators)
-        else:
-            bound = 0.0 if schedule.kind != "polynomial" else math.nan
+        bound = family.summability_bound(schedule)
     except DomainError:
         bound = math.nan
     total = float(rep.partial_sums[-1])
@@ -477,11 +424,11 @@ def _check_gamma_lipschitz(config: ExperimentConfig, family, trace: IterateTrace
     return CheckRecord("gamma_lipschitz", worst <= 1.0, certified_constant=slope, worst_ratio=worst)
 
 
-def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np.ndarray:
+def _consensus_gaps(family, trace: IterateTrace) -> np.ndarray:
     """Per row, the largest gap between two of the step's resolvent values, read from the
     residual vector x_n - T x_n: it is z - y for dr, and for mt block k of (T x_n - x_n)/theta
     is z^{k+1} - z^k, so z^j - z^i is a running sum of blocks i..j-1."""
-    if config.algorithm == "dr":
+    if isinstance(family, DRFamily):
         return trace.residuals
     steps = trace.t_of_x - trace.xs
     steps /= family.theta
@@ -497,7 +444,7 @@ def _consensus_gaps(config: ExperimentConfig, family, trace: IterateTrace) -> np
 
 
 def _check_consensus(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    gaps = _consensus_gaps(config, family, trace)
+    gaps = _consensus_gaps(family, trace)
     est = diagnostics.fit_linear_rate(gaps, burn_in=5, floor=diagnostics.rounding_floor(trace.xs))
     return _record_from_rate("consensus", est, est.linear)
 
@@ -515,6 +462,19 @@ _CHECK_RUNNERS = {
     "consensus": _check_consensus,
 }
 CHECK_NAMES = tuple(_CHECK_RUNNERS)
+
+
+def _applicable_checks(family, problem_kind: str | None) -> list[str]:
+    """The checks the built family supports, in ``CHECK_NAMES`` order: ``summability`` alone
+    without a contraction certificate; ``consensus`` needs a resolvent chain (an MTFamily), and
+    ``fix_decomposition_check`` a DR pair, which is single-valued when certified."""
+    if family.contraction_beta is None:
+        return ["summability"]
+    # fix_decomposition PASSes on the skew kind too; it is left out there only because the
+    # benchmark pins dr-skew-poly-d100 at 7 checks (perfbench/workloads.py)
+    split = isinstance(family, DRFamily) and problem_kind != "affine_skew_plus_strong"
+    chain = isinstance(family, MTFamily)
+    return [c for c in CHECK_NAMES if (chain or c != "consensus") and (split or c != "fix_decomposition")]
 
 
 def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
@@ -624,22 +584,29 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     """
     family, _ops = build_family(config)
     # T_gamma* serves the rows where the schedule reaches gamma* in floats (a geometric one
-    # does) and error_bound's samples; an affine family holds its map there when that pays
+    # does) and error_bound's samples, counted for "all" too; an affine family holds its map
+    # there when that pays. The certificate that decides which checks apply is read after
+    # this: MT's samples T_gamma from gamma_low on, which is gamma* on the benchmark configs
     gamma_star = config.schedule.gamma_star
     tail = int(np.count_nonzero(config.schedule.gammas(config.n_steps + 1) == gamma_star))
-    samples = ERROR_BOUND_SAMPLES if "error_bound" in config.checks else 0
+    samples = ERROR_BOUND_SAMPLES if config.checks is None or "error_bound" in config.checks else 0
     family.hold_affine_part(gamma_star, tail + samples)
+    applicable = _applicable_checks(family, config.problem_kind)
+    checks = applicable if config.checks is None else config.checks
+    for c in checks:
+        if c not in applicable:
+            raise ConfigError(f"check {c!r} is not applicable to algorithm={config.algorithm} "
+                              f"problem.kind={config.problem_kind}")
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, gamma_star, trace)
 
-    needs_dist = bool(_CONTRACTION_CHECKS & set(config.checks))
-    if needs_dist and family.contraction_beta is not None:
+    if _CONTRACTION_CHECKS & set(checks):
         diagnostics.compute_distances(family, trace)
 
     if config.trace_path:
         write_trace_csv(config.trace_path, trace, family)
 
-    records = [_CHECK_RUNNERS[name](config, family, trace) for name in config.checks]
+    records = [_CHECK_RUNNERS[name](config, family, trace) for name in checks]
     report = format_report(records)
     sys.stdout.write(report)
     if config.report_path:
@@ -672,7 +639,7 @@ def _failure_status(exc: Exception, where: str | None = None) -> int:
 def _run_one(path: str, overrides: dict[str, str]) -> int:
     try:
         config = build_config(parse_config_file(path), overrides)
-        if not (config.checks or config.trace_path):
+        if config.checks == [] and not config.trace_path:
             # verify always clears the trace path; its overall=PASS would then check nothing
             raise ConfigError("checks is empty and no trace is written: the run would show nothing")
         return run_experiment(config)[0]

@@ -120,6 +120,17 @@ class DRFamily(MTFamily):
     def relocator_lipschitz(self, delta, gamma):
         return np.maximum(1.0, self.check_gamma(delta) / self.check_gamma(gamma))
 
+    def summability_bound(self, schedule):
+        return dr_summability_bound(schedule)
+
+    def error_bound_constant(self, gamma):
+        """``dr_regularity_constant`` when an operator is symmetric and strongly monotone (its
+        extreme eigenvalues give mu and rho), else the contraction's 1/(1 - beta)."""
+        for op in (self.a1, self.a2):
+            if getattr(op, "single_valued", False) and getattr(op, "is_symmetric", False) and op.mu > 0:
+                return dr_regularity_constant(gamma, op.sym_eig_min, 1.0 / op.sym_eig_max)
+        return super().error_bound_constant(gamma)
+
 
 #: Algorithm 1, the resolvent-per-step form of the splitting:
 #:     y_n = J_{gamma_n A2}(2 z_n - x_n),  w_n = x_n - z_n + y_n,

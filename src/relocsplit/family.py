@@ -165,6 +165,16 @@ class OperatorFamily(abc.ABC):
     def contraction_beta(self) -> float | None:
         return None
 
+    def error_bound_constant(self, gamma: float) -> float:
+        """kappa with dist(x, Fix T_gamma) <= kappa ||x - T_gamma x||: 1/(1 - beta) for a
+        certified beta-contraction."""
+        return 1.0 / (1.0 - self.contraction_beta)
+
+    def summability_bound(self, schedule: StepsizeSchedule) -> float:
+        """A proven bound on sum_n (L_{gamma_{n+1} <- gamma_n} - 1) along ``schedule``;
+        DomainError when the family states none for it."""
+        raise DomainError(f"{type(self).__name__} states no summability bound for {schedule.kind} stepsizes")
+
     @abc.abstractmethod
     def apply(self, gamma: float, x, shadow=None) -> np.ndarray:
         """Evaluate T_gamma at a point x ``(dim,)`` or at each row of a block ``(k, dim)``.
@@ -361,6 +371,10 @@ class ScalarShiftFamily(OperatorFamily):
         # the constant map is 0-Lipschitz; constants are declared in [1, inf)
         shape = np.broadcast(self.check_gamma(delta), self.check_gamma(gamma)).shape
         return np.ones(shape)[()]
+
+    def summability_bound(self, schedule):
+        # every term is 0; the bound is stated, as the splittings' are, for R-linear schedules
+        return 0.0 if schedule.kind != "polynomial" else super().summability_bound(schedule)
 
 
 def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_steps: int) -> IterateTrace:

@@ -188,6 +188,9 @@ class MTFamily(OperatorFamily):
         delta, gamma = self.check_gamma(delta), self.check_gamma(gamma)
         return mt_relocator_lipschitz(delta, gamma, self.n_operators).L_check
 
+    def summability_bound(self, schedule):
+        return mt_summability_bound(schedule, self.n_operators)
+
     @property
     def contraction_beta(self) -> float | None:
         if self._beta is _UNSET:

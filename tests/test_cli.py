@@ -142,7 +142,10 @@ class TestConfigParsing:
         assert config.algorithm == "dr"
         assert config.dim == 10
         assert config.schedule.kind == "geometric"
-        assert len(config.checks) == 8
+        # "all" is expanded by the run, from the family it builds
+        assert config.checks is None
+        _, records = cli.run_experiment(config)
+        assert len(records) == 8
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG)
@@ -158,23 +161,28 @@ class TestConfigParsing:
             cli.build_config(cli.parse_config_file(path))
 
     def test_inapplicable_check_rejected(self, tmp_path):
+        # the built family decides, before the run
         path = write_config(tmp_path, SCALAR_CONFIG)
-        with pytest.raises(ConfigError):
-            cli.build_config(cli.parse_config_file(path), {"checks": "fix_decomposition"})
+        config = cli.build_config(cli.parse_config_file(path), {"checks": "fix_decomposition"})
+        with pytest.raises(ConfigError, match="'fix_decomposition' is not applicable to "
+                                              "algorithm=scalar_counterexample problem.kind=None"):
+            cli.run_experiment(config)
 
     def test_box_problem_restricted_to_summability(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG)
         # explicit oracle-based checks are rejected: no contraction certificate
-        with pytest.raises(ConfigError):
-            cli.build_config(
-                cli.parse_config_file(path),
-                {"problem.kind": "affine_plus_box", "checks": "rate_theorem"},
-            )
+        config = cli.build_config(
+            cli.parse_config_file(path),
+            {"problem.kind": "affine_plus_box", "checks": "rate_theorem"},
+        )
+        with pytest.raises(ConfigError, match="'rate_theorem' is not applicable"):
+            cli.run_experiment(config)
         # "all" narrows to whatever applies
         config = cli.build_config(
             cli.parse_config_file(path), {"problem.kind": "affine_plus_box"}
         )
-        assert config.checks == ["summability"]
+        _, records = cli.run_experiment(config)
+        assert [rec.name for rec in records] == ["summability"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, DR_CONFIG)
@@ -599,6 +607,95 @@ class TestRunExperiment:
         assert requested == [2, 2]
 
 
+def _psd(rng, dim, lam_min):
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    M = (Q * np.linspace(lam_min, 2.0, dim)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def _custom_matrices(name, dim=6):
+    """The seeded arrays of a custom_matrices file. Neither "dr_spd_box" (a symmetric positive
+    definite matrix and a box) nor "mt_psd" (three matrices with spectrum [0, 2]) has a
+    contraction certificate; "dr_nonsymmetric" is a certified pair of nonsymmetric matrices."""
+    rng = np.random.default_rng(3)
+    if name == "dr_spd_box":
+        return {"M1": _psd(rng, dim, 0.5), "b1": rng.standard_normal(dim),
+                "box_lower": -np.ones(dim), "box_upper": np.ones(dim)}
+    if name == "mt_psd":
+        return {key: value for i in (1, 2, 3)
+                for key, value in ((f"M{i}", _psd(rng, dim, 0.0)), (f"b{i}", rng.standard_normal(dim)))}
+    G = rng.standard_normal((dim, dim))
+    return {"M1": np.eye(dim) + 0.5 * (G - G.T), "b1": rng.standard_normal(dim),
+            "M2": 2.0 * np.eye(dim) + 0.1 * rng.standard_normal((dim, dim)), "b2": rng.standard_normal(dim)}
+
+
+CUSTOM_FILES = ("dr_spd_box", "mt_psd", "dr_nonsymmetric")
+
+
+def _config_path(tmp_path, source):
+    """A config file: ``source`` is a config's text, or the name of one of CUSTOM_FILES, which
+    DR_CONFIG or MT_CONFIG then reads as custom_matrices."""
+    if source not in CUSTOM_FILES:
+        return write_config(tmp_path, source)
+    path = tmp_path / f"{source}.npz"
+    np.savez(path, **_custom_matrices(source))
+    text = MT_CONFIG if source.startswith("mt") else DR_CONFIG
+    return write_config(tmp_path, text.replace("problem.kind = affine_strongly_monotone\n", ""),
+                        name=f"{source}.cfg",
+                        extra=f"problem.kind = custom_matrices\nproblem.matrices_path = {path}\n")
+
+
+def _all_but(*names):
+    return [c for c in cli.CHECK_NAMES if c not in names]
+
+
+#: the checks "all" runs, in CHECK_NAMES order: (config source, overrides, checks)
+ALL_CHECKS = {
+    "dr-strongly_monotone": (DR_CONFIG, {}, _all_but()),
+    "dr-skew": (DR_CONFIG, {"problem.kind": "affine_skew_plus_strong"}, _all_but("fix_decomposition")),
+    "dr-box": (DR_CONFIG, {"problem.kind": "affine_plus_box"}, ["summability"]),
+    "mt-strongly_monotone": (MT_CONFIG, {}, _all_but("fix_decomposition")),
+    "mt-skew": (MT_CONFIG, {"problem.kind": "affine_skew_plus_strong"}, _all_but("fix_decomposition")),
+    "mt-box": (MT_CONFIG, {"problem.kind": "affine_plus_box"}, _all_but("fix_decomposition")),
+    "scalar": (SCALAR_CONFIG, {"n_steps": "200"}, _all_but("fix_decomposition", "consensus")),
+    "dr-custom_nonsymmetric": ("dr_nonsymmetric", {}, _all_but()),
+    "dr-custom_spd_box": ("dr_spd_box", {}, ["summability"]),
+    "mt-custom_psd": ("mt_psd", {}, ["summability"]),
+}
+
+
+class TestApplicableChecks:
+    @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+    def test_all_runs_what_the_family_supports(self, tmp_path, capsys, name):
+        source, overrides, expected = ALL_CHECKS[name]
+        argv = ["verify", _config_path(tmp_path, source), "--set", "checks=all"]
+        assert cli.main(argv + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == [f"name={c}" for c in expected]
+        assert lines[-1] == f"overall=PASS checks={len(expected)} failed=0"
+
+    @pytest.mark.parametrize("source", ["dr_spd_box", "mt_psd"])
+    @pytest.mark.parametrize("check", ["error_bound", "consensus"])
+    def test_a_named_check_without_a_certificate_exits_before_the_run(
+        self, tmp_path, capsys, source, check
+    ):
+        # consensus fits a linear rate, which nothing certifies here: the generated dr box, the
+        # same family as dr_spd_box, has always rejected it
+        trace = tmp_path / "t.csv"
+        argv = ["run", _config_path(tmp_path, source), "--set", f"checks={check}",
+                "--set", f"output.trace_path={trace}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"check '{check}' is not applicable" in captured.err and captured.out == ""
+        assert not trace.exists()
+
+    def test_readme_checks_table_names_every_check(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Checks", 1)[1].split("\n\n", 2)[1]
+        names = [re.findall(r"`([^`]+)`", row.split("|")[1]) for row in table.splitlines()[2:]]
+        assert names == [[name] for name in cli.CHECK_NAMES]
+
+
 CONSENSUS_RUNS = {
     "dr": (DR_CONFIG, {}),
     "mt_box_n3": (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "0.5"}),
@@ -627,7 +724,7 @@ class TestConsensus:
         expected = np.max(
             [np.linalg.norm(chains[:, i] - chains[:, j], axis=1) for i, j in pairs], axis=0
         )
-        gaps = cli._consensus_gaps(config, family, trace)
+        gaps = cli._consensus_gaps(family, trace)
         scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
         assert np.all(np.abs(gaps - expected) <= 1e-12 * expected + 1e-15 * scale)
 
@@ -641,7 +738,7 @@ class TestConsensus:
         trace = cli.relocated_iterate(
             family, config.schedule, cli._initial_point(config, family), config.n_steps
         )
-        gaps = cli._consensus_gaps(config, family, trace)
+        gaps = cli._consensus_gaps(family, trace)
         eps = np.finfo(float).eps
         scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
         below = gaps < diagnostics.ROUNDING_FLOOR_EPS * eps * scale.max()
