@@ -322,20 +322,15 @@ def _record_from_rate(name: str, est: RateEstimate, passed: bool) -> CheckRecord
 
 
 def _check_error_bound(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    kappa = family.error_bound_constant(config.schedule.gamma_star)
-    rep = diagnostics.verify_error_bound(
-        family,
-        config.schedule.gamma_star,
-        kappa,
-        (-3.0, 3.0),
-        samples=ERROR_BOUND_SAMPLES,
-        seed=config.seed + 101,
-    )
+    gamma = config.schedule.gamma_star
+    kappa = family.regularity().kappa(gamma)
+    rep = diagnostics.verify_error_bound(family, gamma, kappa, (-3.0, 3.0),
+                                         samples=ERROR_BOUND_SAMPLES, seed=config.seed + 101)
     return CheckRecord("error_bound", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
 
 def _check_one_step(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    kappa = 1.0 / (1.0 - family.contraction_beta)
+    kappa = family.regularity().contraction_kappa
     rep = diagnostics.verify_one_step_contraction(family, trace, kappa)
     return CheckRecord("one_step", rep.passed, certified_constant=kappa, worst_ratio=rep.worst_ratio)
 
@@ -464,17 +459,18 @@ _CHECK_RUNNERS = {
 CHECK_NAMES = tuple(_CHECK_RUNNERS)
 
 
-def _applicable_checks(family, problem_kind: str | None) -> list[str]:
-    """The checks the built family supports, in ``CHECK_NAMES`` order: ``summability`` alone
-    without a contraction certificate; ``consensus`` needs a resolvent chain (an MTFamily), and
-    ``fix_decomposition_check`` a DR pair, which is single-valued when certified."""
-    if family.contraction_beta is None:
-        return ["summability"]
-    # fix_decomposition PASSes on the skew kind too; it is left out there only because the
-    # benchmark pins dr-skew-poly-d100 at 7 checks (perfbench/workloads.py)
-    split = isinstance(family, DRFamily) and problem_kind != "affine_skew_plus_strong"
-    chain = isinstance(family, MTFamily)
-    return [c for c in CHECK_NAMES if (chain or c != "consensus") and (split or c != "fix_decomposition")]
+def _applicable_checks(family, problem_kind: str | None) -> dict[str, str]:
+    """Why the built family does not support each check, in ``CHECK_NAMES`` order, or "" when
+    it does: all but ``summability`` need the contraction hypotheses (``missing_hypothesis``,
+    which samples nothing), ``consensus`` a resolvent chain and ``fix_decomposition`` a DR pair."""
+    missing = family.missing_hypothesis()
+    chain = "" if isinstance(family, MTFamily) else "needs a resolvent chain"
+    split = chain or ("" if isinstance(family, DRFamily) else "needs the two-operator splitting")
+    if not split and problem_kind == "affine_skew_plus_strong":
+        # it PASSes there too; perfbench/workloads.py pins dr-skew-poly-d100 at 7 checks
+        split = "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks"
+    gaps = {"consensus": chain, "fix_decomposition": split}
+    return {c: "" if c == "summability" else missing or gaps.get(c, "") for c in CHECK_NAMES}
 
 
 def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
@@ -583,20 +579,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     ``verify`` clears it and is otherwise this same run.
     """
     family, _ops = build_family(config)
-    # T_gamma* serves the rows where the schedule reaches gamma* in floats (a geometric one
-    # does) and error_bound's samples, counted for "all" too; an affine family holds its map
-    # there when that pays. The certificate that decides which checks apply is read after
-    # this: MT's samples T_gamma from gamma_low on, which is gamma* on the benchmark configs
+    gaps = _applicable_checks(family, config.problem_kind)
+    checks = [c for c, gap in gaps.items() if not gap] if config.checks is None else config.checks
+    for c in checks:
+        if gaps[c]:
+            raise ConfigError(f"check {c!r} is not applicable: {gaps[c]}")
+    # T_gamma* serves the rows where the schedule reaches gamma* in floats (a geometric one does)
+    # and error_bound's samples, counted whatever the checks: an affine family holds its map there
+    # when that pays, and the checks named cannot move the iterates
     gamma_star = config.schedule.gamma_star
     tail = int(np.count_nonzero(config.schedule.gammas(config.n_steps + 1) == gamma_star))
-    samples = ERROR_BOUND_SAMPLES if config.checks is None or "error_bound" in config.checks else 0
-    family.hold_affine_part(gamma_star, tail + samples)
-    applicable = _applicable_checks(family, config.problem_kind)
-    checks = applicable if config.checks is None else config.checks
-    for c in checks:
-        if c not in applicable:
-            raise ConfigError(f"check {c!r} is not applicable to algorithm={config.algorithm} "
-                              f"problem.kind={config.problem_kind}")
+    family.hold_affine_part(gamma_star, tail + ERROR_BOUND_SAMPLES)
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, gamma_star, trace)
 

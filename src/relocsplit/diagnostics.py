@@ -127,13 +127,13 @@ def fixed_point_oracle(
 ) -> np.ndarray:
     """Locate a fixed point of T_gamma by plain iteration to ||x - T x|| <= tol.
 
-    With a contraction marker the target is the unique fixed point; pass
-    ``require_contraction=False`` to attempt the iteration anyway (it may not
+    When the family's contraction hypotheses hold the target is the unique fixed point;
+    pass ``require_contraction=False`` to attempt the iteration anyway (it may not
     converge; NoConvergence carries the last residual).
     """
     family.check_gamma(gamma)
-    if require_contraction and family.contraction_beta is None:
-        raise NonSingletonFix("family carries no contraction certificate")
+    if require_contraction and (missing := family.missing_hypothesis()):
+        raise NonSingletonFix(missing)
     x = as_vector(x0, family.dim)
     last = np.inf
     for _ in range(max_iters):
@@ -185,7 +185,7 @@ def _line_through(head, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fixed_point_line(family: OperatorFamily, operators) -> FixedPointLine:
-    """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs a contraction marker.
+    """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs the contraction hypotheses.
 
     A fixed point encodes a zero z* of A1 + ... + AN: block i < N is z* + gamma s_i, s_i =
     A1 z* + ... + Ai z* (N = 2 for the two-operator splitting). Affine operators give z* by one
@@ -206,12 +206,12 @@ def fixed_point_line(family: OperatorFamily, operators) -> FixedPointLine:
         ||x - T_gamma x|| <= theta (2 ||z* - p|| + gamma_hi ||r||)
                              + 2 eps (||offset|| + gamma_hi ||slope||).
     """
-    if family.contraction_beta is None:
-        raise NonSingletonFix("the fixed-point line needs a contraction certificate")
+    if missing := family.missing_hypothesis():
+        raise NonSingletonFix(missing)
     *head, tail = operators
     if not all(callable(op) for op in head):
         raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
-    # a contraction certificate makes the symmetric part of the summed M positive definite
+    # the hypotheses make the symmetric part of the summed M positive definite
     if all(isinstance(op, AffineOperator) for op in operators):
         z = np.linalg.solve(sum(op.M for op in operators), -sum(op.b for op in operators))
     else:
@@ -237,8 +237,8 @@ def compute_distances(family: OperatorFamily, trace: IterateTrace) -> IterateTra
     """Fill ``trace.dist_to_fix`` with exact distances ||x_n - x*(gamma_n)|| to the points of the
     family's fixed-point line, a block of rows at a time.
 
-    Exact distances need singleton fixed-point sets, certified by the family's
-    contraction marker (NonSingletonFix otherwise).
+    Exact distances need singleton fixed-point sets, which the family's contraction
+    hypotheses give (NonSingletonFix otherwise).
     """
     line = family.fixed_point_line()
     gammas = family.check_gamma(trace.gammas)[:, None]
@@ -278,7 +278,7 @@ def verify_error_bound(
 
     Points are drawn uniformly from the box and evaluated a block at a time
     (``relocsplit.family.BLOCK_FLOATS`` floats); the distance is exact via the unique fixed
-    point ``family.fixed_point(gamma)`` (contraction marker required).
+    point ``family.fixed_point(gamma)`` (contraction hypotheses required).
     Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio
     reported is the left side over the slackened right side, so PASS means
     worst_ratio <= 1.
@@ -312,19 +312,13 @@ def verify_one_step_contraction(family: OperatorFamily, trace: IterateTrace, kap
         dist_{n+1} <= l_n * sqrt(max{0, 1 - (1-alpha)/(alpha kappa^2)}) * dist_n + 1e-9
 
     along a relocated run, where l_n is the relocator Lipschitz constant for
-    the step. Uses the family's averagedness constant, or (beta+1)/2 for a
-    certified contraction.
+    the step, and alpha the averagedness constant of the family's regularity record.
     """
     if trace.dist_to_fix is None:
         raise MissingDistances("trace has no distances; run compute_distances first")
     if kappa <= 0:
         raise DomainError("kappa must be positive")
-    alpha = family.alpha
-    if alpha is None:
-        beta = family.contraction_beta
-        if beta is None:
-            raise DomainError("family exposes neither averagedness nor a contraction factor")
-        alpha = (beta + 1.0) / 2.0
+    alpha = family.regularity().alpha
     factor = float(np.sqrt(max(0.0, 1.0 - (1.0 - alpha) / (alpha * kappa**2))))
 
     dist = trace.dist_to_fix
@@ -339,12 +333,10 @@ def distance_floor(family: OperatorFamily) -> float:
 
     A point of the line has a residual of at most the line's bound rho, so it lies within
     rho / (1 - beta) of the exact fixed point of a beta-contraction; the floor is
-    10 rho / (1 - beta), kept within [1e-14, 1e-6]. NonSingletonFix without a contraction
-    certificate.
+    10 rho / (1 - beta), kept within [1e-14, 1e-6], beta from the family's regularity record
+    (NonSingletonFix without one).
     """
-    beta = family.contraction_beta
-    if beta is None:
-        raise NonSingletonFix("rate verification needs a contraction certificate")
+    beta = family.regularity().beta
     rho = family.fixed_point_line().residual_bound
     return max(FLOAT_FLOOR, min(1e-6, 10.0 * rho / (1.0 - beta)))
 

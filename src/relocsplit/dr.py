@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
-from .family import IterateTrace, StepsizeSchedule, relocated_iterate
-from .mt import _UNSET, MTFamily
+from .family import IterateTrace, Regularity, StepsizeSchedule, relocated_iterate
+from .mt import MTFamily, _case_holds
 from .operators import as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
@@ -78,14 +78,12 @@ def dr_regularity_constant(gamma: float, mu: float, rho: float) -> float:
 class DRFamily(MTFamily):
     """The two-operator splitting family for a pair (A1, A2): ``MTFamily([A1, A2])`` at theta = 1.
 
-    Operators need only expose ``resolvent``. ``alpha`` is 1/2 (resolvents of
-    maximally monotone operators are firmly nonexpansive). A contraction
-    factor is certified when A1 is single-valued Lipschitz and A2 is strongly
-    monotone, by maximizing the closed-form factor over the stepsize interval
-    on a dense grid (1000 points including the endpoints, 1e-6 safety margin).
+    Operators need only expose ``resolvent``. With A1 single-valued Lipschitz and A2 strongly
+    monotone, its regularity record carries the closed-form ``contraction_beta``, the
+    averagedness 1/2 of firmly nonexpansive resolvents and, when an operator is symmetric and
+    strongly monotone, ``dr_regularity_constant`` as kappa.
     """
 
-    alpha = 0.5
     # the chain's own apply, named in this class too: the benchmark wraps DRFamily.apply
     apply = MTFamily.apply
 
@@ -100,22 +98,30 @@ class DRFamily(MTFamily):
     def a2(self):
         return self.operators[1]
 
+    def missing_hypothesis(self):
+        if _case_holds(self.operators, "last_strong"):
+            return ""
+        return "no contraction certificate without a single-valued Lipschitz A1 and a strongly monotone A2"
+
     @property
-    def contraction_beta(self) -> float | None:
-        if self._beta is _UNSET:
-            lip1, mu2 = float(getattr(self.a1, "lip", np.inf)), float(getattr(self.a2, "mu", 0.0))
-            certifiable = getattr(self.a1, "single_valued", False) and np.isfinite(lip1) and mu2 > 0.0
-            if certifiable and lip1 > 0.0:
-                lo, hi = self.gamma_interval
-                grid = np.linspace(lo, hi, _BETA_GRID)
-                worst = max(dr_contraction_factor(g, mu2, lip1) for g in grid)
-                self._beta = min(worst + _BETA_MARGIN, 1.0 - 1e-12)
-            elif certifiable:
-                # A1 == 0: T_gamma reduces to J_{gamma A2}, a (1/(1+gamma mu))-contraction
-                self._beta = 1.0 / (1.0 + self.gamma_interval[0] * mu2)
-            else:
-                self._beta = None
-        return self._beta
+    def contraction_beta(self) -> float:
+        """The closed-form factor for a pair whose hypotheses hold, read once by ``regularity``:
+        the largest ``dr_contraction_factor`` on a 1000-point grid of the interval, plus 1e-6."""
+        lip1, mu2 = float(self.a1.lip), float(self.a2.mu)
+        if lip1 == 0.0:
+            # A1 == 0: T_gamma reduces to J_{gamma A2}, a (1/(1+gamma mu))-contraction
+            return 1.0 / (1.0 + self.gamma_interval[0] * mu2)
+        worst = max(dr_contraction_factor(g, mu2, lip1) for g in np.linspace(*self.gamma_interval, _BETA_GRID))
+        return min(worst + _BETA_MARGIN, 1.0 - 1e-12)
+
+    def _build_regularity(self):
+        for op in (self.a1, self.a2):
+            if getattr(op, "single_valued", False) and getattr(op, "is_symmetric", False) and op.mu > 0:
+                # the extreme eigenvalues give mu and rho
+                mu, rho = op.sym_eig_min, 1.0 / op.sym_eig_max
+                return Regularity(self.contraction_beta, "closed-form", 0.5, "dr-regularity",
+                                  lambda gamma: dr_regularity_constant(gamma, mu, rho))
+        return Regularity(self.contraction_beta, "closed-form", 0.5)
 
     def relocator_lipschitz(self, delta, gamma):
         return np.maximum(1.0, self.check_gamma(delta) / self.check_gamma(gamma))
@@ -123,13 +129,6 @@ class DRFamily(MTFamily):
     def summability_bound(self, schedule):
         return dr_summability_bound(schedule)
 
-    def error_bound_constant(self, gamma):
-        """``dr_regularity_constant`` when an operator is symmetric and strongly monotone (its
-        extreme eigenvalues give mu and rho), else the contraction's 1/(1 - beta)."""
-        for op in (self.a1, self.a2):
-            if getattr(op, "single_valued", False) and getattr(op, "is_symmetric", False) and op.mu > 0:
-                return dr_regularity_constant(gamma, op.sym_eig_min, 1.0 / op.sym_eig_max)
-        return super().error_bound_constant(gamma)
 
 
 #: Algorithm 1, the resolvent-per-step form of the splitting:

@@ -50,7 +50,7 @@ class MissingDistances(RelocSplitError):
 
 
 class NonSingletonFix(RelocSplitError):
-    """Exact distances need a certified singleton fixed-point set (contraction marker)."""
+    """Exact distances need a singleton fixed-point set, which the contraction hypotheses give."""
 
 
 class NoConvergence(NumericalError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,30 +146,58 @@ class FixedPointLine:
         return self.offset + gamma * self.slope
 
 
+@dataclass(frozen=True)
+class Regularity:
+    """What a family proves about its maps T_gamma over its stepsize interval, read by the checks.
+    The contraction factor ``beta`` is ``closed-form`` (dr), ``sampled`` (mt: the largest sampled
+    ratio, a lower estimate, not a proven bound) or ``stated`` (the scalar counterexample);
+    ``alpha`` is an averagedness constant; ``kappa(gamma)`` gives dist(x, Fix T_gamma) <= kappa
+    ||x - T_gamma x||: a beta-contraction's ``contraction_kappa``, 1/(1 - beta), unless the family
+    gives ``kappa_at`` and its ``kappa_source``."""
+
+    beta: float
+    beta_source: str
+    alpha: float
+    kappa_source: str = "contraction"
+    kappa_at: Callable[[float], float] | None = None
+
+    @property
+    def contraction_kappa(self) -> float:
+        return 1.0 / (1.0 - self.beta)
+
+    def kappa(self, gamma: float) -> float:
+        return self.contraction_kappa if self.kappa_at is None else self.kappa_at(gamma)
+
+
 class OperatorFamily(abc.ABC):
     """A family (T_gamma) with relocators, over a closed stepsize interval.
 
-    Subclasses set ``dim`` (the driver-facing vector length),
-    ``gamma_interval``, an averagedness constant ``alpha`` when known, and
-    report a contraction factor through ``contraction_beta`` when one is
-    certified (in which case every Fix T_gamma is a singleton).
+    Subclasses set ``dim`` (the driver-facing vector length) and ``gamma_interval``. A family with
+    a contraction certificate (every Fix T_gamma a singleton) states its hypotheses in
+    ``missing_hypothesis`` and builds its ``Regularity`` in ``_build_regularity`` (or sets it
+    at construction).
     """
 
     dim: int
     gamma_interval: tuple[float, float]
-    alpha: float | None = None
     _line: FixedPointLine | None = None
+    _regularity: Regularity | None = None
     #: the affine part held for one stepsize: ``(gamma, P^T, q)``
     _affine: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    @property
-    def contraction_beta(self) -> float | None:
-        return None
+    def missing_hypothesis(self) -> str:
+        """Why the family has no contraction certificate, or "" when its hypotheses hold: a
+        read of the operators' structure, which evaluates no map."""
+        return "" if self._regularity is not None else f"{type(self).__name__} states no contraction hypotheses"
 
-    def error_bound_constant(self, gamma: float) -> float:
-        """kappa with dist(x, Fix T_gamma) <= kappa ||x - T_gamma x||: 1/(1 - beta) for a
-        certified beta-contraction."""
-        return 1.0 / (1.0 - self.contraction_beta)
+    def regularity(self) -> Regularity:
+        """The family's regularity record, built on the first call and kept; NonSingletonFix,
+        with ``missing_hypothesis``, when the hypotheses fail."""
+        if self._regularity is None:
+            if missing := self.missing_hypothesis():
+                raise NonSingletonFix(missing)
+            self._regularity = self._build_regularity()
+        return self._regularity
 
     def summability_bound(self, schedule: StepsizeSchedule) -> float:
         """A proven bound on sum_n (L_{gamma_{n+1} <- gamma_n} - 1) along ``schedule``;
@@ -347,11 +376,7 @@ class ScalarShiftFamily(OperatorFamily):
         self._set_interval(gamma_interval)
         self.beta = float(beta)
         self.dim = 1
-        self.alpha = (1.0 + self.beta) / 2.0
-
-    @property
-    def contraction_beta(self) -> float:
-        return self.beta
+        self._regularity = Regularity(self.beta, "stated", (1.0 + self.beta) / 2.0)
 
     def apply(self, gamma, x, shadow=None):
         gamma = self.check_gamma(gamma)

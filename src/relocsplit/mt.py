@@ -33,14 +33,16 @@ from .errors import (
     ChainMismatch,
     DomainError,
 )
-from .family import OperatorFamily, StepsizeSchedule, block_sizes, relocated_iterate
+from .family import OperatorFamily, Regularity, StepsizeSchedule, block_sizes, relocated_iterate
 from .operators import AffineOperator, inclusion_gaps
 
-_UNSET = object()
 #: margin keeping the relaxation parameter strictly inside (0, 1)
 _THETA_MARGIN = 1e-6
 #: largest resolvent-chain residual ``mt_fixed_point_to_zero`` accepts at a fixed point
 CHAIN_TOL = 1e-7
+#: the structural hypotheses of each case of ``mt_contraction_certificate``
+_CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
+          "first_strong": "strongly monotone Lipschitz heads"}
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,11 @@ def mt_relocator_lipschitz(delta, gamma, n_operators: int) -> MTLipschitzConstan
 class MTFamily(OperatorFamily):
     """Resolvent-splitting family on H^{N-1} for operators A1..AN.
 
-    The driver-facing dimension is ``(N-1) * space_dim``. No averagedness
-    constant is carried; diagnostics that need one use the contraction factor
-    (certified empirically through ``mt_contraction_certificate`` when the
-    structural hypotheses hold). ``dr.DRFamily`` is this family at N = 2 and
-    theta = 1, with its own averagedness, contraction factor and relocator constant.
+    The driver-facing dimension is ``(N-1) * space_dim``. When the structural hypotheses of
+    a case of ``mt_contraction_certificate`` hold, the regularity record carries its sampled
+    factor beta and the averagedness (beta + 1)/2 of a beta-contraction. ``dr.DRFamily`` is this
+    family at N = 2 and theta = 1, with its own regularity record and relocator constant.
     """
-
-    alpha = None
 
     def __init__(self, operators, theta: float = 0.5, gamma_interval: tuple[float, float] = (0.5, 2.0)):
         if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
@@ -110,7 +109,6 @@ class MTFamily(OperatorFamily):
         self.n_operators = len(operators)
         self.n_blocks = self.n_operators - 1
         self.dim = self.n_blocks * self.space_dim
-        self._beta = _UNSET
 
     def split_blocks(self, x) -> np.ndarray:
         """View a point ``(dim,)`` as ``(n_blocks, space_dim)``, a block of points
@@ -191,16 +189,14 @@ class MTFamily(OperatorFamily):
     def summability_bound(self, schedule):
         return mt_summability_bound(schedule, self.n_operators)
 
-    @property
-    def contraction_beta(self) -> float | None:
-        if self._beta is _UNSET:
-            self._beta = None
-            for case in ("last_strong", "first_strong"):
-                cert = mt_contraction_certificate(self, case)
-                if cert.valid:
-                    self._beta = cert.beta
-                    break
-        return self._beta
+    def missing_hypothesis(self):
+        holds = any(_case_holds(self.operators, case) for case in _CASES)
+        return "" if holds else "no contraction certificate without " + ", or ".join(_CASES.values())
+
+    def _build_regularity(self):
+        case = next(case for case in _CASES if _case_holds(self.operators, case))
+        beta = mt_contraction_certificate(self, case).beta
+        return Regularity(beta, "sampled", (beta + 1.0) / 2.0)
 
 
 #: Algorithm 2, the per-step form of the splitting (the z-chain from the
@@ -255,6 +251,14 @@ class ContractionCertificate:
     reason: str
 
 
+def _case_holds(operators, which_case: str) -> bool:
+    """Whether the structural hypotheses of a case of ``mt_contraction_certificate`` hold."""
+    *head, last = operators
+    strong = head if which_case == "first_strong" else [last]
+    return (all(getattr(op, "single_valued", False) and np.isfinite(getattr(op, "lip", np.inf)) for op in head)
+            and all(getattr(op, "mu", 0.0) > 0.0 for op in strong))
+
+
 def mt_contraction_certificate(
     fam: MTFamily,
     which_case: str,
@@ -277,27 +281,10 @@ def mt_contraction_certificate(
     """
     if n_pairs < 1 or n_gammas < 1:
         raise DomainError("n_pairs and n_gammas must be >= 1: no samples would certify beta = 0")
-    ops = fam.operators
-    head, last = ops[:-1], ops[-1]
-    if which_case == "last_strong":
-        structural = all(
-            getattr(op, "single_valued", False) and np.isfinite(getattr(op, "lip", np.inf))
-            for op in head
-        ) and getattr(last, "mu", 0.0) > 0.0
-        reason = "" if structural else "need Lipschitz single-valued heads and a strongly monotone tail"
-    elif which_case == "first_strong":
-        structural = all(
-            getattr(op, "single_valued", False)
-            and np.isfinite(getattr(op, "lip", np.inf))
-            and getattr(op, "mu", 0.0) > 0.0
-            for op in head
-        )
-        reason = "" if structural else "need strongly monotone Lipschitz heads"
-    else:
+    if which_case not in _CASES:
         raise DomainError(f"unknown case {which_case!r}")
-
-    if not structural:
-        return ContractionCertificate(False, None, which_case, reason)
+    if not _case_holds(fam.operators, which_case):
+        return ContractionCertificate(False, None, which_case, f"need {_CASES[which_case]}")
 
     rng = np.random.default_rng(seed)
     lo, hi = fam.gamma_interval

@@ -134,7 +134,7 @@ def test_criterion_04_contraction_factor():
 
 
 def test_criterion_05_error_bounds(dr5):
-    beta = dr5.contraction_beta
+    beta = dr5.regularity().beta
     rep_c = verify_error_bound(dr5, 1.0, 1.0 / (1.0 - beta), (-3, 3), 1000, 505)
     assert rep_c.violations == 0
 
@@ -150,7 +150,7 @@ def test_criterion_06_main_rate_theorem(dr10, run_with_columns):
     fam, sch = dr10
     x0 = np.zeros(fam.dim)
     result = verify_rate_theorem(fam, run_with_columns(fam, sch, x0, 300), burn_in=5)
-    beta_bar = fam.contraction_beta
+    beta_bar = fam.regularity().beta
     assert result.passed
     assert result.iterate_rate.fit_quality >= 0.95
     assert result.iterate_rate.r <= max(beta_bar, 0.5) + 0.05

@@ -89,8 +89,24 @@ def test_certificate_and_error_bound_spans_fire_and_restore():
         restore()
     assert status == 0
     spans = tracer.by_name()
-    assert "mt.certificate" in spans and "diagnostics.error_bound" in spans
+    # the family's one certificate case that holds is sampled, once
+    assert spans["mt.certificate"][0] == 1 and "diagnostics.error_bound" in spans
     assert (mt.mt_contraction_certificate, diagnostics.verify_error_bound) == originals
+
+
+def test_dr_contraction_beta_span_fires_once():
+    # dr.contraction_beta_s times DR's closed-form factor, which only the regularity record
+    # reads, once per family: a checks = all run, whose checks read the record, times it once
+    layers, Tracer = _perfbench()
+    tracer = Tracer()
+    restore = layers.instrument(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, records = cli.run_experiment(cli.build_config({**DR_SMALL, "checks": "all"}))
+    finally:
+        restore()
+    assert status == 0 and len(records) == 8
+    assert tracer.by_name()["dr.contraction_beta"][0] == 1
 
 
 DR_SMALL = {
@@ -219,6 +235,30 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
     assert _read_back(trace, "dist_to_fix", result.dist_rate) == "linear"
     expected = "linear" if workload.expected_checks["rate_theorem"] else "not-R-linear"
     assert _read_back(trace, "err_to_limit", result.iterate_rate) == expected
+
+
+@pytest.mark.parametrize("name, dim", [("dr-geo-d400", None), ("dr-geo-d400", "600"),
+                                       ("dr-skew-poly-d100", None)],
+                         ids=["dr-geo-d400", "dr-geo-d600", "dr-skew-poly-d100"])
+def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
+    # error_bound's samples count toward holding T_gamma* as one map whatever the checks, so
+    # the check list cannot switch a run between the map and the resolvent chain, whose
+    # iterates round differently
+    workload = _workloads().WORKLOADS[name]
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    mapping = cli.parse_config_file(workload.config_path)
+    rows = {}
+    for checks in ("all", "rate_theorem", "summability", "error_bound"):
+        trace = tmp_path / f"{checks}.csv"
+        overrides = {"checks": checks, "output.trace_path": str(trace)}
+        config = cli.build_config(mapping, {**overrides, **({"problem.dim": dim} if dim else {})})
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_experiment(config)
+        header, _fit_line, *lines = trace.read_text(encoding="utf-8").splitlines()
+        # every column but dist_to_fix, which a summability-only run leaves NaN
+        assert header.split(",")[3] == "dist_to_fix"
+        rows[checks] = [line.split(",", 4)[:3] + line.split(",", 4)[4:] for line in lines]
+    assert all(columns == rows["all"] for columns in rows.values())
 
 
 def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkeypatch, tmp_path):

@@ -161,11 +161,11 @@ class TestConfigParsing:
             cli.build_config(cli.parse_config_file(path))
 
     def test_inapplicable_check_rejected(self, tmp_path):
-        # the built family decides, before the run
+        # the built family decides, before the run, and the message says why
         path = write_config(tmp_path, SCALAR_CONFIG)
         config = cli.build_config(cli.parse_config_file(path), {"checks": "fix_decomposition"})
-        with pytest.raises(ConfigError, match="'fix_decomposition' is not applicable to "
-                                              "algorithm=scalar_counterexample problem.kind=None"):
+        with pytest.raises(ConfigError, match="^check 'fix_decomposition' is not applicable: "
+                                              "needs a resolvent chain$"):
             cli.run_experiment(config)
 
     def test_box_problem_restricted_to_summability(self, tmp_path):
@@ -175,7 +175,9 @@ class TestConfigParsing:
             cli.parse_config_file(path),
             {"problem.kind": "affine_plus_box", "checks": "rate_theorem"},
         )
-        with pytest.raises(ConfigError, match="'rate_theorem' is not applicable"):
+        with pytest.raises(ConfigError, match="^check 'rate_theorem' is not applicable: no contraction "
+                                              "certificate without a single-valued Lipschitz A1 "
+                                              "and a strongly monotone A2$"):
             cli.run_experiment(config)
         # "all" narrows to whatever applies
         config = cli.build_config(
@@ -688,6 +690,43 @@ class TestApplicableChecks:
         captured = capsys.readouterr()
         assert f"check '{check}' is not applicable" in captured.err and captured.out == ""
         assert not trace.exists()
+
+    @pytest.mark.parametrize(
+        "source, overrides, check, reason",
+        [("dr_spd_box", {}, "error_bound", "no contraction certificate without a single-valued "
+          "Lipschitz A1 and a strongly monotone A2"),
+         ("mt_psd", {}, "one_step", "no contraction certificate without Lipschitz single-valued "
+          "heads and a strongly monotone tail, or strongly monotone Lipschitz heads"),
+         (SCALAR_CONFIG, {}, "consensus", "needs a resolvent chain"),
+         (MT_CONFIG, {}, "fix_decomposition", "needs the two-operator splitting"),
+         (DR_CONFIG, {"problem.kind": "affine_skew_plus_strong"}, "fix_decomposition",
+          "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks")],
+        ids=["dr-custom_spd_box", "mt-custom_psd", "scalar", "mt", "dr-skew"],
+    )
+    def test_message_states_the_reason(self, tmp_path, capsys, source, overrides, check, reason):
+        # the missing hypothesis, the missing chain or splitting, or the benchmark pin; two
+        # custom_matrices files can differ in what applies, so the config's kind cannot say
+        path = _config_path(tmp_path, source)
+        argv = ["verify", path, "--set", f"checks={check}"]
+        assert cli.main(argv + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]) == 2
+        assert capsys.readouterr().err == f"config error ({path}): check '{check}' is not applicable: {reason}\n"
+
+    def test_summability_alone_computes_no_contraction_factor(self, tmp_path, monkeypatch):
+        # summability reads the relocator constants only; mt's sampled factor is computed on the
+        # first read of the regularity record, by a check that uses it
+        cases = []
+        real = mt.mt_contraction_certificate
+
+        def counting(family, which_case, *args, **kwargs):
+            cases.append(which_case)
+            return real(family, which_case, *args, **kwargs)
+
+        monkeypatch.setattr(mt, "mt_contraction_certificate", counting)
+        path = write_config(tmp_path, MT_BOX_D100)
+        assert cli.main(["verify", path, "--set", "checks=summability"]) == 0
+        assert cases == []
+        assert cli.main(["verify", path, "--set", "checks=summability,error_bound,one_step"]) == 0
+        assert cases == ["first_strong"]
 
     def test_readme_checks_table_names_every_check(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

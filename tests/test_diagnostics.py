@@ -142,7 +142,7 @@ class TestFixedPointOracle:
 
 class TestVerifyErrorBound:
     def test_contraction_constant(self, pd_pair_family):
-        beta = pd_pair_family.contraction_beta
+        beta = pd_pair_family.regularity().beta
         rep = verify_error_bound(pd_pair_family, 1.0, 1.0 / (1.0 - beta), (-3, 3), 1000, 5)
         assert rep.passed and rep.violations == 0
 
@@ -200,7 +200,7 @@ class TestBlockedErrorBound:
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
     def test_matches_the_per_sample_loop(self, family_name, negative, samples, request, monkeypatch):
         family = request.getfixturevalue(family_name)
-        kappa = 0.01 if negative else 1.0 / (1.0 - family.contraction_beta)
+        kappa = 0.01 if negative else 1.0 / (1.0 - family.regularity().beta)
         violations, worst = per_sample_error_bound(family, 1.0, kappa, (-3, 3), samples, 5)
         floats = []
         real_apply = type(family).apply
@@ -220,7 +220,7 @@ class TestBlockedErrorBound:
 
     def test_cached_fixed_point_runs_no_oracle(self, pd_pair_family, monkeypatch):
         # the family's line, certified once, serves the fixed point: no oracle, no residual apply
-        kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
+        kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
         cold = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
         calls = []
         real_oracle = diagnostics.fixed_point_oracle
@@ -240,7 +240,7 @@ class TestBlockedErrorBound:
 def per_row_one_step(family, trace, kappa):
     """(steps, violations, worst_ratio) as verify_one_step_contraction computed them
     before it took the relocator constants as one array: one call per row."""
-    alpha = family.alpha if family.alpha is not None else (family.contraction_beta + 1.0) / 2.0
+    alpha = family.regularity().alpha
     factor = float(np.sqrt(max(0.0, 1.0 - (1.0 - alpha) / (alpha * kappa**2))))
     dist = trace.dist_to_fix
     violations = 0
@@ -261,7 +261,7 @@ class TestVerifyOneStep:
         trace = relocated_iterate(family, geometric_schedule, np.ones(family.dim), 120)
         compute_distances(family, trace)
         # kappa = 0.1 makes the factor 0, so every row with a distance above 1e-9 violates
-        kappa = 0.1 if negative else 1.0 / (1.0 - family.contraction_beta)
+        kappa = 0.1 if negative else 1.0 / (1.0 - family.regularity().beta)
         steps, violations, worst = per_row_one_step(family, trace, kappa)
         rep = verify_one_step_contraction(family, trace, kappa)
         assert (rep.samples, rep.violations) == (steps, violations)
@@ -272,7 +272,7 @@ class TestVerifyOneStep:
         sch = StepsizeSchedule.constant(1.0, INTERVAL)
         trace = relocated_iterate(pd_pair_family, sch, np.ones(5), 80)
         compute_distances(pd_pair_family, trace)
-        kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
+        kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
         rep = verify_one_step_contraction(pd_pair_family, trace, kappa)
         assert rep.passed
 
@@ -286,7 +286,7 @@ class TestVerifyOneStep:
     def test_geometric_dr_run(self, pd_pair_family, geometric_schedule):
         trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 120)
         compute_distances(pd_pair_family, trace)
-        kappa = 1.0 / (1.0 - pd_pair_family.contraction_beta)
+        kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
         rep = verify_one_step_contraction(pd_pair_family, trace, kappa)
         assert rep.passed
         assert rep.worst_ratio < 1.0
@@ -338,6 +338,9 @@ class TestVerifyRateTheorem:
         x0 = np.random.default_rng(4).standard_normal(family.dim)
         trace = run_with_columns(family, geometric_schedule, x0, 250)
         dist, errs = trace.dist_to_fix.copy(), trace.err_to_limit.copy()
+        # the distance floor reads beta from the regularity record, which mt builds by sampling
+        # T_gamma on its first read: read it before T_gamma is patched
+        family.regularity()
 
         def recomputed(*args, **kwargs):
             raise AssertionError("verify_rate_theorem recomputed a column")
@@ -348,7 +351,7 @@ class TestVerifyRateTheorem:
         monkeypatch.setattr(type(family), "apply", recomputed)
         res = verify_rate_theorem(family, trace, burn_in=5)
         assert res.passed
-        floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.contraction_beta)
+        floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.regularity().beta)
         assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5, diagnostics.rounding_floor(trace.xs))
         assert res.dist_rate == diagnostics.fit_linear_rate(
             dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
@@ -365,7 +368,7 @@ class TestVerifyRateTheorem:
             pd_pair_family.fixed_point(gamma)
         assert verify_rate_theorem(pd_pair_family, trace, burn_in=5) == before
         line = pd_pair_family.fixed_point_line()
-        raised = 1e-9 * (1.0 - pd_pair_family.contraction_beta)
+        raised = 1e-9 * (1.0 - pd_pair_family.regularity().beta)
         monkeypatch.setattr(pd_pair_family, "_line", dataclasses.replace(line, residual_bound=raised))
         after = verify_rate_theorem(pd_pair_family, trace, burn_in=5)
         assert after.iterate_rate == before.iterate_rate

@@ -124,7 +124,7 @@ class TestAlgorithm1:
     def test_geometric_rate_bounded(self, pd_pair_family, geometric_schedule, run_with_columns):
         trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
         res = rs.verify_rate_theorem(pd_pair_family, trace, burn_in=5)
-        beta_bar = pd_pair_family.contraction_beta
+        beta_bar = pd_pair_family.regularity().beta
         assert res.passed
         assert res.iterate_rate.r <= max(beta_bar, geometric_schedule.r) + 0.05
 

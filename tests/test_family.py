@@ -383,7 +383,7 @@ class TestRelocatorLaws:
 class TestContractionRegularity:
     def test_contraction_implies_error_bound(self, pd_pair_family):
         # ||x - x_gamma|| <= ||x - T x|| / (1 - beta) on samples
-        beta = pd_pair_family.contraction_beta
+        beta = pd_pair_family.regularity().beta
         rng = np.random.default_rng(61)
         for gamma in (0.5, 1.0, 2.0):
             x_star = fixed_point_oracle(pd_pair_family, gamma, np.zeros(5))

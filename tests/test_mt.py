@@ -331,8 +331,8 @@ class TestContractionCertificate:
         fam = MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
         cert = mt_contraction_certificate(fam, "first_strong", n_pairs=400, n_gammas=5)
         assert cert.valid and cert.beta < 1.0
-        # the family-level marker picks this up too
-        assert fam.contraction_beta is not None
+        # the family's regularity record carries this factor, sampled
+        assert (fam.regularity().beta, fam.regularity().beta_source) == (cert.beta, "sampled")
 
     def test_unknown_case(self, mt3_family):
         with pytest.raises(DomainError):
@@ -357,7 +357,7 @@ class TestContractionCertificate:
             t0 = fam.apply(gamma, np.zeros(fam.dim))
             P = np.column_stack([fam.apply(gamma, e) - t0 for e in np.eye(fam.dim)])
             exact = max(exact, np.linalg.norm(P, 2))
-        assert fam.contraction_beta >= exact
+        assert fam.regularity().beta >= exact
 
 
 class TestRelocatorKeepsFixedSetsAligned:
