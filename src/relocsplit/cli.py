@@ -154,14 +154,8 @@ def _get(mapping, key, default=None, required=False):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
 
-#: checks that read exact distances or served fixed points
-_CONTRACTION_CHECKS = {
-    "error_bound",
-    "one_step",
-    "rate_theorem",
-    "relocator_bijection",
-    "gamma_lipschitz",
-}
+#: the checks that read the trace's ``dist_to_fix`` column
+_DISTANCE_CHECKS = {"one_step", "rate_theorem"}
 
 
 def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -593,7 +587,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, gamma_star, trace)
 
-    if _CONTRACTION_CHECKS & set(checks):
+    if _DISTANCE_CHECKS & set(checks):
         diagnostics.compute_distances(family, trace)
 
     if config.trace_path:

@@ -26,6 +26,7 @@ from .family import (
     block_sizes,
     relocated_iterate,  # noqa: F401 - unused; the benchmark wraps this name in a span
     same_bits,
+    vector_norm,
 )
 from .operators import AffineOperator, as_vector, inclusion_gaps
 
@@ -370,7 +371,7 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
         t = x if settled else family.apply(gamma, x)
         settled = same_bits(x, t)
         if floor_at is None:
-            resid = float(np.linalg.norm(x - t))
+            resid = vector_norm(x - t)
             if resid >= last:
                 floor_at = applied
             last = resid

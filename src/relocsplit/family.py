@@ -45,6 +45,13 @@ GAMMA_WIDE = (1e-8, 1e8)
 BLOCK_FLOATS = 16_384
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` for a 1-d float array, computed as numpy computes it (the
+    ravel, one dot product and a correctly rounded square root) without its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether two arrays hold the same bytes. Where T_gamma x is x in this sense, applying
     T_gamma again gives x again; equal values are not enough, since -0.0 == 0.0 yet the two
@@ -320,16 +327,22 @@ class OperatorFamily(abc.ABC):
 
         Returns a float for a scalar, the float array otherwise.
         """
-        g = np.asarray(gamma, dtype=float)
         lo, hi = self.gamma_interval
-        # the interval ends as initial values let an empty array pass
-        low, high = (g.min(initial=lo), g.max(initial=hi)) if g.ndim else (float(g),) * 2
+        if isinstance(gamma, float):  # np.float64 too: one stepsize, checked with no array made
+            g = low = high = float(gamma)
+        else:
+            g = np.asarray(gamma, dtype=float)
+            if g.ndim:
+                # the interval ends as initial values let an empty array pass
+                low, high = g.min(initial=lo), g.max(initial=hi)
+            else:
+                g = low = high = float(g)
         if low <= 0:
             raise NonPositiveStepsize(f"stepsize must be positive, got {low}")
         for value in (low, high):
             if not lo - 1e-12 <= value <= hi + 1e-12:
                 raise DomainError(f"gamma={value} outside family interval [{lo}, {hi}]")
-        return g if g.ndim else float(g)
+        return g
 
     def _set_interval(self, gamma_interval) -> None:
         lo, hi = float(gamma_interval[0]), float(gamma_interval[1])
@@ -428,13 +441,13 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     shadow = None
     n = 0
     while True:
-        size = float(np.linalg.norm(x))
-        if not np.isfinite(size) or size > DIVERGENCE_LIMIT:
+        size = vector_norm(x)
+        if not math.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
         t = family.apply(gams[n], x, shadow)
         xs[n] = x
         ts[n] = t
-        res[n] = float(np.linalg.norm(x - t))
+        res[n] = vector_norm(x - t)
         stop = n + 1
         if stop == rows:
             break

@@ -119,7 +119,7 @@ class MTFamily(OperatorFamily):
                 f"expected {self.n_blocks} blocks of size {self.space_dim} "
                 f"({self.dim} entries) per point, got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("block vector has non-finite coordinates")
         return x.reshape(x.shape[:-1] + (self.n_blocks, self.space_dim))
 
@@ -137,16 +137,19 @@ class MTFamily(OperatorFamily):
             return xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[0] + held[1]
         ops = self.operators
         K = self.n_blocks
-        lead = xb.shape[:-2]
-        z = np.empty(lead + (self.n_operators, self.space_dim))
-        z[..., 0, :] = ops[0].resolvent(gamma, xb[..., 0, :]) if shadow is None else shadow
+        xi = [xb[..., i, :] for i in range(K)]
+        z = [ops[0].resolvent(gamma, xi[0]) if shadow is None else shadow]
         for i in range(1, K):
-            z[..., i, :] = ops[i].resolvent(
-                gamma, z[..., i - 1, :] + xb[..., i, :] - xb[..., i - 1, :]
-            )
-        z[..., K, :] = ops[K].resolvent(gamma, z[..., 0, :] + z[..., K - 1, :] - xb[..., K - 1, :])
-        t = xb + self.theta * (z[..., 1:, :] - z[..., :-1, :])
-        return t.reshape(lead + (self.dim,))
+            z.append(ops[i].resolvent(gamma, z[i - 1] + xi[i] - xi[i - 1]))
+        z.append(ops[K].resolvent(gamma, z[0] + z[K - 1] - xi[K - 1]))
+        # block i of T_gamma x is x^i + theta (z^{i+1} - z^i), written in place
+        t = np.empty(xb.shape)
+        for i in range(K):
+            block = t[..., i, :]
+            np.subtract(z[i + 1], z[i], out=block)
+            block *= self.theta
+            block += xi[i]
+        return t.reshape(xb.shape[:-2] + (self.dim,))
 
     def relocate_from(self, delta, gamma, x):
         """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow; at delta == gamma

@@ -17,6 +17,7 @@ materialized as graphs.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
@@ -52,7 +53,7 @@ def as_points(x, dim: int) -> np.ndarray:
         raise DomainError(f"expected a point or a block of points, got shape {v.shape}")
     if v.shape[-1] != dim:
         raise DomainError(f"expected dimension {dim}, got {v.shape[-1]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DomainError("point has non-finite coordinates")
     return v
 
@@ -69,7 +70,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
+    if not math.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveStepsize(f"stepsize must be positive, got {gamma}")
     return gamma
 
@@ -143,6 +144,8 @@ class AffineOperator:
         self.mu = lo if lo > MONOTONE_EIG_TOL else 0.0
         self.lip = float(max(-lo, hi) if lip is None else lip)
         self._cond: float | None = None
+        #: ``(shift, scale, shift + scale * eigs)`` of the last eigenvalue solve
+        self._divisor: tuple[float, float, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -159,11 +162,15 @@ class AffineOperator:
 
         ``r`` is one right-hand side ``(d,)`` or a block of them ``(k, d)``,
         solved row by row; a block costs matrix-matrix products instead of k
-        matrix-vector ones.
+        matrix-vector ones. The divisor of the eigenvalue solve is kept for the last
+        ``(shift, scale)``: a run asks for one stepsize many times in a row.
         """
         if self._eig is not None:
             eigs, vecs = self._eig
-            return ((r @ vecs) / (shift + scale * eigs)) @ vecs.T
+            held = self._divisor
+            if held is None or held[0] != shift or held[1] != scale:
+                held = self._divisor = (shift, scale, shift + scale * eigs)
+            return ((r @ vecs) / held[2]) @ vecs.T
         T, Z, Zh = self._schur
         A = scale * T
         A[np.diag_indices_from(A)] += shift
@@ -249,7 +256,9 @@ class BoxNormalCone:
         return f"BoxNormalCone(dim={self.dim})"
 
     def project(self, x) -> np.ndarray:
-        return np.clip(as_points(x, self.dim), self.lower, self.upper)
+        # np.clip's result for a point, without its argument handling; x before the bound, so a
+        # tie between signed zeros gives the bound, as np.clip does
+        return np.minimum(np.maximum(as_points(x, self.dim), self.lower), self.upper)
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         _check_gamma(gamma)

@@ -238,12 +238,15 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("name, dim", [("dr-geo-d400", None), ("dr-geo-d400", "600"),
-                                       ("dr-skew-poly-d100", None)],
-                         ids=["dr-geo-d400", "dr-geo-d600", "dr-skew-poly-d100"])
+                                       ("dr-skew-poly-d100", None), ("mt-box-d100-n3", None),
+                                       ("mt-n4-d10", None)],
+                         ids=["dr-geo-d400", "dr-geo-d600", "dr-skew-poly-d100", "mt-box-d100-n3",
+                              "mt-n4-d10"])
 def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
     # error_bound's samples count toward holding T_gamma* as one map whatever the checks, so
     # the check list cannot switch a run between the map and the resolvent chain, whose
-    # iterates round differently
+    # iterates round differently; the mt configs hold no map (a box tail, N = 4) and run the
+    # chain on every row
     workload = _workloads().WORKLOADS[name]
     monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
     mapping = cli.parse_config_file(workload.config_path)

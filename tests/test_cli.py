@@ -711,9 +711,9 @@ class TestApplicableChecks:
         assert cli.main(argv + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]) == 2
         assert capsys.readouterr().err == f"config error ({path}): check '{check}' is not applicable: {reason}\n"
 
-    def test_summability_alone_computes_no_contraction_factor(self, tmp_path, monkeypatch):
-        # summability reads the relocator constants only; mt's sampled factor is computed on the
-        # first read of the regularity record, by a check that uses it
+    @staticmethod
+    def _certificate_cases(monkeypatch) -> list:
+        """The case of each ``mt_contraction_certificate`` call from here on."""
         cases = []
         real = mt.mt_contraction_certificate
 
@@ -722,11 +722,28 @@ class TestApplicableChecks:
             return real(family, which_case, *args, **kwargs)
 
         monkeypatch.setattr(mt, "mt_contraction_certificate", counting)
+        return cases
+
+    def test_summability_alone_computes_no_contraction_factor(self, tmp_path, monkeypatch):
+        # summability reads the relocator constants only; mt's sampled factor is computed on the
+        # first read of the regularity record, by a check that uses it
+        cases = self._certificate_cases(monkeypatch)
         path = write_config(tmp_path, MT_BOX_D100)
         assert cli.main(["verify", path, "--set", "checks=summability"]) == 0
         assert cases == []
         assert cli.main(["verify", path, "--set", "checks=summability,error_bound,one_step"]) == 0
         assert cases == ["first_strong"]
+
+    def test_trace_for_a_fixed_point_check_computes_no_contraction_factor(self, tmp_path, monkeypatch):
+        # gamma_lipschitz reads the fixed-point line and no beta; the trace fills dist_to_fix, whose
+        # floor reads beta, only for the checks that read that column
+        cases = self._certificate_cases(monkeypatch)
+        trace = tmp_path / "trace.csv"
+        path = write_config(tmp_path, MT_BOX_D100)
+        argv = ["run", path, "--set", "checks=gamma_lipschitz", "--set", f"output.trace_path={trace}"]
+        assert cli.main(argv) == 0
+        assert cases == []
+        assert trace.read_text(encoding="utf-8").splitlines()[1].startswith("# err_to_limit floor=")
 
     def test_readme_checks_table_names_every_check(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -236,6 +236,22 @@ class TestStepsizeArrays:
         with pytest.raises(NonPositiveStepsize):
             pd_pair_family.check_gamma(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, DomainError, "gamma=nan outside family interval [0.5, 2.0]"),
+        (np.inf, DomainError, "gamma=inf outside family interval [0.5, 2.0]"),
+        (-np.inf, NonPositiveStepsize, "stepsize must be positive, got -inf"),
+        (0.0, NonPositiveStepsize, "stepsize must be positive, got 0.0"),
+        (-1.5, NonPositiveStepsize, "stepsize must be positive, got -1.5"),
+        (2.5, DomainError, "gamma=2.5 outside family interval [0.5, 2.0]"),
+        (0.25, DomainError, "gamma=0.25 outside family interval [0.5, 2.0]"),
+    ])
+    def test_check_gamma_message_whatever_the_stepsize_type(self, pd_pair_family, bad, error, message):
+        # a float or np.float64 takes the scalar path, a 0-d or 1-d array the array path
+        for gamma in (float(bad), np.float64(bad), np.array(bad), np.array([bad])):
+            with pytest.raises(error) as info:
+                pd_pair_family.check_gamma(gamma)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family", "scalar_family"])
     def test_array_constants_match_scalar_calls_bitwise(self, family_name, request):
         family = request.getfixturevalue(family_name)

@@ -411,6 +411,16 @@ class TestBlocksOfPoints:
         with pytest.raises(DomainError):
             fam.apply(1.0, nan_row)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        fam = BLOCK_FAMILIES["n4"]()
+        point = np.zeros(fam.dim)
+        point[4] = bad
+        for x in (point, np.vstack([np.zeros(fam.dim), point])):
+            with pytest.raises(DomainError) as info:
+                fam.split_blocks(x)
+            assert str(info.value) == "block vector has non-finite coordinates"
+
 
 def per_pair_beta(fam, n_pairs, n_gammas, seed, sample_scale=3.0):
     """The sampled contraction factor as mt_contraction_certificate computed it
@@ -451,3 +461,51 @@ class TestBlockedCertificate:
         assert max(floats) <= BLOCK_FLOATS
         if 2 * n_pairs * fam.dim > BLOCK_FLOATS:
             assert len(floats) > 5
+
+
+def buffered_apply(fam, gamma, x, shadow=None):
+    """T_gamma x as MTFamily.apply computed it before it wrote T_gamma x in place: the N chain
+    values in one (..., N, space_dim) buffer, read and written through ellipsis slices."""
+    gamma = fam.check_gamma(gamma)
+    xb = fam.split_blocks(x)
+    ops, K = fam.operators, fam.n_blocks
+    lead = xb.shape[:-2]
+    z = np.empty(lead + (fam.n_operators, fam.space_dim))
+    z[..., 0, :] = ops[0].resolvent(gamma, xb[..., 0, :]) if shadow is None else shadow
+    for i in range(1, K):
+        z[..., i, :] = ops[i].resolvent(gamma, z[..., i - 1, :] + xb[..., i, :] - xb[..., i - 1, :])
+    z[..., K, :] = ops[K].resolvent(gamma, z[..., 0, :] + z[..., K - 1, :] - xb[..., K - 1, :])
+    t = xb + fam.theta * (z[..., 1:, :] - z[..., :-1, :])
+    return t.reshape(lead + (fam.dim,))
+
+
+def _chain_family(n_ops, tail, theta):
+    kind = "affine_plus_box" if tail == "box" else "affine_strongly_monotone"
+    ops = rs.generate_problem(kind, 5, 11, 0.5, 2.0, n_operators=n_ops, box_half_width=0.5)
+    if theta == 1.0:
+        return rs.DRFamily(*ops, INTERVAL)
+    return MTFamily(ops, theta=theta, gamma_interval=INTERVAL)
+
+
+class TestChainBitForBit:
+    """The chain writes each block of T_gamma x in place from separate chain values; its floats
+    are those of the buffered chain, byte for byte."""
+
+    @pytest.mark.parametrize("k", [None, 6], ids=["point", "block"])
+    @pytest.mark.parametrize("tail", ["affine", "box"])
+    # a theta that is no power of two rounds when it scales, so it pins the order of operations
+    @pytest.mark.parametrize("n_ops, theta", [(2, 1.0), (2, 0.5), (3, 0.3), (4, 0.7)],
+                             ids=["dr", "n2", "n3", "n4"])
+    def test_apply_matches_the_buffered_chain(self, n_ops, theta, tail, k):
+        fam = _chain_family(n_ops, tail, theta)
+        rng = np.random.default_rng(n_ops)
+        shadows = []
+        for gamma, delta in ((0.5, 1.3), (1.3, 1.3), (2.0, 0.7)):
+            x = 3 * rng.standard_normal(fam.dim if k is None else (k, fam.dim))
+            assert fam.apply(gamma, x).tobytes() == buffered_apply(fam, gamma, x).tobytes()
+            # the relocated point with its shadow, as relocated_iterate passes them (none at delta == gamma)
+            moved, shadow = fam.relocate_from(delta, gamma, x)
+            assert (fam.apply(delta, moved, shadow).tobytes()
+                    == buffered_apply(fam, delta, moved, shadow).tobytes())
+            shadows.append(shadow is not None)
+        assert shadows == [True, False, True]

@@ -366,3 +366,69 @@ class TestBlocksOfPoints:
         for bad in (np.zeros((2, 3, op.dim)), np.zeros((3, op.dim + 1)), nan_row):
             with pytest.raises(DomainError):
                 op.resolvent(1.0, bad)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestValidationForms:
+    """The checks on every resolvent's input, in their cheap forms, raise what they raised."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_as_points_rejects_non_finite_coordinates(self, bad):
+        point = np.array([1.0, bad, 0.0])
+        for x, dim in ((point, 3), (np.vstack([np.zeros(3), point]), 3), (bad, 1)):
+            with pytest.raises(DomainError) as info:
+                operators.as_points(x, dim)
+            assert str(info.value) == "point has non-finite coordinates"
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, NonPositiveStepsize, "stepsize must be positive, got nan"),
+        (np.inf, NonPositiveStepsize, "stepsize must be positive, got inf"),
+        (-np.inf, NonPositiveStepsize, "stepsize must be positive, got -inf"),
+        (0.0, NonPositiveStepsize, "stepsize must be positive, got 0.0"),
+        (-1.5, NonPositiveStepsize, "stepsize must be positive, got -1.5"),
+    ])
+    def test_check_gamma_message_whatever_the_scalar_type(self, bad, error, message):
+        for gamma in (float(bad), np.float64(bad), np.array(bad)):
+            with pytest.raises(error) as info:
+                operators._check_gamma(gamma)
+            assert str(info.value) == message
+        assert operators._check_gamma(np.array(1.5)) == 1.5
+
+
+def _solve_with_a_fresh_divisor(op, shift, scale, r):
+    """``AffineOperator._solve`` on the eigenvalue path with the divisor formed on every call."""
+    eigs, vecs = op._eig
+    return ((r @ vecs) / (shift + scale * eigs)) @ vecs.T
+
+
+class TestHeldDivisor:
+    def test_resolvent_and_inverse_match_a_fresh_divisor_bitwise(self):
+        op = symmetric_operator(7, 0.5, 2.0, np.random.default_rng(21))
+        X = 3 * np.random.default_rng(22).standard_normal((4, 7))
+        for gamma in (0.5, 0.5, 1.25, 0.5, 1.25):
+            for x in (X[0], X):
+                expected = _solve_with_a_fresh_divisor(op, 1.0, gamma, x - gamma * op.b)
+                assert op.resolvent(gamma, x).tobytes() == expected.tobytes()
+            expected = _solve_with_a_fresh_divisor(op, 0.0, 1.0, X - op.b)
+            assert op.inverse_apply(X).tobytes() == expected.tobytes()
+
+
+#: bounds and coordinates with the signed zeros and infinities a clamp must order like np.clip
+CLAMP_VALUES = np.array([-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+
+
+class TestBoxClamp:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
+    def test_resolvent_is_np_clip_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            lower, upper = np.sort(rng.choice(CLAMP_VALUES, size=(2, dim)), axis=0)
+            box = BoxNormalCone(lower, upper)
+            X = rng.choice(np.concatenate([CLAMP_VALUES[1:-1], [-1e300, 1e300]]), size=(5, dim))
+            # np.clip is the reference a point at a time: on a (k, 1) block it takes another loop,
+            # which breaks ties between signed zeros the other way
+            expected = np.vstack([np.clip(x, lower, upper) for x in X])
+            assert box.resolvent(1.0, X).tobytes() == expected.tobytes()
+            assert box.resolvent(2.0, X[0]).tobytes() == expected[0].tobytes()
