@@ -328,15 +328,12 @@ class OperatorFamily(abc.ABC):
         Returns a float for a scalar, the float array otherwise.
         """
         lo, hi = self.gamma_interval
-        if isinstance(gamma, float):  # np.float64 too: one stepsize, checked with no array made
+        # one stepsize; a float (np.float64 too) is checked with no array made
+        if isinstance(gamma, float) or (g := np.asarray(gamma, dtype=float)).ndim == 0:
             g = low = high = float(gamma)
         else:
-            g = np.asarray(gamma, dtype=float)
-            if g.ndim:
-                # the interval ends as initial values let an empty array pass
-                low, high = g.min(initial=lo), g.max(initial=hi)
-            else:
-                g = low = high = float(g)
+            # the interval ends as initial values let an empty array pass
+            low, high = g.min(initial=lo), g.max(initial=hi)
         if low <= 0:
             raise NonPositiveStepsize(f"stepsize must be positive, got {low}")
         for value in (low, high):

@@ -3,49 +3,43 @@ statuses, verdicts and outputs are compared."""
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import relocsplit.cli as cli
 
-_SPEC = importlib.util.spec_from_file_location(
-    "verdicts", Path(__file__).resolve().parent.parent / "tools" / "verdicts.py"
-)
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("verdicts", ROOT / "tools" / "verdicts.py")
 verdicts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(verdicts)
+
+# the benchmark's workloads, with each config's expected exit status and verdicts at seed 7
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    import workloads
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 
 def test_parse_seeds_reads_lists_and_ranges():
     assert verdicts.parse_seeds("1-3,7,9-9") == [1, 2, 3, 7, 9]
 
 
-#: each benchmark config's exit status and checks at seed 7; dr-skew-poly-d100 is the negative
-#: control, whose schedule has no R-linear rate
-SEED_7 = {
-    "dr-geo-d400": (0, "PASS" * 8),
-    "dr-skew-poly-d100": (1, "PASS" * 2 + "FAIL" + "PASS" * 4),
-    "mt-box-d100-n3": (0, "PASS" * 7),
-    "mt-n4-d10": (0, "PASS" * 7),
-}
-
-
-def test_every_config_has_a_seed_7_line():
-    assert sorted(path.stem for path in verdicts.CONFIGS.glob("*.cfg")) == sorted(SEED_7)
-
-
-@pytest.mark.parametrize("name", sorted(SEED_7))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_run_line_reports_exit_verdicts_and_digests(name, tmp_path, monkeypatch):
     # run_line sets the seed variable itself; setting it here first restores it afterwards
     monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-    config = verdicts.CONFIGS / f"{name}.cfg"
+    workload = workloads.WORKLOADS[name]
+    config = Path(workload.config_path)
     line = verdicts.run_line(cli, config, 7, str(tmp_path))
-    status, statuses = SEED_7[name]
     match = re.fullmatch(
-        rf"{name} seed=7 exit={status}((?: [a-z_]+=(?:PASS|FAIL):[0-9a-f]{{12}})+)"
-        r" report=[0-9a-f]{64} trace=[0-9a-f]{64}", line
+        rf"{name} seed=7 exit={workload.expected_exit}"
+        r"((?: [a-z_]+=(?:PASS|FAIL):[0-9a-f]{12})+) report=[0-9a-f]{64} trace=[0-9a-f]{64}", line
     )
     assert match, line
-    assert "".join(re.findall(r"=(PASS|FAIL):", match[1])) == statuses, line
+    checks = re.findall(r"([a-z_]+)=(PASS|FAIL):", match[1])
+    assert {check: status == "PASS" for check, status in checks} == workload.expected_checks, line
     # a config's line repeats byte for byte within a version: identical runs, identical outputs
     assert verdicts.run_line(cli, config, 7, str(tmp_path)) == line
