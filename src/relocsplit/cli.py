@@ -247,11 +247,11 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
 
 
 def build_family(config: ExperimentConfig):
-    """Instantiate the operator family (and its operator list) for a config."""
+    """Instantiate the operator family for a config."""
     interval = (config.schedule.gamma_low, config.schedule.gamma_high)
     if config.algorithm == "scalar_counterexample":
         try:
-            return ScalarShiftFamily(config.beta, interval), []
+            return ScalarShiftFamily(config.beta, interval)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
     ops = generate_problem(
@@ -268,8 +268,8 @@ def build_family(config: ExperimentConfig):
         raise ConfigError(f"dr needs exactly 2 operators, the problem defines {len(ops)}")
     try:
         if config.algorithm == "dr":
-            return DRFamily(ops[0], ops[1], interval), ops
-        return MTFamily(ops, theta=config.theta, gamma_interval=interval), ops
+            return DRFamily(ops[0], ops[1], interval)
+        return MTFamily(ops, theta=config.theta, gamma_interval=interval)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -456,14 +456,17 @@ CHECK_NAMES = tuple(_CHECK_RUNNERS)
 def _applicable_checks(family, problem_kind: str | None) -> dict[str, str]:
     """Why the built family does not support each check, in ``CHECK_NAMES`` order, or "" when
     it does: all but ``summability`` need the contraction hypotheses (``missing_hypothesis``,
-    which samples nothing), ``consensus`` a resolvent chain and ``fix_decomposition`` a DR pair."""
+    which samples nothing), ``consensus`` a resolvent chain, ``fix_decomposition`` a DR pair and
+    ``gamma_lipschitz`` two stepsizes to probe."""
     missing = family.missing_hypothesis()
     chain = "" if isinstance(family, MTFamily) else "needs a resolvent chain"
     split = chain or ("" if isinstance(family, DRFamily) else "needs the two-operator splitting")
     if not split and problem_kind == "affine_skew_plus_strong":
         # it PASSes there too; perfbench/workloads.py pins dr-skew-poly-d100 at 7 checks
         split = "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks"
-    gaps = {"consensus": chain, "fix_decomposition": split}
+    lo, hi = family.gamma_interval
+    probe = "" if lo < hi else "needs gamma_low < gamma_high: one stepsize gives no pair to probe"
+    gaps = {"consensus": chain, "fix_decomposition": split, "gamma_lipschitz": probe}
     return {c: "" if c == "summability" else missing or gaps.get(c, "") for c in CHECK_NAMES}
 
 
@@ -572,7 +575,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     The trace CSV is written only when ``config.trace_path`` is set and not empty;
     ``verify`` clears it and is otherwise this same run.
     """
-    family, _ops = build_family(config)
+    family = build_family(config)
     gaps = _applicable_checks(family, config.problem_kind)
     checks = [c for c, gap in gaps.items() if not gap] if config.checks is None else config.checks
     for c in checks:

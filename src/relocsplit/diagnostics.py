@@ -1,7 +1,7 @@
-"""Rate fitting, fixed points (a line per family; for a box tail, an active-set
-solve finished by one warm-started run of the plain-iteration oracle), and
-executable forms of the convergence guarantees: error bounds, the one-step
-distance contraction, and R-linear rate verification for relocated runs."""
+"""Rate fitting, fixed points (a line per family, gated by ``missing_hypothesis``; for a box
+tail, an active-set solve finished by one warm-started run of the plain-iteration oracle,
+which checks no hypothesis itself), and executable forms of the convergence guarantees: error
+bounds, the one-step distance contraction, and R-linear rate verification for relocated runs."""
 
 from __future__ import annotations
 
@@ -124,17 +124,14 @@ def fixed_point_oracle(
     x0,
     tol: float = 1e-13,
     max_iters: int = 10**6,
-    require_contraction: bool = True,
 ) -> np.ndarray:
     """Locate a fixed point of T_gamma by plain iteration to ||x - T x|| <= tol.
 
-    When the family's contraction hypotheses hold the target is the unique fixed point;
-    pass ``require_contraction=False`` to attempt the iteration anyway (it may not
-    converge; NoConvergence carries the last residual).
+    It checks no hypothesis: when the family's contraction hypotheses hold
+    (``missing_hypothesis``), the target is the unique fixed point; otherwise the iteration
+    may not converge, and NoConvergence carries the last residual.
     """
     family.check_gamma(gamma)
-    if require_contraction and (missing := family.missing_hypothesis()):
-        raise NonSingletonFix(missing)
     x = as_vector(x0, family.dim)
     last = np.inf
     for _ in range(max_iters):

@@ -9,8 +9,8 @@ and records per step the stepsize, the iterate, T_gamma of it and the residual,
 nothing else. A point is a fixed point when its measured
 residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
 fixed-point sets serves them from one line, certified once by a proven bound.
-A family of affine operators also holds T_gamma as one affine map for one
-stepsize (``affine_part``), which serves a run's constant-stepsize tail.
+A family may hold T_gamma as one affine map for one stepsize (``hold_affine_part``;
+``mt.MTFamily`` does for affine operators), which serves a run's constant-stepsize tail.
 """
 
 from __future__ import annotations
@@ -189,8 +189,6 @@ class OperatorFamily(abc.ABC):
     gamma_interval: tuple[float, float]
     _line: FixedPointLine | None = None
     _regularity: Regularity | None = None
-    #: the affine part held for one stepsize: ``(gamma, P^T, q)``
-    _affine: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def missing_hypothesis(self) -> str:
         """Why the family has no contraction certificate, or "" when its hypotheses hold: a
@@ -230,58 +228,10 @@ class OperatorFamily(abc.ABC):
         Stepsize arrays give the constants elementwise.
         """
 
-    def affine_part(self, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(P^T, q)`` with T_gamma x = x P^T + q for every row x, or None unless every operator
-        of the family is affine.
-
-        The map is formed on the first request at a stepsize and held until another stepsize is
-        asked for; ``apply`` at exactly that stepsize returns x P^T + q. q is T_gamma 0. The rows
-        of P^T are the family with every offset set to 0 (``_linear_family``) applied to the rows
-        of the identity, ``BLOCK_FLOATS`` floats at a time, so P^T is the one d x d array made.
-        Forming P as T_gamma I - T_gamma 0 instead would put q's rounding into every entry.
-        """
-        linear = self._linear_family()
-        if linear is None:
-            return None
-        gamma = self.check_gamma(gamma)
-        if self._affine is None or self._affine[0] != gamma:
-            self._affine = None  # let the old P^T go before the new one is made
-            q = self.apply(gamma, np.zeros(self.dim))
-            pt = np.zeros((self.dim, self.dim))
-            ends = np.cumsum([0, *block_sizes(self.dim, self.dim)])
-            for a, b in zip(ends, ends[1:]):
-                rows = pt[a:b]
-                rows[np.arange(b - a), np.arange(a, b)] = 1.0
-                rows[:] = linear.apply(gamma, rows)
-            self._affine = (gamma, pt, q)
-        return self._affine[1:]
-
     def hold_affine_part(self, gamma: float, evaluations: int) -> bool:
-        """Form and hold the affine part at gamma when that saves work over ``evaluations``
-        applies there; return whether it is held.
-
-        A row costs about ``_chain_cost()`` multiply-adds through the resolvent chain and
-        dim^2 through the map, and forming P^T costs dim rows of the chain. The map is formed
-        when the evaluations save at least that much. The count errs toward the chain: forming
-        runs blocks of rows, which cost less per row than a run's rows one at a time.
-        """
-        chain = self._chain_cost()
-        if chain is None or evaluations * (chain - self.dim**2) < self.dim * chain:
-            return False
-        return self.affine_part(gamma) is not None
-
-    def _chain_cost(self) -> int | None:
-        """Multiply-adds of one row of the resolvent chain, when the family has an affine part."""
-        return None
-
-    def _affine_at(self, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """The held ``(P^T, q)`` when it was formed at exactly ``gamma``, else None."""
-        held = self._affine
-        return held[1:] if held is not None and held[0] == gamma else None
-
-    def _linear_family(self) -> OperatorFamily | None:
-        """This family with every operator's offset set to 0, when every operator is affine."""
-        return None
+        """Whether T_gamma is held as one affine map for ``evaluations`` applies at gamma: never
+        here; ``MTFamily`` holds one where it saves work."""
+        return False
 
     def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
         """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply``."""
@@ -513,7 +463,7 @@ def summability_report(family: OperatorFamily, schedule: StepsizeSchedule, n_ter
     gams = schedule.gammas(n_terms + 1)
     sums = np.cumsum(family.relocator_lipschitz(gams[1:], gams[:-1]) - 1.0)
     k = max(1, n_terms // 10)
-    tail = float(sums[-1] - sums[-k - 1]) if k < n_terms else float(sums[-1])
+    tail = float(sums[-1] - sums[-k - 1])
     return SummabilityReport(sums, tail < 1e-10, tail)
 
 

@@ -32,6 +32,7 @@ from .errors import (
     CertificationFailed,
     ChainMismatch,
     DomainError,
+    NonSingletonFix,
 )
 from .family import OperatorFamily, Regularity, StepsizeSchedule, block_sizes, relocated_iterate
 from .operators import AffineOperator, inclusion_gaps
@@ -40,7 +41,7 @@ from .operators import AffineOperator, inclusion_gaps
 _THETA_MARGIN = 1e-6
 #: largest resolvent-chain residual ``mt_fixed_point_to_zero`` accepts at a fixed point
 CHAIN_TOL = 1e-7
-#: the structural hypotheses of each case of ``mt_contraction_certificate``
+#: the structural hypotheses under which T_gamma is a contraction, one entry per case
 _CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
           "first_strong": "strongly monotone Lipschitz heads"}
 
@@ -83,11 +84,15 @@ def mt_relocator_lipschitz(delta, gamma, n_operators: int) -> MTLipschitzConstan
 class MTFamily(OperatorFamily):
     """Resolvent-splitting family on H^{N-1} for operators A1..AN.
 
-    The driver-facing dimension is ``(N-1) * space_dim``. When the structural hypotheses of
-    a case of ``mt_contraction_certificate`` hold, the regularity record carries its sampled
-    factor beta and the averagedness (beta + 1)/2 of a beta-contraction. ``dr.DRFamily`` is this
-    family at N = 2 and theta = 1, with its own regularity record and relocator constant.
+    The driver-facing dimension is ``(N-1) * space_dim``. When the hypotheses of a contraction
+    case hold (``missing_hypothesis``), the regularity record carries the factor beta that
+    ``mt_contraction_certificate`` samples and the averagedness (beta + 1)/2 of a beta-contraction;
+    an all-affine family holds its ``affine_part``. ``dr.DRFamily`` is this family at N = 2 and
+    theta = 1, with its own regularity record and relocator constant.
     """
+
+    #: the affine part held for one stepsize: ``(gamma, P^T, q)``
+    _affine: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def __init__(self, operators, theta: float = 0.5, gamma_interval: tuple[float, float] = (0.5, 2.0)):
         if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
@@ -132,9 +137,9 @@ class MTFamily(OperatorFamily):
         """
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
-        held = self._affine_at(gamma)
-        if held is not None:
-            return xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[0] + held[1]
+        held = self._affine
+        if held is not None and held[0] == gamma:
+            return xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[1] + held[2]
         ops = self.operators
         K = self.n_blocks
         xi = [xb[..., i, :] for i in range(K)]
@@ -170,19 +175,44 @@ class MTFamily(OperatorFamily):
     def _fixed_point_line(self):
         return fixed_point_line(self, self.operators)
 
-    def _linear_family(self):
-        # a copy keeps the class and theta; it holds no affine part or line of its own
+    def affine_part(self, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(P^T, q)`` with T_gamma x = x P^T + q for every row x, or None unless every operator
+        is affine.
+
+        The map is formed on the first request at a stepsize and held until another stepsize is
+        asked for; ``apply`` at exactly that stepsize returns x P^T + q. q is T_gamma 0. The rows
+        of P^T are this family with every offset set to 0 applied to the rows of the identity,
+        ``BLOCK_FLOATS`` floats at a time, so P^T is the one d x d array made. Forming P as
+        T_gamma I - T_gamma 0 instead would put q's rounding into every entry.
+        """
         if not all(isinstance(op, AffineOperator) for op in self.operators):
             return None
-        linear = copy.copy(self)
-        linear.operators = [op.linear_part() for op in self.operators]
-        linear._affine = linear._line = None
-        return linear
+        gamma = self.check_gamma(gamma)
+        if self._affine is None or self._affine[0] != gamma:
+            self._affine = None  # let the old P^T go before the new one is made
+            # a copy keeps the class and theta, and now holds no affine part
+            linear = copy.copy(self)
+            linear.operators = [op.linear_part() for op in self.operators]
+            q = self.apply(gamma, np.zeros(self.dim))
+            pt = np.zeros((self.dim, self.dim))
+            ends = np.cumsum([0, *block_sizes(self.dim, self.dim)])
+            for a, b in zip(ends, ends[1:]):
+                rows = pt[a:b]
+                rows[np.arange(b - a), np.arange(a, b)] = 1.0
+                rows[:] = linear.apply(gamma, rows)
+            self._affine = (gamma, pt, q)
+        return self._affine[1:]
 
-    def _chain_cost(self):
-        # N resolvents, each two products in the space; the map's (N-1)^2 space_dim^2 is
-        # cheaper only for N <= 3
-        return 2 * self.n_operators * self.space_dim**2
+    def hold_affine_part(self, gamma, evaluations):
+        """Form and hold the affine part at gamma when that saves work over ``evaluations``
+        applies there; return whether it is held. A row costs about 2 N space_dim^2 multiply-adds
+        through the chain (N resolvents, two products each) and dim^2 through the map, and forming
+        P^T costs dim chain rows, so only N <= 3 can pay. The count errs toward the chain: forming
+        runs blocks of rows, which cost less per row than a run's rows one at a time."""
+        chain = 2 * self.n_operators * self.space_dim**2
+        if evaluations * (chain - self.dim**2) < self.dim * chain:
+            return False
+        return self.affine_part(gamma) is not None
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant
@@ -197,8 +227,7 @@ class MTFamily(OperatorFamily):
         return "" if holds else "no contraction certificate without " + ", or ".join(_CASES.values())
 
     def _build_regularity(self):
-        case = next(case for case in _CASES if _case_holds(self.operators, case))
-        beta = mt_contraction_certificate(self, case).beta
+        beta = mt_contraction_certificate(self)
         return Regularity(beta, "sampled", (beta + 1.0) / 2.0)
 
 
@@ -246,48 +275,34 @@ def mt_fixed_point_to_zero(fam: MTFamily, gamma: float, x) -> MTZeroCertificate:
     return MTZeroCertificate(z, sum(inclusion_gaps(ops, z)), chain)
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
-    valid: bool
-    beta: float | None
-    case: str
-    reason: str
-
-
-def _case_holds(operators, which_case: str) -> bool:
-    """Whether the structural hypotheses of a case of ``mt_contraction_certificate`` hold."""
+def _case_holds(operators, case: str) -> bool:
+    """Whether the structural hypotheses of a case in ``_CASES`` hold."""
     *head, last = operators
-    strong = head if which_case == "first_strong" else [last]
+    strong = head if case == "first_strong" else [last]
     return (all(getattr(op, "single_valued", False) and np.isfinite(getattr(op, "lip", np.inf)) for op in head)
             and all(getattr(op, "mu", 0.0) > 0.0 for op in strong))
 
 
 def mt_contraction_certificate(
     fam: MTFamily,
-    which_case: str,
     n_pairs: int = 400,
     n_gammas: int = 5,
     seed: int = 2024,
     sample_scale: float = 3.0,
-) -> ContractionCertificate:
-    """Check the structural contraction hypotheses and certify a factor by sampling.
-
-    Cases:
+) -> float:
+    """The contraction factor beta of a family whose structural hypotheses hold, by sampling;
+    NonSingletonFix with ``fam.missing_hypothesis()`` when they fail. Cases:
       "last_strong"   A1..A_{N-1} single-valued monotone Lipschitz, AN strongly monotone
       "first_strong"  A1..A_{N-1} strongly monotone Lipschitz, AN merely monotone
 
-    When the hypotheses hold, beta is the largest sampled ratio
-    ||T_gamma u - T_gamma v|| / ||u - v|| over a stepsize grid, the pairs
-    evaluated a block at a time (``relocsplit.family.BLOCK_FLOATS`` floats); a ratio at or
-    above 1 - 1e-6 raises CertificationFailed (theory forbids it). When they
-    fail, the certificate comes back with valid=False and no factor.
+    beta is the largest sampled ratio ||T_gamma u - T_gamma v|| / ||u - v|| over a stepsize
+    grid, the pairs evaluated a block at a time (``relocsplit.family.BLOCK_FLOATS`` floats); a
+    ratio at or above 1 - 1e-6 raises CertificationFailed (theory forbids it).
     """
     if n_pairs < 1 or n_gammas < 1:
         raise DomainError("n_pairs and n_gammas must be >= 1: no samples would certify beta = 0")
-    if which_case not in _CASES:
-        raise DomainError(f"unknown case {which_case!r}")
-    if not _case_holds(fam.operators, which_case):
-        return ContractionCertificate(False, None, which_case, f"need {_CASES[which_case]}")
+    if missing := fam.missing_hypothesis():
+        raise NonSingletonFix(missing)
 
     rng = np.random.default_rng(seed)
     lo, hi = fam.gamma_interval
@@ -305,7 +320,7 @@ def mt_contraction_certificate(
         raise CertificationFailed(
             f"sampled Lipschitz ratio {beta:.8f} is not a contraction despite the hypotheses"
         )
-    return ContractionCertificate(True, beta, which_case, "")
+    return beta
 
 
 def mt_summability_bound(schedule: StepsizeSchedule, n_operators: int) -> float:

@@ -340,7 +340,7 @@ class TestRunExperiment:
         assert status == 0 and [rec.name for rec in records] == ["rate_theorem"]
         # rate_theorem serves no point of its own: the line is certified at the two interval
         # ends, then serves the rows' points a block at a time
-        blocks = len(list(block_sizes(config.n_steps + 1, 3 * cli.build_family(config)[0].dim)))
+        blocks = len(list(block_sizes(config.n_steps + 1, 3 * cli.build_family(config).dim)))
         assert calls == {"relocated_iterate": 1, "limit_errors": 1, "compute_distances": 1,
                          "point": 2 + blocks}
 
@@ -430,7 +430,7 @@ class TestRunExperiment:
         config = cli.build_config(
             cli.parse_config_file(write_config(tmp_path, text)), {"checks": ",".join(checks)}
         )
-        family_type = type(cli.build_family(config)[0])
+        family_type = type(cli.build_family(config))
         _, records = cli.run_experiment(config)
         assert all(rec.passed for rec in records)
 
@@ -651,6 +651,13 @@ def _all_but(*names):
     return [c for c in cli.CHECK_NAMES if c not in names]
 
 
+def _one_stepsize(text):
+    """``text`` with a constant schedule that leaves out its interval, which is then [gamma*, gamma*]."""
+    lines = [line for line in text.splitlines()
+             if not line.startswith(("schedule.gamma_low", "schedule.gamma_high"))]
+    return "\n".join(lines).replace("schedule.kind = geometric", "schedule.kind = constant") + "\n"
+
+
 #: the checks "all" runs, in CHECK_NAMES order: (config source, overrides, checks)
 ALL_CHECKS = {
     "dr-strongly_monotone": (DR_CONFIG, {}, _all_but()),
@@ -663,6 +670,10 @@ ALL_CHECKS = {
     "dr-custom_nonsymmetric": ("dr_nonsymmetric", {}, _all_but()),
     "dr-custom_spd_box": ("dr_spd_box", {}, ["summability"]),
     "mt-custom_psd": ("mt_psd", {}, ["summability"]),
+    # one stepsize gives gamma_lipschitz no pair to probe
+    "dr-one_stepsize": (_one_stepsize(DR_CONFIG), {"n_steps": "100"}, _all_but("gamma_lipschitz")),
+    "mt-one_stepsize": (_one_stepsize(MT_CONFIG), {"n_steps": "100"},
+                        _all_but("fix_decomposition", "gamma_lipschitz")),
 }
 
 
@@ -700,49 +711,51 @@ class TestApplicableChecks:
          (SCALAR_CONFIG, {}, "consensus", "needs a resolvent chain"),
          (MT_CONFIG, {}, "fix_decomposition", "needs the two-operator splitting"),
          (DR_CONFIG, {"problem.kind": "affine_skew_plus_strong"}, "fix_decomposition",
-          "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks")],
-        ids=["dr-custom_spd_box", "mt-custom_psd", "scalar", "mt", "dr-skew"],
+          "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks"),
+         (_one_stepsize(DR_CONFIG), {}, "gamma_lipschitz",
+          "needs gamma_low < gamma_high: one stepsize gives no pair to probe")],
+        ids=["dr-custom_spd_box", "mt-custom_psd", "scalar", "mt", "dr-skew", "dr-one_stepsize"],
     )
     def test_message_states_the_reason(self, tmp_path, capsys, source, overrides, check, reason):
-        # the missing hypothesis, the missing chain or splitting, or the benchmark pin; two
-        # custom_matrices files can differ in what applies, so the config's kind cannot say
+        # the missing hypothesis, the missing chain, splitting or second stepsize, or the benchmark
+        # pin; two custom_matrices files can differ in what applies, so the config's kind cannot say
         path = _config_path(tmp_path, source)
         argv = ["verify", path, "--set", f"checks={check}"]
         assert cli.main(argv + [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]) == 2
         assert capsys.readouterr().err == f"config error ({path}): check '{check}' is not applicable: {reason}\n"
 
     @staticmethod
-    def _certificate_cases(monkeypatch) -> list:
-        """The case of each ``mt_contraction_certificate`` call from here on."""
-        cases = []
+    def _certificate_betas(monkeypatch) -> list:
+        """The beta of each ``mt_contraction_certificate`` call from here on."""
+        betas = []
         real = mt.mt_contraction_certificate
 
-        def counting(family, which_case, *args, **kwargs):
-            cases.append(which_case)
-            return real(family, which_case, *args, **kwargs)
+        def counting(family, *args, **kwargs):
+            betas.append(real(family, *args, **kwargs))
+            return betas[-1]
 
         monkeypatch.setattr(mt, "mt_contraction_certificate", counting)
-        return cases
+        return betas
 
     def test_summability_alone_computes_no_contraction_factor(self, tmp_path, monkeypatch):
         # summability reads the relocator constants only; mt's sampled factor is computed on the
         # first read of the regularity record, by a check that uses it
-        cases = self._certificate_cases(monkeypatch)
+        betas = self._certificate_betas(monkeypatch)
         path = write_config(tmp_path, MT_BOX_D100)
         assert cli.main(["verify", path, "--set", "checks=summability"]) == 0
-        assert cases == []
+        assert betas == []
         assert cli.main(["verify", path, "--set", "checks=summability,error_bound,one_step"]) == 0
-        assert cases == ["first_strong"]
+        assert len(betas) == 1 and 0.0 < betas[0] < 1.0
 
     def test_trace_for_a_fixed_point_check_computes_no_contraction_factor(self, tmp_path, monkeypatch):
         # gamma_lipschitz reads the fixed-point line and no beta; the trace fills dist_to_fix, whose
         # floor reads beta, only for the checks that read that column
-        cases = self._certificate_cases(monkeypatch)
+        betas = self._certificate_betas(monkeypatch)
         trace = tmp_path / "trace.csv"
         path = write_config(tmp_path, MT_BOX_D100)
         argv = ["run", path, "--set", "checks=gamma_lipschitz", "--set", f"output.trace_path={trace}"]
         assert cli.main(argv) == 0
-        assert cases == []
+        assert betas == []
         assert trace.read_text(encoding="utf-8").splitlines()[1].startswith("# err_to_limit floor=")
 
     def test_readme_checks_table_names_every_check(self):
@@ -767,7 +780,7 @@ class TestConsensus:
         # x_n, about 1e-16 (1 + ||x_n||), which the relative 1e-12 cannot absorb near the floor
         text, overrides = CONSENSUS_RUNS[name]
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
-        family, _ = cli.build_family(config)
+        family = cli.build_family(config)
         trace = cli.relocated_iterate(
             family, config.schedule, cli._initial_point(config, family), config.n_steps
         )
@@ -790,7 +803,7 @@ class TestConsensus:
         # below the run's floor must not move the fitted envelope constant
         text, overrides = CONSENSUS_RUNS[name]
         config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
-        family, _ = cli.build_family(config)
+        family = cli.build_family(config)
         trace = cli.relocated_iterate(
             family, config.schedule, cli._initial_point(config, family), config.n_steps
         )
@@ -827,7 +840,7 @@ class TestTraceCsv:
         config = cli.build_config(
             cli.parse_config_file(path), {"checks": "", "n_steps": "50"}
         )
-        family, _ = cli.build_family(config)
+        family = cli.build_family(config)
         x0 = cli._initial_point(config, family)
         trace = cli.relocated_iterate(family, config.schedule, x0, config.n_steps)
         diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
@@ -845,7 +858,7 @@ class TestTraceCsv:
         # the file keeps x_n and gamma_n, and T_{gamma_n} at x_n gives back w_n = t_of_x[n]
         path = write_config(tmp_path, text, extra=f"output.trace_path = {tmp_path}/t.csv\n")
         config = cli.build_config(cli.parse_config_file(path), {"checks": "", "n_steps": "60"})
-        family, _ = cli.build_family(config)
+        family = cli.build_family(config)
         trace = cli.relocated_iterate(family, config.schedule, cli._initial_point(config, family), 60)
         diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
         cli.write_trace_csv(config.trace_path, trace, family)

@@ -127,13 +127,6 @@ class TestFixedPointOracle:
         spread = max(np.linalg.norm(p - points[0]) for p in points)
         assert spread <= 1e-10
 
-    def test_requires_contraction_marker(self):
-        box_fam = rs.DRFamily(
-            rs.AffineOperator(np.eye(2)), rs.BoxNormalCone([-1.0, -1.0], [1.0, 1.0]), INTERVAL
-        )
-        with pytest.raises(NonSingletonFix):
-            fixed_point_oracle(box_fam, 1.0, np.zeros(2))
-
     def test_no_convergence_reports_residual(self, pd_pair_family):
         with pytest.raises(NoConvergence) as exc:
             fixed_point_oracle(pd_pair_family, 1.0, np.ones(5) * 100, tol=1e-13, max_iters=3)

@@ -54,9 +54,13 @@ class TestApply:
         assert isinstance(pd_pair_family, MTFamily)
         assert (pd_pair_family.n_operators, pd_pair_family.theta) == (2, 1.0)
         assert pd_pair_family.operators == [pd_pair_family.a1, pd_pair_family.a2]
-        # the linear family behind the held affine part is the same splitting
-        linear = pd_pair_family._linear_family()
-        assert type(linear) is DRFamily and linear.theta == 1.0
+        # the held affine part's P^T is the same splitting with every offset 0, applied to the
+        # identity's rows
+        a1, a2 = pd_pair_family.a1, pd_pair_family.a2
+        linear = DRFamily(a1.linear_part(), a2.linear_part(), pd_pair_family.gamma_interval)
+        pt, q = DRFamily(a1, a2, pd_pair_family.gamma_interval).affine_part(1.0)
+        assert np.array_equal(pt, linear.apply(1.0, np.eye(pd_pair_family.dim)))
+        assert np.array_equal(q, pd_pair_family.apply(1.0, np.zeros(pd_pair_family.dim)))
 
 
 class TestRelocate:
@@ -287,7 +291,7 @@ class TestFixDecomposition:
         box = BoxNormalCone(-np.ones(2) * 5, np.ones(2) * 5)
         a1 = AffineOperator(np.eye(2), np.array([0.3, -0.2]))
         fam = DRFamily(a1, box, INTERVAL)
-        x = fixed_point_oracle(fam, 1.0, np.zeros(2), require_contraction=False)
+        x = fixed_point_oracle(fam, 1.0, np.zeros(2))
         with pytest.raises(UnsupportedOperator):
             fix_decomposition_check(fam, 1.0, x)
 
@@ -296,8 +300,7 @@ class TestFixDecomposition:
         a1 = AffineOperator(np.eye(2), np.array([0.4, -0.1]))
         a2 = AffineOperator(np.diag([1.0, 0.0]), np.array([-0.2, 0.0]))
         fam = DRFamily(a1, a2, INTERVAL)
-        x = fixed_point_oracle(fam, 1.0, np.zeros(2), require_contraction=False,
-                               tol=1e-12, max_iters=200_000)
+        x = fixed_point_oracle(fam, 1.0, np.zeros(2), tol=1e-12, max_iters=200_000)
         fd = fix_decomposition_check(fam, 1.0, x)
         assert not fd.dual_checked
         assert np.isnan(fd.dual_residual)

@@ -12,7 +12,6 @@ RESULT_RECORDS = [
     ("dr", "PrimalDualSequences"),
     ("family", "GammaLipschitzProbe"),
     ("family", "SummabilityReport"),
-    ("mt", "ContractionCertificate"),
     ("mt", "MTLipschitzConstants"),
     ("mt", "MTZeroCertificate"),
 ]

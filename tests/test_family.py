@@ -499,13 +499,14 @@ class TestAffinePart:
         families = [
             rs.MTFamily(box_ops, 0.5, INTERVAL),
             rs.DRFamily(box_ops[0], box, INTERVAL),
-            ScalarShiftFamily(0.5, INTERVAL),
         ]
         x = np.linspace(-1.0, 1.0, 4)
         for family in families:
             assert family.affine_part(1.0) is None
             assert not family.hold_affine_part(1.0, 10**6)
             assert family._affine is None
+        # a family that is no resolvent chain holds no map, however many evaluations
+        assert not ScalarShiftFamily(0.5, INTERVAL).hold_affine_part(1.0, 10**6)
         # a box family's run keeps the resolvent chain at its constant tail
         schedule = StepsizeSchedule.constant(1.0, INTERVAL)
         trace = relocated_iterate(families[0], schedule, np.tile(x, 2), 5)
@@ -521,7 +522,7 @@ class TestAffinePart:
         for evaluations in (0, 6, 7, 17, 18, 10**6):
             pays = pays_from is not None and evaluations >= pays_from
             assert family.hold_affine_part(1.0, evaluations) == pays
-            assert (family._affine_at(1.0) is not None) == pays
+            assert (family._affine is not None) == pays
 
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
     def test_another_stepsize_replaces_the_held_map(self, family_name, request):
@@ -598,7 +599,7 @@ class TestAffineRounding:
 
         seeds = range(1, 13)
         affine = np.mean([misfit(seed) for seed in seeds])
-        monkeypatch.setattr(OperatorFamily, "affine_part", lambda self, gamma: None)
+        monkeypatch.setattr(rs.MTFamily, "affine_part", lambda self, gamma: None)
         chain = np.mean([misfit(seed) for seed in seeds])
         assert affine <= chain
 

@@ -15,7 +15,7 @@ from relocsplit import (
     mt_relocator_lipschitz,
 )
 from relocsplit.diagnostics import fixed_point_oracle
-from relocsplit.errors import BadBlockCount, DomainError, NotAFixedPoint
+from relocsplit.errors import BadBlockCount, DomainError, NonSingletonFix, NotAFixedPoint
 from relocsplit.family import BLOCK_FLOATS, relocated_iterate
 
 INTERVAL = (0.5, 2.0)
@@ -295,8 +295,7 @@ class TestFixedPointToZero:
         a1 = AffineOperator(np.eye(2), np.array([1.7, -0.2]))
         box = BoxNormalCone(-np.ones(2), np.ones(2))
         fam = MTFamily([a1, box], theta=0.5, gamma_interval=INTERVAL)
-        x = fixed_point_oracle(fam, 1.0, np.zeros(2), require_contraction=False,
-                               tol=1e-13, max_iters=500_000)
+        x = fixed_point_oracle(fam, 1.0, np.zeros(2), tol=1e-13, max_iters=500_000)
         cert = mt_fixed_point_to_zero(fam, 1.0, x)
         # unconstrained zero (-1.7, 0.2) leaves the box; face at z1 = -1
         assert cert.z[0] == pytest.approx(-1.0, abs=1e-7)
@@ -313,36 +312,32 @@ class TestContractionCertificate:
         a1 = rs.skew_operator(2, 1.0, rng)
         a2 = AffineOperator(2 * np.eye(2))
         fam = MTFamily([a1, a2], theta=0.5, gamma_interval=INTERVAL)
-        cert = mt_contraction_certificate(fam, "last_strong", n_pairs=400, n_gammas=5)
-        assert cert.valid
-        assert cert.beta is not None and cert.beta < 1.0
+        beta = mt_contraction_certificate(fam, n_pairs=400, n_gammas=5)
+        assert 0.0 < beta < 1.0
 
     def test_zero_operators_fail_hypotheses(self):
-        fam = zeros_family(3)
-        for case in ("last_strong", "first_strong"):
-            cert = mt_contraction_certificate(fam, case)
-            assert not cert.valid
-            assert cert.beta is None
+        # the certificate gates on the family's one hypothesis read, and raises its reason
+        box = BoxNormalCone(-np.ones(2), np.ones(2))
+        for fam in (zeros_family(3), rs.DRFamily(AffineOperator(np.eye(2)), box, INTERVAL)):
+            with pytest.raises(NonSingletonFix) as info:
+                mt_contraction_certificate(fam)
+            assert fam.missing_hypothesis() and str(info.value) == fam.missing_hypothesis()
 
     def test_strong_heads_box_tail(self):
         rng = np.random.default_rng(18)
         ops = [rs.symmetric_operator(2, 0.5, 2.0, rng) for _ in range(2)]
         ops.append(BoxNormalCone(-np.ones(2), np.ones(2)))
         fam = MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
-        cert = mt_contraction_certificate(fam, "first_strong", n_pairs=400, n_gammas=5)
-        assert cert.valid and cert.beta < 1.0
+        beta = mt_contraction_certificate(fam, n_pairs=400, n_gammas=5)
+        assert beta < 1.0
         # the family's regularity record carries this factor, sampled
-        assert (fam.regularity().beta, fam.regularity().beta_source) == (cert.beta, "sampled")
-
-    def test_unknown_case(self, mt3_family):
-        with pytest.raises(DomainError):
-            mt_contraction_certificate(mt3_family, "middle_strong")
+        assert (fam.regularity().beta, fam.regularity().beta_source) == (beta, "sampled")
 
     @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_gammas": 0}, {"n_pairs": -1}])
     def test_no_samples_is_an_error(self, mt3_family, counts):
         # no sampled pair bounds no factor; beta = 0 must not come back as certified
         with pytest.raises(DomainError):
-            mt_contraction_certificate(mt3_family, "first_strong", **counts)
+            mt_contraction_certificate(mt3_family, **counts)
 
     @pytest.mark.xfail(strict=True, reason="a sampled Lipschitz ratio is not an upper bound on "
                        "the contraction factor; the certificate is not yet exact")
@@ -454,9 +449,8 @@ class TestBlockedCertificate:
             return real_apply(self, gamma, x)
 
         monkeypatch.setattr(MTFamily, "apply", recording)
-        cert = mt_contraction_certificate(fam, "first_strong", n_pairs=n_pairs, n_gammas=5)
-        assert cert.valid
-        assert abs(cert.beta - expected) <= 1e-12 * expected
+        beta = mt_contraction_certificate(fam, n_pairs=n_pairs, n_gammas=5)
+        assert abs(beta - expected) <= 1e-12 * expected
         assert sum(floats) == 5 * n_pairs * 2 * fam.dim
         assert max(floats) <= BLOCK_FLOATS
         if 2 * n_pairs * fam.dim > BLOCK_FLOATS:
