@@ -363,8 +363,6 @@ def _check_fix_decomposition(config: ExperimentConfig, family, trace: IterateTra
     lo, hi = family.gamma_interval
     gamma_a = config.schedule.gamma_star
     gamma_b = hi if abs(hi - gamma_a) > abs(lo - gamma_a) else lo
-    if gamma_a == gamma_b:
-        gamma_b = 0.5 * (lo + hi)
     ok = True
     worst = 0.0
     for gamma in (gamma_a, gamma_b):
@@ -456,8 +454,8 @@ CHECK_NAMES = tuple(_CHECK_RUNNERS)
 def _applicable_checks(family, problem_kind: str | None) -> dict[str, str]:
     """Why the built family does not support each check, in ``CHECK_NAMES`` order, or "" when
     it does: all but ``summability`` need the contraction hypotheses (``missing_hypothesis``,
-    which samples nothing), ``consensus`` a resolvent chain, ``fix_decomposition`` a DR pair and
-    ``gamma_lipschitz`` two stepsizes to probe."""
+    which samples nothing), ``consensus`` a resolvent chain, ``fix_decomposition`` a DR pair, and
+    ``gamma_lipschitz`` and ``relocator_bijection`` two stepsizes."""
     missing = family.missing_hypothesis()
     chain = "" if isinstance(family, MTFamily) else "needs a resolvent chain"
     split = chain or ("" if isinstance(family, DRFamily) else "needs the two-operator splitting")
@@ -466,7 +464,7 @@ def _applicable_checks(family, problem_kind: str | None) -> dict[str, str]:
         split = "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks"
     lo, hi = family.gamma_interval
     probe = "" if lo < hi else "needs gamma_low < gamma_high: one stepsize gives no pair to probe"
-    gaps = {"consensus": chain, "fix_decomposition": split, "gamma_lipschitz": probe}
+    gaps = dict(consensus=chain, fix_decomposition=split, gamma_lipschitz=probe, relocator_bijection=probe)
     return {c: "" if c == "summability" else missing or gaps.get(c, "") for c in CHECK_NAMES}
 
 
@@ -503,36 +501,15 @@ def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
             fh.write(lead_fmt % tuple(head) + x_text)
 
 
-def read_fit_line(path: str, column: str) -> tuple[float, int] | None:
-    """The floor and burn-in with which rate_theorem fits ``column``, from the trace's FIT_LINES
-    line; None for a column rate_theorem does not fit, or a trace without the line.
+def read_trace_csv(path: str, column: str) -> tuple[np.ndarray, tuple[float, int] | None]:
+    """The named column of a trace CSV, the only one parsed, and the floor and burn-in with which
+    rate_theorem fits it, from the trace's FIT_LINES line: None for a column rate_theorem does not
+    fit, or a trace without the line. One pass over the file reads both.
 
-    A malformed line, or a floor that is not a positive finite number, raises ConfigError.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        line = fh.readline()
-    words = line[2:].split() if line.startswith("# ") else []
-    if column not in FIT_LINES or not words or words[0] not in FIT_LINES:
-        return None
-    try:
-        fields = dict(word.split("=", 1) for word in words[1:])
-        burn_in = int(fields["burn_in"])
-        floor = float(fields["floor" if column == words[0] else f"{column}_floor"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}:2: bad fit line {line.strip()!r}") from exc
-    if not 0.0 < floor < math.inf:
-        raise ConfigError(f"{path}:2: fit floor {floor!r} is not a positive finite number")
-    return floor, burn_in
-
-
-def read_trace_csv(path: str, column: str) -> np.ndarray:
-    """The named column of a trace CSV; only that column is parsed.
-
-    Empty lines and ``#`` comments are skipped, as np.loadtxt skips them. A
-    missing column, a row whose field count differs from the header's, or a
-    non-numeric or non-finite value in the column raises ConfigError; the
-    message names the file, the line of the first bad row and the column.
+    Empty lines and ``#`` comments are skipped, as np.loadtxt skips them. A missing column, a row
+    whose field count differs from the header's, or a non-numeric or non-finite value in the column
+    raises ConfigError naming the file, the line of the first bad row and the column; after them,
+    so does a malformed fit line, or a floor on it that is not a positive finite number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -540,7 +517,10 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
             raise ConfigError(f"no column {column!r} in {path}")
         idx = header.index(column)
         values = []
+        fit_line = ""
         for lineno, line in enumerate(fh, 2):
+            if lineno == 2:
+                fit_line = line
             data = line.split("#", 1)[0].rstrip("\r\n")
             if not data:
                 continue
@@ -558,7 +538,18 @@ def read_trace_csv(path: str, column: str) -> np.ndarray:
                 # a column no requested check filled is written as NaN
                 raise ConfigError(f"{path}:{lineno}: column {column!r} holds {field!r}, not a finite number")
             values.append(value)
-    return np.array(values)
+    words = fit_line[2:].split() if fit_line.startswith("# ") else []
+    if column not in FIT_LINES or not words or words[0] not in FIT_LINES:
+        return np.array(values), None
+    try:
+        fields = dict(word.split("=", 1) for word in words[1:])
+        burn_in = int(fields["burn_in"])
+        floor = float(fields["floor" if column == words[0] else f"{column}_floor"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}:2: bad fit line {fit_line.strip()!r}") from exc
+    if not 0.0 < floor < math.inf:
+        raise ConfigError(f"{path}:2: fit floor {floor!r} is not a positive finite number")
+    return np.array(values), (floor, burn_in)
 
 
 def format_report(records: list[CheckRecord]) -> str:
@@ -667,8 +658,7 @@ def main(argv=None) -> int:
 
     if args.command == "rate":
         try:
-            values = read_trace_csv(args.trace, args.column)
-            fit = read_fit_line(args.trace, args.column)
+            values, fit = read_trace_csv(args.trace, args.column)
             floor, burn = fit or (diagnostics.FLOAT_FLOOR, default_burn_in(len(values)))
             if args.burn_in is not None:
                 burn = args.burn_in

@@ -1,7 +1,7 @@
-"""Rate fitting, fixed points (a line per family, gated by ``missing_hypothesis``; for a box
-tail, an active-set solve finished by one warm-started run of the plain-iteration oracle,
-which checks no hypothesis itself), and executable forms of the convergence guarantees: error
-bounds, the one-step distance contraction, and R-linear rate verification for relocated runs."""
+"""Rate fitting, distances to a family's fixed-point line (``mt.MTFamily`` builds it), a run's
+limit, the plain-iteration fixed-point oracle, which checks no hypothesis itself, and executable
+forms of the convergence guarantees: error bounds, the one-step distance contraction, and
+R-linear rate verification for relocated runs."""
 
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MissingDistances,
-    NoConvergence,
-    NonSingletonFix,
-    TooFewSamples,
-    UnsupportedOperator,
-)
+from .errors import DomainError, MissingDistances, NoConvergence, TooFewSamples
 from .family import (
     DIVERGENCE_LIMIT,
     FixedPointLine,
@@ -28,7 +21,7 @@ from .family import (
     same_bits,
     vector_norm,
 )
-from .operators import AffineOperator, as_vector, inclusion_gaps
+from .operators import as_vector
 
 #: below this, floating-point rounding destroys log-linearity
 FLOAT_FLOOR = 1e-14
@@ -42,8 +35,6 @@ MIN_FIT_SAMPLES = 20
 FIT_QUALITY_GATE = 0.9
 #: points past the rounding floor averaged into a run's limit
 LIMIT_WINDOW = 5
-#: passes the active-set solve for a box tail's zero makes at most
-ACTIVE_SET_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -147,83 +138,6 @@ def fixed_point_oracle(
         f"residual {last:.3e} above {tol:.1e} after {max_iters} iterations",
         last_residual=last,
     )
-
-
-def box_zero_guess(M, b, box, step: float) -> np.ndarray:
-    """Guess the z with 0 in M z + b + N_C(z), C the box, by a primal-dual active-set loop
-    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13 (2002) 865-888).
-
-    From z = 0, each pass takes g = z - step (M z + b), pins z to the upper bound where g lies
-    above it and to the lower bound where g lies below it, and solves the free rows of
-    M z + b = 0 for the free coordinates. When a pass finds the active set of the pass before,
-    z solves the inclusion. The loop stops at the first active set seen before, which a cycle
-    also reaches, or after ACTIVE_SET_PASSES passes; what it returns is a guess, which
-    ``fixed_point_line`` hands to the oracle.
-    """
-    z = np.zeros_like(b)
-    seen = set()
-    for _ in range(ACTIVE_SET_PASSES):
-        g = z - step * (M @ z + b)
-        upper, lower = g > box.upper, g < box.lower
-        key = (upper.tobytes(), lower.tobytes())
-        if key in seen:
-            break
-        seen.add(key)
-        z = np.where(upper, box.upper, np.where(lower, box.lower, 0.0))
-        free = ~(upper | lower)
-        # z is 0 on the free coordinates, so M[free] @ z is the pinned coordinates' share
-        z[free] = np.linalg.solve(M[np.ix_(free, free)], -b[free] - M[free] @ z)
-    return z
-
-
-def _line_through(head, z) -> tuple[np.ndarray, np.ndarray]:
-    """The offset and slope of the fixed-point line through the zero z: block i of the
-    offset is z, block i of the slope A1 z + ... + Ai z."""
-    return np.tile(z, len(head)), np.cumsum([op(z) for op in head], axis=0).ravel()
-
-
-def fixed_point_line(family: OperatorFamily, operators) -> FixedPointLine:
-    """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs the contraction hypotheses.
-
-    A fixed point encodes a zero z* of A1 + ... + AN: block i < N is z* + gamma s_i, s_i =
-    A1 z* + ... + Ai z* (N = 2 for the two-operator splitting). Affine operators give z* by one
-    linear solve. With a box last, an active-set solve (``box_zero_guess``), finished by one
-    warm-started oracle run, gives it: the oracle starts from the line's point at the low
-    stepsize through the solve's z, and z* is J_{gamma A1} x^1 of the oracle's x. The slope
-    comes from the operators, never from the relocator the checks test.
-
-    The bound: on the line each resolvent of the chain but the last returns z*, and the last
-    is y = J_{gamma AN}(z* - gamma s_{N-1}), with ||x - T_gamma x|| = theta ||y - z*|| (theta = 1
-    for the two-operator splitting). For a box AN = N_C take p in C and w in N_C(p) from
-    ``operators.inclusion_gaps``, so that P_C(p + gamma w) = p; for a single-valued AN take
-    p = z* and w = AN z*, so that J_{gamma AN}(p + gamma w) = p. With r = s_{N-1} + w, the
-    inclusion residual, nonexpansiveness gives ||y - z*|| <= ||z* - p|| + ||(z* - p) - gamma r||.
-    Forming x in floats moves it by at most eps (||offset|| + gamma ||slope||), and I - T_gamma
-    is 2-Lipschitz. So, with T_gamma and the A_i z* evaluated exactly, for gamma <= gamma_hi
-
-        ||x - T_gamma x|| <= theta (2 ||z* - p|| + gamma_hi ||r||)
-                             + 2 eps (||offset|| + gamma_hi ||slope||).
-    """
-    if missing := family.missing_hypothesis():
-        raise NonSingletonFix(missing)
-    *head, tail = operators
-    if not all(callable(op) for op in head):
-        raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
-    # the hypotheses make the symmetric part of the summed M positive definite
-    if all(isinstance(op, AffineOperator) for op in operators):
-        z = np.linalg.solve(sum(op.M for op in operators), -sum(op.b for op in operators))
-    else:
-        gamma = family.gamma_interval[0]
-        guess = box_zero_guess(sum(op.M for op in head), sum(op.b for op in head), tail,
-                               1.0 / sum(op.lip for op in head))
-        offset, slope = _line_through(head, guess)
-        x = fixed_point_oracle(family, gamma, offset + gamma * slope)
-        z = head[0].resolvent(gamma, x[: head[0].dim])
-    feasibility, r = inclusion_gaps(operators, z)
-    offset, slope = _line_through(head, z)
-    gamma_hi, theta = family.gamma_interval[1], family.theta
-    rounding = 2.0 * np.finfo(float).eps * (np.linalg.norm(offset) + gamma_hi * np.linalg.norm(slope))
-    return FixedPointLine(offset, slope, theta * (2.0 * feasibility + gamma_hi * r) + float(rounding))
 
 
 # A benchmark-only name: the benchmark counts fixed-point lookups by wrapping

@@ -131,7 +131,14 @@ class StepsizeSchedule:
         # Python's ** per term (numpy's power rounds some terms differently),
         # then shift, scale and clamp as array operations
         if self.kind == "geometric":
-            shift = self.C * np.fromiter((self.r**n for n in indices), float, len(indices))
+            # ascending indices: from a term below ulp(gamma_star)/4 on, every term lies below half an
+            # ulp, so gamma_star + term rounds to gamma_star, and the terms are left at 0.0
+            tiny, terms = math.ulp(self.gamma_star) / 4, []
+            for n in indices:
+                terms.append(self.C * self.r**n)
+                if terms[-1] < tiny:
+                    break
+            shift = np.pad(terms, (0, len(indices) - len(terms)))
         elif self.kind == "polynomial":
             shift = self.C / np.fromiter(((n + 1) ** self.p for n in indices), float, len(indices))
         else:

@@ -9,7 +9,8 @@ vectors x = (x^1, ..., x^{N-1}) via a chain of N resolvent evaluations
     T_gamma x = x + theta * (z^2 - z^1, ..., z^N - z^{N-1})
 
 with relaxation theta in (0, 1). Fixed points of T_gamma correspond exactly to
-zeros of A1 + ... + AN through the common resolvent value z. The relocator
+zeros of A1 + ... + AN through the common resolvent value z, so Fix T_gamma is a line in gamma
+that ``MTFamily`` builds (for a box tail, with ``diagnostics.fixed_point_oracle``). The relocator
 replaces every block i by (delta/gamma) x^i + (1 - delta/gamma) J_{gamma A1} x^1.
 At N = 2 and theta = 1 the chain is Douglas-Rachford, T_gamma x = x + (y - z) with
 y = J_{gamma A2}(2z - x): ``dr.DRFamily`` is this family there.
@@ -26,21 +27,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import fixed_point_line
+from . import diagnostics
 from .errors import (
     BadBlockCount,
     CertificationFailed,
     ChainMismatch,
     DomainError,
     NonSingletonFix,
+    UnsupportedOperator,
 )
-from .family import OperatorFamily, Regularity, StepsizeSchedule, block_sizes, relocated_iterate
+from .family import (
+    FixedPointLine,
+    OperatorFamily,
+    Regularity,
+    StepsizeSchedule,
+    block_sizes,
+    relocated_iterate,
+)
 from .operators import AffineOperator, inclusion_gaps
 
 #: margin keeping the relaxation parameter strictly inside (0, 1)
 _THETA_MARGIN = 1e-6
 #: largest resolvent-chain residual ``mt_fixed_point_to_zero`` accepts at a fixed point
 CHAIN_TOL = 1e-7
+#: passes the active-set solve for a box tail's zero makes at most
+ACTIVE_SET_PASSES = 20
 #: the structural hypotheses under which T_gamma is a contraction, one entry per case
 _CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
           "first_strong": "strongly monotone Lipschitz heads"}
@@ -172,8 +183,49 @@ class MTFamily(OperatorFamily):
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
 
-    def _fixed_point_line(self):
-        return fixed_point_line(self, self.operators)
+    def _fixed_point_line(self) -> FixedPointLine:
+        """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs the contraction hypotheses.
+
+        A fixed point encodes a zero z* of A1 + ... + AN: block i < N is z* + gamma s_i, s_i =
+        A1 z* + ... + Ai z* (N = 2 for the two-operator splitting). Affine operators give z* by one
+        linear solve. With a box last, an active-set solve (``box_zero_guess``), finished by one
+        warm-started oracle run, gives it: the oracle starts from the line's point at the low
+        stepsize through the solve's z, and z* is J_{gamma A1} x^1 of the oracle's x. The slope
+        comes from the operators, never from the relocator the checks test.
+
+        The bound: on the line each resolvent of the chain but the last returns z*, and the last
+        is y = J_{gamma AN}(z* - gamma s_{N-1}), with ||x - T_gamma x|| = theta ||y - z*|| (theta = 1
+        for the two-operator splitting). For a box AN = N_C take p in C and w in N_C(p) from
+        ``operators.inclusion_gaps``, so that P_C(p + gamma w) = p; for a single-valued AN take
+        p = z* and w = AN z*, so that J_{gamma AN}(p + gamma w) = p. With r = s_{N-1} + w, the
+        inclusion residual, nonexpansiveness gives ||y - z*|| <= ||z* - p|| + ||(z* - p) - gamma r||.
+        Forming x in floats moves it by at most eps (||offset|| + gamma ||slope||), and I - T_gamma
+        is 2-Lipschitz. So, with T_gamma and the A_i z* evaluated exactly, for gamma <= gamma_hi
+
+            ||x - T_gamma x|| <= theta (2 ||z* - p|| + gamma_hi ||r||)
+                                 + 2 eps (||offset|| + gamma_hi ||slope||).
+        """
+        if missing := self.missing_hypothesis():
+            raise NonSingletonFix(missing)
+        *head, tail = operators = self.operators
+        if not all(callable(op) for op in head):
+            raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
+        # the hypotheses make the symmetric part of the summed M positive definite
+        if all(isinstance(op, AffineOperator) for op in operators):
+            z = np.linalg.solve(sum(op.M for op in operators), -sum(op.b for op in operators))
+        else:
+            gamma = self.gamma_interval[0]
+            guess = box_zero_guess(sum(op.M for op in head), sum(op.b for op in head), tail,
+                                   1.0 / sum(op.lip for op in head))
+            offset, slope = _line_through(head, guess)
+            # through the module, so that a wrapped or patched oracle is the one run
+            x = diagnostics.fixed_point_oracle(self, gamma, offset + gamma * slope)
+            z = head[0].resolvent(gamma, x[: head[0].dim])
+        feasibility, r = inclusion_gaps(operators, z)
+        offset, slope = _line_through(head, z)
+        gamma_hi, theta = self.gamma_interval[1], self.theta
+        rounding = 2.0 * np.finfo(float).eps * (np.linalg.norm(offset) + gamma_hi * np.linalg.norm(slope))
+        return FixedPointLine(offset, slope, theta * (2.0 * feasibility + gamma_hi * r) + float(rounding))
 
     def affine_part(self, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
         """``(P^T, q)`` with T_gamma x = x P^T + q for every row x, or None unless every operator
@@ -273,6 +325,39 @@ def mt_fixed_point_to_zero(fam: MTFamily, gamma: float, x) -> MTZeroCertificate:
         )
 
     return MTZeroCertificate(z, sum(inclusion_gaps(ops, z)), chain)
+
+
+def box_zero_guess(M, b, box, step: float) -> np.ndarray:
+    """Guess the z with 0 in M z + b + N_C(z), C the box, by a primal-dual active-set loop
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13 (2002) 865-888).
+
+    From z = 0, each pass takes g = z - step (M z + b), pins z to the upper bound where g lies
+    above it and to the lower bound where g lies below it, and solves the free rows of
+    M z + b = 0 for the free coordinates. When a pass finds the active set of the pass before,
+    z solves the inclusion. The loop stops at the first active set seen before, which a cycle
+    also reaches, or after ACTIVE_SET_PASSES passes; what it returns is a guess, which
+    ``MTFamily._fixed_point_line`` hands to the oracle.
+    """
+    z = np.zeros_like(b)
+    seen = set()
+    for _ in range(ACTIVE_SET_PASSES):
+        g = z - step * (M @ z + b)
+        upper, lower = g > box.upper, g < box.lower
+        key = (upper.tobytes(), lower.tobytes())
+        if key in seen:
+            break
+        seen.add(key)
+        z = np.where(upper, box.upper, np.where(lower, box.lower, 0.0))
+        free = ~(upper | lower)
+        # z is 0 on the free coordinates, so M[free] @ z is the pinned coordinates' share
+        z[free] = np.linalg.solve(M[np.ix_(free, free)], -b[free] - M[free] @ z)
+    return z
+
+
+def _line_through(head, z) -> tuple[np.ndarray, np.ndarray]:
+    """The offset and slope of the fixed-point line through the zero z: block i of the
+    offset is z, block i of the slope A1 z + ... + Ai z."""
+    return np.tile(z, len(head)), np.cumsum([op(z) for op in head], axis=0).ravel()
 
 
 def _case_holds(operators, case: str) -> bool:

@@ -280,7 +280,7 @@ def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkey
         status, _ = cli.run_experiment(config)
     assert status == 0
     assert _read_back(trace, "dist_to_fix", fits[0].dist_rate) == "linear"
-    values = cli.read_trace_csv(trace, "dist_to_fix")
+    values = cli.read_trace_csv(trace, "dist_to_fix")[0]
     assert not diagnostics.fit_linear_rate(values, diagnostics.default_burn_in(len(values))).linear
 
 

@@ -17,6 +17,7 @@ from relocsplit import (
 )
 from relocsplit.errors import CertificationFailed, ConfigError, DivergenceDetected, NoConvergence
 from relocsplit.family import FixedPointLine, block_sizes
+from relocsplit.problems import PROBLEM_KINDS
 
 DR_CONFIG = """
 # strongly monotone pair, geometric stepsizes
@@ -529,7 +530,7 @@ class TestRunExperiment:
         trace = tmp_path / "t.csv"
         assert cli.main(["run", path, "--set", "checks=", "--set", f"output.trace_path={trace}"]) == 0
         assert "overall=PASS checks=0 failed=0" in capsys.readouterr().out
-        assert len(cli.read_trace_csv(str(trace), "n")) == 401
+        assert len(cli.read_trace_csv(str(trace), "n")[0]) == 401
 
     def test_repeated_check_rejected(self, tmp_path, capsys):
         # a check named twice would run twice and count twice in the overall line
@@ -670,11 +671,66 @@ ALL_CHECKS = {
     "dr-custom_nonsymmetric": ("dr_nonsymmetric", {}, _all_but()),
     "dr-custom_spd_box": ("dr_spd_box", {}, ["summability"]),
     "mt-custom_psd": ("mt_psd", {}, ["summability"]),
-    # one stepsize gives gamma_lipschitz no pair to probe
-    "dr-one_stepsize": (_one_stepsize(DR_CONFIG), {"n_steps": "100"}, _all_but("gamma_lipschitz")),
+    # one stepsize gives gamma_lipschitz and relocator_bijection no pair to probe
+    "dr-one_stepsize": (_one_stepsize(DR_CONFIG), {"n_steps": "100"},
+                        _all_but("relocator_bijection", "gamma_lipschitz")),
     "mt-one_stepsize": (_one_stepsize(MT_CONFIG), {"n_steps": "100"},
-                        _all_but("fix_decomposition", "gamma_lipschitz")),
+                        _all_but("relocator_bijection", "fix_decomposition", "gamma_lipschitz")),
 }
+
+
+def _without(text, key):
+    """``text`` with the line that sets ``key`` left out."""
+    return "".join(line + "\n" for line in text.splitlines() if not line.startswith(f"{key} ="))
+
+
+#: configs from which no run starts, each a typed error: (config source, overrides, message). An
+#: override of RELOCSPLIT_SEED sets that environment variable; {tmp} is the test's directory,
+#: which holds m1.npz, a file that defines M1 and b1 alone
+TYPED_ERRORS = {
+    "missing_key": (_without(DR_CONFIG, "schedule.gamma_star"), {},
+                    "missing required key 'schedule.gamma_star'"),
+    "non_numeric": (DR_CONFIG, {"problem.dim": "ten"}, "bad value for 'problem.dim': 'ten'"),
+    "unknown_algorithm": (DR_CONFIG, {"algorithm": "admm"},
+                          f"algorithm must be one of {cli.ALGORITHMS}, got 'admm'"),
+    "non_integer_seed": (DR_CONFIG, {cli.SEED_ENV_VAR: "7.5"}, "bad RELOCSPLIT_SEED='7.5'"),
+    "dr-no_kind": (_without(DR_CONFIG, "problem.kind"), {}, "problem.kind is required for dr and mt"),
+    "mt-no_kind": (_without(MT_CONFIG, "problem.kind"), {}, "problem.kind is required for dr and mt"),
+    "unknown_kind": (DR_CONFIG, {"problem.kind": "quadratic"},
+                     f"problem.kind must be one of {PROBLEM_KINDS}"),
+    "mt-one_operator": (MT_CONFIG, {"problem.n_operators": "1"}, "mt needs problem.n_operators >= 2"),
+    "unknown_check": (DR_CONFIG, {"checks": "monotonicity"}, "unknown check 'monotonicity'"),
+    "no_steps": (DR_CONFIG, {"n_steps": "0"}, "n_steps must be >= 1"),
+    "scalar-beta": (SCALAR_CONFIG, {"problem.beta": "1.5"}, "beta must lie in [0, 1)"),
+    "mt-theta": (MT_CONFIG, {"theta": "1.5"}, "theta must lie strictly inside (0, 1)"),
+    "skew-d1": (DR_CONFIG, {"problem.kind": "affine_skew_plus_strong", "problem.dim": "1"},
+                "skew operators need dim >= 2"),
+    "d0": (DR_CONFIG, {"problem.dim": "0"}, "dim must be >= 1"),
+    "mu_above_L": (DR_CONFIG, {"problem.mu_target": "3.0"}, "need 0 < mu_target <= L_target"),
+    "custom-no_path": (DR_CONFIG, {"problem.kind": "custom_matrices"},
+                       "custom_matrices needs problem.matrices_path"),
+    "custom-only_M1": (DR_CONFIG,
+                       {"problem.kind": "custom_matrices", "problem.matrices_path": "{tmp}/m1.npz"},
+                       "custom_matrices file must define at least M1, M2"),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPED_ERRORS))
+def test_typed_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys, name):
+    # build_config, build_family and generate_problem each refuse these before a run starts
+    source, overrides, message = TYPED_ERRORS[name]
+    np.savez(tmp_path / "m1.npz", M1=np.eye(3), b1=np.zeros(3))
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    path = write_config(tmp_path, source)
+    argv = ["verify", path]
+    for key, value in overrides.items():
+        if key == cli.SEED_ENV_VAR:
+            monkeypatch.setenv(key, value)
+        else:
+            argv += ["--set", f"{key}={value.format(tmp=tmp_path)}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error ({path}): {message}\n" and captured.out == ""
 
 
 class TestApplicableChecks:
@@ -713,8 +769,14 @@ class TestApplicableChecks:
          (DR_CONFIG, {"problem.kind": "affine_skew_plus_strong"}, "fix_decomposition",
           "withheld on affine_skew_plus_strong, where the benchmark pins 7 checks"),
          (_one_stepsize(DR_CONFIG), {}, "gamma_lipschitz",
+          "needs gamma_low < gamma_high: one stepsize gives no pair to probe"),
+         # at one stepsize relocate_from(gamma, gamma, x) is x: the check would test no relocator law
+         (_one_stepsize(DR_CONFIG), {}, "relocator_bijection",
+          "needs gamma_low < gamma_high: one stepsize gives no pair to probe"),
+         (_one_stepsize(MT_CONFIG), {}, "relocator_bijection",
           "needs gamma_low < gamma_high: one stepsize gives no pair to probe")],
-        ids=["dr-custom_spd_box", "mt-custom_psd", "scalar", "mt", "dr-skew", "dr-one_stepsize"],
+        ids=["dr-custom_spd_box", "mt-custom_psd", "scalar", "mt", "dr-skew", "dr-one_stepsize",
+             "dr-one_stepsize-relocator_bijection", "mt-one_stepsize-relocator_bijection"],
     )
     def test_message_states_the_reason(self, tmp_path, capsys, source, overrides, check, reason):
         # the missing hypothesis, the missing chain, splitting or second stepsize, or the benchmark
@@ -845,7 +907,7 @@ class TestTraceCsv:
         trace = cli.relocated_iterate(family, config.schedule, x0, config.n_steps)
         diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
         cli.write_trace_csv(config.trace_path, trace, family)
-        col = lambda name: cli.read_trace_csv(config.trace_path, name)  # noqa: E731
+        col = lambda name: cli.read_trace_csv(config.trace_path, name)[0]  # noqa: E731
         assert len(col("n")) == config.n_steps + 1
         assert np.array_equal(col("gamma"), trace.gammas)
         assert np.array_equal(col("residual"), trace.residuals)
@@ -862,8 +924,8 @@ class TestTraceCsv:
         trace = cli.relocated_iterate(family, config.schedule, cli._initial_point(config, family), 60)
         diagnostics.limit_errors(family, config.schedule.gamma_star, trace)
         cli.write_trace_csv(config.trace_path, trace, family)
-        gammas = cli.read_trace_csv(config.trace_path, "gamma")
-        xs = np.column_stack([cli.read_trace_csv(config.trace_path, f"x_{j}") for j in range(family.dim)])
+        gammas = cli.read_trace_csv(config.trace_path, "gamma")[0]
+        xs = np.column_stack([cli.read_trace_csv(config.trace_path, f"x_{j}")[0] for j in range(family.dim)])
         w = np.array([family.apply(gamma, x) for gamma, x in zip(gammas, xs)])
         scale = np.linalg.norm(trace.t_of_x, axis=1)
         assert np.all(np.linalg.norm(w - trace.t_of_x, axis=1) <= 1e-12 * scale)
@@ -885,7 +947,7 @@ class TestTraceCsv:
             "3,1.125,0,nan,9.9999999999999995e-21,1.125\n"
         )
         limit_floor = diagnostics.rounding_floor(trace.xs)
-        assert cli.read_fit_line(str(path), "err_to_limit") == (limit_floor, 5)
+        assert cli.read_trace_csv(str(path), "err_to_limit")[1] == (limit_floor, 5)
         # with distances, the line after the header carries rate_theorem's floors and burn-in
         diagnostics.compute_distances(fam, trace)
         cli.write_trace_csv(str(path), trace, fam)
@@ -893,8 +955,8 @@ class TestTraceCsv:
         floor = diagnostics.distance_floor(fam)
         assert lines[1] == (f"# dist_to_fix floor={cli.FLOAT_FMT % floor} burn_in=5 "
                             f"err_to_limit_floor={cli.FLOAT_FMT % limit_floor}") and len(lines) == 6
-        assert cli.read_fit_line(str(path), "dist_to_fix") == (floor, 5)
-        assert cli.read_fit_line(str(path), "err_to_limit") == (limit_floor, 5)
+        assert cli.read_trace_csv(str(path), "dist_to_fix")[1] == (floor, 5)
+        assert cli.read_trace_csv(str(path), "err_to_limit")[1] == (limit_floor, 5)
 
     def test_header_schema(self, tmp_path):
         path = write_config(
@@ -949,7 +1011,7 @@ class TestRateCommand:
         path = write_config(tmp_path, SCALAR_CONFIG, extra=f"output.trace_path = {trace}\n")
         assert cli.main(["run", path, "--set", "schedule.kind=constant", "--set", "n_steps=60"]) == 0
         assert "name=rate_theorem status=PASS" in capsys.readouterr().out
-        assert not cli.read_trace_csv(str(trace), "err_to_limit").any()
+        assert not cli.read_trace_csv(str(trace), "err_to_limit")[0].any()
         assert cli.main(["rate", str(trace), "--column", "err_to_limit"]) == 0
         assert "verdict=linear C=0 " in capsys.readouterr().out
 
@@ -961,9 +1023,9 @@ class TestRateCommand:
         trace = tmp_path / "t.csv"
         path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
         assert cli.main(["run", path, "--set", f"checks={checks}"]) == 0
-        values = cli.read_trace_csv(str(trace), "err_to_limit")
+        values = cli.read_trace_csv(str(trace), "err_to_limit")[0]
         # rate_theorem's floor for the column, from the iterates the trace holds
-        xs = np.column_stack([cli.read_trace_csv(str(trace), f"x_{j}") for j in range(10)])
+        xs = np.column_stack([cli.read_trace_csv(str(trace), f"x_{j}")[0] for j in range(10)])
         expected = diagnostics.fit_linear_rate(
             values, cli.RATE_THEOREM_BURN_IN, diagnostics.rounding_floor(xs)
         )
@@ -1020,8 +1082,8 @@ class TestRateCommand:
         trace = tmp_path / "t.csv"
         path = write_config(tmp_path, SCALAR_CONFIG, extra=f"output.trace_path = {trace}\n")
         assert cli.main(["run", path]) == 0
-        clean = cli.read_trace_csv(str(trace), "err_to_limit")
+        clean = cli.read_trace_csv(str(trace), "err_to_limit")[0]
         with open(trace, "a", encoding="utf-8") as fh:
             fh.write(extra)
-        np.testing.assert_array_equal(cli.read_trace_csv(str(trace), "err_to_limit"), clean)
+        np.testing.assert_array_equal(cli.read_trace_csv(str(trace), "err_to_limit")[0], clean)
         assert cli.main(["rate", str(trace), "--burn-in", "5"]) == 0

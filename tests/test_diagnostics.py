@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import relocsplit as rs
 import relocsplit.diagnostics as diagnostics
+import relocsplit.mt as mt
 from relocsplit import (
     ScalarShiftFamily,
     StepsizeSchedule,
@@ -462,9 +463,14 @@ class TestFixedPointCache:
         assert np.linalg.norm(pd_pair_family.fixed_point(0.6) - pd_pair_family.fixed_point(1.9)) > 1e-3
 
     def test_line_needs_single_valued_leading_operators(self, pd_pair_family):
-        box = rs.BoxNormalCone(-np.ones(5), np.ones(5))
+        # the head claims what the hypotheses read, but the line must evaluate it
+        class UncallableHead:
+            dim, single_valued, lip = 5, True, 1.0
+
+        family = rs.DRFamily(UncallableHead(), pd_pair_family.a2, INTERVAL)
+        assert family.missing_hypothesis() == ""
         with pytest.raises(UnsupportedOperator):
-            diagnostics.fixed_point_line(pd_pair_family, [box, pd_pair_family.a2])
+            family.fixed_point_line()
 
     def test_line_needs_a_contraction_certificate(self):
         fam = rs.DRFamily(
@@ -580,7 +586,7 @@ def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, reques
 
 
 class TestBoxZeroGuess:
-    """The active-set solve that starts a box family's oracle (``diagnostics.box_zero_guess``)."""
+    """The active-set solve that starts a box family's oracle (``mt.box_zero_guess``)."""
 
     @staticmethod
     def solve_inputs(family):
@@ -592,24 +598,24 @@ class TestBoxZeroGuess:
         # the passes cycle through active sets that leave the inclusion unsolved; the loop
         # stops at the first repeat, or at the budget when that comes first
         real = np.linalg.solve
-        for budget, solves in [(diagnostics.ACTIVE_SET_PASSES, 5), (3, 3)]:
+        for budget, solves in [(mt.ACTIVE_SET_PASSES, 5), (3, 3)]:
             calls = []
 
             def counting(*args):
                 calls.append(args)
                 return real(*args)
 
-            monkeypatch.setattr(diagnostics, "ACTIVE_SET_PASSES", budget)
+            monkeypatch.setattr(mt, "ACTIVE_SET_PASSES", budget)
             monkeypatch.setattr(np.linalg, "solve", counting)
-            z = diagnostics.box_zero_guess(*self.solve_inputs(custom_box_mt_family))
+            z = mt.box_zero_guess(*self.solve_inputs(custom_box_mt_family))
             monkeypatch.setattr(np.linalg, "solve", real)
-            assert len(calls) == solves <= diagnostics.ACTIVE_SET_PASSES
+            assert len(calls) == solves <= mt.ACTIVE_SET_PASSES
             assert sum(inclusion_gaps(custom_box_mt_family.operators, z)) > 0.5
 
     @pytest.mark.parametrize("family_name", ["box_mt_family", "one_sided_box_mt_family"])
     def test_solves_the_inclusion(self, family_name, request):
         family = request.getfixturevalue(family_name)
-        z = diagnostics.box_zero_guess(*self.solve_inputs(family))
+        z = mt.box_zero_guess(*self.solve_inputs(family))
         assert sum(inclusion_gaps(family.operators, z)) <= 1e-14
 
     def test_a_corner_guess_gives_the_same_line(self, box_mt_family, monkeypatch):
@@ -622,7 +628,7 @@ class TestBoxZeroGuess:
             corners.append(box.upper)
             return box.upper.copy()
 
-        monkeypatch.setattr(diagnostics, "box_zero_guess", corner)
+        monkeypatch.setattr(mt, "box_zero_guess", corner)
         fresh = rs.MTFamily(box_mt_family.operators, theta=0.5, gamma_interval=INTERVAL)
         for gamma in box_mt_family.gamma_interval:
             x = line.point(gamma)

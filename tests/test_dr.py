@@ -219,6 +219,15 @@ class TestContractionFactor:
             with pytest.raises(DomainError):
                 dr_contraction_factor(*bad)
 
+    def test_zero_first_operator_gives_the_tail_resolvent_factor(self):
+        # A1 = 0 makes T_gamma = J_{gamma A2}, a (1/(1 + gamma mu2))-contraction, tightest at gamma_low
+        fam = DRFamily(AffineOperator(np.zeros((3, 3))), AffineOperator(2.0 * np.eye(3)), INTERVAL)
+        beta = fam.regularity().beta
+        assert beta == 1.0 / (1.0 + INTERVAL[0] * 2.0)
+        u, v = np.random.default_rng(2).standard_normal((2, 3))
+        ratio = np.linalg.norm(fam.apply(INTERVAL[0], u) - fam.apply(INTERVAL[0], v)) / np.linalg.norm(u - v)
+        assert ratio == pytest.approx(beta, rel=1e-12)
+
 
 class TestRegularityConstant:
     def test_printed_values(self):

@@ -103,6 +103,21 @@ class TestStepsizeSchedule:
         assert np.array_equal(gs.view(np.uint64), formula.view(np.uint64))
         assert sch.gammas(0).shape == (0,)
 
+    @pytest.mark.parametrize("r", [0.1, 0.37, 0.5, 0.9, 0.999, 1.0 - 2.0**-20])
+    @pytest.mark.parametrize("C", [0.0, 1e-300, 1e-3, 0.93, 1.0, 1e6])
+    def test_geometric_terms_past_a_quarter_ulp_change_no_bit(self, C, r):
+        # gammas leaves the terms past a quarter ulp of gamma_star at 0.0; the per-term loop over
+        # a summability check's 10,001 terms gives the same bytes, gamma_star at either end too
+        count = 10_001
+        for gamma_star, interval in [(1.0, (0.5, 2.0)), (0.5, (0.5, 2.0)), (2.0, (0.5, 2.0)),
+                                     (1.1, (0.7, 1.9)), (1e-8, (1e-8, 1e8)), (1e8, (1e-8, 1e8)),
+                                     (3.0, (3.0, 3.0))]:
+            sch = StepsizeSchedule.geometric(gamma_star, C, r, interval)
+            shift = C * np.fromiter((r**n for n in range(count)), float, count)
+            per_term = np.clip(gamma_star + shift, *interval)
+            assert sch.gammas(count).tobytes() == per_term.tobytes()
+            assert [sch.gamma(n) for n in (0, 60, count - 1)] == per_term[[0, 60, count - 1]].tolist()
+
 
 class TestScalarShift:
     def test_iterates_reproduce_schedule(self, geometric_schedule):
