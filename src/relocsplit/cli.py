@@ -365,7 +365,7 @@ def _check_fix_decomposition(config: ExperimentConfig, family, trace: IterateTra
     gamma_b = hi if abs(hi - gamma_a) > abs(lo - gamma_a) else lo
     ok = True
     worst = 0.0
-    for gamma in (gamma_a, gamma_b):
+    for gamma in dict.fromkeys((gamma_a, gamma_b)):  # one point on a one-point interval
         x = family.fixed_point(gamma)
         fd = fix_decomposition_check(family, gamma, x)
         scale = 1.0 + float(np.linalg.norm(x))
@@ -572,12 +572,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     for c in checks:
         if gaps[c]:
             raise ConfigError(f"check {c!r} is not applicable: {gaps[c]}")
-    # T_gamma* serves the rows where the schedule reaches gamma* in floats (a geometric one does)
-    # and error_bound's samples, counted whatever the checks: an affine family holds its map there
-    # when that pays, and the checks named cannot move the iterates
+    # an all-affine family may serve the rows where the schedule reaches gamma* in floats from
+    # one map; the family alone decides, so neither the checks nor n_steps move the iterates
     gamma_star = config.schedule.gamma_star
-    tail = int(np.count_nonzero(config.schedule.gammas(config.n_steps + 1) == gamma_star))
-    family.hold_affine_part(gamma_star, tail + ERROR_BOUND_SAMPLES)
+    family.hold_affine_part(gamma_star)
     trace = relocated_iterate(family, config.schedule, _initial_point(config, family), config.n_steps)
     diagnostics.limit_errors(family, gamma_star, trace)
 
@@ -600,10 +598,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
 
 def _failure_status(exc: Exception, where: str | None = None) -> int:
     """Print why a command failed and return its exit status: 3 for I/O, 4 for a numerical
-    error, 2 for any other package error.
+    error, 2 for any other package error or a file that is not UTF-8 text.
 
     A package error other than ConfigError means the configuration produced a run the
-    checks cannot even evaluate, so its type is named.
+    checks cannot even evaluate, so its type is named, as is a UnicodeDecodeError.
     """
     origin = f" ({where})" if where else ""
     if isinstance(exc, OSError):
@@ -624,7 +622,7 @@ def _run_one(path: str, overrides: dict[str, str]) -> int:
             # verify always clears the trace path; its overall=PASS would then check nothing
             raise ConfigError("checks is empty and no trace is written: the run would show nothing")
         return run_experiment(config)[0]
-    except (RelocSplitError, OSError) as exc:
+    except (RelocSplitError, OSError, UnicodeDecodeError) as exc:
         return _failure_status(exc, path)
 
 
@@ -663,7 +661,7 @@ def main(argv=None) -> int:
             if args.burn_in is not None:
                 burn = args.burn_in
             est = diagnostics.fit_linear_rate(values, burn, floor)
-        except (RelocSplitError, OSError) as exc:
+        except (RelocSplitError, OSError, UnicodeDecodeError) as exc:
             return _failure_status(exc, args.trace)
         verdict = "linear" if est.linear else "not-R-linear"
         print(

@@ -9,8 +9,8 @@ and records per step the stepsize, the iterate, T_gamma of it and the residual,
 nothing else. A point is a fixed point when its measured
 residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
 fixed-point sets serves them from one line, certified once by a proven bound.
-A family may hold T_gamma as one affine map for one stepsize (``hold_affine_part``;
-``mt.MTFamily`` does for affine operators), which serves a run's constant-stepsize tail.
+A family may hold T_gamma as one affine map for one stepsize (``hold_affine_part``), which
+serves a run's constant-stepsize tail; ``mt.MTFamily`` does for all-affine chains with N <= 3.
 """
 
 from __future__ import annotations
@@ -235,9 +235,9 @@ class OperatorFamily(abc.ABC):
         Stepsize arrays give the constants elementwise.
         """
 
-    def hold_affine_part(self, gamma: float, evaluations: int) -> bool:
-        """Whether T_gamma is held as one affine map for ``evaluations`` applies at gamma: never
-        here; ``MTFamily`` holds one where it saves work."""
+    def hold_affine_part(self, gamma: float) -> bool:
+        """Whether T_gamma is held as one affine map at gamma: never here; ``MTFamily`` holds one
+        for affine operators where a row through it costs less than one through the chain."""
         return False
 
     def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
@@ -376,8 +376,8 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     and the residual ||x_n - T_gamma_n x_n||. Each step hands the shadow of
     ``relocate_from`` to the next ``apply``, so a family's per-step algorithm
     (N resolvents per step for ``MTFamily``, two for ``DRFamily``, its N = 2 case) is this loop.
-    Rows at the stepsize of the family's held affine part (``hold_affine_part``)
-    cost one matrix product each: a geometric schedule reaches gamma* in floats.
+    Rows at the stepsize of the family's held affine part (``hold_affine_part``, decided from
+    the family alone) cost one matrix product each: a geometric schedule reaches gamma* in floats.
 
     A row whose ``apply`` took no shadow and returned x_n bit for bit, and whose relocation
     to the same stepsize returns T x_n bit for bit with no shadow, is a float fixed point:

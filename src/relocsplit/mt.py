@@ -98,8 +98,8 @@ class MTFamily(OperatorFamily):
     The driver-facing dimension is ``(N-1) * space_dim``. When the hypotheses of a contraction
     case hold (``missing_hypothesis``), the regularity record carries the factor beta that
     ``mt_contraction_certificate`` samples and the averagedness (beta + 1)/2 of a beta-contraction;
-    an all-affine family holds its ``affine_part``. ``dr.DRFamily`` is this family at N = 2 and
-    theta = 1, with its own regularity record and relocator constant.
+    an all-affine family with N <= 3 holds its ``affine_part``. ``dr.DRFamily`` is this family at
+    N = 2 and theta = 1, with its own regularity record and relocator constant.
     """
 
     #: the affine part held for one stepsize: ``(gamma, P^T, q)``
@@ -255,14 +255,13 @@ class MTFamily(OperatorFamily):
             self._affine = (gamma, pt, q)
         return self._affine[1:]
 
-    def hold_affine_part(self, gamma, evaluations):
-        """Form and hold the affine part at gamma when that saves work over ``evaluations``
-        applies there; return whether it is held. A row costs about 2 N space_dim^2 multiply-adds
-        through the chain (N resolvents, two products each) and dim^2 through the map, and forming
-        P^T costs dim chain rows, so only N <= 3 can pay. The count errs toward the chain: forming
-        runs blocks of rows, which cost less per row than a run's rows one at a time."""
-        chain = 2 * self.n_operators * self.space_dim**2
-        if evaluations * (chain - self.dim**2) < self.dim * chain:
+    def hold_affine_part(self, gamma):
+        """Form and hold the affine part at gamma when every operator is affine and a row through
+        the map, dim^2 multiply-adds, costs less than one through the chain, about 2 N space_dim^2
+        (N resolvents, two products each): that is N <= 3. Return whether it is held. The rule
+        reads the family alone, so neither a run's length nor its checks move its iterates; the
+        cost of forming P^T, dim chain rows, is not weighed."""
+        if self.dim**2 >= 2 * self.n_operators * self.space_dim**2:
             return False
         return self.affine_part(gamma) is not None
 

@@ -10,6 +10,7 @@ import pytest
 
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
+import relocsplit.mt as mt
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -243,10 +244,9 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
                          ids=["dr-geo-d400", "dr-geo-d600", "dr-skew-poly-d100", "mt-box-d100-n3",
                               "mt-n4-d10"])
 def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
-    # error_bound's samples count toward holding T_gamma* as one map whatever the checks, so
-    # the check list cannot switch a run between the map and the resolvent chain, whose
-    # iterates round differently; the mt configs hold no map (a box tail, N = 4) and run the
-    # chain on every row
+    # the family alone decides whether T_gamma* is held as one map, so the check list cannot
+    # switch a run between the map and the resolvent chain, whose iterates round differently;
+    # the mt configs hold no map (a box tail, N = 4) and run the chain on every row
     workload = _workloads().WORKLOADS[name]
     monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
     mapping = cli.parse_config_file(workload.config_path)
@@ -262,6 +262,27 @@ def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
         assert header.split(",")[3] == "dist_to_fix"
         rows[checks] = [line.split(",", 4)[:3] + line.split(",", 4)[4:] for line in lines]
     assert all(columns == rows["all"] for columns in rows.values())
+
+
+@pytest.mark.parametrize("name, held", [("dr-geo-d400", True), ("dr-skew-poly-d100", True),
+                                        ("mt-n4-d10", False), ("mt-box-d100-n3", False)])
+def test_each_run_asks_once_and_the_family_decides(name, held, monkeypatch):
+    # the dr pairs are affine with N = 2; mt-n4-d10 has N = 4 and mt-box-d100-n3 a box tail
+    answers = []
+    real = mt.MTFamily.hold_affine_part
+
+    def recording(family, gamma):
+        answers.append(real(family, gamma))
+        return answers[-1]
+
+    monkeypatch.setattr(mt.MTFamily, "hold_affine_part", recording)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    mapping = cli.parse_config_file(_workloads().WORKLOADS[name].config_path)
+    for checks in ("all", "rate_theorem", "summability", "error_bound"):
+        config = cli.build_config(mapping, {"checks": checks, "output.trace_path": ""})
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_experiment(config)
+    assert answers == [held] * 4
 
 
 def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkeypatch, tmp_path):

@@ -733,6 +733,38 @@ def test_typed_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys, nam
     assert captured.err == f"config error ({path}): {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify"], ["rate"], ["run", "--jobs", "2"]],
+                         ids=["run", "verify", "rate", "run-jobs"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfd, command):
+    # exit 1 would read as a failed check; the file is bad input, named like any other
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff" + DR_CONFIG.encode())
+    argv = [command[0], str(bad), *command[1:]]
+    if "--jobs" in command:
+        argv.insert(2, write_config(tmp_path, SCALAR_CONFIG))
+    assert cli.main(argv) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error ({bad}): UnicodeDecodeError: ") and "Traceback" not in err
+
+
+def test_one_stepsize_checks_its_one_fixed_point_once(tmp_path, monkeypatch, capsys):
+    # on [gamma*, gamma*] both ends of fix_decomposition's pair are gamma*
+    calls = []
+    real = cli.fix_decomposition_check
+
+    def counting(family, gamma, x):
+        calls.append(gamma)
+        return real(family, gamma, x)
+
+    monkeypatch.setattr(cli, "fix_decomposition_check", counting)
+    path = write_config(tmp_path, _one_stepsize(DR_CONFIG))
+    assert cli.main(["verify", path, "--set", "checks=fix_decomposition", "--set", "n_steps=100"]) == 0
+    assert calls == [1.0]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "name=fix_decomposition status=PASS certified_constant=nan worst_ratio=1.9478403400799705e-07"
+        " fitted_C=nan fitted_r=nan fit_quality=nan")
+
+
 class TestApplicableChecks:
     @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
     def test_all_runs_what_the_family_supports(self, tmp_path, capsys, name):
