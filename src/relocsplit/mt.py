@@ -16,7 +16,8 @@ At N = 2 and theta = 1 the chain is Douglas-Rachford, T_gamma x = x + (y - z) wi
 y = J_{gamma A2}(2z - x): ``dr.DRFamily`` is this family there.
 
 Block vectors are stored flat with stride ``space_dim``; the block count is
-part of the family, so the generic driver stays oblivious to N.
+part of the family, so the generic driver stays oblivious to N. The contraction factor is
+sampled over all pairs among 64 points per stepsize: a lower estimate, not a bound.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class MTFamily(OperatorFamily):
 
     The driver-facing dimension is ``(N-1) * space_dim``. When the hypotheses of a contraction
     case hold (``missing_hypothesis``), the regularity record carries the factor beta that
-    ``mt_contraction_certificate`` samples and the averagedness (beta + 1)/2 of a beta-contraction;
+    ``mt_contraction_certificate`` samples from all pairs among 64 points per stepsize, with
+    provenance ``sampled``, and the averagedness (beta + 1)/2 of a beta-contraction;
     an all-affine family with N <= 3 holds its ``affine_part``. ``dr.DRFamily`` is this family at
     N = 2 and theta = 1, with its own regularity record and relocator constant.
     """
@@ -369,7 +371,7 @@ def _case_holds(operators, case: str) -> bool:
 
 def mt_contraction_certificate(
     fam: MTFamily,
-    n_pairs: int = 400,
+    n_points: int = 64,
     n_gammas: int = 5,
     seed: int = 2024,
     sample_scale: float = 3.0,
@@ -379,32 +381,57 @@ def mt_contraction_certificate(
       "last_strong"   A1..A_{N-1} single-valued monotone Lipschitz, AN strongly monotone
       "first_strong"  A1..A_{N-1} strongly monotone Lipschitz, AN merely monotone
 
-    beta is the largest sampled ratio ||T_gamma u - T_gamma v|| / ||u - v|| over a stepsize
-    grid, the pairs evaluated a block at a time (``relocsplit.family.BLOCK_FLOATS`` floats); a
-    ratio at or above 1 - 1e-6 raises CertificationFailed (theory forbids it).
+    At each of ``n_gammas`` stepsizes, ``n_points`` points ``sample_scale * N(0, I)`` are
+    mapped by T_gamma a block of rows at a time (``relocsplit.family.BLOCK_FLOATS`` floats).
+    beta is the largest ratio ||T_gamma u - T_gamma v|| / ||u - v|| over every pair of them
+    at least 1e-12 apart: Gram products rank the pairs, in tiles of at most BLOCK_FLOATS floats,
+    and each stepsize's best pair is measured again from its differences, so no cancellation
+    becomes beta. A ratio at or above 1 - 1e-6 raises CertificationFailed (theory forbids it);
+    no pair to sample (``n_points`` < 2, ``n_gammas`` < 1, a ``sample_scale`` not positive and
+    finite, or no two points 1e-12 apart) raises DomainError rather than certify beta = 0.
     """
-    if n_pairs < 1 or n_gammas < 1:
-        raise DomainError("n_pairs and n_gammas must be >= 1: no samples would certify beta = 0")
+    if n_points < 2 or n_gammas < 1:
+        raise DomainError("n_points must be >= 2 and n_gammas >= 1: no pair would certify beta = 0")
+    if not 0.0 < sample_scale < math.inf:
+        raise DomainError(f"sample_scale must be positive and finite, got {sample_scale!r}")
     if missing := fam.missing_hypothesis():
         raise NonSingletonFix(missing)
 
     rng = np.random.default_rng(seed)
     lo, hi = fam.gamma_interval
-    dim = fam.dim
-    beta = 0.0
+    n, ratios = n_points, []
     for gamma in np.linspace(lo, hi, n_gammas):
-        for k in block_sizes(n_pairs, 2 * dim):
-            pairs = sample_scale * rng.standard_normal((k, 2, dim))
-            t = fam.apply(gamma, pairs.reshape(2 * k, dim)).reshape(k, 2, dim)
-            denom = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
-            keep = denom >= 1e-12
-            ratios = np.linalg.norm(t[:, 0] - t[:, 1], axis=1)[keep] / denom[keep]
-            beta = max(beta, float(ratios.max(initial=0.0)))
+        points = sample_scale * rng.standard_normal((n, fam.dim))
+        ends = np.cumsum([0, *block_sizes(n, fam.dim)])
+        images = np.concatenate([fam.apply(gamma, points[a:b]) for a, b in zip(ends, ends[1:])])
+        best, pair = -np.inf, None
+        ends = np.cumsum([0, *block_sizes(n, n)])
+        for a, b in zip(ends, ends[1:]):
+            d_x, d_t = _squared_distances(points, a, b), _squared_distances(images, a, b)
+            # pair (i, j) counts once, as i < j, and only when the points lie 1e-12 apart
+            keep = (np.arange(n) > np.arange(a, b)[:, None]) & (d_x >= 1e-24)
+            ratio2 = np.divide(d_t, d_x, out=np.full(d_x.shape, -np.inf), where=keep)
+            k = int(ratio2.argmax())
+            if ratio2.flat[k] > best:
+                best, pair = ratio2.flat[k], (a + k // n, k % n)
+        if pair is not None:
+            i, j = pair
+            moved, apart = images[i] - images[j], points[i] - points[j]
+            ratios.append(float(np.linalg.norm(moved) / np.linalg.norm(apart)))
+    if not ratios:
+        raise DomainError(f"no two sampled points lie 1e-12 apart at sample_scale {sample_scale!r}")
+    beta = max(ratios)
     if beta >= 1.0 - 1e-6:
         raise CertificationFailed(
             f"sampled Lipschitz ratio {beta:.8f} is not a contraction despite the hypotheses"
         )
     return beta
+
+
+def _squared_distances(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """||x_i - x_j||^2 for the rows i in [a, b) of x and every row j, from one Gram product."""
+    sq = np.einsum("ij,ij->i", x, x)
+    return sq[a:b, None] + sq - 2.0 * (x[a:b] @ x.T)
 
 
 def mt_summability_bound(schedule: StepsizeSchedule, n_operators: int) -> float:

@@ -14,6 +14,7 @@ from relocsplit import (
     mt_fixed_point_to_zero,
     mt_relocator_lipschitz,
 )
+from relocsplit import mt
 from relocsplit.diagnostics import fixed_point_oracle
 from relocsplit.errors import BadBlockCount, DomainError, NonSingletonFix, NotAFixedPoint
 from relocsplit.family import BLOCK_FLOATS, relocated_iterate
@@ -312,8 +313,9 @@ class TestContractionCertificate:
         a1 = rs.skew_operator(2, 1.0, rng)
         a2 = AffineOperator(2 * np.eye(2))
         fam = MTFamily([a1, a2], theta=0.5, gamma_interval=INTERVAL)
-        beta = mt_contraction_certificate(fam, n_pairs=400, n_gammas=5)
+        beta = mt_contraction_certificate(fam, n_points=64, n_gammas=5)
         assert 0.0 < beta < 1.0
+        assert beta == pytest.approx(all_pairs_beta(fam, 64, 5, 2024), rel=1e-12)
 
     def test_zero_operators_fail_hypotheses(self):
         # the certificate gates on the family's one hypothesis read, and raises its reason
@@ -328,22 +330,35 @@ class TestContractionCertificate:
         ops = [rs.symmetric_operator(2, 0.5, 2.0, rng) for _ in range(2)]
         ops.append(BoxNormalCone(-np.ones(2), np.ones(2)))
         fam = MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
-        beta = mt_contraction_certificate(fam, n_pairs=400, n_gammas=5)
+        beta = mt_contraction_certificate(fam, n_points=64, n_gammas=5)
         assert beta < 1.0
+        assert beta == pytest.approx(all_pairs_beta(fam, 64, 5, 2024), rel=1e-12)
         # the family's regularity record carries this factor, sampled
         assert (fam.regularity().beta, fam.regularity().beta_source) == (beta, "sampled")
 
-    @pytest.mark.parametrize("counts", [{"n_pairs": 0}, {"n_gammas": 0}, {"n_pairs": -1}])
-    def test_no_samples_is_an_error(self, mt3_family, counts):
+    @pytest.mark.parametrize("counts, reason", [
+        ({"n_points": 0}, "n_points must be >= 2"),
+        ({"n_points": 1}, "n_points must be >= 2"),
+        ({"n_points": -1}, "n_points must be >= 2"),
+        ({"n_gammas": 0}, "n_gammas >= 1"),
+        ({"sample_scale": 0.0}, "positive and finite"),
+        ({"sample_scale": -3.0}, "positive and finite"),
+        ({"sample_scale": np.inf}, "positive and finite"),
+        ({"sample_scale": np.nan}, "positive and finite"),
+        # every pair of points lies under the 1e-12 distance guard
+        ({"sample_scale": 1e-14}, "1e-12 apart"),
+    ], ids=["n_points=0", "n_points=1", "n_points=-1", "n_gammas=0", "scale=0", "scale=-3",
+            "scale=inf", "scale=nan", "scale=1e-14"])
+    def test_no_samples_is_an_error(self, mt3_family, counts, reason):
         # no sampled pair bounds no factor; beta = 0 must not come back as certified
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=reason):
             mt_contraction_certificate(mt3_family, **counts)
 
     @pytest.mark.xfail(strict=True, reason="a sampled Lipschitz ratio is not an upper bound on "
                        "the contraction factor; the certificate is not yet exact")
     def test_beta_bounds_the_exact_factor_on_its_grid(self):
         # the mt-n4-d10 benchmark config: N=4, d=10, seed 7, gamma in [1, 2];
-        # measured: sampled beta 0.8599 < exact 0.9359
+        # measured: sampled beta 0.8601 (all pairs among 64 points per stepsize) < exact 0.9359
         ops = rs.generate_problem("affine_strongly_monotone", 10, 7, 0.5, 2.0, n_operators=4)
         fam = MTFamily(ops, theta=0.5, gamma_interval=(1.0, 2.0))
         exact = 0.0
@@ -417,43 +432,51 @@ class TestBlocksOfPoints:
             assert str(info.value) == "block vector has non-finite coordinates"
 
 
-def per_pair_beta(fam, n_pairs, n_gammas, seed, sample_scale=3.0):
-    """The sampled contraction factor as mt_contraction_certificate computed it
-    before it evaluated blocks: one apply per point."""
+def all_pairs_beta(fam, n_points, n_gammas, seed, sample_scale=3.0):
+    """The sampled contraction factor from direct differences: at each stepsize the draws
+    mt_contraction_certificate makes, one apply per point, and every pair i < j."""
     rng = np.random.default_rng(seed)
     lo, hi = fam.gamma_interval
     beta = 0.0
     for gamma in np.linspace(lo, hi, n_gammas):
-        for _ in range(n_pairs):
-            u = sample_scale * rng.standard_normal(fam.dim)
-            v = sample_scale * rng.standard_normal(fam.dim)
-            denom = float(np.linalg.norm(u - v))
-            if denom < 1e-12:
-                continue
-            ratio = float(np.linalg.norm(fam.apply(gamma, u) - fam.apply(gamma, v))) / denom
-            beta = max(beta, ratio)
+        points = sample_scale * rng.standard_normal((n_points, fam.dim))
+        images = np.vstack([fam.apply(gamma, u) for u in points])
+        for i in range(n_points - 1):
+            denom = np.linalg.norm(points[i + 1:] - points[i], axis=1)
+            keep = denom >= 1e-12
+            ratios = np.linalg.norm(images[i + 1:] - images[i], axis=1)[keep] / denom[keep]
+            beta = max(beta, float(ratios.max(initial=0.0)))
     return beta
 
 
 class TestBlockedCertificate:
-    @pytest.mark.parametrize("n_pairs", [400, 1500])
+    # 2100 points of n3_box_tail's 8 coordinates are 16,800 floats, more than BLOCK_FLOATS
+    @pytest.mark.parametrize("n_points", [64, 2100])
     @pytest.mark.parametrize("name", ["mt3", "n3_box_tail"])
-    def test_beta_matches_the_per_pair_loop(self, name, n_pairs, request, monkeypatch):
+    def test_beta_matches_the_all_pairs_loop(self, name, n_points, request, monkeypatch):
         fam = request.getfixturevalue("mt3_family") if name == "mt3" else BLOCK_FAMILIES[name]()
-        expected = per_pair_beta(fam, n_pairs, 5, 2024)
-        floats = []
-        real_apply = MTFamily.apply
+        expected = all_pairs_beta(fam, n_points, 5, 2024)
+        floats, tiles = [], []
+        real_apply, real_distances = MTFamily.apply, mt._squared_distances
 
         def recording(self, gamma, x):
             floats.append(np.size(x))
             return real_apply(self, gamma, x)
 
+        def recording_distances(x, a, b):
+            tile = real_distances(x, a, b)
+            tiles.append(tile.size)
+            return tile
+
         monkeypatch.setattr(MTFamily, "apply", recording)
-        beta = mt_contraction_certificate(fam, n_pairs=n_pairs, n_gammas=5)
+        monkeypatch.setattr(mt, "_squared_distances", recording_distances)
+        beta = mt_contraction_certificate(fam, n_points=n_points, n_gammas=5)
         assert abs(beta - expected) <= 1e-12 * expected
-        assert sum(floats) == 5 * n_pairs * 2 * fam.dim
-        assert max(floats) <= BLOCK_FLOATS
-        if 2 * n_pairs * fam.dim > BLOCK_FLOATS:
+        assert sum(floats) == 5 * n_points * fam.dim
+        assert max(floats) <= BLOCK_FLOATS and max(tiles) <= BLOCK_FLOATS
+        # the tiles cover the n x n distance tables of the points and of their images, once each
+        assert sum(tiles) == 5 * 2 * n_points**2
+        if n_points * fam.dim > BLOCK_FLOATS:
             assert len(floats) > 5
 
 

@@ -1,6 +1,7 @@
 """``tools/verdicts.py``: the one line per config and seed by which two checkouts' exit
 statuses, verdicts and outputs are compared."""
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -36,10 +37,29 @@ def test_run_line_reports_exit_verdicts_and_digests(name, tmp_path, monkeypatch)
     line = verdicts.run_line(cli, config, 7, str(tmp_path))
     match = re.fullmatch(
         rf"{name} seed=7 exit={workload.expected_exit}"
-        r"((?: [a-z_]+=(?:PASS|FAIL):[0-9a-f]{12})+) report=[0-9a-f]{64} trace=[0-9a-f]{64}", line
+        r"((?: [a-z_]+=(?:PASS|FAIL):[0-9a-f]{12})+) report=[0-9a-f]{64} trace=([0-9a-f]{64})"
+        r" rows=([0-9a-f]{64})", line
     )
     assert match, line
+    # the trace keeps its fit line, the rows digest drops it
+    assert match[3] == verdicts.rows_digest(str(tmp_path / "trace.csv")) != match[2]
     checks = re.findall(r"([a-z_]+)=(PASS|FAIL):", match[1])
     assert {check: status == "PASS" for check, status in checks} == workload.expected_checks, line
     # a config's line repeats byte for byte within a version: identical runs, identical outputs
     assert verdicts.run_line(cli, config, 7, str(tmp_path)) == line
+
+
+def test_rows_digest_skips_the_fit_line_only(tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert verdicts.rows_digest(str(trace)) == "none"
+    header, row = "n,gamma,x_0\n", "0,1,0.5\n"
+    trace.write_text(header + "# dist_to_fix floor=1e-15 burn_in=5\n" + row)
+    rows = verdicts.rows_digest(str(trace))
+    assert rows == hashlib.sha256((header + row).encode()).hexdigest()
+    # a moved floor changes the trace digest and keeps the rows digest
+    before = verdicts.digest(str(trace))
+    trace.write_text(header + "# dist_to_fix floor=2e-15 burn_in=5\n" + row)
+    assert verdicts.digest(str(trace)) != before and verdicts.rows_digest(str(trace)) == rows
+    # a moved iterate changes both
+    trace.write_text(header + "# dist_to_fix floor=2e-15 burn_in=5\n" + "0,1,0.25\n")
+    assert verdicts.rows_digest(str(trace)) != rows

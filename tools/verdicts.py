@@ -10,10 +10,12 @@ Each config under ``perfbench/configs`` runs in process through ``relocsplit run
 seed given through ``RELOCSPLIT_SEED``, on one BLAS thread, with its trace and report written
 to a temporary directory. A line reads
 
-    CONFIG seed=S exit=E CHECK=PASS:LINE_DIGEST ... report=SHA256 trace=SHA256
+    CONFIG seed=S exit=E CHECK=PASS:LINE_DIGEST ... report=SHA256 trace=SHA256 rows=SHA256
 
 where LINE_DIGEST is the first 12 hex digits of the sha256 of that check's report line, so a
-moved number shows which check it belongs to. Two checkouts are compared with ``diff``:
+moved number shows which check it belongs to, and ``rows`` is the sha256 of the trace without
+its ``#`` fit line: a change that moves only the fit line's floors keeps ``rows`` and shows
+that no iterate moved. Two checkouts are compared with ``diff``:
 
     python3 tools/verdicts.py ../parent/src 1-40 > parent.txt
     python3 tools/verdicts.py src 1-40 > change.txt
@@ -46,6 +48,14 @@ def digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest() if os.path.exists(path) else "none"
 
 
+def rows_digest(path: str) -> str:
+    """The sha256 of a trace without its ``#`` lines, or ``none`` when the run wrote no trace."""
+    if not os.path.exists(path):
+        return "none"
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"#"))).hexdigest()
+
+
 def run_line(cli, config: Path, seed: int, workdir: str) -> str:
     trace = os.path.join(workdir, "trace.csv")
     report = os.path.join(workdir, "report.txt")
@@ -63,7 +73,7 @@ def run_line(cli, config: Path, seed: int, workdir: str) -> str:
             if "name" in fields:
                 line_digest = hashlib.sha256(line.encode()).hexdigest()[:12]
                 words.append(f"{fields['name']}={fields['status']}:{line_digest}")
-    words += [f"report={digest(report)}", f"trace={digest(trace)}"]
+    words += [f"report={digest(report)}", f"trace={digest(trace)}", f"rows={rows_digest(trace)}"]
     return " ".join(words)
 
 
