@@ -35,6 +35,12 @@ MIN_FIT_SAMPLES = 20
 FIT_QUALITY_GATE = 0.9
 #: points past the rounding floor averaged into a run's limit
 LIMIT_WINDOW = 5
+#: burn-in of the rate_theorem and consensus fits: a long one can launder sublinear tails into
+#: linear verdicts
+CHECK_BURN_IN = 5
+#: the box, per coordinate, from which error_bound draws its points, and how many it draws
+ERROR_BOUND_BOX = (-3.0, 3.0)
+ERROR_BOUND_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -178,44 +184,32 @@ class BoundReport:
         return self.violations == 0
 
 
-def verify_error_bound(
-    family: OperatorFamily,
-    gamma: float,
-    kappa: float,
-    sample_box: tuple[float, float],
-    samples: int,
-    seed: int,
-) -> BoundReport:
+def verify_error_bound(family: OperatorFamily, gamma: float, kappa: float, seed: int) -> BoundReport:
     """Sample-check dist(x, Fix T_gamma) <= kappa * ||x - T_gamma x||.
 
-    Points are drawn uniformly from the box and evaluated a block at a time
-    (``relocsplit.family.BLOCK_FLOATS`` floats); the distance is exact via the unique fixed
-    point ``family.fixed_point(gamma)`` (contraction hypotheses required).
-    Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio
-    reported is the left side over the slackened right side, so PASS means
-    worst_ratio <= 1.
+    ERROR_BOUND_SAMPLES points are drawn uniformly from ERROR_BOUND_BOX in every coordinate and
+    evaluated a block at a time (``relocsplit.family.BLOCK_FLOATS`` floats); the distance is
+    exact via the unique fixed point ``family.fixed_point(gamma)`` (contraction hypotheses
+    required). Each sample allows the absolute slack 1e-9 * (1 + ||x||); the ratio reported is
+    the left side over the slackened right side, so PASS means worst_ratio <= 1, and a NaN
+    ratio is a violation that reaches worst_ratio. A kappa that is not positive (NaN included)
+    raises DomainError.
     """
     gamma = family.check_gamma(gamma)
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
-    if samples < 1:
-        raise DomainError("samples must be >= 1: zero samples would pass vacuously")
-    lo, hi = float(sample_box[0]), float(sample_box[1])
-    if not lo < hi:
-        raise DomainError("sample box must have lo < hi")
+    if not kappa > 0:
+        raise DomainError(f"kappa must be positive, got {kappa!r}")
 
     x_star = family.fixed_point(gamma)
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for k in block_sizes(samples, family.dim):
-        x = rng.uniform(lo, hi, size=(k, family.dim))
+    ratios = []
+    for k in block_sizes(ERROR_BOUND_SAMPLES, family.dim):
+        x = rng.uniform(*ERROR_BOUND_BOX, size=(k, family.dim))
         lhs = np.linalg.norm(x - x_star, axis=1)
         resid = np.linalg.norm(x - family.apply(gamma, x), axis=1)
-        ratio = lhs / (kappa * resid + 1e-9 * (1.0 + np.linalg.norm(x, axis=1)))
-        worst = max(worst, float(ratio.max()))
-        violations += int(np.count_nonzero(ratio > 1.0))
-    return BoundReport("error_bound", samples, violations, worst, kappa)
+        ratios.append(lhs / (kappa * resid + 1e-9 * (1.0 + np.linalg.norm(x, axis=1))))
+    ratio = np.concatenate(ratios)
+    violations = int(np.count_nonzero(~(ratio <= 1.0)))
+    return BoundReport("error_bound", ERROR_BOUND_SAMPLES, violations, float(ratio.max()), kappa)
 
 
 def verify_one_step_contraction(family: OperatorFamily, trace: IterateTrace, kappa: float) -> BoundReport:
@@ -224,19 +218,20 @@ def verify_one_step_contraction(family: OperatorFamily, trace: IterateTrace, kap
         dist_{n+1} <= l_n * sqrt(max{0, 1 - (1-alpha)/(alpha kappa^2)}) * dist_n + 1e-9
 
     along a relocated run, where l_n is the relocator Lipschitz constant for
-    the step, and alpha the averagedness constant of the family's regularity record.
+    the step, and alpha the averagedness constant of the family's regularity record. A NaN ratio
+    is a violation; a kappa that is not positive (NaN included) raises DomainError.
     """
     if trace.dist_to_fix is None:
         raise MissingDistances("trace has no distances; run compute_distances first")
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
+    if not kappa > 0:
+        raise DomainError(f"kappa must be positive, got {kappa!r}")
     alpha = family.regularity().alpha
     factor = float(np.sqrt(max(0.0, 1.0 - (1.0 - alpha) / (alpha * kappa**2))))
 
     dist = trace.dist_to_fix
     ell = family.relocator_lipschitz(trace.gammas[1:], trace.gammas[:-1])
     ratio = dist[1:] / (ell * factor * dist[:-1] + 1e-9)
-    violations = int(np.count_nonzero(ratio > 1.0))
+    violations = int(np.count_nonzero(~(ratio <= 1.0)))
     return BoundReport("one_step", len(ratio), violations, float(ratio.max(initial=0.0)), kappa)
 
 
@@ -295,12 +290,9 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
     return x_inf
 
 
-def verify_rate_theorem(
-    family: OperatorFamily,
-    trace: IterateTrace,
-    burn_in: int | None = None,
-) -> RateTheoremResult:
-    """Fit R-linear rates to the trace's ``dist_to_fix`` and ``err_to_limit`` columns.
+def verify_rate_theorem(family: OperatorFamily, trace: IterateTrace) -> RateTheoremResult:
+    """Fit R-linear rates, after CHECK_BURN_IN rows, to the trace's ``dist_to_fix`` and
+    ``err_to_limit`` columns.
 
     The columns come from ``compute_distances`` and ``limit_errors``; MissingDistances
     when either is absent. Passes when both fits come back R-linear; schedules that do
@@ -312,9 +304,7 @@ def verify_rate_theorem(
     dist_floor = distance_floor(family)
     if trace.dist_to_fix is None or trace.err_to_limit is None:
         raise MissingDistances("trace lacks a column; run compute_distances and limit_errors first")
-    if burn_in is None:
-        burn_in = default_burn_in(len(trace) - 1)
 
-    iterate_rate = fit_linear_rate(trace.err_to_limit, burn_in, rounding_floor(trace.xs))
-    dist_rate = fit_linear_rate(trace.dist_to_fix, burn_in, dist_floor)
+    iterate_rate = fit_linear_rate(trace.err_to_limit, CHECK_BURN_IN, rounding_floor(trace.xs))
+    dist_rate = fit_linear_rate(trace.dist_to_fix, CHECK_BURN_IN, dist_floor)
     return RateTheoremResult(dist_rate, iterate_rate, dist_rate.linear and iterate_rate.linear)

@@ -17,7 +17,8 @@ y = J_{gamma A2}(2z - x): ``dr.DRFamily`` is this family there.
 
 Block vectors are stored flat with stride ``space_dim``; the block count is
 part of the family, so the generic driver stays oblivious to N. The contraction factor is
-sampled over all pairs among 64 points per stepsize: a lower estimate, not a bound.
+sampled over all pairs among SAMPLE_POINTS = 64 points at each of SAMPLE_GAMMAS = 5 stepsizes: a
+lower estimate, not a bound.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ _THETA_MARGIN = 1e-6
 CHAIN_TOL = 1e-7
 #: passes the active-set solve for a box tail's zero makes at most
 ACTIVE_SET_PASSES = 20
+#: the contraction factor's sample: SAMPLE_POINTS points, SAMPLE_SCALE * N(0, I) from seed
+#: SAMPLE_SEED, at each of SAMPLE_GAMMAS stepsizes; SAMPLE_POINTS**2 floats fit in BLOCK_FLOATS, so
+#: one Gram product covers every pair of a stepsize
+SAMPLE_POINTS, SAMPLE_GAMMAS, SAMPLE_SEED, SAMPLE_SCALE = 64, 5, 2024, 3.0
 #: the structural hypotheses under which T_gamma is a contraction, one entry per case
 _CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
           "first_strong": "strongly monotone Lipschitz heads"}
@@ -98,8 +103,8 @@ class MTFamily(OperatorFamily):
 
     The driver-facing dimension is ``(N-1) * space_dim``. When the hypotheses of a contraction
     case hold (``missing_hypothesis``), the regularity record carries the factor beta that
-    ``mt_contraction_certificate`` samples from all pairs among 64 points per stepsize, with
-    provenance ``sampled``, and the averagedness (beta + 1)/2 of a beta-contraction;
+    ``mt_contraction_certificate`` samples from all pairs among SAMPLE_POINTS points per
+    stepsize, with provenance ``sampled``, and the averagedness (beta + 1)/2 of a beta-contraction;
     an all-affine family with N <= 3 holds its ``affine_part``. ``dr.DRFamily`` is this family at
     N = 2 and theta = 1, with its own regularity record and relocator constant.
     """
@@ -369,57 +374,37 @@ def _case_holds(operators, case: str) -> bool:
             and all(getattr(op, "mu", 0.0) > 0.0 for op in strong))
 
 
-def mt_contraction_certificate(
-    fam: MTFamily,
-    n_points: int = 64,
-    n_gammas: int = 5,
-    seed: int = 2024,
-    sample_scale: float = 3.0,
-) -> float:
+def mt_contraction_certificate(fam: MTFamily) -> float:
     """The contraction factor beta of a family whose structural hypotheses hold, by sampling;
     NonSingletonFix with ``fam.missing_hypothesis()`` when they fail. Cases:
       "last_strong"   A1..A_{N-1} single-valued monotone Lipschitz, AN strongly monotone
       "first_strong"  A1..A_{N-1} strongly monotone Lipschitz, AN merely monotone
 
-    At each of ``n_gammas`` stepsizes, ``n_points`` points ``sample_scale * N(0, I)`` are
-    mapped by T_gamma a block of rows at a time (``relocsplit.family.BLOCK_FLOATS`` floats).
-    beta is the largest ratio ||T_gamma u - T_gamma v|| / ||u - v|| over every pair of them
-    at least 1e-12 apart: Gram products rank the pairs, in tiles of at most BLOCK_FLOATS floats,
-    and each stepsize's best pair is measured again from its differences, so no cancellation
-    becomes beta. A ratio at or above 1 - 1e-6 raises CertificationFailed (theory forbids it);
-    no pair to sample (``n_points`` < 2, ``n_gammas`` < 1, a ``sample_scale`` not positive and
-    finite, or no two points 1e-12 apart) raises DomainError rather than certify beta = 0.
+    At each of SAMPLE_GAMMAS stepsizes, SAMPLE_POINTS points SAMPLE_SCALE * N(0, I) (seed
+    SAMPLE_SEED) are mapped by T_gamma a block of rows at a time
+    (``relocsplit.family.BLOCK_FLOATS`` floats). beta is the largest ratio
+    ||T_gamma u - T_gamma v|| / ||u - v|| over every pair of them at least 1e-12 apart: one Gram
+    product for the points and one for their images rank the pairs, and each stepsize's best
+    pair is measured again from its differences, so no cancellation becomes beta. A ratio at or
+    above 1 - 1e-6 raises CertificationFailed (theory forbids it).
     """
-    if n_points < 2 or n_gammas < 1:
-        raise DomainError("n_points must be >= 2 and n_gammas >= 1: no pair would certify beta = 0")
-    if not 0.0 < sample_scale < math.inf:
-        raise DomainError(f"sample_scale must be positive and finite, got {sample_scale!r}")
     if missing := fam.missing_hypothesis():
         raise NonSingletonFix(missing)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     lo, hi = fam.gamma_interval
-    n, ratios = n_points, []
-    for gamma in np.linspace(lo, hi, n_gammas):
-        points = sample_scale * rng.standard_normal((n, fam.dim))
+    n, ratios = SAMPLE_POINTS, []
+    upper = np.arange(n) > np.arange(n)[:, None]
+    for gamma in np.linspace(lo, hi, SAMPLE_GAMMAS):
+        points = SAMPLE_SCALE * rng.standard_normal((n, fam.dim))
         ends = np.cumsum([0, *block_sizes(n, fam.dim)])
         images = np.concatenate([fam.apply(gamma, points[a:b]) for a, b in zip(ends, ends[1:])])
-        best, pair = -np.inf, None
-        ends = np.cumsum([0, *block_sizes(n, n)])
-        for a, b in zip(ends, ends[1:]):
-            d_x, d_t = _squared_distances(points, a, b), _squared_distances(images, a, b)
-            # pair (i, j) counts once, as i < j, and only when the points lie 1e-12 apart
-            keep = (np.arange(n) > np.arange(a, b)[:, None]) & (d_x >= 1e-24)
-            ratio2 = np.divide(d_t, d_x, out=np.full(d_x.shape, -np.inf), where=keep)
-            k = int(ratio2.argmax())
-            if ratio2.flat[k] > best:
-                best, pair = ratio2.flat[k], (a + k // n, k % n)
-        if pair is not None:
-            i, j = pair
-            moved, apart = images[i] - images[j], points[i] - points[j]
-            ratios.append(float(np.linalg.norm(moved) / np.linalg.norm(apart)))
-    if not ratios:
-        raise DomainError(f"no two sampled points lie 1e-12 apart at sample_scale {sample_scale!r}")
+        d_x, d_t = _squared_distances(points), _squared_distances(images)
+        # pair (i, j) counts once, as i < j, and only when the points lie 1e-12 apart
+        ratio2 = np.divide(d_t, d_x, out=np.full(d_x.shape, -np.inf), where=upper & (d_x >= 1e-24))
+        i, j = divmod(int(ratio2.argmax()), n)
+        moved, apart = images[i] - images[j], points[i] - points[j]
+        ratios.append(float(np.linalg.norm(moved) / np.linalg.norm(apart)))
     beta = max(ratios)
     if beta >= 1.0 - 1e-6:
         raise CertificationFailed(
@@ -428,10 +413,10 @@ def mt_contraction_certificate(
     return beta
 
 
-def _squared_distances(x: np.ndarray, a: int, b: int) -> np.ndarray:
-    """||x_i - x_j||^2 for the rows i in [a, b) of x and every row j, from one Gram product."""
+def _squared_distances(x: np.ndarray) -> np.ndarray:
+    """||x_i - x_j||^2 for every two rows of x, from one Gram product."""
     sq = np.einsum("ij,ij->i", x, x)
-    return sq[a:b, None] + sq - 2.0 * (x[a:b] @ x.T)
+    return sq[:, None] + sq - 2.0 * (x @ x.T)
 
 
 def mt_summability_bound(schedule: StepsizeSchedule, n_operators: int) -> float:

@@ -135,21 +135,21 @@ def test_criterion_04_contraction_factor():
 
 def test_criterion_05_error_bounds(dr5):
     beta = dr5.regularity().beta
-    rep_c = verify_error_bound(dr5, 1.0, 1.0 / (1.0 - beta), (-3, 3), 1000, 505)
+    rep_c = verify_error_bound(dr5, 1.0, 1.0 / (1.0 - beta), 505)
     assert rep_c.violations == 0
 
     kappa = dr_regularity_constant(1.0, dr5.a1.sym_eig_min, 1.0 / dr5.a1.sym_eig_max)
-    rep_k = verify_error_bound(dr5, 1.0, kappa, (-3, 3), 1000, 506)
+    rep_k = verify_error_bound(dr5, 1.0, kappa, 506)
     assert rep_k.violations == 0
 
-    rep_neg = verify_error_bound(dr5, 1.0, 0.01, (-3, 3), 1000, 507)
+    rep_neg = verify_error_bound(dr5, 1.0, 0.01, 507)
     assert rep_neg.violations >= 1
 
 
 def test_criterion_06_main_rate_theorem(dr10, run_with_columns):
     fam, sch = dr10
     x0 = np.zeros(fam.dim)
-    result = verify_rate_theorem(fam, run_with_columns(fam, sch, x0, 300), burn_in=5)
+    result = verify_rate_theorem(fam, run_with_columns(fam, sch, x0, 300))
     beta_bar = fam.regularity().beta
     assert result.passed
     assert result.iterate_rate.fit_quality >= 0.95

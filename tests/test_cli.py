@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -765,6 +767,24 @@ def test_one_stepsize_checks_its_one_fixed_point_once(tmp_path, monkeypatch, cap
         " fitted_C=nan fitted_r=nan fit_quality=nan")
 
 
+@pytest.mark.parametrize("check", ["relocator_bijection", "fix_decomposition"])
+def test_a_nan_ratio_fails_the_check(tmp_path, monkeypatch, capsys, check):
+    # PASS is worst_ratio <= 1, which the worst of the ratios, NaN if any is, then fails
+    if check == "relocator_bijection":
+        monkeypatch.setattr(dr.DRFamily, "residual", lambda self, gamma, x: math.nan)
+    else:
+        real = cli.fix_decomposition_check
+
+        def nan_primal(family, gamma, x):
+            return dataclasses.replace(real(family, gamma, x), primal_residual=math.nan)
+
+        monkeypatch.setattr(cli, "fix_decomposition_check", nan_primal)
+    path = write_config(tmp_path, DR_CONFIG)
+    assert cli.main(["verify", path, "--set", f"checks={check}"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"name={check} status=FAIL ") and " worst_ratio=nan " in line
+
+
 class TestApplicableChecks:
     @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
     def test_all_runs_what_the_family_supports(self, tmp_path, capsys, name):
@@ -1059,7 +1079,7 @@ class TestRateCommand:
         # rate_theorem's floor for the column, from the iterates the trace holds
         xs = np.column_stack([cli.read_trace_csv(str(trace), f"x_{j}")[0] for j in range(10)])
         expected = diagnostics.fit_linear_rate(
-            values, cli.RATE_THEOREM_BURN_IN, diagnostics.rounding_floor(xs)
+            values, diagnostics.CHECK_BURN_IN, diagnostics.rounding_floor(xs)
         )
         capsys.readouterr()
         assert cli.main(["rate", str(trace)]) == 0

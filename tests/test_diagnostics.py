@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -137,18 +138,18 @@ class TestFixedPointOracle:
 class TestVerifyErrorBound:
     def test_contraction_constant(self, pd_pair_family):
         beta = pd_pair_family.regularity().beta
-        rep = verify_error_bound(pd_pair_family, 1.0, 1.0 / (1.0 - beta), (-3, 3), 1000, 5)
+        rep = verify_error_bound(pd_pair_family, 1.0, 1.0 / (1.0 - beta), 5)
         assert rep.passed and rep.violations == 0
 
     def test_dr_eigen_constant(self, pd_pair_family):
         kappa = rs.dr_regularity_constant(
             1.0, pd_pair_family.a1.sym_eig_min, 1.0 / pd_pair_family.a1.sym_eig_max
         )
-        rep = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 6)
+        rep = verify_error_bound(pd_pair_family, 1.0, kappa, 6)
         assert rep.passed
 
     def test_negative_control(self, pd_pair_family):
-        rep = verify_error_bound(pd_pair_family, 1.0, 0.01, (-3, 3), 1000, 7)
+        rep = verify_error_bound(pd_pair_family, 1.0, 0.01, 7)
         assert not rep.passed
         assert rep.violations > 0
         assert rep.worst_ratio > 1.0
@@ -158,25 +159,39 @@ class TestVerifyErrorBound:
             rs.AffineOperator(np.zeros((2, 2))), rs.AffineOperator(np.zeros((2, 2))), INTERVAL
         )
         with pytest.raises(NonSingletonFix):
-            verify_error_bound(fam, 1.0, 10.0, (-1, 1), 10, 0)
+            verify_error_bound(fam, 1.0, 10.0, 0)
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_no_samples_is_an_error(self, pd_pair_family, samples):
-        # a check of no samples finds no violation; it must not pass for that
-        with pytest.raises(DomainError):
-            verify_error_bound(pd_pair_family, 1.0, 1e-3, (-3, 3), samples, 5)
-        assert not verify_error_bound(pd_pair_family, 1.0, 1e-3, (-3, 3), 10, 5).passed
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_kappa_not_positive_is_an_error(self, pd_pair_family, kappa):
+        # a NaN kappa makes every ratio NaN, which no `ratio > 1` counts: it must not pass
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            verify_error_bound(pd_pair_family, 1.0, kappa, 5)
+
+    def test_a_nan_ratio_is_a_violation(self, pd_pair_family, monkeypatch):
+        kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
+        clean = verify_error_bound(pd_pair_family, 1.0, kappa, 5)
+        real_apply = type(pd_pair_family).apply
+
+        def one_nan_row(self, gamma, x):
+            t = real_apply(self, gamma, x)
+            t[3, 0] = math.nan
+            return t
+
+        monkeypatch.setattr(type(pd_pair_family), "apply", one_nan_row)
+        rep = verify_error_bound(pd_pair_family, 1.0, kappa, 5)
+        assert clean.passed and clean.violations == 0
+        assert not rep.passed and rep.violations == 1 and math.isnan(rep.worst_ratio)
 
 
-def per_sample_error_bound(family, gamma, kappa, sample_box, samples, seed):
+def per_sample_error_bound(family, gamma, kappa, seed):
     """(violations, worst_ratio) as verify_error_bound computed them before it
     evaluated blocks: one apply per point, from a cold-start fixed point."""
-    lo, hi = sample_box
+    lo, hi = diagnostics.ERROR_BOUND_BOX
     x_star = fixed_point_oracle(family, gamma, np.full(family.dim, 0.5 * (lo + hi)))
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(diagnostics.ERROR_BOUND_SAMPLES):
         x = rng.uniform(lo, hi, size=family.dim)
         lhs = float(np.linalg.norm(x - x_star))
         resid = float(np.linalg.norm(x - family.apply(gamma, x)))
@@ -188,14 +203,25 @@ def per_sample_error_bound(family, gamma, kappa, sample_box, samples, seed):
     return violations, worst
 
 
+def _family_of_dim(kind: str, dim: int):
+    """A contraction-certified family of ``dim`` coordinates: a dr pair, or an mt family of
+    three operators on dim / 2 coordinates each."""
+    if kind == "dr":
+        ops = rs.generate_problem("affine_strongly_monotone", dim, 7, 0.5, 2.0)
+        return rs.DRFamily(ops[0], ops[1], INTERVAL)
+    ops = rs.generate_problem("affine_strongly_monotone", dim // 2, 5, 0.5, 2.0, n_operators=3)
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
 class TestBlockedErrorBound:
-    @pytest.mark.parametrize("samples", [1000, 4000])
+    # 1000 points of 6 coordinates fit in one BLOCK_FLOATS block, 1000 of 20 take two
+    @pytest.mark.parametrize("dim", [6, 20])
     @pytest.mark.parametrize("negative", [False, True], ids=["certified", "negative_control"])
-    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
-    def test_matches_the_per_sample_loop(self, family_name, negative, samples, request, monkeypatch):
-        family = request.getfixturevalue(family_name)
+    @pytest.mark.parametrize("kind", ["dr", "mt"])
+    def test_matches_the_per_sample_loop(self, kind, negative, dim, monkeypatch):
+        family = _family_of_dim(kind, dim)
         kappa = 0.01 if negative else 1.0 / (1.0 - family.regularity().beta)
-        violations, worst = per_sample_error_bound(family, 1.0, kappa, (-3, 3), samples, 5)
+        violations, worst = per_sample_error_bound(family, 1.0, kappa, 5)
         floats = []
         real_apply = type(family).apply
 
@@ -204,18 +230,20 @@ class TestBlockedErrorBound:
             return real_apply(self, gamma, x)
 
         monkeypatch.setattr(type(family), "apply", recording)
-        rep = verify_error_bound(family, 1.0, kappa, (-3, 3), samples, 5)
+        rep = verify_error_bound(family, 1.0, kappa, 5)
+        assert family.dim == dim
+        assert rep.samples == diagnostics.ERROR_BOUND_SAMPLES
         assert rep.violations == violations
         assert (violations > 0) == negative
         assert abs(rep.worst_ratio - worst) <= 1e-12 * worst
         assert max(floats) <= BLOCK_FLOATS
-        if samples * family.dim > BLOCK_FLOATS:
-            assert sum(1 for n in floats if n > family.dim) > 1
+        blocks = sum(1 for n in floats if n > family.dim)
+        assert (blocks > 1) == (diagnostics.ERROR_BOUND_SAMPLES * dim > BLOCK_FLOATS) == (dim == 20)
 
     def test_cached_fixed_point_runs_no_oracle(self, pd_pair_family, monkeypatch):
         # the family's line, certified once, serves the fixed point: no oracle, no residual apply
         kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
-        cold = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
+        cold = verify_error_bound(pd_pair_family, 1.0, kappa, 5)
         calls = []
         real_oracle = diagnostics.fixed_point_oracle
 
@@ -225,9 +253,9 @@ class TestBlockedErrorBound:
 
         monkeypatch.setattr(diagnostics, "fixed_point_oracle", counting)
         applied = _record_applies(monkeypatch, pd_pair_family)
-        cached = verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 5)
+        cached = verify_error_bound(pd_pair_family, 1.0, kappa, 5)
         assert calls == []
-        assert len(applied) == len(list(block_sizes(1000, pd_pair_family.dim)))
+        assert len(applied) == len(list(block_sizes(diagnostics.ERROR_BOUND_SAMPLES, pd_pair_family.dim)))
         assert cached == cold
 
 
@@ -290,12 +318,28 @@ class TestVerifyOneStep:
         with pytest.raises(MissingDistances):
             verify_one_step_contraction(pd_pair_family, trace, 10.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_kappa_not_positive_is_an_error(self, pd_pair_family, geometric_schedule, kappa):
+        # a NaN kappa would make the factor 0 and FAIL by accident; it is a bad input
+        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 30)
+        compute_distances(pd_pair_family, trace)
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            verify_one_step_contraction(pd_pair_family, trace, kappa)
+
+    def test_a_nan_ratio_is_a_violation(self, pd_pair_family, geometric_schedule):
+        trace = relocated_iterate(pd_pair_family, geometric_schedule, np.ones(5), 30)
+        compute_distances(pd_pair_family, trace)
+        trace.dist_to_fix[7] = math.nan
+        kappa = 1.0 / (1.0 - pd_pair_family.regularity().beta)
+        rep = verify_one_step_contraction(pd_pair_family, trace, kappa)
+        assert not rep.passed and rep.violations == 2 and math.isnan(rep.worst_ratio)
+
 
 class TestVerifyRateTheorem:
     def test_scalar_geometric(self, geometric_schedule, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         run = run_with_columns(fam, geometric_schedule, [geometric_schedule.gamma(0)], 300)
-        res = verify_rate_theorem(fam, run, burn_in=5)
+        res = verify_rate_theorem(fam, run)
         assert res.passed
         # distances are identically zero, iterate errors are exactly 0.5^n
         assert res.dist_rate.C == 0.0
@@ -304,13 +348,13 @@ class TestVerifyRateTheorem:
     def test_scalar_polynomial_negative_control(self, run_with_columns):
         fam = ScalarShiftFamily(0.5, INTERVAL)
         sch = StepsizeSchedule.polynomial(1.0, 1.0, 2.0, INTERVAL)
-        res = verify_rate_theorem(fam, run_with_columns(fam, sch, [sch.gamma(0)], 2000), burn_in=5)
+        res = verify_rate_theorem(fam, run_with_columns(fam, sch, [sch.gamma(0)], 2000))
         assert not res.passed
         assert not res.iterate_rate.linear
 
     def test_dr_geometric(self, pd_pair_family, geometric_schedule, run_with_columns):
         run = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
-        res = verify_rate_theorem(pd_pair_family, run, burn_in=5)
+        res = verify_rate_theorem(pd_pair_family, run)
         assert res.passed
         assert res.iterate_rate.fit_quality >= 0.9
         assert res.dist_rate.fit_quality >= 0.9
@@ -343,12 +387,15 @@ class TestVerifyRateTheorem:
             monkeypatch.setattr(diagnostics, name, recomputed)
         monkeypatch.setattr(FixedPointLine, "point", recomputed)
         monkeypatch.setattr(type(family), "apply", recomputed)
-        res = verify_rate_theorem(family, trace, burn_in=5)
+        res = verify_rate_theorem(family, trace)
         assert res.passed
         floor = 10.0 * family.fixed_point_line().residual_bound / (1.0 - family.regularity().beta)
-        assert res.iterate_rate == diagnostics.fit_linear_rate(errs, 5, diagnostics.rounding_floor(trace.xs))
+        burn_in = diagnostics.CHECK_BURN_IN
+        assert res.iterate_rate == diagnostics.fit_linear_rate(
+            errs, burn_in, diagnostics.rounding_floor(trace.xs)
+        )
         assert res.dist_rate == diagnostics.fit_linear_rate(
-            dist, 5, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
+            dist, burn_in, floor=max(diagnostics.FLOAT_FLOOR, min(1e-6, floor))
         )
         assert np.array_equal(trace.dist_to_fix, dist) and np.array_equal(trace.err_to_limit, errs)
 
@@ -357,16 +404,17 @@ class TestVerifyRateTheorem:
     ):
         # the floor follows the line's bound, and serving other points does not move it
         trace = run_with_columns(pd_pair_family, geometric_schedule, np.ones(5), 250)
-        before = verify_rate_theorem(pd_pair_family, trace, burn_in=5)
+        before = verify_rate_theorem(pd_pair_family, trace)
         for gamma in np.linspace(*INTERVAL, 7):
             pd_pair_family.fixed_point(gamma)
-        assert verify_rate_theorem(pd_pair_family, trace, burn_in=5) == before
+        assert verify_rate_theorem(pd_pair_family, trace) == before
         line = pd_pair_family.fixed_point_line()
         raised = 1e-9 * (1.0 - pd_pair_family.regularity().beta)
         monkeypatch.setattr(pd_pair_family, "_line", dataclasses.replace(line, residual_bound=raised))
-        after = verify_rate_theorem(pd_pair_family, trace, burn_in=5)
+        after = verify_rate_theorem(pd_pair_family, trace)
         assert after.iterate_rate == before.iterate_rate
-        assert np.all(trace.dist_to_fix[5: 5 + after.dist_rate.n_used] >= 1e-8)
+        start = diagnostics.CHECK_BURN_IN
+        assert np.all(trace.dist_to_fix[start: start + after.dist_rate.n_used] >= 1e-8)
         assert after.dist_rate.n_used < before.dist_rate.n_used
 
     def test_shared_inputs_are_checked(self, pd_pair_family, geometric_schedule, run_with_columns):

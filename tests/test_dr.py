@@ -127,7 +127,7 @@ class TestAlgorithm1:
 
     def test_geometric_rate_bounded(self, pd_pair_family, geometric_schedule, run_with_columns):
         trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 250)
-        res = rs.verify_rate_theorem(pd_pair_family, trace, burn_in=5)
+        res = rs.verify_rate_theorem(pd_pair_family, trace)
         beta_bar = pd_pair_family.regularity().beta
         assert res.passed
         assert res.iterate_rate.r <= max(beta_bar, geometric_schedule.r) + 0.05
@@ -242,7 +242,7 @@ class TestRegularityConstant:
         mu = pd_pair_family.a1.sym_eig_min
         rho = 1.0 / pd_pair_family.a1.sym_eig_max
         kappa = dr_regularity_constant(1.0, mu, rho)
-        report = rs.verify_error_bound(pd_pair_family, 1.0, kappa, (-3, 3), 1000, 33)
+        report = rs.verify_error_bound(pd_pair_family, 1.0, kappa, 33)
         assert report.violations == 0
 
 

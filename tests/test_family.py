@@ -449,7 +449,7 @@ class TestContractionRegularity:
         self, pd_pair_family, geometric_schedule, run_with_columns
     ):
         trace = run_with_columns(pd_pair_family, geometric_schedule, np.zeros(5), 200)
-        res = rs.verify_rate_theorem(pd_pair_family, trace, burn_in=5)
+        res = rs.verify_rate_theorem(pd_pair_family, trace)
         assert res.iterate_rate.linear and res.iterate_rate.r < 1.0
 
 
@@ -614,7 +614,7 @@ def _iterate_fit_quality(family, schedule, x0, n_steps):
     family.affine_part(schedule.gamma_star)
     trace = rs.compute_distances(family, relocated_iterate(family, schedule, x0, n_steps))
     diagnostics.limit_errors(family, schedule.gamma_star, trace)
-    return diagnostics.verify_rate_theorem(family, trace, burn_in=5).iterate_rate.fit_quality
+    return diagnostics.verify_rate_theorem(family, trace).iterate_rate.fit_quality
 
 
 class TestAffineRounding:

@@ -313,9 +313,9 @@ class TestContractionCertificate:
         a1 = rs.skew_operator(2, 1.0, rng)
         a2 = AffineOperator(2 * np.eye(2))
         fam = MTFamily([a1, a2], theta=0.5, gamma_interval=INTERVAL)
-        beta = mt_contraction_certificate(fam, n_points=64, n_gammas=5)
+        beta = mt_contraction_certificate(fam)
         assert 0.0 < beta < 1.0
-        assert beta == pytest.approx(all_pairs_beta(fam, 64, 5, 2024), rel=1e-12)
+        assert beta == pytest.approx(all_pairs_beta(fam), rel=1e-12)
 
     def test_zero_operators_fail_hypotheses(self):
         # the certificate gates on the family's one hypothesis read, and raises its reason
@@ -330,29 +330,19 @@ class TestContractionCertificate:
         ops = [rs.symmetric_operator(2, 0.5, 2.0, rng) for _ in range(2)]
         ops.append(BoxNormalCone(-np.ones(2), np.ones(2)))
         fam = MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
-        beta = mt_contraction_certificate(fam, n_points=64, n_gammas=5)
+        beta = mt_contraction_certificate(fam)
         assert beta < 1.0
-        assert beta == pytest.approx(all_pairs_beta(fam, 64, 5, 2024), rel=1e-12)
+        assert beta == pytest.approx(all_pairs_beta(fam), rel=1e-12)
         # the family's regularity record carries this factor, sampled
         assert (fam.regularity().beta, fam.regularity().beta_source) == (beta, "sampled")
 
-    @pytest.mark.parametrize("counts, reason", [
-        ({"n_points": 0}, "n_points must be >= 2"),
-        ({"n_points": 1}, "n_points must be >= 2"),
-        ({"n_points": -1}, "n_points must be >= 2"),
-        ({"n_gammas": 0}, "n_gammas >= 1"),
-        ({"sample_scale": 0.0}, "positive and finite"),
-        ({"sample_scale": -3.0}, "positive and finite"),
-        ({"sample_scale": np.inf}, "positive and finite"),
-        ({"sample_scale": np.nan}, "positive and finite"),
-        # every pair of points lies under the 1e-12 distance guard
-        ({"sample_scale": 1e-14}, "1e-12 apart"),
-    ], ids=["n_points=0", "n_points=1", "n_points=-1", "n_gammas=0", "scale=0", "scale=-3",
-            "scale=inf", "scale=nan", "scale=1e-14"])
-    def test_no_samples_is_an_error(self, mt3_family, counts, reason):
-        # no sampled pair bounds no factor; beta = 0 must not come back as certified
-        with pytest.raises(DomainError, match=reason):
-            mt_contraction_certificate(mt3_family, **counts)
+    def test_the_fixed_draws_keep_every_pair_apart(self):
+        # no guard checks for points closer than 1e-12: in one dimension, where sampled pairs lie
+        # closest, the fixed draws keep every pair of a stepsize 1e-6 apart or more
+        rng = np.random.default_rng(mt.SAMPLE_SEED)
+        for _ in range(mt.SAMPLE_GAMMAS):
+            points = np.sort(mt.SAMPLE_SCALE * rng.standard_normal(mt.SAMPLE_POINTS))
+            assert np.diff(points).min() >= 1e-6
 
     @pytest.mark.xfail(strict=True, reason="a sampled Lipschitz ratio is not an upper bound on "
                        "the contraction factor; the certificate is not yet exact")
@@ -432,16 +422,16 @@ class TestBlocksOfPoints:
             assert str(info.value) == "block vector has non-finite coordinates"
 
 
-def all_pairs_beta(fam, n_points, n_gammas, seed, sample_scale=3.0):
+def all_pairs_beta(fam):
     """The sampled contraction factor from direct differences: at each stepsize the draws
     mt_contraction_certificate makes, one apply per point, and every pair i < j."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(mt.SAMPLE_SEED)
     lo, hi = fam.gamma_interval
     beta = 0.0
-    for gamma in np.linspace(lo, hi, n_gammas):
-        points = sample_scale * rng.standard_normal((n_points, fam.dim))
+    for gamma in np.linspace(lo, hi, mt.SAMPLE_GAMMAS):
+        points = mt.SAMPLE_SCALE * rng.standard_normal((mt.SAMPLE_POINTS, fam.dim))
         images = np.vstack([fam.apply(gamma, u) for u in points])
-        for i in range(n_points - 1):
+        for i in range(mt.SAMPLE_POINTS - 1):
             denom = np.linalg.norm(points[i + 1:] - points[i], axis=1)
             keep = denom >= 1e-12
             ratios = np.linalg.norm(images[i + 1:] - images[i], axis=1)[keep] / denom[keep]
@@ -450,34 +440,42 @@ def all_pairs_beta(fam, n_points, n_gammas, seed, sample_scale=3.0):
 
 
 class TestBlockedCertificate:
-    # 2100 points of n3_box_tail's 8 coordinates are 16,800 floats, more than BLOCK_FLOATS
-    @pytest.mark.parametrize("n_points", [64, 2100])
-    @pytest.mark.parametrize("name", ["mt3", "n3_box_tail"])
-    def test_beta_matches_the_all_pairs_loop(self, name, n_points, request, monkeypatch):
-        fam = request.getfixturevalue("mt3_family") if name == "mt3" else BLOCK_FAMILIES[name]()
-        expected = all_pairs_beta(fam, n_points, 5, 2024)
-        floats, tiles = [], []
+    # 64 points of "wide"'s 260 coordinates are 16,640 floats, more than BLOCK_FLOATS
+    FAMILIES = {
+        "n3_box_tail": BLOCK_FAMILIES["n3_box_tail"],
+        "wide": lambda: MTFamily(rs.generate_problem("affine_strongly_monotone", 130, 7, 0.5, 2.0,
+                                                     n_operators=3), theta=0.5, gamma_interval=INTERVAL),
+    }
+
+    @pytest.mark.parametrize("name", ["mt3", "n3_box_tail", "wide"])
+    def test_beta_matches_the_all_pairs_loop(self, name, request, monkeypatch):
+        fam = request.getfixturevalue("mt3_family") if name == "mt3" else self.FAMILIES[name]()
+        expected = all_pairs_beta(fam)
+        floats, grams = [], []
         real_apply, real_distances = MTFamily.apply, mt._squared_distances
 
         def recording(self, gamma, x):
             floats.append(np.size(x))
             return real_apply(self, gamma, x)
 
-        def recording_distances(x, a, b):
-            tile = real_distances(x, a, b)
-            tiles.append(tile.size)
-            return tile
+        def recording_distances(x):
+            table = real_distances(x)
+            grams.append(table.shape)
+            return table
 
         monkeypatch.setattr(MTFamily, "apply", recording)
         monkeypatch.setattr(mt, "_squared_distances", recording_distances)
-        beta = mt_contraction_certificate(fam, n_points=n_points, n_gammas=5)
+        beta = mt_contraction_certificate(fam)
         assert abs(beta - expected) <= 1e-12 * expected
-        assert sum(floats) == 5 * n_points * fam.dim
-        assert max(floats) <= BLOCK_FLOATS and max(tiles) <= BLOCK_FLOATS
-        # the tiles cover the n x n distance tables of the points and of their images, once each
-        assert sum(tiles) == 5 * 2 * n_points**2
-        if n_points * fam.dim > BLOCK_FLOATS:
-            assert len(floats) > 5
+        assert sum(floats) == mt.SAMPLE_GAMMAS * mt.SAMPLE_POINTS * fam.dim
+        assert max(floats) <= BLOCK_FLOATS
+        # one Gram product for each stepsize's points and one for their images, each a whole
+        # n x n distance table within BLOCK_FLOATS
+        assert mt.SAMPLE_POINTS**2 <= BLOCK_FLOATS
+        assert grams == [(mt.SAMPLE_POINTS, mt.SAMPLE_POINTS)] * (2 * mt.SAMPLE_GAMMAS)
+        assert (mt.SAMPLE_POINTS * fam.dim > BLOCK_FLOATS) == (name == "wide")
+        if name == "wide":
+            assert len(floats) > mt.SAMPLE_GAMMAS
 
 
 def buffered_apply(fam, gamma, x, shadow=None):
