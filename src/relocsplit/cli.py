@@ -337,12 +337,13 @@ def _check_relocator_bijection(config: ExperimentConfig, family, trace: IterateT
     for _ in range(10):
         gamma, delta, eps = rng.uniform(lo, hi, size=3)
         x = family.fixed_point(gamma)
-        y = family.relocate(delta, gamma, x)
-        ratios.append(family.residual(delta, y) / (1e-8 * (1.0 + float(np.linalg.norm(y)))))
-        back = float(np.linalg.norm(family.relocate(gamma, delta, y) - x))
-        comp = float(
-            np.linalg.norm(family.relocate(eps, delta, y) - family.relocate(eps, gamma, x))
-        )
+        # two relocations, one anchor each: y = Q_{delta<-gamma} x and Q_{eps<-gamma} x from x,
+        # then Q_{gamma<-delta} y and Q_{eps<-delta} y from y, whose anchor is apply's shadow at delta
+        (y, x_to_eps), _ = family.relocate_from([delta, eps], gamma, x)
+        (y_to_gamma, y_to_eps), shadow = family.relocate_from([gamma, eps], delta, y)
+        ratios.append(family.residual(delta, y, shadow) / (1e-8 * (1.0 + float(np.linalg.norm(y)))))
+        back = float(np.linalg.norm(y_to_gamma - x))
+        comp = float(np.linalg.norm(y_to_eps - x_to_eps))
         scale_x = 1.0 + float(np.linalg.norm(x))
         ratios += [back / (1e-9 * scale_x), comp / (1e-9 * scale_x)]
     worst = float(np.max(ratios))
@@ -478,13 +479,15 @@ def write_trace_csv(path: str, trace: IterateTrace, family) -> None:
             fh.write(FIT_LINES["dist_to_fix"] % (floor, diagnostics.CHECK_BURN_IN, limit_floor))
         else:
             fh.write(FIT_LINES["err_to_limit"] % (limit_floor, diagnostics.CHECK_BURN_IN))
-        # one formatted write per row; a copy of the whole table would add to peak memory. The
-        # rows past a float fixed point repeat one iterate, whose text is formatted once
+        # formatted writes per row; a copy of the whole table would add to peak memory. The rows
+        # past a float fixed point repeat one iterate, whose text is formatted once; it is written
+        # on its own, as joining it to the lead columns would copy it (8 KB at d=400) per row
         last, x_text = None, ""
         for head, x in zip(lead.tolist(), trace.xs):
             if last is None or not same_bits(x, last):
                 last, x_text = x, x_fmt % tuple(x.tolist())
-            fh.write(lead_fmt % tuple(head) + x_text)
+            fh.write(lead_fmt % tuple(head))
+            fh.write(x_text)
 
 
 def read_trace_csv(path: str, column: str) -> tuple[np.ndarray, tuple[float, int] | None]:
@@ -507,7 +510,7 @@ def read_trace_csv(path: str, column: str) -> tuple[np.ndarray, tuple[float, int
         for lineno, line in enumerate(fh, 2):
             if lineno == 2:
                 fit_line = line
-            data = line.split("#", 1)[0].rstrip("\r\n")
+            data = (line.split("#", 1)[0] if "#" in line else line).rstrip("\r\n")
             if not data:
                 continue
             if data.count(",") != len(header) - 1:

@@ -67,6 +67,17 @@ def block_sizes(count: int, floats_each: int):
         yield min(per_block, count - start)
 
 
+def many_targets(delta, point_ndim: int) -> bool:
+    """Whether checked target stepsizes ``delta`` are an array, which relocates one point
+    (``point_ndim`` 1) to each of them, one row per target; a scalar gives False. An array that
+    is not 1-d, or one given with a block of points, raises DomainError."""
+    if isinstance(delta, float):
+        return False
+    if delta.ndim != 1 or point_ndim != 1:
+        raise DomainError("an array of target stepsizes must be 1-d and relocates one point")
+    return True
+
+
 @dataclass(frozen=True)
 class StepsizeSchedule:
     """A stepsize sequence gamma_n clamped into [gamma_low, gamma_high].
@@ -225,8 +236,12 @@ class OperatorFamily(abc.ABC):
         """
 
     @abc.abstractmethod
-    def relocate(self, delta: float, gamma: float, x) -> np.ndarray:
-        """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block."""
+    def relocate(self, delta, gamma: float, x) -> np.ndarray:
+        """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block.
+
+        A 1-d array of targets ``delta`` relocates one point to each: one row per target, each
+        the scalar call's bit for bit (``many_targets``).
+        """
 
     @abc.abstractmethod
     def relocator_lipschitz(self, delta, gamma):
@@ -240,8 +255,9 @@ class OperatorFamily(abc.ABC):
         for affine operators where a row through it costs less than one through the chain."""
         return False
 
-    def relocate_from(self, delta: float, gamma: float, x) -> tuple[np.ndarray, object]:
-        """Evaluate Q_{delta <- gamma} at x and return it with its shadow for ``apply``."""
+    def relocate_from(self, delta, gamma: float, x) -> tuple[np.ndarray, object]:
+        """Evaluate Q_{delta <- gamma} at x, as ``relocate`` does, and return it with its shadow
+        for ``apply`` at delta; for an array of targets, the shadow of each row at its target."""
         return self.relocate(delta, gamma, x), None
 
     def fixed_point(self, gamma: float) -> np.ndarray:
@@ -266,9 +282,10 @@ class OperatorFamily(abc.ABC):
     def _fixed_point_line(self) -> FixedPointLine:
         raise NonSingletonFix(f"{type(self).__name__} exposes no fixed-point line")
 
-    def residual(self, gamma: float, x) -> float:
+    def residual(self, gamma: float, x, shadow=None) -> float:
+        """||x - T_gamma x|| at a point, with ``shadow`` handed to ``apply``."""
         x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self.apply(gamma, x)))
+        return float(np.linalg.norm(x - self.apply(gamma, x, shadow)))
 
     def assert_fixed_point(self, gamma: float, x) -> np.ndarray:
         x = as_vector(x, self.dim)
@@ -353,7 +370,10 @@ class ScalarShiftFamily(OperatorFamily):
     def relocate(self, delta, gamma, x):
         delta = self.check_gamma(delta)
         self.check_gamma(gamma)
-        return np.full_like(as_points(x, 1), delta)
+        x = as_points(x, 1)
+        if many_targets(delta, x.ndim):
+            return delta[:, None].copy()
+        return np.full_like(x, delta)
 
     def _fixed_point_line(self):
         # x = gamma is formed exactly, and T_gamma gamma = gamma + beta * 0 = gamma in floats
@@ -501,8 +521,9 @@ def gamma_lipschitz_probe(family: OperatorFamily, gammas, deltas) -> GammaLipsch
     for gamma in gammas:
         x = family.fixed_point(gamma)
         scale = 1.0 + float(np.linalg.norm(x))
-        rows += [(float(np.linalg.norm(family.relocate(delta, gamma, x) - x)), abs(delta - gamma), scale)
-                 for delta in deltas[deltas != gamma]]
+        targets = deltas[deltas != gamma]
+        rows += [(float(np.linalg.norm(y - x)), abs(delta - gamma), scale)
+                 for y, delta in zip(family.relocate(targets, gamma, x), targets)]
     if not rows:
         raise DomainError("no (gamma, delta) pair with delta != gamma")
     return GammaLipschitzProbe(*(np.array(column) for column in zip(*rows)))

@@ -44,6 +44,7 @@ from .family import (
     Regularity,
     StepsizeSchedule,
     block_sizes,
+    many_targets,
     relocated_iterate,
 )
 from .operators import AffineOperator, inclusion_gaps
@@ -176,16 +177,27 @@ class MTFamily(OperatorFamily):
 
     def relocate_from(self, delta, gamma, x):
         """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow; at delta == gamma
-        the relocator is the identity, and x comes back with no shadow."""
+        the relocator is the identity, and x comes back with no shadow.
+
+        A 1-d array of targets delta relocates one point x to each, one row per target, from one
+        anchor, which is every row's shadow; each row is the scalar call's bit for bit, x itself
+        where the target is gamma.
+        """
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
-        if delta == gamma:
-            return xb.reshape(xb.shape[:-2] + (self.dim,)), None
-        s = delta / gamma
-        anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
-        moved = s * xb + (1.0 - s) * anchor[..., None, :]
-        return moved.reshape(xb.shape[:-2] + (self.dim,)), anchor
+        if not many_targets(delta, xb.ndim - 1):
+            if delta == gamma:
+                return xb.reshape(xb.shape[:-2] + (self.dim,)), None
+            s = delta / gamma
+            anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
+            moved = s * xb + (1.0 - s) * anchor[..., None, :]
+            return moved.reshape(xb.shape[:-2] + (self.dim,)), anchor
+        s = (delta / gamma)[:, None, None]
+        anchor = self.operators[0].resolvent(gamma, xb[0])
+        moved = s * xb + (1.0 - s) * anchor
+        moved[delta == gamma] = xb
+        return moved.reshape(delta.size, self.dim), anchor
 
     def relocate(self, delta, gamma, x):
         return self.relocate_from(delta, gamma, x)[0]
@@ -219,10 +231,10 @@ class MTFamily(OperatorFamily):
             raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
         # the hypotheses make the symmetric part of the summed M positive definite
         if all(isinstance(op, AffineOperator) for op in operators):
-            z = np.linalg.solve(sum(op.M for op in operators), -sum(op.b for op in operators))
+            z = np.linalg.solve(_summed(op.M for op in operators), -sum(op.b for op in operators))
         else:
             gamma = self.gamma_interval[0]
-            guess = box_zero_guess(sum(op.M for op in head), sum(op.b for op in head), tail,
+            guess = box_zero_guess(_summed(op.M for op in head), sum(op.b for op in head), tail,
                                    1.0 / sum(op.lip for op in head))
             offset, slope = _line_through(head, guess)
             # through the module, so that a wrapped or patched oracle is the one run
@@ -242,7 +254,9 @@ class MTFamily(OperatorFamily):
         asked for; ``apply`` at exactly that stepsize returns x P^T + q. q is T_gamma 0. The rows
         of P^T are this family with every offset set to 0 applied to the rows of the identity,
         ``BLOCK_FLOATS`` floats at a time, so P^T is the one d x d array made. Forming P as
-        T_gamma I - T_gamma 0 instead would put q's rounding into every entry.
+        T_gamma I - T_gamma 0 instead would put q's rounding into every entry. The first chain
+        value of a row, its first block through J_{gamma A1}, is read from A1's factors
+        (``AffineOperator.linear_resolvent_rows``) and passed to ``apply`` as the shadow.
         """
         if not all(isinstance(op, AffineOperator) for op in self.operators):
             return None
@@ -258,7 +272,9 @@ class MTFamily(OperatorFamily):
             for a, b in zip(ends, ends[1:]):
                 rows = pt[a:b]
                 rows[np.arange(b - a), np.arange(a, b)] = 1.0
-                rows[:] = linear.apply(gamma, rows)
+                # the rows' first chain value, J_{gamma A1} of their first block, from A1's factors
+                first = linear.operators[0].linear_resolvent_rows(gamma, a, b - a)
+                rows[:] = linear.apply(gamma, rows, first)
             self._affine = (gamma, pt, q)
         return self._affine[1:]
 
@@ -358,6 +374,15 @@ def box_zero_guess(M, b, box, step: float) -> np.ndarray:
         # z is 0 on the free coordinates, so M[free] @ z is the pinned coordinates' share
         z[free] = np.linalg.solve(M[np.ix_(free, free)], -b[free] - M[free] @ z)
     return z
+
+
+def _summed(matrices) -> np.ndarray:
+    """The sum of the matrices, made in one new array."""
+    first, *rest = matrices
+    total = first.copy()
+    for m in rest:
+        total += m
+    return total
 
 
 def _line_through(head, z) -> tuple[np.ndarray, np.ndarray]:

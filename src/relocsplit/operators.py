@@ -102,7 +102,10 @@ class AffineOperator:
         else:
             T, Z = schur(M, output="complex")
             self._eig = None
-            self._schur = (T, Z, Z.conj().T)
+            # the last two are a buffer for shift*I + scale*T, which every solve fills before it
+            # reads it (copies of the operator share it), and a view of the buffer's diagonal
+            system = np.empty_like(T)
+            self._schur = (T, Z, Z.conj().T, system, np.einsum("ii->i", system))
             self._setup(M, b, np.linalg.eigvalsh(0.5 * (M + M.T)), np.linalg.norm(M, 2))
 
     @classmethod
@@ -118,12 +121,19 @@ class AffineOperator:
         vecs = np.asarray(vecs, dtype=float)
         if vecs.shape != (d, d) or not np.all(np.isfinite(vecs)):
             raise DomainError(f"need finite eigenvectors of shape {(d, d)}, got {vecs.shape}")
-        if np.abs(vecs.T @ vecs - np.eye(d)).max() > ORTHOGONAL_TOL:
+        # V^T V - I, made in the one array V^T V
+        gram = vecs.T @ vecs
+        np.einsum("ii->i", gram)[:] -= 1.0
+        if np.abs(gram, out=gram).max() > ORTHOGONAL_TOL:
             raise DomainError("eigenvectors are not orthonormal")
+        del gram  # gone before M is made
         M = (vecs * eigs) @ vecs.T
+        # (M + M^T) * 0.5 in place: numpy buffers the overlapping transpose
+        np.add(M, M.T, out=M)
+        M *= 0.5
         op = cls.__new__(cls)
         op._eig = (eigs, vecs)
-        op._setup(0.5 * (M + M.T), b, eigs)
+        op._setup(M, b, eigs)
         return op
 
     def _setup(self, M, b, sym_eigs: np.ndarray, lip: float | None = None) -> None:
@@ -162,20 +172,47 @@ class AffineOperator:
 
         ``r`` is one right-hand side ``(d,)`` or a block of them ``(k, d)``,
         solved row by row; a block costs matrix-matrix products instead of k
-        matrix-vector ones. The divisor of the eigenvalue solve is kept for the last
-        ``(shift, scale)``: a run asks for one stepsize many times in a row.
+        matrix-vector ones.
+        """
+        if self._eig is not None:
+            return self._solve_in_basis(shift, scale, r @ self._eig[1])
+        return self._solve_in_basis(shift, scale, self._schur[2] @ r.T)
+
+    def _solve_in_basis(self, shift: float, scale: float, u: np.ndarray) -> np.ndarray:
+        """``_solve`` from its right-hand sides in the factor's basis: the rows ``r V`` through
+        the eigenvectors, the columns ``Z^H r^T`` through the Schur form.
+
+        The divisor of the eigenvalue solve is kept for the last ``(shift, scale)``: a run asks
+        for one stepsize many times in a row. The Schur solve writes ``shift*I + scale*T`` into
+        a buffer the operator keeps, so no call allocates a d x d array.
         """
         if self._eig is not None:
             eigs, vecs = self._eig
             held = self._divisor
             if held is None or held[0] != shift or held[1] != scale:
                 held = self._divisor = (shift, scale, shift + scale * eigs)
-            return ((r @ vecs) / held[2]) @ vecs.T
-        T, Z, Zh = self._schur
-        A = scale * T
-        A[np.diag_indices_from(A)] += shift
-        # M, and with it T, is finite by construction; r comes through as_points
-        return (Z @ solve_triangular(A, Zh @ r.T, check_finite=False)).real.T
+            return (u / held[2]) @ vecs.T
+        T, Z, _, system, diagonal = self._schur
+        np.multiply(T, scale, out=system)
+        diagonal += shift
+        # M, and with it T, is finite by construction; right-hand sides come through as_points
+        return (Z @ solve_triangular(system, u, check_finite=False)).real.T
+
+    def linear_resolvent_rows(self, gamma: float, a: int, k: int) -> np.ndarray:
+        """The resolvent of ``x -> M x`` at k rows of the identity from row a, rows past its last
+        row being 0, as ``linear_part().resolvent`` returns them: bit for bit, but for the sign
+        of a Schur solve's zeros in the rows past. The rows' products with the factor are rows of
+        V, or columns of Z^H, so they are read off, not multiplied; the k rows still go through
+        one solve, as the solve's rounding depends on k."""
+        gamma = _check_gamma(gamma)
+        n = max(0, min(k, self.dim - a))
+        if self._eig is not None:
+            basis = np.zeros((k, self.dim))
+            basis[:n] = self._eig[1][a:a + n]
+        else:
+            basis = np.zeros((self.dim, k), dtype=complex)
+            basis[:, :n] = self._schur[2][:, a:a + n]
+        return self._solve_in_basis(1.0, gamma, basis)
 
     def resolvent(self, gamma: float, x) -> np.ndarray:
         """Evaluate ``(I + gamma*A)^{-1} x`` at a point or at each row of a block.
@@ -218,6 +255,9 @@ class AffineOperator:
 
     @property
     def is_symmetric(self) -> bool:
+        # an eigendecomposition is made only for an exactly symmetric M
+        if self._eig is not None:
+            return True
         scale = max(1.0, float(np.abs(self.M).max()))
         return bool(np.abs(self.M - self.M.T).max() <= 1e-12 * scale)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relocsplit as rs
 import relocsplit.cli as cli
 import relocsplit.diagnostics as diagnostics
 import relocsplit.dr as dr
@@ -438,13 +439,14 @@ class TestRunExperiment:
         assert all(rec.passed for rec in records)
 
         def broken(self, delta, gamma, x):
+            # relocate wraps relocate_from; a 1-d array of targets gives one row per target
             x = np.asarray(x, dtype=float)
             head = getattr(self, "a1", None) or self.operators[0]
             anchor = head.resolvent(gamma, x[..., : head.dim])  # J_{gamma A1} of the first block
-            s = delta / gamma * (1.0 + 1e-3)
-            return s * x + (1.0 - s) * np.tile(anchor, x.size // anchor.size)
+            s = np.asarray(delta, dtype=float)[..., None] / gamma * (1.0 + 1e-3)
+            return s * x + (1.0 - s) * np.tile(anchor, x.size // anchor.size), None
 
-        monkeypatch.setattr(family_type, "relocate", broken)
+        monkeypatch.setattr(family_type, "relocate_from", broken)
         status, records = cli.run_experiment(config)
         assert status == 1
         assert [rec.name for rec in records if not rec.passed] == checks
@@ -767,11 +769,38 @@ def test_one_stepsize_checks_its_one_fixed_point_once(tmp_path, monkeypatch, cap
         " fitted_C=nan fitted_r=nan fit_quality=nan")
 
 
+@pytest.mark.parametrize("check, solves", [("relocator_bijection", 30), ("gamma_lipschitz", 3)])
+def test_relocation_checks_solve_once_per_anchor(tmp_path, monkeypatch, check, solves):
+    # relocator_bijection, per trial: the anchor at x, the anchor at y, which is apply's shadow
+    # for y's residual, and that apply's second resolvent; gamma_lipschitz: one anchor per
+    # probed fixed point, at gamma_low = gamma*, the midpoint and gamma_high
+    calls, counts = [0], []
+    real_resolvent = rs.AffineOperator.resolvent
+    real_check = cli._CHECK_RUNNERS[check]
+
+    def counting(self, gamma, x):
+        calls[0] += 1
+        return real_resolvent(self, gamma, x)
+
+    def counted(config, family, trace):
+        family.fixed_point_line()  # certified before counting: its applies are not the check's
+        start = calls[0]
+        record = real_check(config, family, trace)
+        counts.append(calls[0] - start)
+        return record
+
+    monkeypatch.setattr(rs.AffineOperator, "resolvent", counting)
+    monkeypatch.setitem(cli._CHECK_RUNNERS, check, counted)
+    path = write_config(tmp_path, DR_CONFIG)
+    assert cli.main(["verify", path, "--set", f"checks={check}"]) == 0
+    assert counts == [solves]
+
+
 @pytest.mark.parametrize("check", ["relocator_bijection", "fix_decomposition"])
 def test_a_nan_ratio_fails_the_check(tmp_path, monkeypatch, capsys, check):
     # PASS is worst_ratio <= 1, which the worst of the ratios, NaN if any is, then fails
     if check == "relocator_bijection":
-        monkeypatch.setattr(dr.DRFamily, "residual", lambda self, gamma, x: math.nan)
+        monkeypatch.setattr(dr.DRFamily, "residual", lambda self, gamma, x, shadow=None: math.nan)
     else:
         real = cli.fix_decomposition_check
 
@@ -1124,6 +1153,20 @@ class TestRateCommand:
             cli.read_trace_csv(str(path), "err")
         assert cli.main(["rate", str(path), "--column", "err"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_columns_read_as_the_fields_of_every_row(self, tmp_path):
+        # n, err_to_limit and the last x column, from rows one of which ends in a '#' comment
+        trace = tmp_path / "t.csv"
+        path = write_config(tmp_path, DR_CONFIG, extra=f"output.trace_path = {trace}\n")
+        assert cli.main(["run", path, "--set", "checks=rate_theorem"]) == 0
+        lines = trace.read_text().splitlines()
+        lines[7] += "# a note, with commas"
+        trace.write_text("\n".join(lines) + "\n")
+        header = lines[0].split(",")
+        rows = [line.split("#", 1)[0].split(",") for line in lines[2:]]
+        for column in ("n", "err_to_limit", header[-1]):
+            expected = np.array([float(row[header.index(column)]) for row in rows])
+            assert cli.read_trace_csv(str(trace), column)[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "extra",

@@ -225,9 +225,9 @@ class TestBlockedErrorBound:
         floats = []
         real_apply = type(family).apply
 
-        def recording(self, gamma, x):
+        def recording(self, gamma, x, shadow=None):
             floats.append(np.size(x))
-            return real_apply(self, gamma, x)
+            return real_apply(self, gamma, x, shadow)
 
         monkeypatch.setattr(type(family), "apply", recording)
         rep = verify_error_bound(family, 1.0, kappa, 5)

@@ -572,6 +572,16 @@ class TestAffinePart:
         # 0.7 is back on the resolvent chain
         assert np.array_equal(family.apply(0.7, x), chain_07)
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.3, 2.0])
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "skew_strong_family", "mt3_family"])
+    def test_P_is_the_linear_chain_on_identity_rows_bitwise(self, family_name, gamma, request):
+        # the first chain value read from A1's factors changes no bit of P^T: eigenvector head,
+        # Schur head, and the three-operator chain whose rows past the first block are 0 there
+        family = request.getfixturevalue(family_name)
+        pt, q = _fresh(family).affine_part(gamma)
+        assert pt.tobytes() == _chain_formed_pt(family, gamma).tobytes()
+        assert q.tobytes() == _fresh(family).apply(gamma, np.zeros(family.dim)).tobytes()
+
     @pytest.mark.parametrize("family_name", AFFINE_FAMILIES)
     def test_relocating_to_the_same_stepsize_returns_x(self, family_name, request):
         family = request.getfixturevalue(family_name)
@@ -585,7 +595,8 @@ class TestAffinePart:
         self, family_name, n_operators, geometric_schedule, request, monkeypatch
     ):
         # rows before the tail cost N resolvents each, less the shadow; the affine part costs
-        # T_gamma* 0 and one block of identity rows; every tail row is one matrix product
+        # T_gamma* 0 and, per block of identity rows, the chain less its first resolvent, which
+        # A1's factors give; every tail row is one matrix product
         family = _fresh(request.getfixturevalue(family_name))
         n_steps = 200
         calls = [0]
@@ -601,13 +612,87 @@ class TestAffinePart:
         tail_start = int(np.argmax(trace.gammas == geometric_schedule.gamma_star))
         assert 2 <= tail_start < n_steps
         blocks = len(list(block_sizes(family.dim, family.dim)))
-        assert calls[0] == n_operators * tail_start + 1 + n_operators * (1 + blocks)
+        assert calls[0] == n_operators * tail_start + 1 + n_operators + (n_operators - 1) * blocks
         # apply(gamma_n, x_n) gives back every row's T_gamma_n x_n: bit for bit on the tail,
         # which the held map serves, within rounding where the run passed a shadow
         again = np.array([family.apply(g, x) for g, x in zip(trace.gammas, trace.xs)])
         assert np.array_equal(again[tail_start:], trace.t_of_x[tail_start:])
         scale = 1.0 + np.linalg.norm(trace.xs, axis=1)
         assert np.all(np.linalg.norm(again - trace.t_of_x, axis=1) <= 1e-12 * scale)
+
+
+def _chain_formed_pt(family, gamma):
+    """P^T formed with no value read from the factors: the family with every offset 0 applied
+    to blocks of identity rows, every chain value from the resolvents."""
+    linear = _fresh(family)
+    linear.operators = [op.linear_part() for op in family.operators]
+    pt = np.zeros((family.dim, family.dim))
+    ends = np.cumsum([0, *block_sizes(family.dim, family.dim)])
+    for a, b in zip(ends, ends[1:]):
+        rows = pt[a:b]
+        rows[np.arange(b - a), np.arange(a, b)] = 1.0
+        rows[:] = linear.apply(gamma, rows)
+    return pt
+
+
+def _mt3_box_family():
+    ops = rs.generate_problem("affine_plus_box", 4, 7, 0.5, 2.0, n_operators=3, box_half_width=0.5)
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
+class TestRelocateToManyStepsizes:
+    """A 1-d array of target stepsizes relocates one point to each, one row per target."""
+
+    TARGETS = [0.7, 1.1, 2.0, 0.5, 1.1]
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_box", "scalar_family"])
+    def test_rows_are_the_scalar_calls_bitwise(self, family_name, request):
+        family = _mt3_box_family() if family_name == "mt3_box" else request.getfixturevalue(family_name)
+        gamma = 1.1
+        # the scalar family's relocator is the constant map, which keeps only its fixed point;
+        # the signed zeros show that a row at gamma is x, not s x + (1 - s) anchor at s = 1
+        x = (family.fixed_point(gamma) if family_name == "scalar_family"
+             else 2.0 * np.random.default_rng(5).standard_normal(family.dim))
+        if family_name != "scalar_family":
+            x[::2] = -0.0
+        moved, shadow = family.relocate_from(self.TARGETS, gamma, x)
+        assert moved.shape == (len(self.TARGETS), family.dim)
+        assert np.array_equal(family.relocate(self.TARGETS, gamma, x), moved)
+        for row, delta in zip(moved, self.TARGETS):
+            one, one_shadow = family.relocate_from(delta, gamma, x)
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == family.relocate(delta, gamma, x).tobytes()
+            if delta == gamma:
+                assert row.tobytes() == np.asarray(x, dtype=float).tobytes()
+            elif one_shadow is not None:
+                # one anchor, J_{gamma A1} x^1, is every row's shadow, as it is each scalar call's
+                assert shadow.tobytes() == one_shadow.tobytes()
+        if shadow is not None:
+            # it is the first chain value of T_gamma x, bit for bit as apply evaluates it
+            assert family.apply(gamma, x, shadow).tobytes() == family.apply(gamma, x).tobytes()
+
+    @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_box", "scalar_family"])
+    def test_targets_for_a_block_of_points_are_rejected(self, family_name, request):
+        family = _mt3_box_family() if family_name == "mt3_box" else request.getfixturevalue(family_name)
+        block = np.ones((2, family.dim))
+        with pytest.raises(DomainError):
+            family.relocate_from([0.7, 1.1], 1.1, block)
+        with pytest.raises(DomainError):
+            family.relocate([[0.7, 1.1]], 1.1, block[0])
+        with pytest.raises(DomainError):
+            family.relocate([0.7, 2.5], 1.1, block[0])  # outside the interval
+
+    def test_the_probe_relocates_each_fixed_point_once(self, pd_pair_family, monkeypatch):
+        calls = []
+        real = type(pd_pair_family).relocate_from
+
+        def counting(self, delta, gamma, x):
+            calls.append(np.size(delta))
+            return real(self, delta, gamma, x)
+
+        monkeypatch.setattr(type(pd_pair_family), "relocate_from", counting)
+        probe = gamma_lipschitz_probe(pd_pair_family, [0.5, 1.0, 2.0], np.linspace(0.5, 2.0, 7))
+        assert calls == [6, 6, 6] and probe.moves.shape == (18,)
 
 
 def _iterate_fit_quality(family, schedule, x0, n_steps):

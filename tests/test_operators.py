@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import relocsplit.operators as operators
 from relocsplit import (
@@ -213,6 +214,25 @@ class TestFromSpectrum:
         with pytest.raises(DomainError):
             AffineOperator.from_spectrum([1.0, 2.0, 3.0], vecs)
 
+    @pytest.mark.parametrize("dim", [1, 5, 50])
+    def test_M_is_the_symmetrized_product_bitwise(self, dim):
+        # formed in place, M is still 0.5 * (M0 + M0^T) of M0 = V diag(eigs) V^T
+        eigs, V = np.linspace(0.5, 2.0, dim), self.basis(dim)
+        M0 = (V * eigs) @ V.T
+        op = AffineOperator.from_spectrum(eigs, V)
+        assert op.M.tobytes() == (0.5 * (M0 + M0.T)).tobytes()
+        assert op.is_symmetric
+
+    def test_the_orthogonality_tolerance_is_per_entry_of_the_gram_matrix(self):
+        # V^T V - I is 1e-11 off on the diagonal (accepted) or 2e-10 (rejected)
+        for scale, accepted in ((1.0 + 5e-12, True), (1.0 + 1e-10, False)):
+            vecs = scale * np.eye(3)
+            if accepted:
+                AffineOperator.from_spectrum([1.0, 2.0, 3.0], vecs)
+            else:
+                with pytest.raises(DomainError):
+                    AffineOperator.from_spectrum([1.0, 2.0, 3.0], vecs)
+
 
 class TestInverseApply:
     def test_scaled_identity(self):
@@ -398,6 +418,64 @@ def _solve_with_a_fresh_divisor(op, shift, scale, r):
     """``AffineOperator._solve`` on the eigenvalue path with the divisor formed on every call."""
     eigs, vecs = op._eig
     return ((r @ vecs) / (shift + scale * eigs)) @ vecs.T
+
+
+def _padded_identity_rows(dim, a, k):
+    """k rows of the d x d identity from row a, rows past its last row being 0."""
+    return np.vstack([np.eye(dim), np.zeros((k, dim))])[a:a + k]
+
+
+#: one operator of dimension 6 per factorization: given spectrum, eigh, Schur
+ROW_OPERATORS = {
+    "from_spectrum": lambda: symmetric_operator(6, 0.5, 2.0, np.random.default_rng(9)),
+    "eigh": lambda: AffineOperator(np.diag(np.linspace(1.0, 2.0, 6)) + 0.1, np.ones(6)),
+    "skew": lambda: skew_operator(6, 2.0, np.random.default_rng(5)),
+    "random_monotone": lambda: random_monotone(6, 6),
+}
+
+
+class TestFactorRows:
+    """``linear_resolvent_rows`` reads the first product with the factor off it."""
+
+    @pytest.mark.parametrize("a, k", [(0, 6), (1, 3), (4, 5), (6, 2)],
+                             ids=["all", "inside", "straddling", "past"])
+    @pytest.mark.parametrize("name", sorted(ROW_OPERATORS))
+    def test_rows_match_the_linear_resolvent_bitwise(self, name, a, k):
+        op = ROW_OPERATORS[name]()
+        linear = op.linear_part()
+        inside = max(0, min(k, 6 - a))
+        for gamma in (0.5, 1.3, 1.3, 2.0):
+            expected = linear.resolvent(gamma, _padded_identity_rows(6, a, k))
+            rows = op.linear_resolvent_rows(gamma, a, k)
+            assert rows[:inside].tobytes() == expected[:inside].tobytes()
+            # the rows past the identity are zeros; a Schur solve may sign them otherwise
+            assert np.array_equal(rows[inside:], expected[inside:]) and not rows[inside:].any()
+
+    def test_the_stepsize_is_checked(self):
+        with pytest.raises(NonPositiveStepsize):
+            ROW_OPERATORS["skew"]().linear_resolvent_rows(0.0, 0, 2)
+
+
+def _fresh_schur_solve(op, shift, scale, r):
+    """``AffineOperator._solve`` on the Schur path with shift*I + scale*T made anew."""
+    T, Z, Zh = op._schur[:3]
+    A = scale * T
+    A[np.diag_indices_from(A)] += shift
+    return (Z @ solve_triangular(A, Zh @ r.T, check_finite=False)).real.T
+
+
+class TestSchurBuffer:
+    def test_solves_match_a_fresh_matrix_bitwise(self):
+        # the operator and its linear part share the buffer; no solve sees another's matrix
+        op = random_monotone(7, 23)
+        linear = op.linear_part()
+        X = 3 * np.random.default_rng(24).standard_normal((4, 7))
+        for gamma in (0.5, 1.25, 1.25, 0.5, 3.0):
+            for which, x in ((op, X[0]), (linear, X), (op, X)):
+                expected = _fresh_schur_solve(which, 1.0, gamma, x - gamma * which.b)
+                assert which.resolvent(gamma, x).tobytes() == expected.tobytes()
+            expected = _fresh_schur_solve(op, 0.0, 1.0, X - op.b)
+            assert op.inverse_apply(X).tobytes() == expected.tobytes()
 
 
 class TestHeldDivisor:
