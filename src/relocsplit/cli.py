@@ -64,16 +64,12 @@ class ExperimentConfig:
     n_steps: int
     #: the named checks, or None for ``all``: every check the built family supports
     checks: list[str] | None
-    problem_kind: str | None
-    dim: int
-    n_operators: int
     seed: int
-    mu_target: float
-    L_target: float
-    beta: float
-    theta: float
-    box_half_width: float
-    matrices_path: str | None
+    #: the ``problem.*`` keys the algorithm reads but the seed, by their names after ``problem.``:
+    #: generate_problem's keyword arguments for dr and mt, ``beta`` for scalar_counterexample
+    problem: dict
+    #: mt's relaxation parameter; None for the algorithms that do not read it
+    theta: float | None
     trace_path: str | None
     report_path: str | None
 
@@ -109,45 +105,59 @@ def parse_config_file(path: str) -> dict[str, str]:
     return _read_pairs(path, [(lineno, line) for lineno, line in lines if line])
 
 
+#: the default of a key that a config must set when its algorithm reads the key
+_REQUIRED = object()
+#: the default of a clamp end: gamma_star for a constant schedule, which never leaves it, and
+#: _REQUIRED for any other
+_CLAMP_END = object()
 _DR_MT = ("dr", "mt")
-#: every config key, the type of its value, and the algorithms that read it (any other
-#: algorithm rejects the key); build_config reads keys only through ``_get``
+#: every config key: the type of its value, the algorithms that read it (any other algorithm
+#: rejects the key) and its default; build_config reads keys only through ``_get``
 _KNOWN_KEYS = {
-    "algorithm": (str, ALGORITHMS),
-    "problem.kind": (str, _DR_MT),
-    "problem.dim": (int, _DR_MT),
-    "problem.n_operators": (int, ("mt",)),
-    "problem.seed": (int, ALGORITHMS),
-    "problem.mu_target": (float, _DR_MT),
-    "problem.L_target": (float, _DR_MT),
-    "problem.beta": (float, ("scalar_counterexample",)),
-    "problem.box_half_width": (float, _DR_MT),
-    "problem.matrices_path": (str, _DR_MT),
-    "schedule.kind": (str, ALGORITHMS),
-    "schedule.gamma_star": (float, ALGORITHMS),
-    "schedule.C": (float, ALGORITHMS),
-    "schedule.r": (float, ALGORITHMS),
-    "schedule.p": (float, ALGORITHMS),
-    "schedule.gamma_low": (float, ALGORITHMS),
-    "schedule.gamma_high": (float, ALGORITHMS),
-    "theta": (float, ("mt",)),
-    "n_steps": (int, ALGORITHMS),
-    "checks": (str, ALGORITHMS),
-    "output.trace_path": (str, ALGORITHMS),
-    "output.report_path": (str, ALGORITHMS),
+    "algorithm": (str, ALGORITHMS, _REQUIRED),
+    "problem.kind": (str, _DR_MT, _REQUIRED),
+    "problem.dim": (int, _DR_MT, 10),
+    "problem.n_operators": (int, ("mt",), 3),
+    "problem.seed": (int, ALGORITHMS, 0),
+    "problem.mu_target": (float, _DR_MT, 0.5),
+    "problem.L_target": (float, _DR_MT, 2.0),
+    "problem.beta": (float, ("scalar_counterexample",), 0.5),
+    "problem.box_half_width": (float, _DR_MT, 1.0),
+    "problem.matrices_path": (str, _DR_MT, None),
+    "schedule.kind": (str, ALGORITHMS, _REQUIRED),
+    "schedule.gamma_star": (float, ALGORITHMS, _REQUIRED),
+    "schedule.C": (float, ALGORITHMS, 1.0),
+    "schedule.r": (float, ALGORITHMS, None),
+    "schedule.p": (float, ALGORITHMS, None),
+    "schedule.gamma_low": (float, ALGORITHMS, _CLAMP_END),
+    "schedule.gamma_high": (float, ALGORITHMS, _CLAMP_END),
+    "theta": (float, ("mt",), 0.5),
+    "n_steps": (int, ALGORITHMS, 300),
+    "checks": (str, ALGORITHMS, ""),
+    "output.trace_path": (str, ALGORITHMS, None),
+    "output.report_path": (str, ALGORITHMS, None),
 }
 
 
-def _get(mapping, key, default=None, required=False):
-    conv = _KNOWN_KEYS[key][0]
+def _get(mapping, key, default):
+    """The key's value as its declared type, or ``default`` when the key is unset."""
+    conv, readers, _ = _KNOWN_KEYS[key]
     if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
+        if default is _REQUIRED:
+            if readers == ALGORITHMS:
+                raise ConfigError(f"missing required key {key!r}")
+            raise ConfigError(f"{key} is required for {' and '.join(readers)}")
         return default
     try:
         return conv(mapping[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {mapping[key]!r}") from exc
+
+
+def _section(values: dict, prefix: str) -> dict:
+    """The values of the keys that start with ``prefix``, by their names after it."""
+    return {key[len(prefix):]: value for key, value in values.items() if key.startswith(prefix)}
+
 
 #: the checks that read the trace's ``dist_to_fix`` column
 _DISTANCE_CHECKS = {"one_step", "rate_theorem"}
@@ -161,30 +171,28 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    algorithm = _get(merged, "algorithm", required=True)
+    algorithm = _get(merged, "algorithm", _REQUIRED)
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     inapplicable = sorted(key for key in merged if algorithm not in _KNOWN_KEYS[key][1])
     if inapplicable:
         raise ConfigError(f"keys {inapplicable} do not apply to algorithm={algorithm}")
 
-    kind = _get(merged, "schedule.kind", required=True)
-    gamma_star = _get(merged, "schedule.gamma_star", required=True)
-    # only a constant schedule may leave out its clamp interval: it never leaves gamma_star
-    moving = kind != "constant"
+    values = {}
+    for key, (_, readers, default) in _KNOWN_KEYS.items():
+        if default is _CLAMP_END:
+            # only a constant schedule may leave out its clamp interval: it never leaves gamma_star
+            default = values["schedule.gamma_star"] if values["schedule.kind"] == "constant" else _REQUIRED
+        if algorithm in readers:
+            values[key] = _get(merged, key, default)
+
     try:
-        schedule = StepsizeSchedule(
-            kind, gamma_star,
-            _get(merged, "schedule.gamma_low", default=gamma_star, required=moving),
-            _get(merged, "schedule.gamma_high", default=gamma_star, required=moving),
-            C=_get(merged, "schedule.C", default=1.0),
-            r=_get(merged, "schedule.r"),
-            p=_get(merged, "schedule.p"),
-        )
+        schedule = StepsizeSchedule(**_section(values, "schedule."))
     except DomainError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
-    seed = _get(merged, "problem.seed", default=0)
+    problem = _section(values, "problem.")
+    seed = problem.pop("seed")
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -196,48 +204,40 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         source = SEED_ENV_VAR if env_seed is not None else "problem.seed"
         raise ConfigError(f"{source} must be >= 0, got {seed}")
 
-    problem_kind = _get(merged, "problem.kind")
-    if algorithm != "scalar_counterexample":
-        if problem_kind is None:
-            raise ConfigError("problem.kind is required for dr and mt")
-        if problem_kind not in PROBLEM_KINDS:
+    if algorithm in _DR_MT:
+        if problem["kind"] not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
-
-    n_operators = _get(merged, "problem.n_operators", default=3 if algorithm == "mt" else 2)
-    if n_operators < 2:
+        for key in ("mu_target", "L_target"):
+            if not math.isfinite(problem[key]):
+                raise ConfigError(f"problem.{key} must be finite, got {problem[key]!r}")
+        # an infinite half-width is an unbounded box; a negative or NaN one is no box
+        if not problem["box_half_width"] >= 0.0:
+            raise ConfigError(f"problem.box_half_width must be >= 0, got {problem['box_half_width']!r}")
+    if algorithm == "mt" and problem["n_operators"] < 2:
         raise ConfigError("mt needs problem.n_operators >= 2")
 
-    checks_raw = _get(merged, "checks", default="")
     checks = None
-    if checks_raw.strip() != "all":
-        checks = [c.strip() for c in checks_raw.split(",") if c.strip()]
+    if values["checks"].strip() != "all":
+        checks = [c.strip() for c in values["checks"].split(",") if c.strip()]
         for c in checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}")
             if checks.count(c) > 1:
                 raise ConfigError(f"check {c!r} is named more than once in checks")
 
-    n_steps = _get(merged, "n_steps", default=300)
-    if n_steps < 1:
+    if values["n_steps"] < 1:
         raise ConfigError("n_steps must be >= 1")
 
     return ExperimentConfig(
         algorithm=algorithm,
         schedule=schedule,
-        n_steps=n_steps,
+        n_steps=values["n_steps"],
         checks=checks,
-        problem_kind=problem_kind,
-        dim=_get(merged, "problem.dim", default=1 if algorithm == "scalar_counterexample" else 10),
-        n_operators=n_operators,
         seed=seed,
-        mu_target=_get(merged, "problem.mu_target", default=0.5),
-        L_target=_get(merged, "problem.L_target", default=2.0),
-        beta=_get(merged, "problem.beta", default=0.5),
-        theta=_get(merged, "theta", default=0.5),
-        box_half_width=_get(merged, "problem.box_half_width", default=1.0),
-        matrices_path=_get(merged, "problem.matrices_path"),
-        trace_path=_get(merged, "output.trace_path"),
-        report_path=_get(merged, "output.report_path"),
+        problem=problem,
+        theta=values.get("theta"),
+        trace_path=values["output.trace_path"],
+        report_path=values["output.report_path"],
     )
 
 
@@ -246,19 +246,10 @@ def build_family(config: ExperimentConfig):
     interval = (config.schedule.gamma_low, config.schedule.gamma_high)
     if config.algorithm == "scalar_counterexample":
         try:
-            return ScalarShiftFamily(config.beta, interval)
+            return ScalarShiftFamily(config.problem["beta"], interval)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-    ops = generate_problem(
-        config.problem_kind,
-        config.dim,
-        config.seed,
-        config.mu_target,
-        config.L_target,
-        n_operators=config.n_operators,
-        box_half_width=config.box_half_width,
-        matrices_path=config.matrices_path,
-    )
+    ops = generate_problem(seed=config.seed, **config.problem)
     if config.algorithm == "dr" and len(ops) != 2:
         raise ConfigError(f"dr needs exactly 2 operators, the problem defines {len(ops)}")
     try:
@@ -556,7 +547,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     ``verify`` clears it and is otherwise this same run.
     """
     family = build_family(config)
-    gaps = _applicable_checks(family, config.problem_kind)
+    gaps = _applicable_checks(family, config.problem.get("kind"))
     checks = [c for c, gap in gaps.items() if not gap] if config.checks is None else config.checks
     for c in checks:
         if gaps[c]:

@@ -285,6 +285,25 @@ def test_each_run_asks_once_and_the_family_decides(name, held, monkeypatch):
     assert answers == [held] * 4
 
 
+@pytest.mark.parametrize(
+    "name", ["dr-geo-d400", "mt-box-d100-n3", "mt-n4-d10", "dr-skew-poly-d100"]
+)
+def test_build_family_generates_once_through_the_swapped_name(name):
+    # setup_s and problems.generate_s time generate_problem under the cli module's name, which
+    # perfbench/worker.py's setup probe and layers.instrument swap: build_family must call it
+    # through that name, once
+    layers, Tracer = _perfbench()
+    mapping = cli.parse_config_file(_workloads().WORKLOADS[name].config_path)
+    config = cli.build_config(mapping, {"problem.dim": "5"})
+    tracer = Tracer()
+    restore = layers.instrument(tracer)
+    try:
+        cli.build_family(config)
+    finally:
+        restore()
+    assert tracer.by_name()["problems.generate_problem"][0] == 1
+
+
 def test_dist_to_fix_reads_back_as_rate_theorem_fits_it_at_full_dimension(monkeypatch, tmp_path):
     # the distances level off at the gap between the float and the exact fixed point, about
     # 6e-14 here; fitted with the 1e-14 rounding floor and a burn-in of 30 they read back as

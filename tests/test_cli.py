@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -139,12 +140,80 @@ class TestGenerateProblem:
         assert "config error" in capsys.readouterr().err
 
 
+def _readme_default(default) -> str:
+    """A declared default as README's config table writes it."""
+    if default is cli._REQUIRED:
+        return "required"
+    if default is cli._CLAMP_END:
+        return "`schedule.gamma_star` for a constant schedule, else required"
+    if default is None:
+        return "none"
+    return f"`{default}`" if default != "" else "empty"
+
+
+#: per algorithm, a config that sets only the keys it requires
+REQUIRED_ONLY = {
+    "dr": {"algorithm": "dr", "problem.kind": "affine_strongly_monotone",
+           "schedule.kind": "constant", "schedule.gamma_star": "1.0"},
+    "mt": {"algorithm": "mt", "problem.kind": "affine_strongly_monotone",
+           "schedule.kind": "constant", "schedule.gamma_star": "1.0"},
+    "scalar_counterexample": {"algorithm": "scalar_counterexample",
+                              "schedule.kind": "constant", "schedule.gamma_star": "1.0"},
+}
+
+#: the defaults that build_config wrote out as literals before the key table declared them
+LITERAL_DEFAULTS = {
+    "problem.dim": 10, "problem.n_operators": 3, "problem.seed": 0, "problem.mu_target": 0.5,
+    "problem.L_target": 2.0, "problem.beta": 0.5, "problem.box_half_width": 1.0, "schedule.C": 1.0,
+    "theta": 0.5, "n_steps": 300, "checks": "",
+}
+
+
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_unset_keys_take_the_declared_defaults(algorithm, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    required = REQUIRED_ONLY[algorithm]
+    declared = {key: row[2] for key, row in cli._KNOWN_KEYS.items()}
+    assert {key: declared[key] for key in LITERAL_DEFAULTS} == LITERAL_DEFAULTS
+    # every default that a value can write out, written out; a constant schedule's clamp ends
+    # default to its gamma_star
+    written = {key: required["schedule.gamma_star"] if default is cli._CLAMP_END else str(default)
+               for key, (_, readers, default) in cli._KNOWN_KEYS.items()
+               if algorithm in readers and key not in required and default is not None}
+    config = cli.build_config(required)
+    assert config == cli.build_config(required | written)
+    assert (config.seed, config.n_steps, config.checks) == (0, 300, [])
+    assert config.schedule == StepsizeSchedule("constant", 1.0, 1.0, 1.0, C=1.0)
+    if algorithm == "scalar_counterexample":
+        assert config.problem == {"beta": 0.5} and config.theta is None
+        return
+    assert config.problem == {
+        "kind": "affine_strongly_monotone", "dim": 10, "mu_target": 0.5, "L_target": 2.0,
+        "box_half_width": 1.0, "matrices_path": None, **({"n_operators": 3} if algorithm == "mt" else {}),
+    }
+    assert config.theta == (0.5 if algorithm == "mt" else None)
+
+
+def test_every_problem_and_schedule_key_is_passed_on_by_name():
+    # build_config hands the problem.* keys to generate_problem and the schedule.* keys to
+    # StepsizeSchedule by their names after the dot, so a declared key that names neither a
+    # parameter nor a field would never take effect
+    parameters = inspect.signature(generate_problem).parameters
+    fields = {field.name for field in dataclasses.fields(StepsizeSchedule)}
+    for key, (_, readers, _) in cli._KNOWN_KEYS.items():
+        section, _, name = key.partition(".")
+        if section == "problem" and key != "problem.seed" and {"dr", "mt"} & set(readers):
+            assert name in parameters, key
+        if section == "schedule":
+            assert name in fields, key
+
+
 class TestConfigParsing:
     def test_parse_and_build(self, tmp_path):
         path = write_config(tmp_path, DR_CONFIG)
         config = cli.build_config(cli.parse_config_file(path))
         assert config.algorithm == "dr"
-        assert config.dim == 10
+        assert config.problem["dim"] == 10
         assert config.schedule.kind == "geometric"
         # "all" is expanded by the run, from the family it builds
         assert config.checks is None
@@ -156,7 +225,7 @@ class TestConfigParsing:
         config = cli.build_config(
             cli.parse_config_file(path), {"problem.dim": "4", "checks": "summability"}
         )
-        assert config.dim == 4
+        assert config.problem["dim"] == 4
         assert config.checks == ["summability"]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -231,8 +300,12 @@ class TestConfigParsing:
     def test_every_readme_key_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
-        keys = {key for row in table.splitlines()[2:] for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        defaults = {key: row.split("|")[2].strip() for row in table.splitlines()[2:]
+                    for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        keys = set(defaults)
         assert keys == set(cli._KNOWN_KEYS)
+        # each row's default column reads as the table declares the default
+        assert defaults == {key: _readme_default(row[2]) for key, row in cli._KNOWN_KEYS.items()}
         values = {
             "problem.n_operators": "2", "problem.beta": "0.5", "problem.box_half_width": "1",
             "problem.matrices_path": str(tmp_path / "m.npz"), "schedule.p": "2", "theta": "0.5",
@@ -711,6 +784,13 @@ TYPED_ERRORS = {
                 "skew operators need dim >= 2"),
     "d0": (DR_CONFIG, {"problem.dim": "0"}, "dim must be >= 1"),
     "mu_above_L": (DR_CONFIG, {"problem.mu_target": "3.0"}, "need 0 < mu_target <= L_target"),
+    "L_target-inf": (DR_CONFIG, {"problem.L_target": "inf"}, "problem.L_target must be finite, got inf"),
+    "mt-mu_target-nan": (MT_CONFIG, {"problem.mu_target": "nan"},
+                         "problem.mu_target must be finite, got nan"),
+    "box-negative": (MT_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "-1"},
+                     "problem.box_half_width must be >= 0, got -1.0"),
+    "box-nan": (DR_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "nan"},
+                "problem.box_half_width must be >= 0, got nan"),
     "custom-no_path": (DR_CONFIG, {"problem.kind": "custom_matrices"},
                        "custom_matrices needs problem.matrices_path"),
     "custom-only_M1": (DR_CONFIG,
@@ -749,6 +829,14 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capfd, command):
     assert cli.main(argv) == 2
     err = capfd.readouterr().err
     assert err.startswith(f"config error ({bad}): UnicodeDecodeError: ") and "Traceback" not in err
+
+
+def test_an_infinite_box_half_width_is_an_unbounded_box(tmp_path, monkeypatch, capsys):
+    # only NaN and negative half-widths are refused: no bound of [-inf, inf]^d binds
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    path = write_config(tmp_path, MT_BOX_D100)
+    assert cli.main(["verify", path, "--set", "problem.dim=10", "--set", "problem.box_half_width=inf"]) == 0
+    assert capsys.readouterr().out.endswith("overall=PASS checks=7 failed=0\n")
 
 
 def test_one_stepsize_checks_its_one_fixed_point_once(tmp_path, monkeypatch, capsys):
