@@ -36,7 +36,7 @@ from .family import (
 )
 from .mt import MTFamily
 from .mt import algorithm2_run  # noqa: F401 - the benchmark wraps this name in this namespace
-from .problems import PROBLEM_KINDS, generate_problem
+from .problems import PROBLEM_KEYS, PROBLEM_KINDS, generate_problem
 
 ALGORITHMS = ("dr", "mt", "scalar_counterexample")
 
@@ -205,16 +205,13 @@ def build_config(mapping: dict[str, str], overrides: dict[str, str] | None = Non
         raise ConfigError(f"{source} must be >= 0, got {seed}")
 
     if algorithm in _DR_MT:
-        if problem["kind"] not in PROBLEM_KINDS:
+        kind = problem["kind"]
+        if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}")
-        for key in ("mu_target", "L_target"):
-            if not math.isfinite(problem[key]):
-                raise ConfigError(f"problem.{key} must be finite, got {problem[key]!r}")
-        # an infinite half-width is an unbounded box; a negative or NaN one is no box
-        if not problem["box_half_width"] >= 0.0:
-            raise ConfigError(f"problem.box_half_width must be >= 0, got {problem['box_half_width']!r}")
-    if algorithm == "mt" and problem["n_operators"] < 2:
-        raise ConfigError("mt needs problem.n_operators >= 2")
+        read = {f"problem.{name}" for name in ("kind", "seed", *PROBLEM_KEYS[kind])}
+        unread = sorted(key for key in merged if key.startswith("problem.") and key not in read)
+        if unread:
+            raise ConfigError(f"keys {unread} do not apply to problem.kind={kind}")
 
     checks = None
     if values["checks"].strip() != "all":

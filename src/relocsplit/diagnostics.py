@@ -18,7 +18,6 @@ from .family import (
     OperatorFamily,
     block_sizes,
     relocated_iterate,  # noqa: F401 - unused; the benchmark wraps this name in a span
-    same_bits,
     vector_norm,
 )
 from .operators import as_vector
@@ -265,17 +264,13 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
     it falls at every step in exact arithmetic, so the first step where it does not marks
     the rounding floor), then average that point and its next 4 images. At most
     3 * (len(trace) - 1) applications in all; at that cap, the last 5 points are averaged.
-    Once T_gamma returns x bit for bit (``family.same_bits``), every later image is x, so
-    the remaining images are copies of it rather than applications.
     """
     x = trace.xs[-1]
     window = deque([x], maxlen=LIMIT_WINDOW)
     last = np.inf
     floor_at = None  # applications made when the residual stopped falling
-    settled = False
     for applied in range(1, 3 * (len(trace) - 1) + 1):
-        t = x if settled else family.apply(gamma, x)
-        settled = same_bits(x, t)
+        t = family.apply(gamma, x)
         if floor_at is None:
             resid = vector_norm(x - t)
             if resid >= last:

@@ -236,12 +236,17 @@ class OperatorFamily(abc.ABC):
         """
 
     @abc.abstractmethod
-    def relocate(self, delta, gamma: float, x) -> np.ndarray:
-        """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block.
+    def relocate_from(self, delta, gamma: float, x) -> tuple[np.ndarray, object]:
+        """Evaluate the relocator Q_{delta <- gamma} at a point or at each row of a block, and
+        return it with its shadow for ``apply`` at delta (None when there is none).
 
         A 1-d array of targets ``delta`` relocates one point to each: one row per target, each
-        the scalar call's bit for bit (``many_targets``).
+        the scalar call's bit for bit (``many_targets``), and the shadow of each row at its target.
         """
+
+    def relocate(self, delta, gamma: float, x) -> np.ndarray:
+        """Q_{delta <- gamma} x: the point of ``relocate_from``."""
+        return self.relocate_from(delta, gamma, x)[0]
 
     @abc.abstractmethod
     def relocator_lipschitz(self, delta, gamma):
@@ -254,11 +259,6 @@ class OperatorFamily(abc.ABC):
         """Whether T_gamma is held as one affine map at gamma: never here; ``MTFamily`` holds one
         for affine operators where a row through it costs less than one through the chain."""
         return False
-
-    def relocate_from(self, delta, gamma: float, x) -> tuple[np.ndarray, object]:
-        """Evaluate Q_{delta <- gamma} at x, as ``relocate`` does, and return it with its shadow
-        for ``apply`` at delta; for an array of targets, the shadow of each row at its target."""
-        return self.relocate(delta, gamma, x), None
 
     def fixed_point(self, gamma: float) -> np.ndarray:
         """The fixed point of T_gamma, served from ``fixed_point_line``."""
@@ -367,13 +367,13 @@ class ScalarShiftFamily(OperatorFamily):
         x = as_points(x, 1)
         return gamma + self.beta * (x - gamma)
 
-    def relocate(self, delta, gamma, x):
+    def relocate_from(self, delta, gamma, x):
         delta = self.check_gamma(delta)
         self.check_gamma(gamma)
         x = as_points(x, 1)
         if many_targets(delta, x.ndim):
-            return delta[:, None].copy()
-        return np.full_like(x, delta)
+            return delta[:, None].copy(), None
+        return np.full_like(x, delta), None
 
     def _fixed_point_line(self):
         # x = gamma is formed exactly, and T_gamma gamma = gamma + beta * 0 = gamma in floats

@@ -186,21 +186,16 @@ class MTFamily(OperatorFamily):
         delta = self.check_gamma(delta)
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
-        if not many_targets(delta, xb.ndim - 1):
-            if delta == gamma:
-                return xb.reshape(xb.shape[:-2] + (self.dim,)), None
-            s = delta / gamma
-            anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
-            moved = s * xb + (1.0 - s) * anchor[..., None, :]
-            return moved.reshape(xb.shape[:-2] + (self.dim,)), anchor
-        s = (delta / gamma)[:, None, None]
-        anchor = self.operators[0].resolvent(gamma, xb[0])
-        moved = s * xb + (1.0 - s) * anchor
-        moved[delta == gamma] = xb
-        return moved.reshape(delta.size, self.dim), anchor
-
-    def relocate(self, delta, gamma, x):
-        return self.relocate_from(delta, gamma, x)[0]
+        many = many_targets(delta, xb.ndim - 1)
+        if not many and delta == gamma:
+            return xb.reshape(xb.shape[:-2] + (self.dim,)), None
+        # s scales every block of a row: a scalar, or one target per row
+        s = (delta / gamma)[:, None, None] if many else delta / gamma
+        anchor = self.operators[0].resolvent(gamma, xb[..., 0, :])
+        moved = s * xb + (1.0 - s) * anchor[..., None, :]
+        if many:
+            moved[delta == gamma] = xb
+        return moved.reshape(moved.shape[:-2] + (self.dim,)), anchor
 
     def _fixed_point_line(self) -> FixedPointLine:
         """Fix T_gamma = {offset + gamma * slope} with its residual bound; needs the contraction hypotheses.

@@ -10,6 +10,7 @@ file are eigendecomposed (or Schur-factored) once each.
 
 from __future__ import annotations
 
+import math
 import zipfile
 
 import numpy as np
@@ -17,12 +18,15 @@ import numpy as np
 from .errors import ConfigError
 from .operators import AffineOperator, BoxNormalCone
 
-PROBLEM_KINDS = (
-    "affine_strongly_monotone",
-    "affine_skew_plus_strong",
-    "affine_plus_box",
-    "custom_matrices",
-)
+_GENERATED = ("dim", "n_operators", "mu_target", "L_target")
+#: the parameters of ``generate_problem`` each kind reads, besides ``kind`` and ``seed``
+PROBLEM_KEYS = {
+    "affine_strongly_monotone": _GENERATED,
+    "affine_skew_plus_strong": _GENERATED,
+    "affine_plus_box": (*_GENERATED, "box_half_width"),
+    "custom_matrices": ("matrices_path",),
+}
+PROBLEM_KINDS = tuple(PROBLEM_KEYS)
 
 
 def symmetric_operator(dim: int, lam_min: float, lam_max: float, rng) -> AffineOperator:
@@ -81,8 +85,14 @@ def generate_problem(
             raise ConfigError("dim must be >= 1")
         if n_operators < 2:
             raise ConfigError("need at least two operators")
+        for key, value in (("mu_target", mu_target), ("L_target", L_target)):
+            if not math.isfinite(value):
+                raise ConfigError(f"problem.{key} must be finite, got {value!r}")
         if not (0.0 < mu_target <= L_target):
             raise ConfigError("need 0 < mu_target <= L_target")
+        # an infinite half-width is an unbounded box; a negative or NaN one is no box
+        if kind == "affine_plus_box" and not box_half_width >= 0.0:
+            raise ConfigError(f"problem.box_half_width must be >= 0, got {box_half_width!r}")
 
     rng = np.random.default_rng(seed)
     if kind == "affine_strongly_monotone":

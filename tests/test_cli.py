@@ -21,7 +21,7 @@ from relocsplit import (
 )
 from relocsplit.errors import CertificationFailed, ConfigError, DivergenceDetected, NoConvergence
 from relocsplit.family import FixedPointLine, block_sizes
-from relocsplit.problems import PROBLEM_KINDS
+from relocsplit.problems import PROBLEM_KEYS, PROBLEM_KINDS
 
 DR_CONFIG = """
 # strongly monotone pair, geometric stepsizes
@@ -81,6 +81,24 @@ def write_config(tmp_path, text, name="exp.cfg", extra=""):
     return str(path)
 
 
+#: the keys that only the generated problem kinds read
+GENERATED_ONLY = ("problem.dim", "problem.n_operators", "problem.mu_target", "problem.L_target",
+                  "problem.box_half_width")
+
+
+def for_custom_matrices(text):
+    """``text`` without the lines that set a key only the generated problem kinds read, so that
+    it can be switched to ``problem.kind = custom_matrices``."""
+    return "".join(line + "\n" for line in text.splitlines() if not line.startswith(GENERATED_ONLY))
+
+
+def kind_reads(kind, key):
+    """Whether ``problem.kind = kind`` reads ``key``: a kind reads every key outside ``problem.*``,
+    and a config without a kind (scalar_counterexample) leaves every key to its algorithm."""
+    section, _, name = key.partition(".")
+    return kind is None or section != "problem" or name in ("kind", "seed", *PROBLEM_KEYS[kind])
+
+
 class TestGenerateProblem:
     def test_targeted_spectrum(self):
         ops = generate_problem("affine_strongly_monotone", 2, 1, 0.5, 2.0)
@@ -121,6 +139,17 @@ class TestGenerateProblem:
         with pytest.raises(ConfigError):
             generate_problem("bogus", 2, 0, 0.5, 2.0)
 
+    @pytest.mark.parametrize("kind, values, message", [
+        ("affine_strongly_monotone", {"L_target": math.inf}, "problem.L_target must be finite, got inf"),
+        ("affine_skew_plus_strong", {"mu_target": math.nan}, "problem.mu_target must be finite, got nan"),
+        ("affine_plus_box", {"box_half_width": -1.0}, "problem.box_half_width must be >= 0, got -1.0"),
+        ("affine_plus_box", {"box_half_width": math.nan}, "problem.box_half_width must be >= 0, got nan"),
+    ], ids=["L_target-inf", "mu_target-nan", "box-negative", "box-nan"])
+    def test_a_bad_value_is_a_typed_error_that_names_it(self, kind, values, message):
+        # a library caller gets the message a config gets, not a numpy warning or a DomainError
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_problem(kind, **({"dim": 3, "seed": 0, "mu_target": 0.5, "L_target": 2.0} | values))
+
     @pytest.mark.parametrize("case", ["lower_only", "upper_only", "not_numpy"])
     def test_malformed_custom_matrices_file(self, tmp_path, case, capsys):
         path = tmp_path / "mats.npz"
@@ -133,7 +162,7 @@ class TestGenerateProblem:
             path.write_text("M1 = 2 I\n")
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             generate_problem("custom_matrices", 2, 0, 0.5, 2.0, n_operators=3, matrices_path=str(path))
-        cfg = write_config(tmp_path, MT_CONFIG)
+        cfg = write_config(tmp_path, for_custom_matrices(MT_CONFIG))
         argv = ["verify", cfg, "--set", "problem.kind=custom_matrices",
                 "--set", f"problem.matrices_path={path}", "--set", "checks=summability"]
         assert cli.main(argv) == 2
@@ -177,9 +206,11 @@ def test_unset_keys_take_the_declared_defaults(algorithm, monkeypatch):
     assert {key: declared[key] for key in LITERAL_DEFAULTS} == LITERAL_DEFAULTS
     # every default that a value can write out, written out; a constant schedule's clamp ends
     # default to its gamma_star
+    kind = required.get("problem.kind")
     written = {key: required["schedule.gamma_star"] if default is cli._CLAMP_END else str(default)
                for key, (_, readers, default) in cli._KNOWN_KEYS.items()
-               if algorithm in readers and key not in required and default is not None}
+               if algorithm in readers and key not in required and default is not None
+               and kind_reads(kind, key)}
     config = cli.build_config(required)
     assert config == cli.build_config(required | written)
     assert (config.seed, config.n_steps, config.checks) == (0, 300, [])
@@ -313,13 +344,16 @@ class TestConfigParsing:
         }
         mapping = cli.parse_config_file(write_config(tmp_path, DR_CONFIG)) | values
         assert mapping.keys() == keys
-        # each key is accepted by the algorithms it applies to
+        # each key is accepted by the algorithms and problem kinds it applies to
         accepted = set()
         for algorithm in cli.ALGORITHMS:
-            applicable = {key: value for key, value in mapping.items()
-                          if algorithm in cli._KNOWN_KEYS[key][1]}
-            assert cli.build_config(applicable | {"algorithm": algorithm}).n_steps == 300
-            accepted |= applicable.keys()
+            for kind in PROBLEM_KINDS if algorithm in ("dr", "mt") else [None]:
+                applicable = {key: value for key, value in mapping.items()
+                              if algorithm in cli._KNOWN_KEYS[key][1] and kind_reads(kind, key)}
+                if kind is not None:
+                    applicable["problem.kind"] = kind
+                assert cli.build_config(applicable | {"algorithm": algorithm}).n_steps == 300
+                accepted |= applicable.keys()
         assert accepted == keys
 
 
@@ -428,7 +462,7 @@ class TestRunExperiment:
     )
     def test_dr_rejects_other_than_two_operators(self, tmp_path, extra, capsys):
         path = tmp_path / "mats.npz"
-        cfg = write_config(tmp_path, DR_CONFIG)
+        cfg = write_config(tmp_path, for_custom_matrices(DR_CONFIG))
         argv = ["run", cfg, "--set", "problem.kind=custom_matrices",
                 "--set", f"problem.matrices_path={path}", "--set", "checks=fix_decomposition"]
         np.savez(path, M1=2 * np.eye(2), M2=3 * np.eye(2), **extra)
@@ -472,7 +506,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "text, kind, eigendecompositions",
         [(DR_CONFIG, "affine_strongly_monotone", 0), (MT_CONFIG, "affine_plus_box", 0),
-         (DR_CONFIG, "custom_matrices", 2)],
+         (for_custom_matrices(DR_CONFIG), "custom_matrices", 2)],
         ids=["dr_generated", "mt_box_generated", "dr_custom_matrices"],
     )
     def test_build_family_eigendecomposes_only_loaded_matrices(
@@ -483,10 +517,10 @@ class TestRunExperiment:
         path = tmp_path / "mats.npz"
         G = np.random.default_rng(2).standard_normal((10, 10))
         np.savez(path, M1=G @ G.T + np.eye(10), M2=2 * np.eye(10))
-        config = cli.build_config(
-            cli.parse_config_file(write_config(tmp_path, text)),
-            {"problem.kind": kind, "problem.matrices_path": str(path)},
-        )
+        overrides = {"problem.kind": kind}
+        if kind == "custom_matrices":
+            overrides["problem.matrices_path"] = str(path)
+        config = cli.build_config(cli.parse_config_file(write_config(tmp_path, text)), overrides)
         calls = []
         real = np.linalg.eigh
 
@@ -719,7 +753,7 @@ def _config_path(tmp_path, source):
         return write_config(tmp_path, source)
     path = tmp_path / f"{source}.npz"
     np.savez(path, **_custom_matrices(source))
-    text = MT_CONFIG if source.startswith("mt") else DR_CONFIG
+    text = for_custom_matrices(MT_CONFIG if source.startswith("mt") else DR_CONFIG)
     return write_config(tmp_path, text.replace("problem.kind = affine_strongly_monotone\n", ""),
                         name=f"{source}.cfg",
                         extra=f"problem.kind = custom_matrices\nproblem.matrices_path = {path}\n")
@@ -775,7 +809,7 @@ TYPED_ERRORS = {
     "mt-no_kind": (_without(MT_CONFIG, "problem.kind"), {}, "problem.kind is required for dr and mt"),
     "unknown_kind": (DR_CONFIG, {"problem.kind": "quadratic"},
                      f"problem.kind must be one of {PROBLEM_KINDS}"),
-    "mt-one_operator": (MT_CONFIG, {"problem.n_operators": "1"}, "mt needs problem.n_operators >= 2"),
+    "mt-one_operator": (MT_CONFIG, {"problem.n_operators": "1"}, "need at least two operators"),
     "unknown_check": (DR_CONFIG, {"checks": "monotonicity"}, "unknown check 'monotonicity'"),
     "no_steps": (DR_CONFIG, {"n_steps": "0"}, "n_steps must be >= 1"),
     "scalar-beta": (SCALAR_CONFIG, {"problem.beta": "1.5"}, "beta must lie in [0, 1)"),
@@ -791,11 +825,19 @@ TYPED_ERRORS = {
                      "problem.box_half_width must be >= 0, got -1.0"),
     "box-nan": (DR_CONFIG, {"problem.kind": "affine_plus_box", "problem.box_half_width": "nan"},
                 "problem.box_half_width must be >= 0, got nan"),
-    "custom-no_path": (DR_CONFIG, {"problem.kind": "custom_matrices"},
+    "custom-no_path": (for_custom_matrices(DR_CONFIG), {"problem.kind": "custom_matrices"},
                        "custom_matrices needs problem.matrices_path"),
-    "custom-only_M1": (DR_CONFIG,
+    "custom-only_M1": (for_custom_matrices(DR_CONFIG),
                        {"problem.kind": "custom_matrices", "problem.matrices_path": "{tmp}/m1.npz"},
                        "custom_matrices file must define at least M1, M2"),
+    "generated-unread_keys": (DR_CONFIG, {"problem.matrices_path": "/nonexistent.npz",
+                                          "problem.box_half_width": "7"},
+                              "keys ['problem.box_half_width', 'problem.matrices_path'] do not apply to "
+                              "problem.kind=affine_strongly_monotone"),
+    "custom-unread_dim": (for_custom_matrices(MT_CONFIG),
+                          {"problem.kind": "custom_matrices", "problem.matrices_path": "{tmp}/m1.npz",
+                           "problem.dim": "99"},
+                          "keys ['problem.dim'] do not apply to problem.kind=custom_matrices"),
 }
 
 

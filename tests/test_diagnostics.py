@@ -475,21 +475,20 @@ class TestLimitErrors:
         assert len(applied) <= 10
 
     def test_a_float_fixed_point_is_copied_into_the_window(self, pd_pair_family, monkeypatch):
-        # with the map held, the run ends on a point T_gamma* returns bit for bit: one
-        # application finds it, and the window holds copies where 4 more applications gave
-        # the same point; the limit and the column stay those of the applications
+        # with the map held, the run ends on a point T_gamma* returns bit for bit: the residual
+        # is 0 at the first application and stops falling at the second, so the window holds
+        # that point and its next 4 images, all copies of it, after LIMIT_WINDOW applications
         family = rs.DRFamily(pd_pair_family.a1, pd_pair_family.a2, INTERVAL)
         schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL)
         family.affine_part(1.0)
         run = relocated_iterate(family, schedule, np.random.default_rng(4).standard_normal(5), 200)
         assert np.array_equal(family.apply(1.0, run.xs[-1]), run.xs[-1])
         applied = _record_applies(monkeypatch, family)
-        limit = diagnostics.limit_errors(family, 1.0, run).tobytes()
-        column = run.err_to_limit.tobytes()
-        assert len(applied) == 1
-        monkeypatch.setattr(diagnostics, "same_bits", lambda x, y: False)
-        assert diagnostics.limit_errors(family, 1.0, run).tobytes() == limit
-        assert run.err_to_limit.tobytes() == column and len(applied) == 1 + diagnostics.LIMIT_WINDOW
+        limit = diagnostics.limit_errors(family, 1.0, run)
+        expected = np.mean([run.xs[-1]] * diagnostics.LIMIT_WINDOW, axis=0)
+        assert limit.tobytes() == expected.tobytes()
+        assert run.err_to_limit.tobytes() == np.linalg.norm(run.xs - expected, axis=1).tobytes()
+        assert len(applied) == diagnostics.LIMIT_WINDOW
 
 
 class TestFixedPointCache:

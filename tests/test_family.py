@@ -173,8 +173,8 @@ class TestRelocatedIterate:
             def apply(self, gamma, x, shadow=None):
                 return 3.0 * np.asarray(x, float)
 
-            def relocate(self, delta, gamma, x):
-                return np.asarray(x, float)
+            def relocate_from(self, delta, gamma, x):
+                return np.asarray(x, float), None
 
             def relocator_lipschitz(self, delta, gamma):
                 return 1.0
@@ -745,7 +745,7 @@ class _ShadowedShift(ScalarShiftFamily):
     def relocate_from(self, delta, gamma, x):
         if delta == gamma:
             return np.asarray(x, dtype=float), None
-        y = np.nextafter(self.relocate(delta, gamma, x), np.inf)
+        y = np.nextafter(super().relocate_from(delta, gamma, x)[0], np.inf)
         return y, y
 
     def apply(self, gamma, x, shadow=None):

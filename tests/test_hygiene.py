@@ -15,7 +15,7 @@ MARK = re.compile(r"#\s*noqa:\s*F401\s+-\s+\S")
 
 def unused_imports(source: str) -> list[str]:
     """``line: name`` for each module-level import of ``source`` that nothing in the module reads,
-    ``__all__`` does not list and no reasoned mark on the statement's lines excuses."""
+    ``__all__`` does not list and no reasoned mark on the name's own line excuses."""
     tree = ast.parse(source)
     lines = source.splitlines()
     exported = set()
@@ -27,11 +27,9 @@ def unused_imports(source: str) -> list[str]:
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
             continue
-        if any(MARK.search(line) for line in lines[node.lineno - 1: node.end_lineno]):
-            continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name not in read and name not in exported:
+            if name not in read and name not in exported and not MARK.search(lines[alias.lineno - 1]):
                 unused.append(f"{node.lineno}: {name}")
     return unused
 
@@ -50,9 +48,11 @@ def test_every_import_is_used_exported_or_marked(path):
     ("from a import b  # noqa: F401\n", ["1: b"]),
     ("from a import b  # noqa: F401 - kept for a caller that patches it\n", []),
     ("from a import (\n    b,  # noqa: F401 - kept for a caller that patches it\n)\n", []),
+    ("from a import (\n    b,  # noqa: F401 - kept\n    c,\n)\n", ["1: c"]),
     ("from __future__ import annotations\n", []),
     ("def f():\n    import math\n", []),
 ], ids=["unused", "dotted_used", "one_of_two", "alias_used", "exported", "mark_without_reason",
-        "mark_with_reason", "mark_inside_parentheses", "future", "not_module_level"])
+        "mark_with_reason", "mark_inside_parentheses", "mark_excuses_its_name_only", "future",
+        "not_module_level"])
 def test_the_scan_flags_what_it_should(source, unused):
     assert unused_imports(source) == unused

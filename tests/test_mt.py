@@ -399,6 +399,9 @@ class TestBlocksOfPoints:
             assert np.linalg.norm(t - expected_t) <= 1e-12 * np.linalg.norm(expected_t)
             moved = np.vstack([fam.relocate(delta, gamma, x) for x in X])
             assert np.linalg.norm(fam.relocate(delta, gamma, X) - moved) <= 1e-12 * np.linalg.norm(moved)
+            # to its own stepsize the block comes back as it is, with no shadow
+            moved, shadow = fam.relocate_from(gamma, gamma, X)
+            assert moved.shape == X.shape and moved.tobytes() == X.tobytes() and shadow is None
 
     @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
     def test_bad_blocks_rejected(self, name):
