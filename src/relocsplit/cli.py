@@ -359,20 +359,13 @@ def _check_fix_decomposition(config: ExperimentConfig, family, trace: IterateTra
 
 
 def _check_summability(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:
-    schedule = config.schedule
-    n_terms = 100_000 if schedule.kind == "polynomial" else 10_000
-    rep = summability_report(family, schedule, n_terms)
-    try:
-        bound = family.summability_bound(schedule)
-    except DomainError:
-        bound = math.nan
-    total = float(rep.partial_sums[-1])
-    passed = rep.converged
-    worst = math.nan
-    if math.isfinite(bound):
-        passed = passed and total <= bound + 1e-9
-        worst = total / bound if bound > 0 else (0.0 if total <= 1e-15 else math.inf)
-    return CheckRecord("summability", passed, certified_constant=bound, worst_ratio=worst)
+    # PASS iff the family's proven bound is finite and the run's own partial sum respects it
+    bound = family.summability_bound(config.schedule)
+    total = float(summability_report(family, trace.gammas)[-1])
+    if not math.isfinite(bound):
+        return CheckRecord("summability", False, certified_constant=bound)
+    worst = total / bound if bound > 0 else (0.0 if total <= 1e-15 else math.inf)
+    return CheckRecord("summability", total <= bound + 1e-9, certified_constant=bound, worst_ratio=worst)
 
 
 def _check_gamma_lipschitz(config: ExperimentConfig, family, trace: IterateTrace) -> CheckRecord:

@@ -205,13 +205,16 @@ def fix_decomposition_check(fam: DRFamily, gamma: float, x_fixed) -> FixDecompos
 
 
 def dr_summability_bound(schedule: StepsizeSchedule) -> float:
-    """Upper bound on sum_n (max{1, gamma_{n+1}/gamma_n} - 1) for R-linear schedules.
+    """Upper bound on sum_n (max{1, gamma_{n+1}/gamma_n} - 1), each term at most
+    (gamma_{n+1} - gamma_n)^+ / gamma_low.
 
-    Positive stepsize increments telescope against |gamma_n - gamma*| <= C r^n,
-    giving C (1+r) / ((1-r) * gamma_low); constant schedules contribute 0.
+    A constant schedule contributes 0. A polynomial one is nonincreasing, so the positive
+    increments add up to at most sum_n |gamma_{n+1} - gamma_n| <= C: the bound is C / gamma_low
+    for every p > 0. On a geometric one they telescope against |gamma_n - gamma*| <= C r^n,
+    giving C (1+r) / ((1-r) * gamma_low).
     """
     if schedule.kind == "constant":
         return 0.0
-    if schedule.kind != "geometric":
-        raise DomainError("summability bound requires an R-linearly convergent schedule")
+    if schedule.kind == "polynomial":
+        return schedule.C / schedule.gamma_low
     return schedule.C * (1.0 + schedule.r) / ((1.0 - schedule.r) * schedule.gamma_low)

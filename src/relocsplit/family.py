@@ -140,20 +140,21 @@ class StepsizeSchedule:
 
     def _at(self, indices) -> np.ndarray:
         # Python's ** per term (numpy's power rounds some terms differently),
-        # then shift, scale and clamp as array operations
-        if self.kind == "geometric":
-            # ascending indices: from a term below ulp(gamma_star)/4 on, every term lies below half an
-            # ulp, so gamma_star + term rounds to gamma_star, and the terms are left at 0.0
-            tiny, terms = math.ulp(self.gamma_star) / 4, []
+        # then shift and clamp as array operations
+        if self.kind == "constant":
+            return np.full(len(indices), self.gamma_star)
+        # ascending indices: each kind's terms fall, so from a term below ulp(gamma_star)/4 on,
+        # every term lies below half an ulp, gamma_star + term rounds to gamma_star, and the terms
+        # are left at 0.0
+        tiny, terms = math.ulp(self.gamma_star) / 4, []
+        try:
             for n in indices:
-                terms.append(self.C * self.r**n)
+                terms.append(self.C * self.r**n if self.kind == "geometric" else self.C / (n + 1) ** self.p)
                 if terms[-1] < tiny:
                     break
-            shift = np.pad(terms, (0, len(indices) - len(terms)))
-        elif self.kind == "polynomial":
-            shift = self.C / np.fromiter(((n + 1) ** self.p for n in indices), float, len(indices))
-        else:
-            shift = np.zeros(len(indices))
+        except OverflowError as exc:
+            raise DomainError(f"{self.kind} schedule term at n={n} overflows") from exc
+        shift = np.pad(terms, (0, len(indices) - len(terms)))
         return np.clip(self.gamma_star + shift, self.gamma_low, self.gamma_high)
 
 
@@ -223,8 +224,12 @@ class OperatorFamily(abc.ABC):
         return self._regularity
 
     def summability_bound(self, schedule: StepsizeSchedule) -> float:
-        """A proven bound on sum_n (L_{gamma_{n+1} <- gamma_n} - 1) along ``schedule``;
-        DomainError when the family states none for it."""
+        """A proven bound on sum_n (L_{gamma_{n+1} <- gamma_n} - 1) over the whole of
+        ``schedule``, so on every partial sum (+inf where the family proves no finite one);
+        DomainError when the family states none for it. Every schedule is nonincreasing
+        (C >= 0, and clamping keeps the order), so its steps add up to
+        sum_n |gamma_{n+1} - gamma_n| = gamma_0 - gamma_star <= C, to the rounding of
+        gamma_star + C."""
         raise DomainError(f"{type(self).__name__} states no summability bound for {schedule.kind} stepsizes")
 
     @abc.abstractmethod
@@ -385,8 +390,8 @@ class ScalarShiftFamily(OperatorFamily):
         return np.ones(shape)[()]
 
     def summability_bound(self, schedule):
-        # every term is 0; the bound is stated, as the splittings' are, for R-linear schedules
-        return 0.0 if schedule.kind != "polynomial" else super().summability_bound(schedule)
+        # every relocator constant is 1, so every term is 0
+        return 0.0
 
 
 def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_steps: int) -> IterateTrace:
@@ -472,26 +477,10 @@ def relocator_only_sequence(
     return IterateTrace(gams, np.vstack(cs), np.vstack(ts), np.array(res))
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
-    partial_sums: np.ndarray
-    converged: bool
-    tail_increment: float
-
-
-def summability_report(family: OperatorFamily, schedule: StepsizeSchedule, n_terms: int) -> SummabilityReport:
-    """Cumulative sums of (L_{gamma_{n+1} <- gamma_n} - 1) with a convergence flag.
-
-    ``converged`` is True when the increment over the last 10% of terms falls
-    below 1e-10; divergent stepsize schedules keep the tail visibly positive.
-    """
-    if n_terms < 10:
-        raise DomainError("n_terms must be >= 10")
-    gams = schedule.gammas(n_terms + 1)
-    sums = np.cumsum(family.relocator_lipschitz(gams[1:], gams[:-1]) - 1.0)
-    k = max(1, n_terms // 10)
-    tail = float(sums[-1] - sums[-k - 1])
-    return SummabilityReport(sums, tail < 1e-10, tail)
+def summability_report(family: OperatorFamily, gammas: np.ndarray) -> np.ndarray:
+    """The partial sums of (L_{gamma_{n+1} <- gamma_n} - 1) along the stepsizes ``gammas``, from
+    one ``relocator_lipschitz`` call."""
+    return np.cumsum(family.relocator_lipschitz(gammas[1:], gammas[:-1]) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -440,24 +440,38 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
 
 
 def mt_summability_bound(schedule: StepsizeSchedule, n_operators: int) -> float:
-    """Upper bound on sum_n (L_check(gamma_{n+1} <- gamma_n) - 1) for geometric schedules.
+    """Upper bound on sum_n (L_check(gamma_{n+1} <- gamma_n) - 1).
 
-    With |gamma_n - gamma*| <= C r^n the per-term bound is M sqrt(r)^n where
+    With s = gamma_{n+1}/gamma_n and q = |gamma_{n+1} - gamma_n|/gamma_n <= |Delta_n|/gamma_low,
+    sqrt(s) - 1 <= (s - 1)/2 <= |Delta_n|/(2 gamma_low) and s <= gamma_high/gamma_low, so each
+    term is at most
 
-        M = C(1+r)/(2 gamma_low) + sqrt(C(1+r)/gamma_low) * max{sqrt(N-1),
-            sqrt(2N) sqrt(gamma_high/gamma_low)}
+        |Delta_n|/(2 gamma_low) + sqrt(|Delta_n|/gamma_low) * K,
+        K = max{sqrt(N-1), sqrt(2N) sqrt(gamma_high/gamma_low)}.
 
-    giving the geometric-series total M / (1 - sqrt(r)).
+    Geometric: with |gamma_n - gamma*| <= C r^n, |Delta_n| <= C(1+r) r^n, so the terms are at
+    most M sqrt(r)^n with M = C(1+r)/(2 gamma_low) + sqrt(C(1+r)/gamma_low) K, and the total is
+    M / (1 - sqrt(r)).
+
+    Polynomial: the schedule is nonincreasing, so sum_n |Delta_n| <= C, and clamping is
+    1-Lipschitz, so |Delta_n| <= C ((n+1)^-p - (n+2)^-p) <= C p / (n+1)^(p+1). For p > 1,
+    sum_n (n+1)^-(p+1)/2 = zeta((p+1)/2) <= 1 + 2/(p-1) = (p+1)/(p-1) by the integral test, and
+    the total is C/(2 gamma_low) + sqrt(C p/gamma_low) K (p+1)/(p-1). For p <= 1 the bound is
+    +inf: with C > 0 and gamma* < gamma_high, |Delta_n| >= C p / (n+2)^(p+1) from some n on, and
+    the sqrt(q) K terms make a divergent p-series.
+
+    A constant schedule, or C = 0, contributes 0.
     """
-    if schedule.kind == "constant":
-        return 0.0
-    if schedule.kind != "geometric":
-        raise DomainError("summability bound requires an R-linearly convergent schedule")
     if n_operators < 2:
         raise DomainError("need at least two operators")
-    N = n_operators
-    C, r = schedule.C, schedule.r
+    C, r, p = schedule.C, schedule.r, schedule.p
+    if schedule.kind == "constant" or C == 0.0:
+        return 0.0
     lo, hi = schedule.gamma_low, schedule.gamma_high
-    factor = max(math.sqrt(N - 1), math.sqrt(2 * N) * math.sqrt(hi / lo))
+    factor = max(math.sqrt(n_operators - 1), math.sqrt(2 * n_operators) * math.sqrt(hi / lo))
+    if schedule.kind == "polynomial":
+        if p <= 1.0:
+            return math.inf
+        return C / (2.0 * lo) + math.sqrt(C * p / lo) * factor * (p + 1.0) / (p - 1.0)
     M = C * (1.0 + r) / (2.0 * lo) + math.sqrt(C * (1.0 + r) / lo) * factor
     return M / (1.0 - math.sqrt(r))

@@ -58,8 +58,8 @@ n_steps = 400
 checks = all
 """
 
-MT_BOX_D100 = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
-               / "mt-box-d100-n3.cfg").read_text(encoding="utf-8")
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+MT_BOX_D100 = (BENCH_CONFIGS / "mt-box-d100-n3.cfg").read_text(encoding="utf-8")
 
 SCALAR_CONFIG = """
 algorithm = scalar_counterexample
@@ -838,6 +838,9 @@ TYPED_ERRORS = {
                           {"problem.kind": "custom_matrices", "problem.matrices_path": "{tmp}/m1.npz",
                            "problem.dim": "99"},
                           "keys ['problem.dim'] do not apply to problem.kind=custom_matrices"),
+    # 1e300 / 2**1000 is above a quarter ulp of gamma_star, and 3.0**1000 overflows a float
+    "poly-overflow": (DR_CONFIG, {"schedule.kind": "polynomial", "schedule.p": "1000", "schedule.C": "1e300"},
+                      "DomainError: polynomial schedule term at n=2 overflows"),
 }
 
 
@@ -857,6 +860,28 @@ def test_typed_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys, nam
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error ({path}): {message}\n" and captured.out == ""
+
+
+POLYNOMIAL = {"schedule.kind": "polynomial"}
+
+
+@pytest.mark.parametrize("config, sets, status, verdict", [
+    ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "2"}, 0,
+     "status=PASS certified_constant=17.470562748477143 worst_ratio=0.34482019687620435"),
+    ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "1"}, 1, "status=FAIL certified_constant=inf worst_ratio=nan"),
+    ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "0.4"}, 1, "status=FAIL certified_constant=inf worst_ratio=nan"),
+    ("dr-skew-poly-d100", {}, 0, "status=PASS certified_constant=1 worst_ratio=0"),
+    # every term past n = 0 lies below a quarter ulp of gamma_star, so none is raised to the power
+    ("dr-skew-poly-d100", {"schedule.p": "1000"}, 0, "status=PASS certified_constant=1 worst_ratio=0"),
+], ids=["mt-p2", "mt-p1", "mt-p0.4", "dr-p1", "dr-p1000"])
+def test_summability_verdict_is_the_proven_bound(monkeypatch, capsys, config, sets, status, verdict):
+    # PASS iff the family's bound is finite and the run's partial sum lies within it
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv = ["verify", str(BENCH_CONFIGS / f"{config}.cfg"), "--set", "checks=summability"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == status
+    assert capsys.readouterr().out.startswith(f"name=summability {verdict} fitted_C=nan")
 
 
 @pytest.mark.parametrize("command", [["run"], ["verify"], ["rate"], ["run", "--jobs", "2"]],

@@ -11,7 +11,6 @@ RESULT_RECORDS = [
     ("dr", "FixDecomposition"),
     ("dr", "PrimalDualSequences"),
     ("family", "GammaLipschitzProbe"),
-    ("family", "SummabilityReport"),
     ("mt", "MTLipschitzConstants"),
     ("mt", "MTZeroCertificate"),
 ]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relocsplit as rs
 from relocsplit import (
@@ -107,7 +111,7 @@ class TestStepsizeSchedule:
     @pytest.mark.parametrize("C", [0.0, 1e-300, 1e-3, 0.93, 1.0, 1e6])
     def test_geometric_terms_past_a_quarter_ulp_change_no_bit(self, C, r):
         # gammas leaves the terms past a quarter ulp of gamma_star at 0.0; the per-term loop over
-        # a summability check's 10,001 terms gives the same bytes, gamma_star at either end too
+        # 10,001 terms gives the same bytes, gamma_star at either end too
         count = 10_001
         for gamma_star, interval in [(1.0, (0.5, 2.0)), (0.5, (0.5, 2.0)), (2.0, (0.5, 2.0)),
                                      (1.1, (0.7, 1.9)), (1e-8, (1e-8, 1e8)), (1e8, (1e-8, 1e8)),
@@ -117,6 +121,25 @@ class TestStepsizeSchedule:
             per_term = np.clip(gamma_star + shift, *interval)
             assert sch.gammas(count).tobytes() == per_term.tobytes()
             assert [sch.gamma(n) for n in (0, 60, count - 1)] == per_term[[0, 60, count - 1]].tolist()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 7.5, 40.0])
+    @pytest.mark.parametrize("C", [0.0, 1e-300, 1e-3, 1.0, 1e6])
+    def test_polynomial_terms_past_a_quarter_ulp_change_no_bit(self, C, p):
+        # the polynomial kind stops at a quarter ulp too, and the terms it computes are C / (n+1)**p
+        count = 2_001
+        for gamma_star, interval in [(1.0, (0.5, 2.0)), (2.0, (0.5, 2.0)), (1e-8, (1e-8, 1e8))]:
+            sch = StepsizeSchedule.polynomial(gamma_star, C, p, interval)
+            shift = np.fromiter((C / (n + 1) ** p for n in range(count)), float, count)
+            per_term = np.clip(gamma_star + shift, *interval)
+            assert sch.gammas(count).tobytes() == per_term.tobytes()
+
+    def test_polynomial_stops_before_an_overflowing_term(self):
+        # 3.0**1000 overflows a float; the term before it is already below a quarter ulp
+        sch = StepsizeSchedule.polynomial(1.0, 1.0, 1000.0, (0.5, 2.0))
+        assert sch.gammas(5).tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
+        big = StepsizeSchedule.polynomial(1.0, 1e300, 1000.0, (0.5, 2.0))
+        with pytest.raises(DomainError, match="overflows"):
+            big.gammas(5)
 
 
 class TestScalarShift:
@@ -292,41 +315,77 @@ class TestStepsizeArrays:
 
         monkeypatch.setattr(type(family), "relocator_lipschitz", counted)
         sch = StepsizeSchedule.polynomial(1.0, 1.0, 0.4, INTERVAL)
-        summability_report(family, sch, 10_000)
+        sums = summability_report(family, sch.gammas(10_001))
         assert calls == [(10_000,)]
+        assert sums.shape == (10_000,)
 
 
 class TestSummability:
     def test_constant_schedule_zero_terms(self, pd_pair_family):
         sch = StepsizeSchedule.constant(1.0, INTERVAL)
-        rep = summability_report(pd_pair_family, sch, 100)
-        assert np.all(rep.partial_sums == 0.0)
-        assert rep.converged
+        assert np.all(summability_report(pd_pair_family, sch.gammas(101)) == 0.0)
+        assert rs.dr_summability_bound(sch) == 0.0
+
+    def test_partial_sums_are_a_cumsum(self, mt3_family, geometric_schedule):
+        gammas = geometric_schedule.gammas(301)
+        terms = mt3_family.relocator_lipschitz(gammas[1:], gammas[:-1]) - 1.0
+        assert summability_report(mt3_family, gammas).tobytes() == np.cumsum(terms).tobytes()
 
     def test_dr_geometric_bounded(self):
         ops = rs.generate_problem("affine_strongly_monotone", 3, 1, 0.5, 2.0)
         fam = rs.DRFamily(ops[0], ops[1], (1.0, 2.0))
         sch = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (1.0, 2.0))
-        rep = summability_report(fam, sch, 2000)
-        assert rep.converged
-        assert rep.partial_sums[-1] <= rs.dr_summability_bound(sch) + 1e-9
+        sums = summability_report(fam, sch.gammas(2001))
+        assert sums[-1] <= rs.dr_summability_bound(sch) + 1e-9
         assert rs.dr_summability_bound(sch) == pytest.approx(3.0)
 
     def test_mt_geometric_bounded(self, mt3_family, geometric_schedule):
-        rep = summability_report(mt3_family, geometric_schedule, 2000)
-        assert rep.converged
+        sums = summability_report(mt3_family, geometric_schedule.gammas(2001))
         bound = rs.mt_summability_bound(geometric_schedule, mt3_family.n_operators)
-        assert rep.partial_sums[-1] <= bound + 1e-9
+        assert sums[-1] <= bound + 1e-9
 
-    def test_mt_polynomial_diverges(self, mt3_family):
-        sch = StepsizeSchedule.polynomial(1.0, 1.0, 0.4, INTERVAL)
-        rep = summability_report(mt3_family, sch, 100_000)
-        assert not rep.converged
-        assert rep.tail_increment > 1e-10
+    @pytest.mark.parametrize("p", [0.4, 1.0])
+    def test_mt_polynomial_diverges(self, mt3_family, p):
+        # for p <= 1 the square roots of the steps make a divergent p-series: the bound is +inf,
+        # and the partial sums keep growing
+        sch = StepsizeSchedule.polynomial(1.0, 1.0, p, INTERVAL)
+        assert rs.mt_summability_bound(sch, mt3_family.n_operators) == math.inf
+        sums = summability_report(mt3_family, sch.gammas(100_001))
+        assert sums[-1] - sums[89_999] > 1e-3
+        assert rs.mt_summability_bound(StepsizeSchedule.polynomial(1.0, 0.0, p, INTERVAL), 3) == 0.0
 
-    def test_too_few_terms(self, mt3_family, geometric_schedule):
-        with pytest.raises(DomainError):
-            summability_report(mt3_family, geometric_schedule, 5)
+    def test_polynomial_bounds_in_closed_form(self):
+        # C = 1 on [1, 2]: 1/2 + sqrt(p) max{sqrt(N-1), 2 sqrt(N)} (p+1)/(p-1); DR's is C / gamma_low
+        for N, p, expected in ((4, 2.0, 0.5 + 12 * math.sqrt(2)), (3, 1.5, 0.5 + 15 * math.sqrt(2))):
+            sch = StepsizeSchedule.polynomial(1.0, 1.0, p, (1.0, 2.0))
+            assert rs.mt_summability_bound(sch, N) == pytest.approx(expected, rel=1e-12)
+            assert rs.dr_summability_bound(sch) == 1.0
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        C=st.floats(0.0, 3.0),
+        p=st.floats(1.0, 5.0, exclude_min=True),
+        N=st.integers(2, 6),
+        low=st.floats(0.1, 2.0),
+        width=st.floats(0.0, 3.0),
+        star=st.floats(0.0, 1.0),
+    )
+    def test_polynomial_bounds_hold_on_a_long_partial_sum(self, C, p, N, low, width, star):
+        high = low * (1.0 + width)
+        sch = StepsizeSchedule.polynomial(low + star * (high - low), C, p, (low, high))
+        gammas = sch.gammas(100_001)
+        delta, gamma = gammas[1:], gammas[:-1]
+        mt_terms = rs.mt_relocator_lipschitz(delta, gamma, N).L_check - 1.0
+        assert np.sum(mt_terms) <= rs.mt_summability_bound(sch, N) + 1e-9
+        assert np.sum(np.maximum(1.0, delta / gamma) - 1.0) <= rs.dr_summability_bound(sch) + 1e-9
+
+    def test_every_cli_family_states_a_bound_for_every_kind(self, pd_pair_family, mt3_family, scalar_family):
+        kinds = [StepsizeSchedule.constant(1.0, INTERVAL), StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL),
+                 StepsizeSchedule.polynomial(1.0, 1.0, 2.0, INTERVAL)]
+        for family in (pd_pair_family, mt3_family, scalar_family):
+            bounds = [family.summability_bound(sch) for sch in kinds]
+            assert bounds[0] == 0.0 and all(math.isfinite(b) and b >= 0.0 for b in bounds)
+        assert [scalar_family.summability_bound(sch) for sch in kinds] == [0.0, 0.0, 0.0]
 
 
 class TestGammaLipschitzProbe:

@@ -63,3 +63,27 @@ def test_rows_digest_skips_the_fit_line_only(tmp_path):
     # a moved iterate changes both
     trace.write_text(header + "# dist_to_fix floor=2e-15 burn_in=5\n" + "0,1,0.25\n")
     assert verdicts.rows_digest(str(trace)) != rows
+
+
+def test_sets_reach_every_config_and_seed(monkeypatch):
+    # main passes each --set to every run; os.environ and sys.path are restored afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    calls = []
+    monkeypatch.setattr(verdicts, "run_line",
+                        lambda cli, config, seed, workdir, sets: calls.append((config.stem, seed, sets)) or "")
+    sets = ["schedule.kind=polynomial", "schedule.p=2"]
+    assert verdicts.main([str(ROOT / "src"), "3,7", "--set", sets[0], "--set", sets[1]]) == 0
+    stems = sorted(path.stem for path in verdicts.CONFIGS.glob("*.cfg"))
+    assert calls == [(stem, seed, sets) for stem in stems for seed in (3, 7)]
+
+
+def test_run_line_applies_the_sets(tmp_path, monkeypatch):
+    # a polynomial variant of an mt config: a new trace, and the proven bound PASSes summability
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+    config = verdicts.CONFIGS / "mt-n4-d10.cfg"
+    plain = verdicts.run_line(cli, config, 7, str(tmp_path), ["checks=summability"])
+    line = verdicts.run_line(cli, config, 7, str(tmp_path),
+                             ["checks=summability", "schedule.kind=polynomial", "schedule.p=2"])
+    assert re.fullmatch(r"mt-n4-d10 seed=7 exit=0 summability=PASS:[0-9a-f]{12} .*", line), line
+    assert line.split(" trace=")[1] != plain.split(" trace=")[1]

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Print one line per benchmark config and seed: exit status, verdicts and digests.
 
-Usage: python3 tools/verdicts.py SRC_DIR SEEDS
+Usage: python3 tools/verdicts.py SRC_DIR SEEDS [--set KEY=VALUE ...]
 
 SRC_DIR holds the ``relocsplit`` package to run (the ``src`` directory of a checkout).
 SEEDS is a comma-separated list of seeds and ranges, such as ``1-40`` or ``1,7,13-15``.
+Each ``--set KEY=VALUE`` is passed to every config's run, as ``relocsplit run`` takes it, so
+a variant such as ``--set schedule.kind=polynomial --set schedule.p=2`` is compared alike.
 
 Each config under ``perfbench/configs`` runs in process through ``relocsplit run``, once per
 seed given through ``RELOCSPLIT_SEED``, on one BLAS thread, with its trace and report written
@@ -24,12 +26,14 @@ that no iterate moved. Two checkouts are compared with ``diff``:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
@@ -56,7 +60,8 @@ def rows_digest(path: str) -> str:
     return hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"#"))).hexdigest()
 
 
-def run_line(cli, config: Path, seed: int, workdir: str) -> str:
+def run_line(cli, config: Path, seed: int, workdir: str, sets: Sequence[str] = ()) -> str:
+    """One config's line at one seed; ``sets`` holds ``KEY=VALUE`` overrides for the run."""
     trace = os.path.join(workdir, "trace.csv")
     report = os.path.join(workdir, "report.txt")
     for path in (trace, report):
@@ -65,7 +70,8 @@ def run_line(cli, config: Path, seed: int, workdir: str) -> str:
     os.environ[cli.SEED_ENV_VAR] = str(seed)
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(["run", str(config), "--set", f"output.trace_path={trace}",
-                           "--set", f"output.report_path={report}"])
+                           "--set", f"output.report_path={report}",
+                           *(arg for item in sets for arg in ("--set", item))])
     words = [config.stem, f"seed={seed}", f"exit={status}"]
     if os.path.exists(report):
         for line in Path(report).read_text(encoding="utf-8").splitlines():
@@ -78,20 +84,21 @@ def run_line(cli, config: Path, seed: int, workdir: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    src, seeds = argv
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", metavar="SRC_DIR")
+    parser.add_argument("seeds", metavar="SEEDS", type=parse_seeds)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="sets")
+    args = parser.parse_args(argv)
     # one BLAS thread, set before numpy loads
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.path.insert(0, os.path.abspath(src))
+    sys.path.insert(0, os.path.abspath(args.src))
     from relocsplit import cli
 
     configs = sorted(CONFIGS.glob("*.cfg"))
     with tempfile.TemporaryDirectory() as workdir:
         for config in configs:
-            for seed in parse_seeds(seeds):
-                print(run_line(cli, config, seed, workdir), flush=True)
+            for seed in args.seeds:
+                print(run_line(cli, config, seed, workdir, args.sets), flush=True)
     return 0
 
 
