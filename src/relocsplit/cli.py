@@ -542,7 +542,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[int, list[CheckRecord]]:
     for c in checks:
         if gaps[c]:
             raise ConfigError(f"check {c!r} is not applicable: {gaps[c]}")
-    # an all-affine family may serve the rows where the schedule reaches gamma* in floats from
+    # a family of affine heads may serve the rows where the schedule reaches gamma* in floats from
     # one map; the family alone decides, so neither the checks nor n_steps move the iterates
     gamma_star = config.schedule.gamma_star
     family.hold_affine_part(gamma_star)

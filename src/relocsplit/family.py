@@ -10,7 +10,8 @@ nothing else. A point is a fixed point when its measured
 residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
 fixed-point sets serves them from one line, certified once by a proven bound.
 A family may hold T_gamma as one affine map for one stepsize (``hold_affine_part``), which
-serves a run's constant-stepsize tail; ``mt.MTFamily`` does for all-affine chains with N <= 3.
+serves a run's constant-stepsize tail; ``mt.MTFamily`` does for chains of affine heads, with an
+affine tail when N <= 3 and with a box tail, whose clamp follows the map, while the map is small.
 """
 
 from __future__ import annotations
@@ -130,22 +131,36 @@ class StepsizeSchedule:
         return cls("polynomial", gamma_star, interval[0], interval[1], C=C, p=p)
 
     def gamma(self, n: int) -> float:
+        """gamma_n, bit for bit ``gammas(n + 1)[-1]``. The terms fall, so a term past the early
+        stop rounds away as the 0.0 put there does, and the term at n alone gives gamma_n; where
+        that term overflows, the terms before it decide whether the early stop came first."""
         if n < 0:
             raise DomainError("schedule index must be >= 0")
-        return float(self._at([n])[0])
+        if self.kind == "constant":
+            return self.gamma_star
+        try:
+            term = self._terms([n])[0]
+        except DomainError:
+            before = self._terms(range(n))
+            if before[-1] >= math.ulp(self.gamma_star) / 4:
+                raise
+            term = 0.0
+        return float(np.clip(self.gamma_star + term, self.gamma_low, self.gamma_high))
 
     def gammas(self, count: int) -> np.ndarray:
         """gamma_0, ..., gamma_{count-1}."""
-        return self._at(range(count))
-
-    def _at(self, indices) -> np.ndarray:
-        # Python's ** per term (numpy's power rounds some terms differently),
-        # then shift and clamp as array operations
         if self.kind == "constant":
-            return np.full(len(indices), self.gamma_star)
-        # ascending indices: each kind's terms fall, so from a term below ulp(gamma_star)/4 on,
-        # every term lies below half an ulp, gamma_star + term rounds to gamma_star, and the terms
-        # are left at 0.0
+            return np.full(count, self.gamma_star)
+        terms = self._terms(range(count))
+        shift = np.pad(terms, (0, count - len(terms)))
+        return np.clip(self.gamma_star + shift, self.gamma_low, self.gamma_high)
+
+    def _terms(self, indices) -> list[float]:
+        """The terms C r^n or C / (n+1)^p at ascending indices, by Python's ** (numpy's power
+        rounds some terms differently), up to the first below ulp(gamma_star)/4: each kind's
+        terms fall, so from that term on every term lies below half an ulp, gamma_star + term
+        rounds to gamma_star, and the terms left out stand for 0.0. An overflowing term raises
+        DomainError."""
         tiny, terms = math.ulp(self.gamma_star) / 4, []
         try:
             for n in indices:
@@ -154,8 +169,7 @@ class StepsizeSchedule:
                     break
         except OverflowError as exc:
             raise DomainError(f"{self.kind} schedule term at n={n} overflows") from exc
-        shift = np.pad(terms, (0, len(indices) - len(terms)))
-        return np.clip(self.gamma_star + shift, self.gamma_low, self.gamma_high)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -262,7 +276,8 @@ class OperatorFamily(abc.ABC):
 
     def hold_affine_part(self, gamma: float) -> bool:
         """Whether T_gamma is held as one affine map at gamma: never here; ``MTFamily`` holds one
-        for affine operators where a row through it costs less than one through the chain."""
+        for affine heads with an affine or box tail where a row through it costs less than one
+        through the chain."""
         return False
 
     def fixed_point(self, gamma: float) -> np.ndarray:
@@ -401,8 +416,9 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     and the residual ||x_n - T_gamma_n x_n||. Each step hands the shadow of
     ``relocate_from`` to the next ``apply``, so a family's per-step algorithm
     (N resolvents per step for ``MTFamily``, two for ``DRFamily``, its N = 2 case) is this loop.
-    Rows at the stepsize of the family's held affine part (``hold_affine_part``, decided from
-    the family alone) cost one matrix product each: a geometric schedule reaches gamma* in floats.
+    Rows at the stepsize of the family's held map (``hold_affine_part``, decided from the family
+    alone) cost one matrix product each, and a clamp for a box tail: a geometric schedule reaches
+    gamma* in floats.
 
     A row whose ``apply`` took no shadow and returned x_n bit for bit, and whose relocation
     to the same stepsize returns T x_n bit for bit with no shadow, is a float fixed point:

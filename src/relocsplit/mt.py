@@ -16,7 +16,10 @@ At N = 2 and theta = 1 the chain is Douglas-Rachford, T_gamma x = x + (y - z) wi
 y = J_{gamma A2}(2z - x): ``dr.DRFamily`` is this family there.
 
 Block vectors are stored flat with stride ``space_dim``; the block count is
-part of the family, so the generic driver stays oblivious to N. The contraction factor is
+part of the family, so the generic driver stays oblivious to N. With affine heads the chain is
+affine up to its last resolvent: for an affine tail T_gamma is one map x H + h, and for a box
+tail x H + h gives T_gamma x with the tail's value set to 0 together with the tail's input, so
+one product and one clamp make T_gamma x (``MTFamily.affine_part``). The contraction factor is
 sampled over all pairs among SAMPLE_POINTS = 64 points at each of SAMPLE_GAMMAS = 5 stepsizes: a
 lower estimate, not a bound.
 """
@@ -47,7 +50,7 @@ from .family import (
     many_targets,
     relocated_iterate,
 )
-from .operators import AffineOperator, inclusion_gaps
+from .operators import AffineOperator, BoxNormalCone, inclusion_gaps
 
 #: margin keeping the relaxation parameter strictly inside (0, 1)
 _THETA_MARGIN = 1e-6
@@ -59,6 +62,8 @@ ACTIVE_SET_PASSES = 20
 #: SAMPLE_SEED, at each of SAMPLE_GAMMAS stepsizes; SAMPLE_POINTS**2 floats fit in BLOCK_FLOATS, so
 #: one Gram product covers every pair of a stepsize
 SAMPLE_POINTS, SAMPLE_GAMMAS, SAMPLE_SEED, SAMPLE_SCALE = 64, 5, 2024, 3.0
+#: largest held map H, in floats (1 MiB), for a box tail (``MTFamily.hold_affine_part``)
+BOX_MAP_FLOATS = 2**17
 #: the structural hypotheses under which T_gamma is a contraction, one entry per case
 _CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
           "first_strong": "strongly monotone Lipschitz heads"}
@@ -105,12 +110,14 @@ class MTFamily(OperatorFamily):
     The driver-facing dimension is ``(N-1) * space_dim``. When the hypotheses of a contraction
     case hold (``missing_hypothesis``), the regularity record carries the factor beta that
     ``mt_contraction_certificate`` samples from all pairs among SAMPLE_POINTS points per
-    stepsize, with provenance ``sampled``, and the averagedness (beta + 1)/2 of a beta-contraction;
-    an all-affine family with N <= 3 holds its ``affine_part``. ``dr.DRFamily`` is this family at
-    N = 2 and theta = 1, with its own regularity record and relocator constant.
+    stepsize, with provenance ``sampled``, and the averagedness (beta + 1)/2 of a beta-contraction.
+    A family with affine heads holds its ``affine_part``: with an affine tail when N <= 3, with a
+    box tail while the map has at most BOX_MAP_FLOATS floats (``hold_affine_part``).
+    ``dr.DRFamily`` is this family at N = 2 and theta = 1, with its own regularity record and
+    relocator constant.
     """
 
-    #: the affine part held for one stepsize: ``(gamma, P^T, q)``
+    #: the map held for one stepsize: ``(gamma, H, h)``
     _affine: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def __init__(self, operators, theta: float = 0.5, gamma_interval: tuple[float, float] = (0.5, 2.0)):
@@ -152,28 +159,56 @@ class MTFamily(OperatorFamily):
 
         A relocated x passes its shadow as z^1: J_{gamma A1}(Q_{gamma<-g} w)^1 = J_{g A1} w^1.
         For a block of points every chain value is one resolvent call on k rows. At the
-        stepsize of the held affine part (``affine_part``), x P^T + q instead.
+        stepsize of the held map (``affine_part``), y = x H + h instead; for a box tail y ends
+        with the tail's input w, and theta J_{gamma AN} w is added into the last block.
         """
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
         held = self._affine
         if held is not None and held[0] == gamma:
-            return xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[1] + held[2]
-        ops = self.operators
-        K = self.n_blocks
+            y = xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[1] + held[2]
+            if not self._box_tail:
+                return y
+            t = y[..., :self.dim]
+            t[..., -self.space_dim:] += self.theta * self.operators[-1].resolvent(gamma, y[..., self.dim:])
+            return t
+        z, w = self._chain(gamma, xb, shadow)
+        return self._assemble(xb, [*z, self.operators[-1].resolvent(gamma, w)])
+
+    @property
+    def _box_tail(self) -> bool:
+        """Whether the tail A_N is a box, which the held map leaves to one clamp after it."""
+        return isinstance(self.operators[-1], BoxNormalCone)
+
+    def _chain(self, gamma, xb, shadow):
+        """The chain values z^1..z^{N-1} of the blocks ``xb``, with ``shadow`` as z^1 when given,
+        and the tail's input w = z^1 + z^{N-1} - x^{N-1}."""
+        ops, K = self.operators, self.n_blocks
         xi = [xb[..., i, :] for i in range(K)]
         z = [ops[0].resolvent(gamma, xi[0]) if shadow is None else shadow]
         for i in range(1, K):
             z.append(ops[i].resolvent(gamma, z[i - 1] + xi[i] - xi[i - 1]))
-        z.append(ops[K].resolvent(gamma, z[0] + z[K - 1] - xi[K - 1]))
-        # block i of T_gamma x is x^i + theta (z^{i+1} - z^i), written in place
+        return z, z[0] + z[K - 1] - xi[K - 1]
+
+    def _assemble(self, xb, z):
+        """T_gamma x from the blocks ``xb`` and the N chain values ``z``: block i is
+        z^{i+1} - z^i, times theta, plus x^i, written in place."""
         t = np.empty(xb.shape)
-        for i in range(K):
+        for i in range(self.n_blocks):
             block = t[..., i, :]
             np.subtract(z[i + 1], z[i], out=block)
             block *= self.theta
-            block += xi[i]
+            block += xb[..., i, :]
         return t.reshape(xb.shape[:-2] + (self.dim,))
+
+    def _held_rows(self, gamma, x, shadow=None):
+        """The held map's rows at x: T_gamma x for an affine tail; for a box tail, T_gamma x with
+        the tail's value set to 0, followed by the tail's input."""
+        xb = self.split_blocks(x)
+        z, w = self._chain(gamma, xb, shadow)
+        if self._box_tail:
+            return np.concatenate([self._assemble(xb, [*z, 0.0]), w], axis=-1)
+        return self._assemble(xb, [*z, self.operators[-1].resolvent(gamma, w)])
 
     def relocate_from(self, delta, gamma, x):
         """Q_{delta<-gamma} x, with the anchor J_{gamma A1} x^1 as the shadow; at delta == gamma
@@ -242,46 +277,65 @@ class MTFamily(OperatorFamily):
         return FixedPointLine(offset, slope, theta * (2.0 * feasibility + gamma_hi * r) + float(rounding))
 
     def affine_part(self, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(P^T, q)`` with T_gamma x = x P^T + q for every row x, or None unless every operator
-        is affine.
+        """``(H, h)``, the map held for T_gamma, or None unless every head is affine and the tail
+        affine or a box.
+
+        With an affine tail, T_gamma x = x H + h for every row x, and H is ``dim x dim``. With a
+        box tail, which is affine up to its last resolvent, H has ``dim + space_dim`` columns:
+        x H + h is T_gamma x with the tail's value set to 0, followed by the tail's input
+        w = z^1 + z^{N-1} - x^{N-1}, and ``apply`` adds theta J_{gamma AN} w into the last block.
 
         The map is formed on the first request at a stepsize and held until another stepsize is
-        asked for; ``apply`` at exactly that stepsize returns x P^T + q. q is T_gamma 0. The rows
-        of P^T are this family with every offset set to 0 applied to the rows of the identity,
-        ``BLOCK_FLOATS`` floats at a time, so P^T is the one d x d array made. Forming P as
-        T_gamma I - T_gamma 0 instead would put q's rounding into every entry. The first chain
+        asked for; ``apply`` at exactly that stepsize uses it. h is the map's row at 0. The rows
+        of H are this family with every offset set to 0 applied to the rows of the identity,
+        ``BLOCK_FLOATS`` floats at a time, so H is the one large array made. Forming H as the
+        rows at I less h instead would put h's rounding into every entry. The first chain
         value of a row, its first block through J_{gamma A1}, is read from A1's factors
-        (``AffineOperator.linear_resolvent_rows``) and passed to ``apply`` as the shadow.
+        (``AffineOperator.linear_resolvent_rows``) and passed to the chain as the shadow.
         """
-        if not all(isinstance(op, AffineOperator) for op in self.operators):
+        *head, tail = self.operators
+        if not (all(isinstance(op, AffineOperator) for op in head)
+                and (self._box_tail or isinstance(tail, AffineOperator))):
             return None
         gamma = self.check_gamma(gamma)
         if self._affine is None or self._affine[0] != gamma:
-            self._affine = None  # let the old P^T go before the new one is made
-            # a copy keeps the class and theta, and now holds no affine part
+            self._affine = None  # let the old H go before the new one is made
+            # a copy keeps the class and theta, and now holds no map
             linear = copy.copy(self)
-            linear.operators = [op.linear_part() for op in self.operators]
-            q = self.apply(gamma, np.zeros(self.dim))
-            pt = np.zeros((self.dim, self.dim))
-            ends = np.cumsum([0, *block_sizes(self.dim, self.dim)])
+            linear.operators = [op.linear_part() if isinstance(op, AffineOperator) else op
+                                for op in self.operators]
+            h = self._held_rows(gamma, np.zeros(self.dim))
+            held = np.zeros((self.dim, h.shape[0]))
+            ends = np.cumsum([0, *block_sizes(self.dim, h.shape[0])])
             for a, b in zip(ends, ends[1:]):
-                rows = pt[a:b]
+                rows = held[a:b, :self.dim]
                 rows[np.arange(b - a), np.arange(a, b)] = 1.0
                 # the rows' first chain value, J_{gamma A1} of their first block, from A1's factors
                 first = linear.operators[0].linear_resolvent_rows(gamma, a, b - a)
-                rows[:] = linear.apply(gamma, rows, first)
-            self._affine = (gamma, pt, q)
+                held[a:b] = linear._held_rows(gamma, rows, first)
+            self._affine = (gamma, held, h)
         return self._affine[1:]
 
     def hold_affine_part(self, gamma):
-        """Form and hold the affine part at gamma when every operator is affine and a row through
-        the map, dim^2 multiply-adds, costs less than one through the chain, about 2 N space_dim^2
-        (N resolvents, two products each): that is N <= 3. Return whether it is held. The rule
-        reads the family alone, so neither a run's length nor its checks move its iterates; the
-        cost of forming P^T, dim chain rows, is not weighed."""
-        if self.dim**2 >= 2 * self.n_operators * self.space_dim**2:
-            return False
-        return self.affine_part(gamma) is not None
+        """Form and hold the map at gamma (``affine_part``) where a row through it costs less
+        than one through the chain. Return whether it is held.
+
+        With an affine tail that is counted: a map row, dim^2 multiply-adds, against a chain row,
+        about 2 N space_dim^2 (N resolvents, two products each), so N <= 3. With a box tail the
+        count never favours the map: the chain is N - 1 resolvents and a clamp, about
+        2 (N-1) space_dim^2, and the map row N (N-1) space_dim^2, as much at N = 2 and more from
+        N = 3 on. The map saves the chain's calls instead, which is measured: end to end on one
+        Xeon core with 2 MiB of L2 (1 BLAS thread) it gained while H held up to 132,300 floats
+        (dr up to space_dim 250, mt up to 140 at N = 3 and 105 at N = 4) and lost from 135,000
+        (mt at 150, N = 3), so a box tail's map is held while H has at most BOX_MAP_FLOATS.
+
+        The rule reads the family alone, so neither a run's length nor its checks move its
+        iterates; the cost of forming H, dim chain rows, is not weighed."""
+        if self._box_tail:
+            cheaper = self.dim * (self.dim + self.space_dim) <= BOX_MAP_FLOATS
+        else:
+            cheaper = self.dim**2 < 2 * self.n_operators * self.space_dim**2
+        return cheaper and self.affine_part(gamma) is not None
 
     def relocator_lipschitz(self, delta, gamma):
         # the summability hypothesis is checked with the analysis constant
@@ -460,12 +514,13 @@ def mt_summability_bound(schedule: StepsizeSchedule, n_operators: int) -> float:
     +inf: with C > 0 and gamma* < gamma_high, |Delta_n| >= C p / (n+2)^(p+1) from some n on, and
     the sqrt(q) K terms make a divergent p-series.
 
-    A constant schedule, or C = 0, contributes 0.
+    A constant schedule, C = 0, or gamma* = gamma_high contributes 0: clamping then holds every
+    gamma_n = clamp(gamma* + term), term >= 0, at gamma_high, and every L_check(g <- g) is 1.
     """
     if n_operators < 2:
         raise DomainError("need at least two operators")
     C, r, p = schedule.C, schedule.r, schedule.p
-    if schedule.kind == "constant" or C == 0.0:
+    if schedule.kind == "constant" or C == 0.0 or schedule.gamma_star >= schedule.gamma_high:
         return 0.0
     lo, hi = schedule.gamma_low, schedule.gamma_high
     factor = max(math.sqrt(n_operators - 1), math.sqrt(2 * n_operators) * math.sqrt(hi / lo))

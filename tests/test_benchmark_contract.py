@@ -246,7 +246,7 @@ def test_benchmark_configs_keep_their_verdicts(name, seed, monkeypatch, tmp_path
 def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
     # the family alone decides whether T_gamma* is held as one map, so the check list cannot
     # switch a run between the map and the resolvent chain, whose iterates round differently;
-    # the mt configs hold no map (a box tail, N = 4) and run the chain on every row
+    # mt-n4-d10 holds no map (N = 4) and runs the chain on every row
     workload = _workloads().WORKLOADS[name]
     monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
     mapping = cli.parse_config_file(workload.config_path)
@@ -265,9 +265,10 @@ def test_iterates_do_not_depend_on_the_checks(name, dim, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name, held", [("dr-geo-d400", True), ("dr-skew-poly-d100", True),
-                                        ("mt-n4-d10", False), ("mt-box-d100-n3", False)])
+                                        ("mt-n4-d10", False), ("mt-box-d100-n3", True)])
 def test_each_run_asks_once_and_the_family_decides(name, held, monkeypatch):
-    # the dr pairs are affine with N = 2; mt-n4-d10 has N = 4 and mt-box-d100-n3 a box tail
+    # the dr pairs are affine with N = 2, and mt-box-d100-n3's box-tail map, 2 s x 3 s = 60,000
+    # floats at s = 100, lies within BOX_MAP_FLOATS; mt-n4-d10 is affine with N = 4
     answers = []
     real = mt.MTFamily.hold_affine_part
 

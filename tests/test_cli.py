@@ -870,10 +870,13 @@ POLYNOMIAL = {"schedule.kind": "polynomial"}
      "status=PASS certified_constant=17.470562748477143 worst_ratio=0.34482019687620435"),
     ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "1"}, 1, "status=FAIL certified_constant=inf worst_ratio=nan"),
     ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "0.4"}, 1, "status=FAIL certified_constant=inf worst_ratio=nan"),
+    # gamma* = gamma_high: clamping holds every stepsize there, so every term of the series is 0
+    ("mt-n4-d10", {**POLYNOMIAL, "schedule.p": "1", "schedule.gamma_star": "2.0"}, 0,
+     "status=PASS certified_constant=0 worst_ratio=0"),
     ("dr-skew-poly-d100", {}, 0, "status=PASS certified_constant=1 worst_ratio=0"),
     # every term past n = 0 lies below a quarter ulp of gamma_star, so none is raised to the power
     ("dr-skew-poly-d100", {"schedule.p": "1000"}, 0, "status=PASS certified_constant=1 worst_ratio=0"),
-], ids=["mt-p2", "mt-p1", "mt-p0.4", "dr-p1", "dr-p1000"])
+], ids=["mt-p2", "mt-p1", "mt-p0.4", "mt-p1-at-high", "dr-p1", "dr-p1000"])
 def test_summability_verdict_is_the_proven_bound(monkeypatch, capsys, config, sets, status, verdict):
     # PASS iff the family's bound is finite and the run's partial sum lies within it
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)

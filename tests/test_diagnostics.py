@@ -632,6 +632,30 @@ def test_served_points_agree_with_cold_oracle(family_name, schedule_kind, reques
         assert np.linalg.norm(p - cold) <= 1e-10 * (1.0 + np.linalg.norm(p))
 
 
+def test_a_held_low_stepsize_still_certifies_the_box_line(custom_box_mt_family, monkeypatch):
+    # the line's oracle runs at gamma_low; with the map held there it iterates the map, and the
+    # heads' resolvents run only for z* = J_{gamma A1} x^1 and for the check at gamma_high
+    family = rs.MTFamily(custom_box_mt_family.operators, theta=0.5, gamma_interval=INTERVAL)
+    assert family.hold_affine_part(INTERVAL[0])
+    calls = {rs.AffineOperator: 0, rs.BoxNormalCone: 0}
+    for kind in calls:
+        real = kind.resolvent
+
+        def counting(self, gamma, x, kind=kind, real=real):
+            calls[kind] += 1
+            return real(self, gamma, x)
+
+        monkeypatch.setattr(kind, "resolvent", counting)
+    line = family.fixed_point_line()
+    monkeypatch.undo()
+    assert calls[rs.AffineOperator] == 1 + 2 and calls[rs.BoxNormalCone] > 10
+    assert line.residual_bound <= FIXED_POINT_TOL
+    chain_line = custom_box_mt_family.fixed_point_line()
+    for gamma in INTERVAL:
+        x = line.point(gamma)
+        assert np.linalg.norm(x - chain_line.point(gamma)) <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+
 class TestBoxZeroGuess:
     """The active-set solve that starts a box family's oracle (``mt.box_zero_guess``)."""
 

@@ -140,6 +140,29 @@ class TestStepsizeSchedule:
         big = StepsizeSchedule.polynomial(1.0, 1e300, 1000.0, (0.5, 2.0))
         with pytest.raises(DomainError, match="overflows"):
             big.gammas(5)
+        # one index goes through the same early stop: past it, an overflowing term is 0.0
+        assert sch.gamma(7) == sch.gammas(8)[-1] == 1.0
+        assert sch.gamma(10**9) == 1.0
+        assert big.gamma(1) == big.gammas(2)[-1]
+        with pytest.raises(DomainError, match="term at n=2 overflows"):
+            big.gamma(7)
+
+    @pytest.mark.parametrize("sch", [
+        StepsizeSchedule.geometric(1.0, 1.0, 0.5, (0.5, 2.0)),
+        StepsizeSchedule.geometric(1.1, 3.0, 0.9, (0.7, 1.9)),
+        StepsizeSchedule.geometric(1e-8, 1e8, 0.25, (1e-8, 1e8)),
+        StepsizeSchedule.polynomial(1.0, 1.0, 1.0, (0.5, 2.0)),
+        StepsizeSchedule.polynomial(1.0, 1e6, 7.5, (0.5, 2.0)),
+        StepsizeSchedule.polynomial(2.0, 1.0, 0.5, (0.5, 2.0)),
+        StepsizeSchedule.polynomial(1.0, 1.0, 1000.0, (0.5, 2.0)),
+        StepsizeSchedule.constant(1.3, (0.5, 2.0)),
+    ], ids=["geo", "geo-slow", "geo-wide", "poly-p1", "poly-p7.5", "poly-at-high", "poly-p1000",
+            "constant"])
+    def test_one_index_is_the_grid_entry_bitwise(self, sch):
+        count = 3_001
+        grid = sch.gammas(count)
+        for n in range(count):
+            assert np.float64(sch.gamma(n)).tobytes() == grid[n].tobytes(), n
 
 
 class TestScalarShift:
@@ -353,6 +376,10 @@ class TestSummability:
         sums = summability_report(mt3_family, sch.gammas(100_001))
         assert sums[-1] - sums[89_999] > 1e-3
         assert rs.mt_summability_bound(StepsizeSchedule.polynomial(1.0, 0.0, p, INTERVAL), 3) == 0.0
+        # at gamma* = gamma_high, clamping holds every stepsize at gamma_high: every term is 0
+        at_high = StepsizeSchedule.polynomial(INTERVAL[1], 1.0, p, INTERVAL)
+        assert rs.mt_summability_bound(at_high, mt3_family.n_operators) == 0.0
+        assert not summability_report(mt3_family, at_high.gammas(1_001)).any()
 
     def test_polynomial_bounds_in_closed_form(self):
         # C = 1 on [1, 2]: 1/2 + sqrt(p) max{sqrt(N-1), 2 sqrt(N)} (p+1)/(p-1); DR's is C / gamma_low
@@ -566,6 +593,34 @@ def mt4_family():
 
 
 AFFINE_FAMILIES = ["pd_pair_family", "skew_strong_family", "mt3_family", "mt4_family"]
+BOX_FAMILIES = ["dr_box", "mt3_box", "mt4_box"]
+#: families whose tail is the box [-0.5, 0.5]^s, by name: (N, s); dr at N = 2
+_BOX_SHAPES = {"dr_box": (2, 4), "mt3_box": (3, 4), "mt4_box": (4, 4),
+               "dr_box_s256": (2, 256), "dr_box_s257": (2, 257), "mt3_box_s148": (3, 148)}
+
+
+def _family(name, request):
+    """A fixture's family, or a family of ``_BOX_SHAPES``."""
+    if name not in _BOX_SHAPES:
+        return request.getfixturevalue(name)
+    n_operators, space_dim = _BOX_SHAPES[name]
+    ops = rs.generate_problem("affine_plus_box", space_dim, 7, 0.5, 2.0, n_operators=n_operators,
+                              box_half_width=0.5)
+    if n_operators == 2:
+        return rs.DRFamily(*ops, INTERVAL)
+    return rs.MTFamily(ops, theta=0.5, gamma_interval=INTERVAL)
+
+
+def _on_box_faces(family, gamma, rng):
+    """Rows whose tail input, in the held map's last columns, lies on faces of the box: each
+    coordinate on its upper bound, its lower bound or inside, solved for by least squares."""
+    held, h = family.affine_part(gamma)
+    box = family.operators[-1]
+    targets = rng.choice([-1.0, 0.0, 1.0], size=(4, family.space_dim))
+    targets[0] = 1.0  # a corner
+    targets = np.where(targets > 0, box.upper, np.where(targets < 0, box.lower, 0.0))
+    tail = held[:, family.dim:]
+    return np.linalg.lstsq(tail.T, (targets - h[family.dim:]).T, rcond=None)[0].T
 
 
 class TestAffinePart:
@@ -588,21 +643,18 @@ class TestAffinePart:
             assert np.array_equal(fresh.apply(gamma, X), mapped)
             assert np.array_equal(fresh.apply(gamma, X[0]), X[0] @ pt + q)
 
-    def test_none_unless_every_operator_is_affine(self):
-        box_ops = rs.generate_problem("affine_plus_box", 4, 3, 0.5, 2.0, n_operators=3)
-        box = rs.BoxNormalCone(-np.ones(4), np.ones(4))
-        families = [
-            rs.MTFamily(box_ops, 0.5, INTERVAL),
-            rs.DRFamily(box_ops[0], box, INTERVAL),
-        ]
+    def test_none_unless_the_heads_are_affine(self):
+        # a box among the heads, or a family that is no resolvent chain, holds no map
+        ops = rs.generate_problem("affine_plus_box", 4, 3, 0.5, 2.0, n_operators=3)
+        families = [rs.MTFamily([ops[0], ops[2], ops[1]], 0.5, INTERVAL),
+                    rs.DRFamily(ops[2], ops[0], INTERVAL)]
         x = np.linspace(-1.0, 1.0, 4)
         for family in families:
             assert family.affine_part(1.0) is None
             assert not family.hold_affine_part(1.0)
             assert family._affine is None
-        # a family that is no resolvent chain holds no map
         assert not ScalarShiftFamily(0.5, INTERVAL).hold_affine_part(1.0)
-        # a box family's run keeps the resolvent chain at its constant tail
+        # such a family's run keeps the resolvent chain at its constant tail
         schedule = StepsizeSchedule.constant(1.0, INTERVAL)
         trace = relocated_iterate(families[0], schedule, np.tile(x, 2), 5)
         assert np.array_equal(trace.t_of_x[-1], _fresh(families[0]).apply(1.0, trace.xs[-1]))
@@ -612,11 +664,45 @@ class TestAffinePart:
         ("skew_strong_family", True),  # the same, a skew head solving through its Schur form
         ("mt3_family", True),  # MT, N = 3: 4 s^2 against 6 s^2
         ("mt4_family", False),  # MT, N = 4: 9 s^2 against 8 s^2
+        # a box tail: held while H, N (N-1) s^2 floats, stays within BOX_MAP_FLOATS = 2^17
+        ("dr_box", True),  # DR, s = 4: 32 floats
+        ("mt3_box", True),  # MT, N = 3, s = 4: 96 floats
+        ("mt4_box", True),  # MT, N = 4, s = 4: 192 floats
+        ("dr_box_s256", True),  # DR, s = 256: 2^17 floats
+        ("dr_box_s257", False),  # DR, s = 257: 132,098 floats
+        ("mt3_box_s148", False),  # MT, N = 3, s = 148: 131,424 floats
     ])
     def test_the_map_is_held_where_a_row_through_it_costs_less(self, family_name, held, request):
-        family = _fresh(request.getfixturevalue(family_name))
+        family = _fresh(_family(family_name, request))
         assert family.hold_affine_part(1.0) == held
         assert (family._affine is not None) == held
+        if held:
+            width = family.dim + (family.space_dim if "box" in family_name else 0)
+            assert family._affine[1].shape == (family.dim, width)
+
+    @pytest.mark.parametrize("family_name", BOX_FAMILIES)
+    def test_box_map_matches_the_resolvent_chain(self, family_name, request):
+        family = _family(family_name, request)
+        rng = np.random.default_rng(11)
+        for gamma in [*INTERVAL, *rng.uniform(*INTERVAL, size=3)]:
+            fresh = _fresh(family)
+            held, h = fresh.affine_part(gamma)
+            # random rows, rows on box faces, and a fixed point where the family has a line
+            # (dr with a box tail states no contraction hypotheses)
+            fixed = [] if fresh.missing_hypothesis() else [fresh.fixed_point(gamma)]
+            X = np.vstack([3.0 * rng.standard_normal((6, family.dim)),
+                           _on_box_faces(fresh, gamma, rng), *fixed])
+            chain = _fresh(family).apply(gamma, X)
+            mapped = fresh.apply(gamma, X)
+            assert np.all(np.linalg.norm(mapped - chain, axis=1)
+                          <= 1e-12 * (1.0 + np.linalg.norm(X, axis=1)))
+            # apply at the held stepsize is the map, then theta times the clamp of the tail's
+            # input added into the last block, for a block and for a point
+            for x, result in ((X, mapped), (X[0], fresh.apply(gamma, X[0]))):
+                y = x @ held + h
+                t, w = y[..., :family.dim], y[..., family.dim:]
+                t[..., -family.space_dim:] += family.theta * family.operators[-1].project(w)
+                assert result.tobytes() == t.tobytes()
 
     @pytest.mark.parametrize("family_name", ["pd_pair_family", "mt3_family"])
     def test_another_stepsize_replaces_the_held_map(self, family_name, request):
@@ -838,18 +924,19 @@ class TestCopiedRows:
         cli.write_trace_csv(str(path), trace, family)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["dr_held", "mt_box"])
+    @pytest.mark.parametrize("kind", ["dr_held", "mt_box", "mt_box_held"])
     def test_trace_files_match_the_per_row_driver(self, kind, tmp_path, monkeypatch):
         interval = (1.0, 2.0)
         schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, interval)
         if kind == "dr_held":
             ops = rs.generate_problem("affine_strongly_monotone", 5, 7, 0.5, 2.0)
             family = rs.DRFamily(ops[0], ops[1], interval)
-            family.affine_part(schedule.gamma_star)
         else:
             ops = rs.generate_problem("affine_plus_box", 3, 0, 0.5, 2.0, n_operators=3,
                                       box_half_width=0.5)
             family = rs.MTFamily(ops, 0.5, interval)
+        if kind.endswith("held"):
+            family.affine_part(schedule.gamma_star)
         x0 = np.random.default_rng([0, 7]).standard_normal(family.dim)
         trace, reference, applies = self._run(family, schedule, x0, 200, monkeypatch)
         assert applies < len(trace)  # the run settled, and its rows past that were copied

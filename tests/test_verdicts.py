@@ -87,3 +87,16 @@ def test_run_line_applies_the_sets(tmp_path, monkeypatch):
                              ["checks=summability", "schedule.kind=polynomial", "schedule.p=2"])
     assert re.fullmatch(r"mt-n4-d10 seed=7 exit=0 summability=PASS:[0-9a-f]{12} .*", line), line
     assert line.split(" trace=")[1] != plain.split(" trace=")[1]
+
+
+def test_verdicts_only_keeps_exit_and_verdicts(tmp_path, monkeypatch, capsys):
+    line = ("mt-n4-d10 seed=7 exit=1 error_bound=PASS:0123456789ab summability=FAIL:ba9876543210"
+            f" report={'a' * 64} trace={'b' * 64} rows={'c' * 64}")
+    assert verdicts.verdicts_only(line) == "mt-n4-d10 seed=7 exit=1 error_bound=PASS summability=FAIL"
+    # main prints the short form for every config and seed
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(verdicts, "run_line", lambda cli, config, seed, workdir, sets: line)
+    assert verdicts.main([str(ROOT / "src"), "7", "--verdicts-only"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [verdicts.verdicts_only(line)] * len(list(verdicts.CONFIGS.glob("*.cfg")))

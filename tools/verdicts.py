@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one line per benchmark config and seed: exit status, verdicts and digests.
 
-Usage: python3 tools/verdicts.py SRC_DIR SEEDS [--set KEY=VALUE ...]
+Usage: python3 tools/verdicts.py SRC_DIR SEEDS [--set KEY=VALUE ...] [--verdicts-only]
 
 SRC_DIR holds the ``relocsplit`` package to run (the ``src`` directory of a checkout).
 SEEDS is a comma-separated list of seeds and ranges, such as ``1-40`` or ``1,7,13-15``.
@@ -22,6 +22,13 @@ that no iterate moved. Two checkouts are compared with ``diff``:
     python3 tools/verdicts.py ../parent/src 1-40 > parent.txt
     python3 tools/verdicts.py src 1-40 > change.txt
     diff parent.txt change.txt
+
+``--verdicts-only`` drops the line digests and the sha256 fields, leaving
+
+    CONFIG seed=S exit=E CHECK=PASS ...
+
+so that ``diff`` shows whether exit statuses and verdicts agree on a config whose numbers move
+by rounding.
 """
 
 from __future__ import annotations
@@ -83,11 +90,19 @@ def run_line(cli, config: Path, seed: int, workdir: str, sets: Sequence[str] = (
     return " ".join(words)
 
 
+def verdicts_only(line: str) -> str:
+    """A line without its digests: config, seed, exit status and each check's verdict."""
+    return " ".join(word.split(":")[0] for word in line.split()
+                    if not word.startswith(("report=", "trace=", "rows=")))
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", metavar="SRC_DIR")
     parser.add_argument("seeds", metavar="SEEDS", type=parse_seeds)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="sets")
+    parser.add_argument("--verdicts-only", action="store_true",
+                        help="print exit statuses and verdicts without digests")
     args = parser.parse_args(argv)
     # one BLAS thread, set before numpy loads
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -98,7 +113,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for config in configs:
             for seed in args.seeds:
-                print(run_line(cli, config, seed, workdir, args.sets), flush=True)
+                line = run_line(cli, config, seed, workdir, args.sets)
+                print(verdicts_only(line) if args.verdicts_only else line, flush=True)
     return 0
 
 
