@@ -145,9 +145,7 @@ def fixed_point_oracle(
     )
 
 
-# A benchmark-only name: the benchmark counts fixed-point lookups by wrapping
-# ``FixedPointCache.point``, which is the line's point server.
-FixedPointCache = FixedPointLine
+FixedPointCache = FixedPointLine  # kept - the benchmark counts fixed-point lookups by wrapping its point
 
 
 def compute_distances(family: OperatorFamily, trace: IterateTrace) -> IterateTrace:

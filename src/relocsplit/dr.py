@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, RelocSplitError, UnsupportedOperator
 from .family import IterateTrace, Regularity, StepsizeSchedule, relocated_iterate
-from .mt import MTFamily, _case_holds
+from .mt import MTFamily
 from .operators import as_vector
 
 #: grid resolution for maximizing the contraction factor over the interval
@@ -86,6 +86,8 @@ class DRFamily(MTFamily):
 
     # the chain's own apply, named in this class too: the benchmark wraps DRFamily.apply
     apply = MTFamily.apply
+    #: the one contraction case, in the pair's own words
+    _CASES = {"last_strong": "a single-valued Lipschitz A1 and a strongly monotone A2"}
 
     def __init__(self, a1, a2, gamma_interval: tuple[float, float]):
         self._setup([a1, a2], 1.0, gamma_interval)
@@ -97,11 +99,6 @@ class DRFamily(MTFamily):
     @property
     def a2(self):
         return self.operators[1]
-
-    def missing_hypothesis(self):
-        if _case_holds(self.operators, "last_strong"):
-            return ""
-        return "no contraction certificate without a single-valued Lipschitz A1 and a strongly monotone A2"
 
     @property
     def contraction_beta(self) -> float:
@@ -154,8 +151,11 @@ def primal_dual_extract(fam: DRFamily, trace: IterateTrace) -> PrimalDualSequenc
 
     z_n = J_{gamma_n A1} x_n and y_n = J_{gamma_n A2}(2 z_n - x_n) are recomputed row by
     row, and w_n = T_{gamma_n} x_n is read from the trace. Since w_n - y_n = x_n - z_n up to
-    rounding, ||h_n - g|| = ||g_n - g|| for any reference point g.
+    rounding, ||h_n - g|| = ||g_n - g|| for any reference point g. UnsupportedOperator unless
+    ``fam`` is a ``DRFamily``.
     """
+    if not isinstance(fam, DRFamily):
+        raise UnsupportedOperator("needs the two-operator splitting")
     z = np.array([fam.a1.resolvent(g, x) for g, x in zip(trace.gammas, trace.xs)])
     y = np.array([fam.a2.resolvent(g, 2.0 * zn - x) for g, x, zn in zip(trace.gammas, trace.xs, z)])
     g = (trace.xs - z) / trace.gammas[:, None]
@@ -181,7 +181,10 @@ def fix_decomposition_check(fam: DRFamily, gamma: float, x_fixed) -> FixDecompos
     ||A1^{-1} g - A2^{-1}(-g)|| when both operators are invertible affine;
     otherwise the dual check is skipped and flagged). x is not re-tested: z = J_{gamma A1} x
     gives x = z + gamma A1 z, so the primal residual is 0 exactly when x is fixed.
+    UnsupportedOperator unless ``fam`` is a ``DRFamily``.
     """
+    if not isinstance(fam, DRFamily):
+        raise UnsupportedOperator("needs the two-operator splitting")
     gamma = fam.check_gamma(gamma)
     x = as_vector(x_fixed, fam.dim)
     if not (callable(fam.a1) and callable(fam.a2)):

@@ -64,9 +64,6 @@ ACTIVE_SET_PASSES = 20
 SAMPLE_POINTS, SAMPLE_GAMMAS, SAMPLE_SEED, SAMPLE_SCALE = 64, 5, 2024, 3.0
 #: largest held map H, in floats (1 MiB), for a box tail (``MTFamily.hold_affine_part``)
 BOX_MAP_FLOATS = 2**17
-#: the structural hypotheses under which T_gamma is a contraction, one entry per case
-_CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
-          "first_strong": "strongly monotone Lipschitz heads"}
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,9 @@ class MTFamily(OperatorFamily):
 
     #: the map held for one stepsize: ``(gamma, H, h)``
     _affine: tuple[float, np.ndarray, np.ndarray] | None = None
+    #: the structural hypotheses under which T_gamma is a contraction, one entry per case
+    _CASES = {"last_strong": "Lipschitz single-valued heads and a strongly monotone tail",
+              "first_strong": "strongly monotone Lipschitz heads"}
 
     def __init__(self, operators, theta: float = 0.5, gamma_interval: tuple[float, float] = (0.5, 2.0)):
         if not (_THETA_MARGIN < theta < 1.0 - _THETA_MARGIN):
@@ -140,6 +140,12 @@ class MTFamily(OperatorFamily):
         self.n_operators = len(operators)
         self.n_blocks = self.n_operators - 1
         self.dim = self.n_blocks * self.space_dim
+        # read once, for the held map and the line: "affine" (all affine), "box" (affine heads, box tail) or None
+        *head, tail = operators
+        self._tail_kind = None
+        if all(isinstance(op, AffineOperator) for op in head):
+            self._tail_kind = ("affine" if isinstance(tail, AffineOperator)
+                               else "box" if isinstance(tail, BoxNormalCone) else None)
 
     def split_blocks(self, x) -> np.ndarray:
         """View a point ``(dim,)`` as ``(n_blocks, space_dim)``, a block of points
@@ -167,18 +173,13 @@ class MTFamily(OperatorFamily):
         held = self._affine
         if held is not None and held[0] == gamma:
             y = xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[1] + held[2]
-            if not self._box_tail:
+            if self._tail_kind == "affine":
                 return y
             t = y[..., :self.dim]
             t[..., -self.space_dim:] += self.theta * self.operators[-1].resolvent(gamma, y[..., self.dim:])
             return t
         z, w = self._chain(gamma, xb, shadow)
         return self._assemble(xb, [*z, self.operators[-1].resolvent(gamma, w)])
-
-    @property
-    def _box_tail(self) -> bool:
-        """Whether the tail A_N is a box, which the held map leaves to one clamp after it."""
-        return isinstance(self.operators[-1], BoxNormalCone)
 
     def _chain(self, gamma, xb, shadow):
         """The chain values z^1..z^{N-1} of the blocks ``xb``, with ``shadow`` as z^1 when given,
@@ -206,7 +207,7 @@ class MTFamily(OperatorFamily):
         the tail's value set to 0, followed by the tail's input."""
         xb = self.split_blocks(x)
         z, w = self._chain(gamma, xb, shadow)
-        if self._box_tail:
+        if self._tail_kind == "box":
             return np.concatenate([self._assemble(xb, [*z, 0.0]), w], axis=-1)
         return self._assemble(xb, [*z, self.operators[-1].resolvent(gamma, w)])
 
@@ -239,8 +240,9 @@ class MTFamily(OperatorFamily):
         A1 z* + ... + Ai z* (N = 2 for the two-operator splitting). Affine operators give z* by one
         linear solve. With a box last, an active-set solve (``box_zero_guess``), finished by one
         warm-started oracle run, gives it: the oracle starts from the line's point at the low
-        stepsize through the solve's z, and z* is J_{gamma A1} x^1 of the oracle's x. The slope
-        comes from the operators, never from the relocator the checks test.
+        stepsize through the solve's z, and z* is J_{gamma A1} x^1 of the oracle's x. Any other
+        structure raises UnsupportedOperator. The slope comes from the operators, never from the
+        relocator the checks test.
 
         The bound: on the line each resolvent of the chain but the last returns z*, and the last
         is y = J_{gamma AN}(z* - gamma s_{N-1}), with ||x - T_gamma x|| = theta ||y - z*|| (theta = 1
@@ -257,12 +259,10 @@ class MTFamily(OperatorFamily):
         if missing := self.missing_hypothesis():
             raise NonSingletonFix(missing)
         *head, tail = operators = self.operators
-        if not all(callable(op) for op in head):
-            raise UnsupportedOperator("the fixed-point line needs single-valued leading operators")
-        # the hypotheses make the symmetric part of the summed M positive definite
-        if all(isinstance(op, AffineOperator) for op in operators):
+        if self._tail_kind == "affine":
+            # the hypotheses make the symmetric part of the summed M positive definite
             z = np.linalg.solve(_summed(op.M for op in operators), -sum(op.b for op in operators))
-        else:
+        elif self._tail_kind == "box":
             gamma = self.gamma_interval[0]
             guess = box_zero_guess(_summed(op.M for op in head), sum(op.b for op in head), tail,
                                    1.0 / sum(op.lip for op in head))
@@ -270,6 +270,8 @@ class MTFamily(OperatorFamily):
             # through the module, so that a wrapped or patched oracle is the one run
             x = diagnostics.fixed_point_oracle(self, gamma, offset + gamma * slope)
             z = head[0].resolvent(gamma, x[: head[0].dim])
+        else:
+            raise UnsupportedOperator("needs affine leading operators and an affine or box last one")
         feasibility, r = inclusion_gaps(operators, z)
         offset, slope = _line_through(head, z)
         gamma_hi, theta = self.gamma_interval[1], self.theta
@@ -293,9 +295,7 @@ class MTFamily(OperatorFamily):
         value of a row, its first block through J_{gamma A1}, is read from A1's factors
         (``AffineOperator.linear_resolvent_rows``) and passed to the chain as the shadow.
         """
-        *head, tail = self.operators
-        if not (all(isinstance(op, AffineOperator) for op in head)
-                and (self._box_tail or isinstance(tail, AffineOperator))):
+        if self._tail_kind is None:
             return None
         gamma = self.check_gamma(gamma)
         if self._affine is None or self._affine[0] != gamma:
@@ -331,7 +331,7 @@ class MTFamily(OperatorFamily):
 
         The rule reads the family alone, so neither a run's length nor its checks move its
         iterates; the cost of forming H, dim chain rows, is not weighed."""
-        if self._box_tail:
+        if self._tail_kind == "box":
             cheaper = self.dim * (self.dim + self.space_dim) <= BOX_MAP_FLOATS
         else:
             cheaper = self.dim**2 < 2 * self.n_operators * self.space_dim**2
@@ -346,8 +346,12 @@ class MTFamily(OperatorFamily):
         return mt_summability_bound(schedule, self.n_operators)
 
     def missing_hypothesis(self):
-        holds = any(_case_holds(self.operators, case) for case in _CASES)
-        return "" if holds else "no contraction certificate without " + ", or ".join(_CASES.values())
+        *head, tail = self.operators
+        strong = {"last_strong": [tail], "first_strong": head}  # whom each case asks to be strongly monotone
+        if (all(getattr(op, "single_valued", False) and np.isfinite(getattr(op, "lip", np.inf)) for op in head)
+                and any(all(getattr(op, "mu", 0.0) > 0.0 for op in strong[case]) for case in self._CASES)):
+            return ""
+        return "no contraction certificate without " + ", or ".join(self._CASES.values())
 
     def _build_regularity(self):
         beta = mt_contraction_certificate(self)
@@ -438,14 +442,6 @@ def _line_through(head, z) -> tuple[np.ndarray, np.ndarray]:
     """The offset and slope of the fixed-point line through the zero z: block i of the
     offset is z, block i of the slope A1 z + ... + Ai z."""
     return np.tile(z, len(head)), np.cumsum([op(z) for op in head], axis=0).ravel()
-
-
-def _case_holds(operators, case: str) -> bool:
-    """Whether the structural hypotheses of a case in ``_CASES`` hold."""
-    *head, last = operators
-    strong = head if case == "first_strong" else [last]
-    return (all(getattr(op, "single_valued", False) and np.isfinite(getattr(op, "lip", np.inf)) for op in head)
-            and all(getattr(op, "mu", 0.0) > 0.0 for op in strong))
 
 
 def mt_contraction_certificate(fam: MTFamily) -> float:

@@ -26,6 +26,7 @@ from relocsplit.errors import (
     NoConvergence,
     NonSingletonFix,
     NotAFixedPoint,
+    RelocSplitError,
     TooFewSamples,
     UnsupportedOperator,
 )
@@ -491,6 +492,23 @@ class TestLimitErrors:
         assert len(applied) == diagnostics.LIMIT_WINDOW
 
 
+class DuckOperator:
+    """x -> 2x + c, single-valued with mu = lip = 2, that is no ``AffineOperator``: it has what
+    the hypotheses and the chain read, and no matrix."""
+
+    single_valued, mu, lip = True, 2.0, 2.0
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+        self.dim = self.c.size
+
+    def __call__(self, x):
+        return 2.0 * x + self.c
+
+    def resolvent(self, gamma, x):
+        return (x - gamma * self.c) / (1.0 + 2.0 * gamma)
+
+
 class TestFixedPointCache:
     """The line each family certifies once and serves its fixed points from
     (``diagnostics.FixedPointCache`` names its class for the benchmark)."""
@@ -519,6 +537,20 @@ class TestFixedPointCache:
         with pytest.raises(UnsupportedOperator):
             family.fixed_point_line()
 
+    @pytest.mark.parametrize("build", [
+        lambda ops, duck: rs.MTFamily([ops[0], ops[1], duck], 0.5, INTERVAL),
+        lambda ops, duck: rs.DRFamily(ops[0], duck, INTERVAL),
+        lambda ops, duck: rs.DRFamily(duck, ops[1], INTERVAL),
+    ], ids=["mt_tail", "dr_a2", "dr_a1"])
+    def test_line_needs_affine_heads_and_an_affine_or_box_tail(self, build):
+        # the hypotheses hold, but the structure is none the line solves for: a typed error
+        ops = rs.generate_problem("affine_strongly_monotone", 3, 7, 0.5, 2.0, n_operators=3)
+        family = build(ops, DuckOperator(np.linspace(-1.0, 1.0, 3)))
+        assert family.missing_hypothesis() == ""
+        with pytest.raises(UnsupportedOperator, match="affine leading operators and an affine or box last one"):
+            family.fixed_point_line()
+        assert family.affine_part(1.0) is None
+
     def test_line_needs_a_contraction_certificate(self):
         fam = rs.DRFamily(
             rs.AffineOperator(np.zeros((2, 2))), rs.AffineOperator(np.zeros((2, 2))), INTERVAL
@@ -541,6 +573,51 @@ class TestFixedPointCache:
                 fresh.fixed_point(1.0)
             with pytest.raises(NotAFixedPoint):
                 compute_distances(fresh, run)
+
+
+@st.composite
+def _structures(draw):
+    """A family of N in {2, 3, 4} operators on R^2: heads affine (symmetric, or skew plus a
+    multiple of I) or duck-typed, the tail one of those or a box; some N = 2 draws are DR pairs."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def operator(kinds):
+        kind, m = draw(st.sampled_from(kinds)), draw(st.sampled_from([0.0, 0.5]))
+        if kind == "symmetric":
+            return rs.symmetric_operator(2, m, 2.0, rng)
+        if kind == "nonsymmetric":
+            skew = rs.skew_operator(2, 1.0, rng)
+            return rs.AffineOperator(skew.M + m * np.eye(2), skew.b)
+        if kind == "duck":
+            return DuckOperator(rng.standard_normal(2))
+        return rs.BoxNormalCone(-np.full(2, 0.5 + m), np.full(2, 0.5 + m))
+
+    ops = [operator(["symmetric", "nonsymmetric", "duck"]) for _ in range(n - 1)]
+    ops.append(operator(["symmetric", "nonsymmetric", "duck", "box"]))
+    if n == 2 and draw(st.booleans()):
+        return rs.DRFamily(ops[0], ops[1], INTERVAL)
+    return rs.MTFamily(ops, 0.5, INTERVAL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_structures())
+def test_structure_errors_are_typed(family):
+    # every structural read returns or raises a package error, and where the hypotheses hold,
+    # the line refuses exactly the structures that hold no map
+    def outcome(call):
+        try:
+            return call()
+        except RelocSplitError as exc:
+            return exc
+
+    missing = family.missing_hypothesis()
+    line = outcome(family.fixed_point_line)
+    held = outcome(lambda: family.affine_part(1.0))
+    outcome(lambda: family.hold_affine_part(1.0))
+    outcome(lambda: fix_decomposition_check(family, 1.0, np.zeros(family.dim)))
+    if not missing:
+        assert (held is None) == isinstance(line, UnsupportedOperator)
 
 
 class TestComputeDistances:

@@ -24,6 +24,12 @@ from relocsplit.family import relocated_iterate
 INTERVAL = (0.5, 2.0)
 
 
+def three_operator_family():
+    """An MTFamily, which the two-operator helpers refuse."""
+    ops = rs.generate_problem("affine_strongly_monotone", 4, 1, 0.5, 2.0, n_operators=3)
+    return MTFamily(ops, 0.5, (1.0, 2.0))
+
+
 def zero_pair(dim=3):
     z = AffineOperator(np.zeros((dim, dim)))
     return DRFamily(z, AffineOperator(np.zeros((dim, dim))), INTERVAL)
@@ -174,6 +180,13 @@ class TestPrimalDual:
         )
         assert dual_residual <= 1e-6
 
+    def test_an_mt_family_is_refused(self):
+        # the recovery reads A1 and A2 of a two-operator splitting: a typed error elsewhere
+        fam = three_operator_family()
+        trace = algorithm1_run(fam, StepsizeSchedule.constant(1.0, (1.0, 2.0)), np.zeros(fam.dim), 3)
+        with pytest.raises(UnsupportedOperator, match="needs the two-operator splitting"):
+            primal_dual_extract(fam, trace)
+
     def test_h_equals_g_distance(self, pd_pair_family, geometric_schedule):
         trace = algorithm1_run(pd_pair_family, geometric_schedule, np.zeros(5), 100)
         seqs = primal_dual_extract(pd_pair_family, trace)
@@ -303,6 +316,11 @@ class TestFixDecomposition:
         x = fixed_point_oracle(fam, 1.0, np.zeros(2))
         with pytest.raises(UnsupportedOperator):
             fix_decomposition_check(fam, 1.0, x)
+
+    def test_an_mt_family_is_refused(self):
+        fam = three_operator_family()
+        with pytest.raises(UnsupportedOperator, match="needs the two-operator splitting"):
+            fix_decomposition_check(fam, 1.0, fam.fixed_point(1.0))
 
     def test_singular_affine_skips_dual(self):
         # monotone but singular second operator: primal checkable, dual not
