@@ -262,13 +262,15 @@ def limit_errors(family: OperatorFamily, gamma: float, trace: IterateTrace) -> n
     it falls at every step in exact arithmetic, so the first step where it does not marks
     the rounding floor), then average that point and its next 4 images. At most
     3 * (len(trace) - 1) applications in all; at that cap, the last 5 points are averaged.
+    Each application is ``held_step``'s map, without ``apply``'s checks, where there is one.
     """
+    apply = family.held_step(gamma) or (lambda x: family.apply(gamma, x))
     x = trace.xs[-1]
     window = deque([x], maxlen=LIMIT_WINDOW)
     last = np.inf
     floor_at = None  # applications made when the residual stopped falling
     for applied in range(1, 3 * (len(trace) - 1) + 1):
-        t = family.apply(gamma, x)
+        t = apply(x)
         if floor_at is None:
             resid = vector_norm(x - t)
             if resid >= last:

@@ -10,8 +10,9 @@ nothing else. A point is a fixed point when its measured
 residual ``||x - T_gamma x|| <= tol * (1 + ||x||)``; a family with singleton
 fixed-point sets serves them from one line, certified once by a proven bound.
 A family may hold T_gamma as one affine map for one stepsize (``hold_affine_part``), which
-serves a run's constant-stepsize tail; ``mt.MTFamily`` does for chains of affine heads, with an
-affine tail when N <= 3 and with a box tail, whose clamp follows the map, while the map is small.
+serves a run's constant-stepsize tail through ``held_step``; ``mt.MTFamily`` does for chains of
+affine heads, with an affine tail when N <= 3 and with a box tail, whose clamp follows the map,
+while the map is small.
 """
 
 from __future__ import annotations
@@ -280,6 +281,11 @@ class OperatorFamily(abc.ABC):
         through the chain."""
         return False
 
+    def held_step(self, gamma: float) -> Callable[[np.ndarray], np.ndarray] | None:
+        """T_gamma as one map of a checked point where the family holds it at exactly gamma
+        (``MTFamily``), else None; the relocator from there to gamma is then the identity."""
+        return None
+
     def fixed_point(self, gamma: float) -> np.ndarray:
         """The fixed point of T_gamma, served from ``fixed_point_line``."""
         return self.fixed_point_line().point(self.check_gamma(gamma))
@@ -418,7 +424,9 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
     (N resolvents per step for ``MTFamily``, two for ``DRFamily``, its N = 2 case) is this loop.
     Rows at the stepsize of the family's held map (``hold_affine_part``, decided from the family
     alone) cost one matrix product each, and a clamp for a box tail: a geometric schedule reaches
-    gamma* in floats.
+    gamma* in floats. A row with no shadow takes ``held_step`` where given: no ``apply`` checks
+    (the stepsizes are checked once, the guard keeps x finite), and at an unchanged stepsize no
+    ``relocate_from``, as x_{n+1} = T x_n; every float operation is theirs.
 
     A row whose ``apply`` took no shadow and returned x_n bit for bit, and whose relocation
     to the same stepsize returns T x_n bit for bit with no shadow, is a float fixed point:
@@ -439,7 +447,8 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
         size = vector_norm(x)
         if not math.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise DivergenceDetected(f"||x_{n}|| exceeded {DIVERGENCE_LIMIT:.0e}")
-        t = family.apply(gams[n], x, shadow)
+        step = family.held_step(gams[n]) if shadow is None else None
+        t = family.apply(gams[n], x, shadow) if step is None else step(x)
         xs[n] = x
         ts[n] = t
         res[n] = vector_norm(x - t)
@@ -447,7 +456,10 @@ def relocated_iterate(family: OperatorFamily, schedule: StepsizeSchedule, x0, n_
         if stop == rows:
             break
         fixed = shadow is None and same_bits(x, t)
-        x, shadow = family.relocate_from(gams[stop], gams[n], t)
+        if step is not None and gams[stop] == gams[n]:
+            x = t  # the identity relocation, with no shadow
+        else:
+            x, shadow = family.relocate_from(gams[stop], gams[n], t)
         if fixed and gams[stop] == gams[n] and shadow is None and same_bits(t, x):
             # row n + 1 takes row n's input (gamma_n, x_n, no shadow), and so does every row
             # up to the next change of stepsize: those rows are copies of row n

@@ -165,21 +165,31 @@ class MTFamily(OperatorFamily):
 
         A relocated x passes its shadow as z^1: J_{gamma A1}(Q_{gamma<-g} w)^1 = J_{g A1} w^1.
         For a block of points every chain value is one resolvent call on k rows. At the
-        stepsize of the held map (``affine_part``), y = x H + h instead; for a box tail y ends
-        with the tail's input w, and theta J_{gamma AN} w is added into the last block.
+        stepsize of the held map (``affine_part``), T_gamma x is ``_held_map`` of x, after the
+        same checks of gamma and x.
         """
         gamma = self.check_gamma(gamma)
         xb = self.split_blocks(x)
-        held = self._affine
-        if held is not None and held[0] == gamma:
-            y = xb.reshape(xb.shape[:-2] + (self.dim,)) @ held[1] + held[2]
-            if self._tail_kind == "affine":
-                return y
-            t = y[..., :self.dim]
-            t[..., -self.space_dim:] += self.theta * self.operators[-1].resolvent(gamma, y[..., self.dim:])
-            return t
+        if self.held_step(gamma) is not None:
+            return self._held_map(xb.reshape(xb.shape[:-2] + (self.dim,)))
         z, w = self._chain(gamma, xb, shadow)
         return self._assemble(xb, [*z, self.operators[-1].resolvent(gamma, w)])
+
+    def held_step(self, gamma):
+        """``_held_map`` where the map held (``affine_part``) is T_gamma at exactly gamma."""
+        held = self._affine
+        return self._held_map if held is not None and held[0] == gamma else None
+
+    def _held_map(self, x):
+        """T_gamma x at the held stepsize, unchecked: y = x H + h, and for a box tail, whose input
+        w ends y, theta J_{gamma AN} w added into the last block."""
+        gamma, held, h = self._affine
+        y = x @ held + h
+        if self._tail_kind == "affine":
+            return y
+        t = y[..., :self.dim]
+        t[..., -self.space_dim:] += self.theta * self.operators[-1].resolvent(gamma, y[..., self.dim:])
+        return t
 
     def _chain(self, gamma, xb, shadow):
         """The chain values z^1..z^{N-1} of the blocks ``xb``, with ``shadow`` as z^1 when given,

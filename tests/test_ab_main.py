@@ -31,6 +31,8 @@ def test_two_pairs_time_both_sides(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["A", "B"]
     assert re.fullmatch(r"B faster in [0-2] of 2 pairs; median [+-]\d+\.\d%; exit status 0", lines[2])
+    assert re.fullmatch(r"per pair B/A - 1  median [+-]\d+\.\d%  quartiles [+-]\d+\.\d% [+-]\d+\.\d%",
+                        lines[3])
 
 
 def test_a_changed_exit_status_stops_the_comparison(monkeypatch, capsys):
@@ -49,3 +51,6 @@ def test_sides_alternate_and_keep_their_own_runs(monkeypatch, capsys):
     assert lines[0].startswith("A  median 3.00000  quartiles 2.00000 4.00000")
     assert lines[1].startswith("B  median 2.50000  quartiles 2.25000 2.75000")
     assert lines[2] == "B faster in 1 of 2 pairs; median -16.7%; exit status 0"
+    # each pair's own change: 2/1 - 1 = +100% and 3/5 - 1 = -40%, with quartiles a quarter of
+    # the way in from each end
+    assert lines[3] == "per pair B/A - 1  median +30.0%  quartiles -5.0% +65.0%"

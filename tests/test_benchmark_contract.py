@@ -130,10 +130,11 @@ DR_SMALL = {
 )
 def test_driver_steps_are_counted_as_applies(mapping, span):
     # the driver evaluates T_gamma through the family's one apply, the method the benchmark
-    # wraps, on every row but those past a float fixed point, which it copies: a row whose
+    # wraps, on every row but two kinds. Rows past a float fixed point are copied: a row whose
     # input (gamma, x, no shadow) is the row before's, and that row's T x was its x bit for
-    # bit. So the applies made within the driver number exactly its evaluated rows, and each
-    # copied row is what a fresh apply gives
+    # bit. Rows with no shadow at the held map's stepsize step through the map (held_step). So
+    # the applies made within the driver number exactly its other rows, and each copied or
+    # stepped row is what a fresh apply gives
     layers, Tracer = _perfbench()
     tracer = Tracer()
     restore = layers.instrument(tracer)
@@ -160,11 +161,14 @@ def test_driver_steps_are_counted_as_applies(mapping, span):
     copied = [m for m in range(1, len(trace))
               if g[m] == g[m - 1] and (m == 1 or g[m - 1] == g[m - 2])
               and xs[m - 1].tobytes() == ts[m - 1].tobytes()]
-    assert len(trace) == int(mapping["n_steps"]) + 1 and copied
-    assert applies == len(trace) - len(copied)
+    stepped = [m for m in range(len(trace)) if m not in copied
+               and (m == 0 or g[m] == g[m - 1]) and family.held_step(g[m]) is not None]
+    assert len(trace) == int(mapping["n_steps"]) + 1 and copied and stepped
+    assert applies == len(trace) - len(copied) - len(stepped)
     for m in copied:
-        assert family.apply(g[m], xs[m]).tobytes() == ts[m].tobytes()
         assert xs[m].tobytes() == xs[m - 1].tobytes()
+    for m in copied + stepped:
+        assert family.apply(g[m], xs[m]).tobytes() == ts[m].tobytes()
 
 
 #: the benchmark's workloads at a dimension small enough for the test suite

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -429,15 +430,22 @@ class TestVerifyRateTheorem:
 
 
 def _record_applies(monkeypatch, family) -> list:
-    """The stepsize of every later ``apply`` call on ``family``'s class."""
+    """The stepsize of every later application of T_gamma on ``family``'s class: an ``apply``
+    call, or a call of the step that ``held_step`` returns."""
     applied = []
-    real = type(family).apply
+    cls = type(family)
+    real_apply, real_step = cls.apply, cls.held_step
 
     def recording(self, gamma, x):
         applied.append(gamma)
-        return real(self, gamma, x)
+        return real_apply(self, gamma, x)
 
-    monkeypatch.setattr(type(family), "apply", recording)
+    def recording_step(self, gamma):
+        step = real_step(self, gamma)
+        return step and (lambda x: applied.append(gamma) or step(x))
+
+    monkeypatch.setattr(cls, "apply", recording)
+    monkeypatch.setattr(cls, "held_step", recording_step)
     return applied
 
 
@@ -490,6 +498,40 @@ class TestLimitErrors:
         assert limit.tobytes() == expected.tobytes()
         assert run.err_to_limit.tobytes() == np.linalg.norm(run.xs - expected, axis=1).tobytes()
         assert len(applied) == diagnostics.LIMIT_WINDOW
+
+
+    @pytest.mark.parametrize("problem, n_operators", [
+        ("affine_strongly_monotone", 2), ("affine_strongly_monotone", 3), ("affine_plus_box", 3),
+    ])
+    def test_the_held_step_gives_the_apply_loops_limit_bitwise(self, problem, n_operators):
+        # the limit search with the map held steps through it; a loop of apply calls at the
+        # held stepsize, as the search ran before, gives the same bits
+        ops = rs.generate_problem(problem, 4, 3, 0.5, 2.0, n_operators=n_operators, box_half_width=0.5)
+        family = rs.DRFamily(*ops, INTERVAL) if n_operators == 2 else rs.MTFamily(ops, 0.5, INTERVAL)
+        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, INTERVAL)
+        family.affine_part(1.0)
+        assert family.held_step(1.0) is not None
+        x0 = np.random.default_rng(4).standard_normal(family.dim)
+        run = relocated_iterate(family, schedule, x0, 60)
+        limit = diagnostics.limit_errors(family, 1.0, run)
+        # the search by apply calls
+        x = run.xs[-1]
+        window = deque([x], maxlen=diagnostics.LIMIT_WINDOW)
+        last, floor_at = np.inf, None
+        for applied in range(1, 3 * (len(run) - 1) + 1):
+            t = family.apply(1.0, x)
+            if floor_at is None:
+                resid = float(np.linalg.norm(x - t))
+                if resid >= last:
+                    floor_at = applied
+                last = resid
+            window.append(t)
+            x = t
+            if floor_at is not None and applied - floor_at == diagnostics.LIMIT_WINDOW - 2:
+                break
+        expected = np.mean(window, axis=0)
+        assert limit.tobytes() == expected.tobytes()
+        assert run.err_to_limit.tobytes() == np.linalg.norm(run.xs - expected, axis=1).tobytes()
 
 
 class DuckOperator:

@@ -643,6 +643,18 @@ class TestAffinePart:
             assert np.array_equal(fresh.apply(gamma, X), mapped)
             assert np.array_equal(fresh.apply(gamma, X[0]), X[0] @ pt + q)
 
+    def test_a_step_only_at_the_held_stepsize(self, mt3_family, mt4_family):
+        family = _fresh(mt3_family)
+        assert family.held_step(1.0) is None  # nothing held yet
+        pt, q = family.affine_part(1.0)
+        x = np.random.default_rng(6).standard_normal(family.dim)
+        assert family.held_step(1.0)(x).tobytes() == family.apply(1.0, x).tobytes() == (x @ pt + q).tobytes()
+        assert family.held_step(1.3) is None and family.held_step(np.nextafter(1.0, 2.0)) is None
+        # no family that holds no map gives a step: the base class, the scalar family, N = 4
+        assert ScalarShiftFamily(0.5, INTERVAL).held_step(1.0) is None
+        four = _fresh(mt4_family)
+        assert not four.hold_affine_part(1.0) and four.held_step(1.0) is None
+
     def test_none_unless_the_heads_are_affine(self):
         # a box among the heads, or a family that is no resolvent chain, holds no map
         ops = rs.generate_problem("affine_plus_box", 4, 3, 0.5, 2.0, n_operators=3)
@@ -924,26 +936,72 @@ class TestCopiedRows:
         cli.write_trace_csv(str(path), trace, family)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["dr_held", "mt_box", "mt_box_held"])
-    def test_trace_files_match_the_per_row_driver(self, kind, tmp_path, monkeypatch):
-        interval = (1.0, 2.0)
-        schedule = StepsizeSchedule.geometric(1.0, 1.0, 0.5, interval)
+    SCHEDULE = StepsizeSchedule.geometric(1.0, 1.0, 0.5, (1.0, 2.0))
+
+    @classmethod
+    def _family_for(cls, kind):
+        """A family on [1, 2] for SCHEDULE, holding its map at gamma* for a ``_held`` kind, and a
+        start point."""
+        interval = cls.SCHEDULE.gamma_low, cls.SCHEDULE.gamma_high
         if kind == "dr_held":
             ops = rs.generate_problem("affine_strongly_monotone", 5, 7, 0.5, 2.0)
             family = rs.DRFamily(ops[0], ops[1], interval)
         else:
-            ops = rs.generate_problem("affine_plus_box", 3, 0, 0.5, 2.0, n_operators=3,
-                                      box_half_width=0.5)
+            problem = "affine_strongly_monotone" if kind == "mt_affine_held" else "affine_plus_box"
+            ops = rs.generate_problem(problem, 3, 0, 0.5, 2.0, n_operators=3, box_half_width=0.5)
             family = rs.MTFamily(ops, 0.5, interval)
         if kind.endswith("held"):
-            family.affine_part(schedule.gamma_star)
-        x0 = np.random.default_rng([0, 7]).standard_normal(family.dim)
+            family.affine_part(cls.SCHEDULE.gamma_star)
+        return family, np.random.default_rng([0, 7]).standard_normal(family.dim)
+
+    @pytest.mark.parametrize("kind", ["dr_held", "mt_affine_held", "mt_box", "mt_box_held"])
+    def test_trace_files_match_the_per_row_driver(self, kind, tmp_path, monkeypatch):
+        schedule = self.SCHEDULE
+        family, x0 = self._family_for(kind)
         trace, reference, applies = self._run(family, schedule, x0, 200, monkeypatch)
-        assert applies < len(trace)  # the run settled, and its rows past that were copied
+        # rows past a float fixed point are copied, and held rows step through the map; the
+        # all-affine MT run at theta = 1/2 still moves by an ulp at row 200, so it copies none
+        settled = any(x.tobytes() == t.tobytes() for x, t in zip(trace.xs, trace.t_of_x))
+        assert settled == (kind != "mt_affine_held") and applies < len(trace)
         for run in (trace, reference):
             diagnostics.limit_errors(family, schedule.gamma_star, run)
             diagnostics.compute_distances(family, run)
         assert self._csv(tmp_path, "a.csv", trace, family) == self._csv(tmp_path, "b.csv", reference, family)
+
+    @pytest.mark.parametrize("kind", ["dr_held", "mt_affine_held", "mt_box_held"])
+    def test_held_rows_call_neither_apply_nor_relocate(self, kind, monkeypatch):
+        # only the first row at gamma*, which takes the relocation's shadow, is an apply there;
+        # the rows after it step through the held map and set x_{n+1} = T x_n with no call
+        family, x0 = self._family_for(kind)
+        gamma_star, applies, relocations = self.SCHEDULE.gamma_star, [], []
+        real_apply, real_relocate = family.apply, family.relocate_from
+
+        def apply(gamma, x, shadow=None):
+            applies.append((gamma, shadow is None))
+            return real_apply(gamma, x, shadow)
+
+        def relocate_from(delta, gamma, x):
+            relocations.append((delta, gamma))
+            return real_relocate(delta, gamma, x)
+
+        monkeypatch.setattr(family, "apply", apply)
+        monkeypatch.setattr(family, "relocate_from", relocate_from)
+        trace = relocated_iterate(family, self.SCHEDULE, x0, 100)
+        tail = int(np.argmax(trace.gammas == gamma_star))
+        assert 0 < tail < len(trace) - 10
+        assert applies.count((gamma_star, True)) == 0 and applies.count((gamma_star, False)) == 1
+        # that row's relocation is the one to its own stepsize: it took a shadow, so no step
+        assert len(applies) == len(relocations) == tail + 1
+        assert [pair for pair in relocations if pair[0] == pair[1]] == [(gamma_star, gamma_star)]
+
+    def test_an_expanding_held_map_is_caught_on_its_rows(self, pd_pair_family, monkeypatch):
+        # negative control: the held rows skip apply's checks, not the driver's divergence guard
+        family = _fresh(pd_pair_family)
+        gamma, held, h = (1.0, *family.affine_part(1.0))
+        monkeypatch.setattr(family, "_affine", (gamma, 10.0 * held, h))
+        monkeypatch.setattr(family, "apply", None)  # every row is a held row
+        with pytest.raises(DivergenceDetected):
+            relocated_iterate(family, StepsizeSchedule.constant(1.0, INTERVAL), np.ones(family.dim), 200)
 
     def test_copying_stops_at_the_first_stepsize_change(self, monkeypatch):
         # gamma_n = clamp(1 + 100 / (n+1)^2) sits at gamma_high = 2 for rows 0..9, then moves at

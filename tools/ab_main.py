@@ -12,7 +12,9 @@ thread (``OPENBLAS_NUM_THREADS=1``) and inherits the environment, ``RELOCSPLIT_S
 The command's own output is discarded; a run whose exit status differs from the first run's
 stops the comparison.
 
-It prints each side's median and quartiles, in seconds, and the number of pairs B won:
+It prints each side's median and quartiles, in seconds, the number of pairs B won with the
+change in the median, B's over A's less 1, and the median and quartiles of each pair's own
+change B/A - 1, which the host's drift between pairs moves less:
 
     python3 tools/ab_main.py ../parent/src src 24 -- run perfbench/configs/dr-geo-d400.cfg
 """
@@ -44,8 +46,12 @@ def time_once(src: str, cli_args: list[str]) -> tuple[int, float]:
     return int(status), float(elapsed)
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summary(label: str, src: str, times: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    q1, median, q3 = quartiles(times)
     return f"{label}  median {median:.5f}  quartiles {q1:.5f} {q3:.5f}  ({src})"
 
 
@@ -71,6 +77,8 @@ def main(argv: list[str]) -> int:
     for side in ("A", "B"):
         print(summary(side, sides[side], times[side]))
     print(f"B faster in {won} of {pairs} pairs; median {change:+.1%}; exit status {statuses.pop()}")
+    q1, median, q3 = quartiles([b / a - 1.0 for a, b in zip(times["A"], times["B"])])
+    print(f"per pair B/A - 1  median {median:+.1%}  quartiles {q1:+.1%} {q3:+.1%}")
     return 0
 
 
